@@ -23,7 +23,7 @@ from .experiment import (ExperimentConstants, ExperimentResult,
 from .graphs import (DeterministicCycle, IndependentEdges, LaplacianStats,
                      MarkovSwitching, is_balanced, joint_connectivity_report,
                      lambda2, laplacian, mean_graph_spanning_check,
-                     sample_sequence, spectral_norm, symmetrized_laplacian,
+                     sample_sequence, symmetrized_laplacian,
                      validate_adjacency)
 from .noise import (CommNoiseModel, draw_channel_noise, psi_matrix,
                     stacked_noise_matrices)

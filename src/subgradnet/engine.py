@@ -6,11 +6,13 @@ measurements plus a noisy subgradient step:
     x_i(k+1) = x_i(k) + c(k) * sum_j a_ij(k) (y_ji(k) - x_i(k))
                        - alpha(k) * (d_i(x_i(k)) + zeta_i(k))
 
-with y_ji = x_j + psi(x_j - x_i) xi_ji.  The same update is implemented three
-ways: a per-node reference (``step_per_node``), a stacked matrix form
-(``step_compact``) used as an algebraic cross-check, and a broadcasting fast
-path (``apply_step``) that drives whole replication batches at once.  All
-three consume identical noise draws and agree to floating-point accuracy.
+with y_ji = x_j + psi(x_j - x_i) xi_ji.  One batched step kernel computes it
+for a whole stack of replications; the Monte Carlo loop, ``apply_step`` and
+the consensus-error recursion check all call it, and the recursion check
+reuses the kernel's noise term.  Two slower forms exist only as its test
+references: a per-node loop (``step_per_node``) and the stacked compact
+matrix form (``step_compact``).  All of them consume identical noise draws and
+agree to floating-point accuracy.
 
 Randomness is organized as one stream per replication, split into disjoint
 sub-streams for initial states, graph draws, channel noise and gradient noise,
@@ -45,7 +47,42 @@ def consensus_projection(stacked, n_nodes, dim):
 
 
 def _center(states):
-    return states - states.mean(axis=-2, keepdims=True)
+    """Deviation of each node from the node average, over axis -2."""
+    return states - states.sum(axis=-2, keepdims=True) / states.shape[-2]
+
+
+def _step(x, a, row_sums, alpha_k, c_k, model, xi_in, d_plus_zeta):
+    """The step kernel: next state, channel-noise sum and intensities.
+
+    Works on one state ``(N, dim)`` or a stack ``(..., N, dim)``.
+    ``xi_in[..., i, j, :]`` is the noise on channel (j -> i), receiver-major.
+    The consensus term is ``a @ x - row_sums * x`` and the noise sum
+    ``sum_j a_ij psi_ji xi_ji`` is one ``(1, N) @ (N, dim)`` product per
+    receiver; ``psi`` is symmetric, so ``a * psi`` pairs each weight with its
+    channel's intensity.  Every contraction is a per-slice matmul, so the
+    arithmetic of one replication does not depend on how many replications
+    share the stack.
+    """
+    diff = x[..., :, None, :] - x[..., None, :, :]
+    psi = model.psi_values(np.sqrt(np.einsum("...ijd,...ijd->...ij", diff, diff)))
+    noise = ((a * psi)[..., None, :] @ xi_in)[..., 0, :]
+    consensus = a @ x - row_sums[..., None] * x
+    return x + c_k * (consensus + noise) - alpha_k * d_plus_zeta, noise, psi
+
+
+def _recursion_gap(delta, a, row_sums, alpha_k, c_k, noise, zeta, d_stack, x_new):
+    """Norm of the gap between the recursive and the direct consensus error.
+
+    ``delta`` is the centred state before the step, ``noise`` the kernel's
+    channel-noise sum and ``x_new`` the kernel's next state.
+    """
+    lap_delta = row_sums[..., None] * delta - a @ delta
+    noise_in = c_k * noise
+    if zeta is not None:
+        noise_in = noise_in - alpha_k * zeta
+    gap = (delta - c_k * _center(lap_delta) + _center(noise_in)
+           - alpha_k * _center(d_stack) - _center(x_new))
+    return np.sqrt((gap * gap).sum(axis=(-2, -1)))
 
 
 def apply_step(states, adjacency, alpha_k, c_k, model, xi, d_plus_zeta):
@@ -56,13 +93,8 @@ def apply_step(states, adjacency, alpha_k, c_k, model, xi, d_plus_zeta):
     """
     x = np.asarray(states, dtype=float)
     a = np.asarray(adjacency, dtype=float)
-    row_sums = a.sum(axis=-1)
-    lap_x = row_sums[..., None] * x - (a[..., None] * x[..., None, :, :]).sum(axis=-2)
-    diff = x[..., :, None, :] - x[..., None, :, :]
-    psi = model.psi_values(np.sqrt((diff * diff).sum(axis=-1)))
-    contrib = (a[..., None] * np.swapaxes(psi, -1, -2)[..., None]
-               * np.swapaxes(xi, -3, -2)).sum(axis=-2)
-    return x + c_k * (contrib - lap_x) - alpha_k * d_plus_zeta
+    return _step(x, a, a.sum(axis=-1), alpha_k, c_k, model,
+                 np.swapaxes(np.asarray(xi, dtype=float), -3, -2), d_plus_zeta)[0]
 
 
 def step_per_node(states, adjacency, schedule, model, objective, rng, k):
@@ -130,29 +162,21 @@ def delta_recursion_check(states, adjacency, schedule, model, objective, k,
                      - alpha (P (x) I) d(k)
 
     and returns the norm of the difference.  Both sides share the given
-    draws; the discrepancy is pure floating-point error.
+    draws and the kernel's noise term; the discrepancy is pure floating-point
+    error.
     """
     x = np.asarray(states, dtype=float)
     a = np.asarray(adjacency, dtype=float)
     alpha_k = schedule.alpha(k)
     c_k = schedule.c(k)
-    d_stack = np.stack([objective.subgradient(i, x[i]) for i in range(x.shape[0])])
-    zeta = np.asarray(zeta, dtype=float)
-
-    new = apply_step(x, a, alpha_k, c_k, model, xi, d_stack + zeta)
-    delta_direct = _center(new)
-
-    delta = _center(x)
     row_sums = a.sum(axis=-1)
-    lap_delta = row_sums[:, None] * delta - (a[..., None] * delta[None, :, :]).sum(axis=1)
-    psi = model.psi_values(np.sqrt(
-        ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1)))
-    contrib = (a[..., None] * np.swapaxes(psi, -1, -2)[..., None]
-               * np.swapaxes(xi, 0, 1)).sum(axis=1)
-    delta_rec = (delta - c_k * _center(lap_delta)
-                 + _center(c_k * contrib - alpha_k * zeta)
-                 - alpha_k * _center(d_stack))
-    return float(np.linalg.norm(delta_rec - delta_direct))
+    d_stack = objective.subgradient_stack(x)
+    zeta = np.asarray(zeta, dtype=float)
+    x_new, noise, _ = _step(x, a, row_sums, alpha_k, c_k, model,
+                            np.swapaxes(np.asarray(xi, dtype=float), -3, -2),
+                            d_stack + zeta)
+    return float(_recursion_gap(_center(x), a, row_sums, alpha_k, c_k, noise,
+                                zeta, d_stack, x_new))
 
 
 @dataclass(frozen=True)
@@ -271,6 +295,20 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
         out["dist"][:, slot] = np.sqrt(dist_sq.max(axis=1))
         out["stack_dsq"][:, slot] = dist_sq.sum(axis=1)
 
+    def observe(k, x_now):
+        """Centred state and squared norms at step k, checked and recorded."""
+        xc = _center(x_now)
+        v_now = np.einsum("rnd,rnd->r", xc, xc)
+        s_sq = np.einsum("rnd,rnd->r", x_now, x_now)
+        if not s_sq.max() < _DIVERGENCE_NORM_SQ:
+            bad = int(np.nanargmax(s_sq))
+            raise DivergenceDetected(f"state norm blew up at step {k}",
+                                     replication=int(rep_indices[bad]), step=k)
+        if record_mask[k]:
+            record(k, x_now, v_now, s_sq)
+        return xc, v_now, s_sq
+
+    xi_buf = np.empty((reps, min(_CHUNK, horizon), n_nodes, n_nodes, dim))
     k = 0
     while k < horizon:
         span = min(_CHUNK, horizon - k)
@@ -278,80 +316,62 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
         for r in range(reps):
             graphs[r], graph_state[r] = process.sample_block(
                 graph_ss[r], k, span, state=graph_state[r])
-        xi_chunk = np.stack([g.standard_normal((span, n_nodes, n_nodes, dim))
-                             for g in comm_gen]) * inv_sqrt_dim
+        row_sums_chunk = graphs.sum(axis=3)
+        # Channel noise stored receiver-major: xi_in[r, t, i, j] = xi_ji.
+        xi_in = xi_buf[:, :span]
+        for r, g in enumerate(comm_gen):
+            np.multiply(g.standard_normal((span, n_nodes, n_nodes, dim)),
+                        inv_sqrt_dim, out=np.swapaxes(xi_in[r], 1, 2))
         if has_zeta:
             z_chunk = np.stack([g.standard_normal((span, n_nodes, dim))
                                 for g in grad_gen])
             v_chunk = np.stack([g.standard_normal((span, n_nodes))
                                 for g in grad_gen])
+        chunk_ks = np.arange(k, k + span)
+        alphas = schedule.alpha(chunk_ks).tolist()
+        cs = schedule.c(chunk_ks).tolist()
+        # Per-step inputs of the psi and d bound monitors, reduced per chunk.
+        psi_max = np.empty((reps, span))
+        v_seen = np.empty((reps, span))
+        d_sq = np.empty((reps, span))
+        s_sq_seen = np.empty((reps, span))
         for t in range(span):
             a = graphs[:, t]
-            xi = xi_chunk[:, t]
-            alpha_k = schedule.alpha(k)
-            c_k = schedule.c(k)
+            row_sums = row_sums_chunk[:, t]
+            alpha_k = alphas[t]
+            c_k = cs[t]
 
-            xc = x - x.mean(axis=1, keepdims=True)
-            v_now = (xc * xc).sum(axis=(1, 2))
-            s_sq = (x * x).sum(axis=(1, 2))
-            if not np.max(s_sq) < _DIVERGENCE_NORM_SQ:
-                bad = int(np.nanargmax(s_sq))
-                raise DivergenceDetected(
-                    f"state norm blew up at step {k}",
-                    replication=int(rep_indices[bad]), step=k)
-            if record_mask[k]:
-                record(k, x, v_now, s_sq)
-
-            row_sums = a.sum(axis=2)
-            lap_x = row_sums[:, :, None] * x - (a[..., None] * x[:, None, :, :]).sum(axis=2)
-            diff = x[:, :, None, :] - x[:, None, :, :]
-            psi = model.psi_values(np.sqrt((diff * diff).sum(axis=3)))
-            contrib = (a[..., None] * np.swapaxes(psi, 1, 2)[..., None]
-                       * np.swapaxes(xi, 1, 2)).sum(axis=2)
+            xc, v_now, s_sq = observe(k, x)
             d_stack = objective.subgradient_stack(x)
-
-            psi_max_sq = psi.max(axis=(1, 2)) ** 2
-            np.maximum(out["psi_violation"],
-                       psi_max_sq - (4.0 * sigma_sq * v_now + 2.0 * b_sq),
-                       out=out["psi_violation"])
-            d_sq = (d_stack * d_stack).sum(axis=(1, 2))
-            np.maximum(out["d_violation"],
-                       d_sq - (2.0 * sd_sq * s_sq + 2.0 * n_nodes * cd_sq),
-                       out=out["d_violation"])
-
             if has_zeta:
                 zeta = objective.zeta_from_draws(x, z_chunk[:, t], v_chunk[:, t])
                 step_src = d_stack + zeta
             else:
                 zeta = None
                 step_src = d_stack
-            x_new = x + c_k * (contrib - lap_x) - alpha_k * step_src
+            x_new, noise, psi = _step(x, a, row_sums, alpha_k, c_k, model,
+                                      xi_in[:, t], step_src)
+
+            psi_max[:, t] = psi.max(axis=(1, 2))
+            v_seen[:, t] = v_now
+            d_sq[:, t] = np.einsum("rnd,rnd->r", d_stack, d_stack)
+            s_sq_seen[:, t] = s_sq
 
             if check_stride and k % check_stride == 0:
-                delta = xc
-                lap_delta = (row_sums[:, :, None] * delta
-                             - (a[..., None] * delta[:, None, :, :]).sum(axis=2))
-                noise_in = c_k * contrib
-                if zeta is not None:
-                    noise_in = noise_in - alpha_k * zeta
-                delta_rec = (delta - c_k * _center(lap_delta) + _center(noise_in)
-                             - alpha_k * _center(d_stack))
-                gap = delta_rec - _center(x_new)
-                disc = np.sqrt((gap * gap).sum(axis=(1, 2)))
+                disc = _recursion_gap(xc, a, row_sums, alpha_k, c_k, noise,
+                                      zeta, d_stack, x_new)
                 np.maximum(out["recursion_max"], disc, out=out["recursion_max"])
 
             x = x_new
             k += 1
+        np.maximum(out["psi_violation"],
+                   (psi_max ** 2 - (4.0 * sigma_sq * v_seen + 2.0 * b_sq)).max(axis=1),
+                   out=out["psi_violation"])
+        np.maximum(out["d_violation"],
+                   (d_sq - (2.0 * sd_sq * s_sq_seen + 2.0 * n_nodes * cd_sq)).max(axis=1),
+                   out=out["d_violation"])
 
-    xc = x - x.mean(axis=1, keepdims=True)
-    v_now = (xc * xc).sum(axis=(1, 2))
-    s_sq = (x * x).sum(axis=(1, 2))
-    if not np.max(s_sq) < _DIVERGENCE_NORM_SQ:
-        bad = int(np.nanargmax(s_sq))
-        raise DivergenceDetected(f"state norm blew up at step {horizon}",
-                                 replication=int(rep_indices[bad]), step=horizon)
-    if record_mask[horizon]:
-        record(horizon, x, v_now, s_sq)
+    observe(horizon, x)
     return out
 
 

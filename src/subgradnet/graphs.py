@@ -78,11 +78,6 @@ def lambda2(matrix, tol=1e-10):
     return float(eigvals[1])
 
 
-def spectral_norm(matrix):
-    """2-norm (largest singular value) of a possibly asymmetric matrix."""
-    return float(np.linalg.norm(np.asarray(matrix, dtype=float), 2))
-
-
 def is_balanced(adjacency, tol=_BALANCE_TOL):
     """True when every node's in-weight sum matches its out-weight sum.
 
@@ -192,6 +187,23 @@ class IndependentEdges:
         return float(self.prob[can_fire].sum())
 
 
+def _walk_chain(cum_rows, state, uniforms):
+    """Markov chain states driven by one uniform per step, from ``state``.
+
+    Step k moves to the number of entries of the current cumulative
+    transition row that are ``<= uniforms[k]``, the index
+    ``np.searchsorted(row, u, side="right")`` gives.  The next state for every
+    (step, state) pair is tabulated at once; the walk is a plain integer loop.
+    """
+    table = (cum_rows[None] <= np.asarray(uniforms)[:, None, None]).sum(axis=-1)
+    s = int(state)
+    path = []
+    for row in table.tolist():
+        s = row[s]
+        path.append(s)
+    return np.array(path, dtype=np.int64)
+
+
 class MarkovSwitching:
     """Finite-state Markov chain over a list of adjacency matrices.
 
@@ -249,22 +261,13 @@ class MarkovSwitching:
         key = _stream_key(stream)
         if state is None:
             u = self._uniforms(key, 0, k_start + count)
-            s = int(np.searchsorted(self._cum_init, u[0], side="right"))
-            path = np.empty(k_start + count, dtype=np.int64)
-            path[0] = s
-            for k in range(1, k_start + count):
-                s = int(np.searchsorted(self._cum_rows[s], u[k], side="right"))
-                path[k] = s
+            s0 = int(np.searchsorted(self._cum_init, u[0], side="right"))
+            path = np.concatenate(([s0], _walk_chain(self._cum_rows, s0, u[1:])))
             return path[k_start:]
         if k_start < 1:
             raise ValueError("an explicit chain state requires k_start >= 1")
-        u = self._uniforms(key, k_start, k_start + count)
-        s = int(state)
-        path = np.empty(count, dtype=np.int64)
-        for k in range(count):
-            s = int(np.searchsorted(self._cum_rows[s], u[k], side="right"))
-            path[k] = s
-        return path
+        return _walk_chain(self._cum_rows, state,
+                           self._uniforms(key, k_start, k_start + count))
 
     def sample_block(self, stream, k_start, count, state=None):
         path = self.sample_state_path(stream, count, k_start=k_start, state=state)
@@ -276,13 +279,7 @@ class MarkovSwitching:
         Used for conditional (frozen-anchor) window resampling; not part of
         the counter-addressed path.
         """
-        u = rng.random(count)
-        s = int(state)
-        path = np.empty(count, dtype=np.int64)
-        for k in range(count):
-            s = int(np.searchsorted(self._cum_rows[s], u[k], side="right"))
-            path[k] = s
-        return path
+        return _walk_chain(self._cum_rows, state, rng.random(count))
 
     def draw_initial(self, rng):
         return int(np.searchsorted(self._cum_init, rng.random(), side="right"))

@@ -36,10 +36,6 @@ class CommNoiseModel:
         if self.cap is not None and self.cap < 0:
             raise ValueError("cap must be nonnegative")
 
-    @property
-    def channel_second_moment(self):
-        return 1.0
-
     def psi(self, delta):
         """Noise intensity for one relative state; |psi| <= sigma*||delta|| + b."""
         val = self.sigma * float(np.linalg.norm(delta)) + self.b

@@ -35,23 +35,37 @@ _C5_RATIO_BOUND = 1e6
 _TREND_INTERVALS = 3
 
 _BLOCK = 4096
+# Values per block of the vectorised compensated prefix sum.
+_PREFIX_BLOCK = 65536
+
+
+def _neumaier_prefix(values, carry=(0.0, 0.0)):
+    """Compensated running sums of a 1-D array, continuing from ``carry``.
+
+    Returns the sums and the final ``(sum, compensation)`` pair.  Matches the
+    sequential Neumaier loop bit for bit: within a block the running sum is
+    one sequential ``cumsum``, each step's TwoSum error is elementwise, and
+    the errors are accumulated by a second sequential ``cumsum`` seeded with
+    the incoming compensation.  Blocks bound the temporaries.
+    """
+    x = np.asarray(values, dtype=float)
+    out = np.empty_like(x)
+    s, comp = carry
+    for lo in range(0, x.shape[0], _PREFIX_BLOCK):
+        v = x[lo:lo + _PREFIX_BLOCK]
+        run = np.cumsum(np.concatenate(([s], v)))
+        prev, t = run[:-1], run[1:]
+        err = np.where(np.abs(prev) >= np.abs(v), (prev - t) + v, (v - t) + prev)
+        err[0] += comp
+        np.cumsum(err, out=err)
+        np.add(t, err, out=out[lo:lo + v.shape[0]])
+        s, comp = float(t[-1]), float(err[-1])
+    return out, (s, comp)
 
 
 def kahan_cumsum(values):
     """Compensated (Kahan/Neumaier) running sums of a 1-D array."""
-    x = np.asarray(values, dtype=float)
-    out = np.empty_like(x)
-    s = 0.0
-    comp = 0.0
-    for i, v in enumerate(x.tolist()):
-        t = s + v
-        if abs(s) >= abs(v):
-            comp += (s - t) + v
-        else:
-            comp += (v - t) + s
-        s = t
-        out[i] = s + comp
-    return out
+    return _neumaier_prefix(values)[0]
 
 
 @dataclass
@@ -95,18 +109,7 @@ class StepSchedule:
         if upto < have:
             return
         lo, hi = have, upto + 1
-        vals = self.alpha(np.arange(lo, hi))
-        out = np.empty(hi - lo)
-        s, comp = self._carry
-        for i, v in enumerate(vals.tolist()):
-            t = s + v
-            if abs(s) >= abs(v):
-                comp += (s - t) + v
-            else:
-                comp += (v - t) + s
-            s = t
-            out[i] = s + comp
-        self._carry = (s, comp)
+        out, self._carry = _neumaier_prefix(self.alpha(np.arange(lo, hi)), self._carry)
         self._prefix = np.concatenate([self._prefix, out])
 
     def alpha_partial_sums(self, upto):

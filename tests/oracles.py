@@ -93,3 +93,29 @@ def reaches_all_brute(adjacency, tol=1e-12):
     for _ in range(n):
         reach = reach | (reach @ reach)
     return bool(np.any(reach.all(axis=1)))
+
+
+def neumaier_cumsum_loop(values, carry=(0.0, 0.0)):
+    """Sequential Neumaier running sums, one value at a time, continuing from
+    ``carry``; returns the sums and the final (sum, compensation) pair."""
+    out = np.empty(len(values))
+    s, comp = carry
+    for i, v in enumerate(np.asarray(values, dtype=float).tolist()):
+        t = s + v
+        if abs(s) >= abs(v):
+            comp += (s - t) + v
+        else:
+            comp += (v - t) + s
+        s = t
+        out[i] = s + comp
+    return out, (s, comp)
+
+
+def markov_walk_searchsorted(cum_rows, state, uniforms):
+    """Markov chain states from ``state``, one ``searchsorted`` per uniform."""
+    s = int(state)
+    path = np.empty(len(uniforms), dtype=np.int64)
+    for k, u in enumerate(uniforms):
+        s = int(np.searchsorted(cum_rows[s], u, side="right"))
+        path[k] = s
+    return path

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from oracles import char_poly_eigenvalues_3x3, jacobi_eigenvalues, reaches_all_brute
+from oracles import (char_poly_eigenvalues_3x3, jacobi_eigenvalues,
+                     markov_walk_searchsorted, reaches_all_brute)
 from subgradnet import (DeterministicCycle, IndependentEdges, MarkovSwitching,
                         NonSymmetricError, NoStationaryDistributionError,
                         is_balanced, joint_connectivity_report, lambda2,
                         laplacian, mean_graph_spanning_check, sample_sequence,
                         symmetrized_laplacian, validate_adjacency)
+from subgradnet.graphs import _stream_key
 
 K3 = np.ones((3, 3)) - np.eye(3)
 
@@ -213,6 +215,43 @@ class TestMarkovStationary:
                                [[0.9, 0.1], [0.3, 0.7]])
         pi = proc.stationary_distribution()
         assert np.allclose(pi, [0.75, 0.25], atol=1e-10)
+
+
+class TestMarkovChainWalk:
+    """The tabulated chain walk reproduces the searchsorted-per-step path."""
+
+    def _proc(self):
+        states = [edge(3, 0, 1), edge(3, 1, 2), edge(3, 2, 0), K3]
+        trans = np.random.default_rng(5).random((4, 4)) + 0.05
+        return MarkovSwitching(states, trans / trans.sum(axis=1, keepdims=True),
+                               initial=[0.1, 0.2, 0.3, 0.4])
+
+    def test_replayed_path_matches_searchsorted_loop(self):
+        proc = self._proc()
+        ss = np.random.SeedSequence(31)
+        u = proc._uniforms(_stream_key(ss), 0, 5000)
+        s0 = int(np.searchsorted(proc._cum_init, u[0], side="right"))
+        expected = np.concatenate([[s0], markov_walk_searchsorted(proc._cum_rows, s0, u[1:])])
+        assert np.array_equal(proc.sample_state_path(ss, 5000), expected)
+        for k_start, count in ((0, 1), (1, 7), (1023, 3), (1500, 2000)):
+            got = proc.sample_state_path(ss, count, k_start=k_start)
+            assert np.array_equal(got, expected[k_start:k_start + count])
+
+    @pytest.mark.parametrize("k_start", [1, 700, 1023, 1024, 2049])
+    def test_explicit_state_matches_searchsorted_loop(self, k_start):
+        proc = self._proc()
+        ss = np.random.SeedSequence(32)
+        u = proc._uniforms(_stream_key(ss), k_start, k_start + 900)
+        for state in range(4):
+            got = proc.sample_state_path(ss, 900, k_start=k_start, state=state)
+            assert np.array_equal(got, markov_walk_searchsorted(proc._cum_rows, state, u))
+
+    def test_advance_from_matches_searchsorted_loop(self):
+        proc = self._proc()
+        got = proc.advance_from(np.random.default_rng(9), 2, 3000)
+        u = np.random.default_rng(9).random(3000)
+        assert np.array_equal(got, markov_walk_searchsorted(proc._cum_rows, 2, u))
+        assert proc.advance_from(np.random.default_rng(9), 2, 0).shape == (0,)
 
 
 class TestJointConnectivityReport:

@@ -1,0 +1,121 @@
+"""Property tests of the batched step kernel and the engine around it.
+
+Criterion 8 compares 1-worker and 8-worker aggregates exactly, which holds
+only if a replication's arithmetic is the same in every batch it lands in.
+"""
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from subgradnet import (CommNoiseModel, IndependentEdges, InitialStates,
+                        LassoProblem, MarkovSwitching, QuadraticObjective,
+                        StepSchedule, apply_step, draw_channel_noise,
+                        step_per_node)
+from subgradnet.engine import _run_batch, default_record_ks
+
+PER_REP_KEYS = ("V", "opt_gap", "state_sq", "dist", "stack_dsq", "mean_state",
+                "psi_violation", "d_violation", "recursion_max")
+
+
+def _objective(kind, n_nodes, dim, rng):
+    if kind == "quadratic":
+        return QuadraticObjective(rng.normal(size=(n_nodes, dim)))
+    covs = []
+    for _ in range(n_nodes):
+        m = rng.normal(size=(dim, dim))
+        covs.append(m @ m.T / dim + 0.5 * np.eye(dim))
+    return LassoProblem(x0=rng.normal(size=dim), covariances=np.stack(covs),
+                        sigma_v=0.3, kappa=0.1)
+
+
+def _process(kind, n_nodes, rng):
+    # Perturbations wider than the base weights give negative realized weights.
+    base = np.ones((n_nodes, n_nodes)) - np.eye(n_nodes)
+    if kind == "independent":
+        return IndependentEdges(base=0.4 * base, prob=0.7, perturb=0.6)
+    states = [rng.normal(scale=0.3, size=(n_nodes, n_nodes)) * base + 0.2 * base
+              for _ in range(3)]
+    trans = rng.random((3, 3)) + 0.1
+    return MarkovSwitching(states, trans / trans.sum(axis=1, keepdims=True))
+
+
+@st.composite
+def cases(draw):
+    n_reps = draw(st.integers(1, 6))
+    groups = draw(st.lists(st.integers(0, n_reps - 1), min_size=n_reps,
+                           max_size=n_reps))
+    return dict(
+        n_reps=n_reps,
+        batches=[[r for r in range(n_reps) if groups[r] == g]
+                 for g in sorted(set(groups))],
+        objective=draw(st.sampled_from(["quadratic", "lasso"])),
+        process=draw(st.sampled_from(["independent", "markov"])),
+        cap=draw(st.sampled_from([None, 0.3])),
+        n_nodes=draw(st.integers(2, 5)),
+        dim=draw(st.integers(1, 4)),
+        horizon=draw(st.integers(1, 300)),
+        seed=draw(st.integers(0, 2 ** 32 - 1)),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(cases())
+def test_per_rep_outputs_do_not_depend_on_batch_grouping(case):
+    rng = np.random.default_rng(case["seed"])
+    n_nodes, dim, horizon = case["n_nodes"], case["dim"], case["horizon"]
+    objective = _objective(case["objective"], n_nodes, dim, rng)
+    process = _process(case["process"], n_nodes, rng)
+    model = CommNoiseModel(sigma=0.3, b=0.2, noise_dim=dim, cap=case["cap"])
+    args = (objective, process, model, StepSchedule(), horizon, case["seed"])
+    tail = (np.zeros(dim), 0.0, InitialStates.uniform(-2.0, 2.0),
+            default_record_ks(horizon, dense_until=50, stride=25), 7)
+
+    full = _run_batch(*args, list(range(case["n_reps"])), *tail)
+    for batch in case["batches"]:
+        part = _run_batch(*args, batch, *tail)
+        for key in PER_REP_KEYS:
+            assert np.array_equal(part[key], full[key][batch]), key
+
+
+@st.composite
+def step_cases(draw):
+    return dict(
+        n_nodes=draw(st.integers(2, 5)),
+        dim=draw(st.integers(1, 4)),
+        stack=draw(st.integers(1, 4)),
+        cap=draw(st.sampled_from([None, 0.05, 0.5])),
+        k=draw(st.integers(0, 10_000)),
+        seed=draw(st.integers(0, 2 ** 32 - 1)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(step_cases())
+def test_kernel_matches_per_node_oracle_and_is_stack_independent(case):
+    rng = np.random.default_rng(case["seed"])
+    n, dim, k = case["n_nodes"], case["dim"], case["k"]
+    sched = StepSchedule()
+    model = CommNoiseModel(sigma=float(rng.random()), b=float(rng.random()),
+                           noise_dim=dim, cap=case["cap"])
+    objective = QuadraticObjective(rng.normal(size=(n, dim)))
+    xs, adjs, xis, singles = [], [], [], []
+    for _ in range(case["stack"]):
+        x = rng.normal(size=(n, dim)) * 3.0
+        # Signed weights on a random support.
+        a = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.7)
+        np.fill_diagonal(a, 0.0)
+        seed = int(rng.integers(2 ** 32))
+        via_node = step_per_node(x, a, sched, model, objective,
+                                 np.random.default_rng(seed), k)
+        xi = draw_channel_noise(model, a, np.random.default_rng(seed))
+        single = apply_step(x, a, sched.alpha(k), sched.c(k), model, xi,
+                            objective.subgradient_stack(x))
+        assert np.max(np.abs(single - via_node)) < 1e-12 * max(1.0, np.max(np.abs(via_node)))
+        xs.append(x)
+        adjs.append(a)
+        xis.append(xi)
+        singles.append(single)
+    x, a = np.stack(xs), np.stack(adjs)
+    stacked = apply_step(x, a, sched.alpha(k), sched.c(k), model, np.stack(xis),
+                         objective.subgradient_stack(x))
+    assert np.array_equal(stacked, np.stack(singles))

@@ -6,8 +6,10 @@ import mpmath
 import numpy as np
 import pytest
 
+from oracles import neumaier_cumsum_loop
 from subgradnet import (FAILS, HOLDS, StepSchedule, kahan_cumsum,
                         verify_conditions)
+from subgradnet.stepsize import _PREFIX_BLOCK
 
 
 def mp_alpha(k, alpha1=1.0, tau1=1.0):
@@ -172,3 +174,33 @@ class TestKahanEdgeCases:
         vals = [1e16, 1.0, -1e16, 1.0]
         prefix = kahan_cumsum(vals)
         assert prefix[-1] == pytest.approx(math.fsum(vals), abs=0.0)
+
+
+class TestVectorisedNeumaierPrefix:
+    """The blockwise prefix sum is bit-identical to the sequential loop."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, _PREFIX_BLOCK - 1, _PREFIX_BLOCK,
+                                   _PREFIX_BLOCK + 1, 2 * _PREFIX_BLOCK + 3])
+    def test_matches_loop_across_block_boundaries(self, n):
+        rng = np.random.default_rng(n)
+        vals = rng.normal(size=n) * 10.0 ** rng.uniform(-10, 10, size=n)
+        assert np.array_equal(kahan_cumsum(vals), neumaier_cumsum_loop(vals)[0])
+
+    def test_matches_loop_on_alpha_at_one_million(self):
+        vals = StepSchedule().alpha(np.arange(1_000_000))
+        assert np.array_equal(kahan_cumsum(vals), neumaier_cumsum_loop(vals)[0])
+
+    def test_cancellation_matches_loop(self):
+        vals = [1e16, 1.0, -1e16, 1.0]
+        assert np.array_equal(kahan_cumsum(vals), neumaier_cumsum_loop(vals)[0])
+        assert kahan_cumsum(vals)[-1] == 2.0
+
+    def test_uneven_extension_equals_one_shot(self):
+        sched = StepSchedule(alpha1=1.3, tau1=0.7)
+        for upto in (0, 1, 999, _PREFIX_BLOCK, _PREFIX_BLOCK + 5, 150_000):
+            sched.alpha_partial_sums(upto)
+        one_shot = StepSchedule(alpha1=1.3, tau1=0.7).alpha_partial_sums(150_000)
+        expected, carry = neumaier_cumsum_loop(sched.alpha(np.arange(150_001)))
+        assert np.array_equal(sched.alpha_partial_sums(150_000), one_shot)
+        assert np.array_equal(one_shot, expected)
+        assert sched._carry == carry
