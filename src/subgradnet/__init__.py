@@ -11,8 +11,7 @@ from .config import (ExperimentConfig, build_init, build_noise, build_objective,
                      load_config, save_config, validate_config)
 from .engine import (InitialStates, MonteCarloResult, StepRecord, apply_step,
                      consensus_projection, default_record_ks,
-                     delta_recursion_check, monte_carlo, run_trajectory,
-                     step_compact, step_per_node)
+                     delta_recursion_check, monte_carlo, run_trajectory)
 from .errors import (ConfigError, DivergenceDetected, FactorizationError,
                      NoStationaryDistributionError, NonConvergenceError,
                      NonSymmetricError, ParseError, SubgradNetError,
@@ -23,12 +22,10 @@ from .experiment import (ExperimentConstants, ExperimentResult,
 from .graphs import (DeterministicCycle, IndependentEdges, LaplacianStats,
                      MarkovSwitching, is_balanced, joint_connectivity_report,
                      lambda2, laplacian, mean_graph_spanning_check,
-                     sample_sequence, symmetrized_laplacian,
-                     validate_adjacency)
-from .noise import (CommNoiseModel, draw_channel_noise, psi_matrix,
-                    stacked_noise_matrices)
+                     symmetrized_laplacian, validate_adjacency)
+from .noise import CommNoiseModel
 from .objectives import (CustomObjective, LassoProblem, QuadraticObjective,
-                         global_optimum, quadratic_objective, soft_threshold)
+                         global_optimum, soft_threshold)
 from .stepsize import (FAILS, HOLDS, INCONCLUSIVE, ConditionCheck,
                        ConditionReport, StepSchedule, kahan_cumsum,
                        verify_conditions)

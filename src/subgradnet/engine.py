@@ -9,10 +9,9 @@ measurements plus a noisy subgradient step:
 with y_ji = x_j + psi(x_j - x_i) xi_ji.  One batched step kernel computes it
 for a whole stack of replications; the Monte Carlo loop, ``apply_step`` and
 the consensus-error recursion check all call it, and the recursion check
-reuses the kernel's noise term.  Two slower forms exist only as its test
-references: a per-node loop (``step_per_node``) and the stacked compact
-matrix form (``step_compact``).  All of them consume identical noise draws and
-agree to floating-point accuracy.
+reuses the kernel's noise term.  The tests check the kernel against a
+per-node loop and the stacked compact matrix form, which they keep as
+independent references.
 
 Randomness is organized as one stream per replication, split into disjoint
 sub-streams for initial states, graph draws, channel noise and gradient noise,
@@ -27,8 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceDetected
-from .graphs import laplacian
-from .noise import draw_channel_noise
 
 # Steps per internal draw block; fixed, part of the determinism contract.
 _CHUNK = 1024
@@ -95,59 +92,6 @@ def apply_step(states, adjacency, alpha_k, c_k, model, xi, d_plus_zeta):
     a = np.asarray(adjacency, dtype=float)
     return _step(x, a, a.sum(axis=-1), alpha_k, c_k, model,
                  np.swapaxes(np.asarray(xi, dtype=float), -3, -2), d_plus_zeta)[0]
-
-
-def step_per_node(states, adjacency, schedule, model, objective, rng, k):
-    """Reference per-node update drawing its own noises from ``rng``.
-
-    Draw order is fixed: channel noises in lexicographic (j, i) order over
-    active channels, then gradient noises node by node, so any consumer
-    seeding an identical generator reproduces the same randomness.
-    """
-    x = np.asarray(states, dtype=float)
-    n_nodes, dim = x.shape
-    xi = draw_channel_noise(model, adjacency, rng)
-    alpha_k = schedule.alpha(k)
-    c_k = schedule.c(k)
-    new = np.empty_like(x)
-    for i in range(n_nodes):
-        coupling = np.zeros(dim)
-        for j in range(n_nodes):
-            a_ij = adjacency[i, j]
-            if a_ij != 0.0:
-                y_ji = x[j] + model.psi(x[j] - x[i]) * xi[j, i]
-                coupling += a_ij * (y_ji - x[i])
-        new[i] = x[i] + c_k * coupling
-    for i in range(n_nodes):
-        d_tilde, _ = objective.noisy_subgradient(i, x[i], rng)
-        new[i] -= alpha_k * d_tilde
-    if not np.all(np.isfinite(new)):
-        raise DivergenceDetected("non-finite state after per-node step", step=k)
-    return new
-
-
-def step_compact(states, adjacency, schedule, objective, k,
-                 d_mat, psi_big, xi_stacked, zeta):
-    """Stacked-form update from explicit compact factors.
-
-    X(k+1) = ((I - c L) (x) I) X + c D Psi xi - alpha (d + zeta), with the
-    noise factors produced by :func:`subgradnet.noise.stacked_noise_matrices`
-    and ``zeta`` the stacked gradient noise (one row per node).  This is the
-    independent algebraic route checked against ``step_per_node``.
-    """
-    x = np.asarray(states, dtype=float)
-    n_nodes, dim = x.shape
-    lap = laplacian(adjacency)
-    alpha_k = schedule.alpha(k)
-    c_k = schedule.c(k)
-    lin = np.kron(np.eye(n_nodes) - c_k * lap, np.eye(dim)) @ x.reshape(-1)
-    noise_term = c_k * (d_mat @ (psi_big @ xi_stacked))
-    d_stack = np.stack([objective.subgradient(i, x[i]) for i in range(n_nodes)])
-    grad_term = alpha_k * (d_stack + np.asarray(zeta, dtype=float)).reshape(-1)
-    new = lin + noise_term - grad_term
-    if not np.all(np.isfinite(new)):
-        raise DivergenceDetected("non-finite state after compact step", step=k)
-    return new.reshape(n_nodes, dim)
 
 
 def delta_recursion_check(states, adjacency, schedule, model, objective, k,
@@ -433,7 +377,7 @@ def _mc_worker(args):
 
 def monte_carlo(objective, process, model, schedule, horizon, seed, reps,
                 x_star, f_star, init=None, record_ks=None, check_stride=0,
-                workers=1, C0=None, keep_per_rep=True):
+                workers=1, C0=None):
     """Aggregate recorded metrics over independent replications.
 
     Replications are deterministic per (seed, index) and may be fanned out to
@@ -498,5 +442,5 @@ def monte_carlo(objective, process, model, schedule, horizon, seed, reps,
         beta_log=beta_log,
         c1_hat=c1_hat,
         c1_hat_at=c1_at,
-        per_rep=per_rep if keep_per_rep else None,
+        per_rep=per_rep,
     )

@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import NonSymmetricError, NoStationaryDistributionError
 
-# Steps per counter-addressed draw block.  Each block of step indices maps to
-# one Philox counter value, so step k's draw is independent of how sampling
-# calls are batched.
+# Steps per counter-addressed draw block.  Each block of step indices owns one
+# value of the Philox counter's block word, so step k's draw is independent of
+# how sampling calls are batched.
 CHUNK = 1024
 
 _BALANCE_TOL = 1e-9
@@ -97,14 +97,33 @@ def _as_seed_sequence(seed):
     return np.random.SeedSequence(seed)
 
 
-def _philox_block(key, block_index):
-    """Generator for one counter-addressed block of a keyed Philox stream."""
-    bg = np.random.Philox(counter=[0, 0, int(block_index), 0], key=key)
-    return np.random.Generator(bg)
-
-
 def _stream_key(stream):
     return _as_seed_sequence(stream).generate_state(2, np.uint64)
+
+
+def _counter_uniforms(key, k_start, count, size, slabs=1):
+    """Uniforms of steps [k_start, k_start + count) of a keyed Philox stream.
+
+    Step k lives in block ``k // CHUNK``, the third word of the Philox
+    counter.  Each block holds ``slabs`` consecutive slabs of
+    ``CHUNK * size`` words, and step k owns ``size`` words of every slab, at
+    offset ``(k % CHUNK) * size``.  Each draw starts at the counter of its
+    first needed word, so only the requested rows are generated.  Returns
+    shape ``(slabs, count, size)``.
+    """
+    out = np.empty((slabs, count, size))
+    pos = 0
+    while pos < count:
+        block, lo = divmod(k_start + pos, CHUNK)
+        take = min(CHUNK - lo, count - pos)
+        for s in range(slabs):
+            first = (s * CHUNK + lo) * size
+            gen = np.random.Generator(
+                np.random.Philox(counter=[first // 4, 0, block, 0], key=key))
+            gen.random(first % 4)  # Philox emits four words per counter value
+            out[s, pos:pos + take] = gen.random((take, size))
+        pos += take
+    return out
 
 
 class DeterministicCycle:
@@ -156,27 +175,15 @@ class IndependentEdges:
         self._has_perturb = bool(np.any(self.perturb > 0))
 
     def sample_block(self, stream, k_start, count, state=None):
-        key = _stream_key(stream)
         n = self.n_nodes
-        out = np.empty((count, n, n))
-        pos = 0
-        k = k_start
-        while pos < count:
-            block = k // CHUNK
-            lo = k - block * CHUNK
-            take = min(CHUNK - lo, count - pos)
-            gen = _philox_block(key, block)
-            u = gen.random((CHUNK, n, n))
-            active = u[lo:lo + take] < self.prob
-            w = np.where(active, self.base, 0.0)
-            if self._has_perturb:
-                v = gen.random((CHUNK, n, n))
-                w = w + np.where(active, (2.0 * v[lo:lo + take] - 1.0) * self.perturb, 0.0)
-            out[pos:pos + take] = w
-            pos += take
-            k += take
-        idx = np.arange(self.n_nodes)
-        out[:, idx, idx] = 0.0
+        slabs = 2 if self._has_perturb else 1
+        draws = _counter_uniforms(_stream_key(stream), k_start, count, n * n,
+                                  slabs=slabs).reshape(slabs, count, n, n)
+        # The diagonal never fires: its probability and half-width are zero.
+        active = draws[0] < self.prob
+        out = np.where(active, self.base, 0.0)
+        if self._has_perturb:
+            out = out + np.where(active, (2.0 * draws[1] - 1.0) * self.perturb, 0.0)
         return out, None
 
     def mean_adjacency(self):
@@ -185,6 +192,21 @@ class IndependentEdges:
     def expected_active_channels(self):
         can_fire = (self.base != 0) | (self.perturb > 0)
         return float(self.prob[can_fire].sum())
+
+
+def _cumulative(probs):
+    """Cumulative probabilities along the last axis, +inf from each row's
+    last positive entry on.
+
+    Rows sum to 1 only within tolerance, so a uniform can reach a row's last
+    finite total; the +inf sends it to the last state the row can select
+    instead of one past the end.  Uniforms below that total are unaffected.
+    """
+    cum = np.cumsum(probs, axis=-1)
+    m = probs.shape[-1]
+    last = m - 1 - np.argmax(probs[..., ::-1] > 0, axis=-1)
+    cum[np.arange(m) >= np.expand_dims(last, -1)] = np.inf
+    return cum
 
 
 def _walk_chain(cum_rows, state, uniforms):
@@ -234,23 +256,8 @@ class MarkovSwitching:
         if self.initial.shape != (m,) or np.any(self.initial < 0) or \
                 abs(self.initial.sum() - 1.0) > _BALANCE_TOL:
             raise ValueError("initial distribution must be a probability vector")
-        self._cum_rows = np.cumsum(t, axis=1)
-        self._cum_init = np.cumsum(self.initial)
-
-    def _uniforms(self, key, k_lo, k_hi):
-        """Chain uniforms for draw indices [k_lo, k_hi)."""
-        out = np.empty(k_hi - k_lo)
-        pos = 0
-        k = k_lo
-        while k < k_hi:
-            block = k // CHUNK
-            lo = k - block * CHUNK
-            take = min(CHUNK - lo, k_hi - k)
-            u = _philox_block(key, block).random(CHUNK)
-            out[pos:pos + take] = u[lo:lo + take]
-            pos += take
-            k += take
-        return out
+        self._cum_rows = _cumulative(t)
+        self._cum_init = _cumulative(self.initial)
 
     def sample_state_path(self, stream, count, k_start=0, state=None):
         """State indices for steps [k_start, k_start + count).
@@ -260,14 +267,14 @@ class MarkovSwitching:
         """
         key = _stream_key(stream)
         if state is None:
-            u = self._uniforms(key, 0, k_start + count)
+            u = _counter_uniforms(key, 0, k_start + count, 1).ravel()
             s0 = int(np.searchsorted(self._cum_init, u[0], side="right"))
             path = np.concatenate(([s0], _walk_chain(self._cum_rows, s0, u[1:])))
             return path[k_start:]
         if k_start < 1:
             raise ValueError("an explicit chain state requires k_start >= 1")
         return _walk_chain(self._cum_rows, state,
-                           self._uniforms(key, k_start, k_start + count))
+                           _counter_uniforms(key, k_start, count, 1).ravel())
 
     def sample_block(self, stream, k_start, count, state=None):
         path = self.sample_state_path(stream, count, k_start=k_start, state=state)
@@ -319,18 +326,6 @@ class MarkovSwitching:
         offdiag = ~np.eye(self.n_nodes, dtype=bool)
         counts = np.array([(m != 0)[offdiag].sum() for m in self.states], dtype=float)
         return float(np.max(self.transition @ counts))
-
-
-def sample_sequence(process, stream, k_start, count, state=None):
-    """Sample ``count`` adjacency matrices for steps starting at ``k_start``.
-
-    Deterministic given (process, stream seed, k_start); for the Markov
-    variant the returned pair carries the advanced chain state.
-    """
-    if count < 1:
-        raise ValueError("count must be at least 1")
-    matrices, new_state = process.sample_block(stream, k_start, count, state=state)
-    return matrices, new_state
 
 
 @dataclass(frozen=True)
@@ -440,12 +435,9 @@ def mean_graph_spanning_check(process, tol=1e-12):
     exact per-step mean matrix for independent processes; edges count when
     their mean weight is positive.
     """
-    if isinstance(process, MarkovSwitching):
-        mean_adj = process.mean_adjacency()
-    elif isinstance(process, IndependentEdges):
-        mean_adj = process.mean_adjacency()
-    else:
+    if not isinstance(process, (MarkovSwitching, IndependentEdges)):
         raise TypeError("spanning check needs a Markov or Independent process")
+    mean_adj = process.mean_adjacency()
     n = process.n_nodes
     # successors[j] = nodes that hear j: mean_adj[i, j] > tol
     succ = [np.nonzero(mean_adj[:, j] > tol)[0] for j in range(n)]

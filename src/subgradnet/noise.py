@@ -61,57 +61,3 @@ class CommNoiseModel:
         if x_j.shape != x_i.shape:
             raise ValueError("state vectors must share a shape")
         return x_j + self.psi(x_j - x_i) * self.draw_xi(rng)
-
-
-def draw_channel_noise(model, adjacency, rng):
-    """Channel noises for every active channel of one realized graph.
-
-    Returns an (N, N, dim) array with entry [j, i] holding xi_ji; inactive
-    channels stay zero.  Draws happen in lexicographic (j, i) order so that
-    different consumers of the same stream see identical values.
-    """
-    a = np.asarray(adjacency, dtype=float)
-    n_nodes = a.shape[0]
-    xi = np.zeros((n_nodes, n_nodes, model.noise_dim))
-    for j in range(n_nodes):
-        for i in range(n_nodes):
-            if a[i, j] != 0.0:
-                xi[j, i] = model.draw_xi(rng)
-    return xi
-
-
-def psi_matrix(model, states):
-    """Intensities psi(x_j - x_i) for all ordered pairs; entry [j, i]."""
-    x = np.asarray(states, dtype=float)
-    diff = x[:, None, :] - x[None, :, :]
-    return model.psi_values(np.sqrt((diff * diff).sum(axis=2)))
-
-
-def stacked_noise_matrices(model, states, adjacency, rng, xi=None):
-    """Compact-form noise factors (D, Psi, xi_stacked) for one step.
-
-    ``D`` stacks the receiver rows of the adjacency matrix, ``Psi`` is the
-    block-diagonal intensity matrix over all ordered channels, and the stacked
-    noise vector is zero on inactive channels.  Channel blocks are ordered by
-    receiver then sender, matching the compact-form product
-    ``c * D @ Psi @ xi`` with the per-node sums ``c * sum_j a_ij psi_ji xi_ji``.
-    Pass a pre-drawn ``xi`` (from :func:`draw_channel_noise`) to reuse draws.
-    """
-    x = np.asarray(states, dtype=float)
-    a = np.asarray(adjacency, dtype=float)
-    n_nodes, dim = x.shape
-    if xi is None:
-        xi = draw_channel_noise(model, a, rng)
-    psi_all = psi_matrix(model, x)
-    eye = np.eye(dim)
-    big = n_nodes * n_nodes * dim
-    d_mat = np.zeros((n_nodes * dim, big))
-    psi_big = np.zeros((big, big))
-    xi_stacked = np.zeros(big)
-    for i in range(n_nodes):
-        for j in range(n_nodes):
-            blk = (i * n_nodes + j) * dim
-            d_mat[i * dim:(i + 1) * dim, blk:blk + dim] = a[i, j] * eye
-            psi_big[blk:blk + dim, blk:blk + dim] = psi_all[j, i] * eye
-            xi_stacked[blk:blk + dim] = xi[j, i]
-    return d_mat, psi_big, xi_stacked

@@ -331,11 +331,6 @@ class CustomObjective:
         raise NonConvergenceError("custom objectives carry no optimum oracle")
 
 
-def quadratic_objective(targets):
-    """Build the quadratic family from a list of per-node target points."""
-    return QuadraticObjective(np.asarray(targets, dtype=float))
-
-
 def global_optimum(objective):
     """Global minimizer and value from the objective's independent oracle."""
     x_star, f_star = objective.optimum()

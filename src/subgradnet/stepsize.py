@@ -11,11 +11,11 @@ horizon; they are asymptotic statements, so each check is a falsifiable
 finite-horizon rendering with frozen thresholds chosen to separate this family
 (which satisfies all five analytically) from canonical counterexamples such as
 polynomial schedules with divergent squared sums.  Partial sums of ``alpha``
-are computed with compensated summation and cached.
+are computed in one place, :func:`kahan_cumsum`, with compensated summation.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,23 +34,22 @@ _C4_MIN_POLY_EXPONENT = 0.02
 _C5_RATIO_BOUND = 1e6
 _TREND_INTERVALS = 3
 
-_BLOCK = 4096
 # Values per block of the vectorised compensated prefix sum.
 _PREFIX_BLOCK = 65536
 
 
-def _neumaier_prefix(values, carry=(0.0, 0.0)):
-    """Compensated running sums of a 1-D array, continuing from ``carry``.
+def kahan_cumsum(values):
+    """Compensated (Kahan/Neumaier) running sums of a 1-D array.
 
-    Returns the sums and the final ``(sum, compensation)`` pair.  Matches the
-    sequential Neumaier loop bit for bit: within a block the running sum is
-    one sequential ``cumsum``, each step's TwoSum error is elementwise, and
-    the errors are accumulated by a second sequential ``cumsum`` seeded with
-    the incoming compensation.  Blocks bound the temporaries.
+    Matches the sequential Neumaier loop bit for bit: within a block the
+    running sum is one sequential ``cumsum``, each step's TwoSum error is
+    elementwise, and the errors are accumulated by a second sequential
+    ``cumsum`` seeded with the compensation carried from the previous block.
+    Blocks bound the temporaries.
     """
     x = np.asarray(values, dtype=float)
     out = np.empty_like(x)
-    s, comp = carry
+    s = comp = 0.0
     for lo in range(0, x.shape[0], _PREFIX_BLOCK):
         v = x[lo:lo + _PREFIX_BLOCK]
         run = np.cumsum(np.concatenate(([s], v)))
@@ -60,24 +59,18 @@ def _neumaier_prefix(values, carry=(0.0, 0.0)):
         np.cumsum(err, out=err)
         np.add(t, err, out=out[lo:lo + v.shape[0]])
         s, comp = float(t[-1]), float(err[-1])
-    return out, (s, comp)
-
-
-def kahan_cumsum(values):
-    """Compensated (Kahan/Neumaier) running sums of a 1-D array."""
-    return _neumaier_prefix(values)[0]
+    return out
 
 
 @dataclass
 class StepSchedule:
-    """Step-size pair (alpha(k), c(k)) with cached compensated partial sums."""
+    """Step-size pair (alpha(k), c(k)) and the growth envelope of alpha's sums."""
 
     alpha1: float = 1.0
     tau1: float = 1.0
     alpha2: float = 1.0
     tau2: float = 0.75
     tau3: float = 1.0
-    _prefix: np.ndarray = field(default=None, repr=False, compare=False, init=False)
 
     def __post_init__(self):
         if not self.alpha1 > 0:
@@ -90,8 +83,6 @@ class StepSchedule:
             raise ValueError(f"tau2 must lie in (0.5, 1), got {self.tau2}")
         if not self.tau3 <= 1:
             raise ValueError(f"tau3 must be at most 1, got {self.tau3}")
-        self._prefix = np.empty(0)
-        self._carry = (0.0, 0.0)  # running (sum, compensation) past the cache
 
     def alpha(self, k):
         k = np.asarray(k, dtype=float)
@@ -103,35 +94,9 @@ class StepSchedule:
         val = self.alpha2 / ((k + 3.0) ** self.tau2 * np.log(k + 3.0) ** self.tau3)
         return float(val) if val.ndim == 0 else val
 
-    def _extend_prefix(self, upto):
-        """Grow the cached partial sums so that indices 0..upto are available."""
-        have = self._prefix.shape[0]
-        if upto < have:
-            return
-        lo, hi = have, upto + 1
-        out, self._carry = _neumaier_prefix(self.alpha(np.arange(lo, hi)), self._carry)
-        self._prefix = np.concatenate([self._prefix, out])
-
     def alpha_partial_sums(self, upto):
         """Array of S(0..upto) where S(k) = sum_{t=0}^{k} alpha(t)."""
-        self._extend_prefix(int(upto))
-        return self._prefix[: int(upto) + 1]
-
-    def alpha_partial_sum(self, k):
-        return float(self.alpha_partial_sums(int(k))[int(k)])
-
-    def recompute_partial_sum(self, k):
-        """Re-derive S(k) backward from cached block sums (consistency check)."""
-        k = int(k)
-        prefix = self.alpha_partial_sums(k)
-        blocks = []
-        b_end = (k + 1) // _BLOCK * _BLOCK
-        for b_lo in range(0, b_end, _BLOCK):
-            hi_val = prefix[b_lo + _BLOCK - 1]
-            lo_val = prefix[b_lo - 1] if b_lo else 0.0
-            blocks.append(hi_val - lo_val)
-        tail = self.alpha(np.arange(b_end, k + 1)).tolist() if b_end <= k else []
-        return math.fsum(reversed(blocks + tail))
+        return kahan_cumsum(self.alpha(np.arange(int(upto) + 1)))
 
     def log_beta(self, k, C0):
         """log of the exponential growth envelope exp(C0 * S(k))."""
@@ -150,10 +115,6 @@ class StepSchedule:
                 "beta exponent exceeds the double-precision range; use log_beta")
         val = np.exp(exponent)
         return float(val) if np.ndim(val) == 0 else val
-
-    def verify(self, C, horizon):
-        return verify_conditions(self.alpha, self.c, C, horizon,
-                                 partial_sums=self.alpha_partial_sums(int(horizon)))
 
 
 @dataclass(frozen=True)
@@ -210,7 +171,7 @@ def _nonincreasing(seq, rel_slack=1e-12):
     return bool(np.all(np.diff(arr) <= rel_slack * scale))
 
 
-def verify_conditions(alpha_fn, c_fn, C, horizon, partial_sums=None):
+def verify_conditions(alpha_fn, c_fn, C, horizon):
     """Numerically check the five step-size conditions over [0, horizon].
 
     ``alpha_fn`` and ``c_fn`` must accept an integer ndarray of step indices.
@@ -232,7 +193,7 @@ def verify_conditions(alpha_fn, c_fn, C, horizon, partial_sums=None):
         raise ValueError("alpha(k) must be positive and finite on [0, horizon]")
     if np.any(~np.isfinite(c)) or np.any(c <= 0):
         raise ValueError("c(k) must be positive and finite on [0, horizon]")
-    S = np.asarray(partial_sums) if partial_sums is not None else kahan_cumsum(a)
+    S = kahan_cumsum(a)
 
     h10 = horizon // 10
     last_decade = np.unique(np.geomspace(max(h10, 1), horizon, 65).astype(int))

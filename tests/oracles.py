@@ -1,14 +1,18 @@
 """Independent oracles used by the tests.
 
 Deliberately separate from the library implementations: eigenvalues by cyclic
-Jacobi rotations, cubic characteristic-polynomial roots in closed form, and
-plain finite differences.  These provide the second route of every dual-route
-check.
+Jacobi rotations, cubic characteristic-polynomial roots in closed form, plain
+finite differences, the per-node and stacked compact forms of the step, and
+the sequential loops that the library's vectorised routines replaced.  These
+provide the second route of every dual-route check.
 """
 
 import math
 
 import numpy as np
+
+from subgradnet import DivergenceDetected, laplacian
+from subgradnet.graphs import CHUNK
 
 
 def jacobi_eigenvalues(matrix, tol=1e-12, max_sweeps=200):
@@ -95,11 +99,10 @@ def reaches_all_brute(adjacency, tol=1e-12):
     return bool(np.any(reach.all(axis=1)))
 
 
-def neumaier_cumsum_loop(values, carry=(0.0, 0.0)):
-    """Sequential Neumaier running sums, one value at a time, continuing from
-    ``carry``; returns the sums and the final (sum, compensation) pair."""
+def neumaier_cumsum_loop(values):
+    """Sequential Neumaier running sums, one value at a time."""
     out = np.empty(len(values))
-    s, comp = carry
+    s = comp = 0.0
     for i, v in enumerate(np.asarray(values, dtype=float).tolist()):
         t = s + v
         if abs(s) >= abs(v):
@@ -108,7 +111,7 @@ def neumaier_cumsum_loop(values, carry=(0.0, 0.0)):
             comp += (v - t) + s
         s = t
         out[i] = s + comp
-    return out, (s, comp)
+    return out
 
 
 def markov_walk_searchsorted(cum_rows, state, uniforms):
@@ -119,3 +122,132 @@ def markov_walk_searchsorted(cum_rows, state, uniforms):
         s = int(np.searchsorted(cum_rows[s], u, side="right"))
         path[k] = s
     return path
+
+
+def philox_block_draws_loop(key, k_start, count, size, slabs=1):
+    """Per-step uniforms of a keyed Philox stream, one full block at a time.
+
+    Every block a request touches is generated whole from counter
+    ``[0, 0, block, 0]``, slab after slab of ``(CHUNK, size)`` draws, and the
+    requested rows are sliced out.  Returns shape ``(slabs, count, size)``.
+    """
+    out = np.empty((slabs, count, size))
+    pos = 0
+    k = k_start
+    while pos < count:
+        block = k // CHUNK
+        lo = k - block * CHUNK
+        take = min(CHUNK - lo, count - pos)
+        gen = np.random.Generator(np.random.Philox(counter=[0, 0, block, 0], key=key))
+        for s in range(slabs):
+            out[s, pos:pos + take] = gen.random((CHUNK, size))[lo:lo + take]
+        pos += take
+        k += take
+    return out
+
+
+def draw_channel_noise(model, adjacency, rng):
+    """Channel noises for every active channel of one realized graph.
+
+    Returns an (N, N, dim) array with entry [j, i] holding xi_ji; inactive
+    channels stay zero.  Draws happen in lexicographic (j, i) order so that
+    different consumers of the same stream see identical values.
+    """
+    a = np.asarray(adjacency, dtype=float)
+    n_nodes = a.shape[0]
+    xi = np.zeros((n_nodes, n_nodes, model.noise_dim))
+    for j in range(n_nodes):
+        for i in range(n_nodes):
+            if a[i, j] != 0.0:
+                xi[j, i] = model.draw_xi(rng)
+    return xi
+
+
+def psi_matrix(model, states):
+    """Intensities psi(x_j - x_i) for all ordered pairs; entry [j, i]."""
+    x = np.asarray(states, dtype=float)
+    diff = x[:, None, :] - x[None, :, :]
+    return model.psi_values(np.sqrt((diff * diff).sum(axis=2)))
+
+
+def stacked_noise_matrices(model, states, adjacency, rng, xi=None):
+    """Compact-form noise factors (D, Psi, xi_stacked) for one step.
+
+    ``D`` stacks the receiver rows of the adjacency matrix, ``Psi`` is the
+    block-diagonal intensity matrix over all ordered channels, and the stacked
+    noise vector is zero on inactive channels.  Channel blocks are ordered by
+    receiver then sender, matching the compact-form product
+    ``c * D @ Psi @ xi`` with the per-node sums ``c * sum_j a_ij psi_ji xi_ji``.
+    Pass a pre-drawn ``xi`` (from :func:`draw_channel_noise`) to reuse draws.
+    """
+    x = np.asarray(states, dtype=float)
+    a = np.asarray(adjacency, dtype=float)
+    n_nodes, dim = x.shape
+    if xi is None:
+        xi = draw_channel_noise(model, a, rng)
+    psi_all = psi_matrix(model, x)
+    eye = np.eye(dim)
+    big = n_nodes * n_nodes * dim
+    d_mat = np.zeros((n_nodes * dim, big))
+    psi_big = np.zeros((big, big))
+    xi_stacked = np.zeros(big)
+    for i in range(n_nodes):
+        for j in range(n_nodes):
+            blk = (i * n_nodes + j) * dim
+            d_mat[i * dim:(i + 1) * dim, blk:blk + dim] = a[i, j] * eye
+            psi_big[blk:blk + dim, blk:blk + dim] = psi_all[j, i] * eye
+            xi_stacked[blk:blk + dim] = xi[j, i]
+    return d_mat, psi_big, xi_stacked
+
+
+def step_per_node(states, adjacency, schedule, model, objective, rng, k):
+    """Reference per-node update drawing its own noises from ``rng``.
+
+    Draw order is fixed: channel noises in lexicographic (j, i) order over
+    active channels, then gradient noises node by node, so any consumer
+    seeding an identical generator reproduces the same randomness.
+    """
+    x = np.asarray(states, dtype=float)
+    n_nodes, dim = x.shape
+    xi = draw_channel_noise(model, adjacency, rng)
+    alpha_k = schedule.alpha(k)
+    c_k = schedule.c(k)
+    new = np.empty_like(x)
+    for i in range(n_nodes):
+        coupling = np.zeros(dim)
+        for j in range(n_nodes):
+            a_ij = adjacency[i, j]
+            if a_ij != 0.0:
+                y_ji = x[j] + model.psi(x[j] - x[i]) * xi[j, i]
+                coupling += a_ij * (y_ji - x[i])
+        new[i] = x[i] + c_k * coupling
+    for i in range(n_nodes):
+        d_tilde, _ = objective.noisy_subgradient(i, x[i], rng)
+        new[i] -= alpha_k * d_tilde
+    if not np.all(np.isfinite(new)):
+        raise DivergenceDetected("non-finite state after per-node step", step=k)
+    return new
+
+
+def step_compact(states, adjacency, schedule, objective, k,
+                 d_mat, psi_big, xi_stacked, zeta):
+    """Stacked-form update from explicit compact factors.
+
+    X(k+1) = ((I - c L) (x) I) X + c D Psi xi - alpha (d + zeta), with the
+    noise factors produced by :func:`stacked_noise_matrices` and ``zeta`` the
+    stacked gradient noise (one row per node).  This is the independent
+    algebraic route checked against ``step_per_node``.
+    """
+    x = np.asarray(states, dtype=float)
+    n_nodes, dim = x.shape
+    lap = laplacian(adjacency)
+    alpha_k = schedule.alpha(k)
+    c_k = schedule.c(k)
+    lin = np.kron(np.eye(n_nodes) - c_k * lap, np.eye(dim)) @ x.reshape(-1)
+    noise_term = c_k * (d_mat @ (psi_big @ xi_stacked))
+    d_stack = np.stack([objective.subgradient(i, x[i]) for i in range(n_nodes)])
+    grad_term = alpha_k * (d_stack + np.asarray(zeta, dtype=float)).reshape(-1)
+    new = lin + noise_term - grad_term
+    if not np.all(np.isfinite(new)):
+        raise DivergenceDetected("non-finite state after compact step", step=k)
+    return new.reshape(n_nodes, dim)

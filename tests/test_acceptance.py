@@ -17,12 +17,12 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance_line
-from oracles import jacobi_eigenvalues
+from oracles import (draw_channel_noise, jacobi_eigenvalues, psi_matrix,
+                     stacked_noise_matrices, step_compact, step_per_node)
 from subgradnet import (CommNoiseModel, DeterministicCycle, LassoProblem,
-                        QuadraticObjective, StepSchedule, draw_channel_noise,
+                        QuadraticObjective, StepSchedule,
                         delta_recursion_check, lambda2, laplacian, load_config,
-                        psi_matrix, run_experiment, stacked_noise_matrices,
-                        step_compact, step_per_node, symmetrized_laplacian,
+                        run_experiment, symmetrized_laplacian,
                         verify_conditions, joint_connectivity_report)
 
 SCHED = StepSchedule(alpha1=1.0, tau1=1.0, alpha2=1.0, tau2=0.75, tau3=1.0)
@@ -138,8 +138,8 @@ class TestCriterion4ScheduleVerifier:
     def test_valid_family_passes_and_counterexamples_fail(self, a1_result):
         constants = a1_result[0].constants
         start = time.perf_counter()
-        at_one = SCHED.verify(1.0, 1_000_000)
-        at_c0 = SCHED.verify(constants.C0, 1_000_000)
+        at_one = verify_conditions(SCHED.alpha, SCHED.c, 1.0, 1_000_000)
+        at_c0 = verify_conditions(SCHED.alpha, SCHED.c, constants.C0, 1_000_000)
         slow = lambda k: (np.asarray(k, dtype=float) + 1.0) ** -0.4
         counter = verify_conditions(slow, slow, 1.0, 1_000_000)
         wall = time.perf_counter() - start

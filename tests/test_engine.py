@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from oracles import (draw_channel_noise, stacked_noise_matrices, step_compact,
+                     step_per_node)
 from subgradnet import (CommNoiseModel, CustomObjective, DeterministicCycle,
                         DivergenceDetected, IndependentEdges, InitialStates,
                         QuadraticObjective, StepSchedule, apply_step,
                         consensus_projection, default_record_ks,
-                        delta_recursion_check, draw_channel_noise, laplacian,
-                        monte_carlo, run_trajectory, stacked_noise_matrices,
-                        step_compact, step_per_node)
+                        delta_recursion_check, laplacian, monte_carlo,
+                        run_trajectory)
 from subgradnet.engine import replication_stream
 
 

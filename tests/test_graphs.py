@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from oracles import (char_poly_eigenvalues_3x3, jacobi_eigenvalues,
-                     markov_walk_searchsorted, reaches_all_brute)
+                     markov_walk_searchsorted, philox_block_draws_loop,
+                     reaches_all_brute)
 from subgradnet import (DeterministicCycle, IndependentEdges, MarkovSwitching,
                         NonSymmetricError, NoStationaryDistributionError,
                         is_balanced, joint_connectivity_report, lambda2,
-                        laplacian, mean_graph_spanning_check, sample_sequence,
+                        laplacian, mean_graph_spanning_check,
                         symmetrized_laplacian, validate_adjacency)
-from subgradnet.graphs import _stream_key
+from subgradnet.graphs import CHUNK, _counter_uniforms, _stream_key
 
 K3 = np.ones((3, 3)) - np.eye(3)
 
@@ -154,20 +155,20 @@ class TestSampleSequence:
     def test_deterministic_cycles(self):
         a, b = edge(2, 0, 1), edge(2, 1, 0)
         proc = DeterministicCycle([a, b])
-        mats, _ = sample_sequence(proc, 0, 0, 3)
+        mats, _ = proc.sample_block(0, 0, 3)
         assert np.array_equal(mats[0], a)
         assert np.array_equal(mats[1], b)
         assert np.array_equal(mats[2], a)
 
     def test_independent_zero_probability(self):
         proc = IndependentEdges(base=K3, prob=0.0)
-        mats, _ = sample_sequence(proc, 42, 0, 5)
+        mats, _ = proc.sample_block(42, 0, 5)
         assert np.all(mats == 0.0)
 
     def test_markov_absorbing_identity_chain(self):
         a, b = edge(2, 0, 1), edge(2, 1, 0)
         proc = MarkovSwitching([a, b], np.eye(2), initial=[1.0, 0.0])
-        mats, state = sample_sequence(proc, 1, 0, 4)
+        mats, state = proc.sample_block(1, 0, 4)
         assert state == 0
         for m in mats:
             assert np.array_equal(m, a)
@@ -175,23 +176,23 @@ class TestSampleSequence:
     def test_independent_random_access_matches_long_run(self):
         proc = IndependentEdges(base=K3, prob=0.5, perturb=0.3)
         ss = np.random.SeedSequence(123)
-        full, _ = sample_sequence(proc, ss, 0, 2100)
-        part, _ = sample_sequence(proc, ss, 1030, 40)
+        full, _ = proc.sample_block(ss, 0, 2100)
+        part, _ = proc.sample_block(ss, 1030, 40)
         assert np.array_equal(full[1030:1070], part)
 
     def test_markov_block_continuation_matches_full_path(self):
         proc = MarkovSwitching([edge(2, 0, 1), edge(2, 1, 0)],
                                [[0.3, 0.7], [0.6, 0.4]])
         ss = np.random.SeedSequence(99)
-        full, _ = sample_sequence(proc, ss, 0, 300)
-        first, state = sample_sequence(proc, ss, 0, 120)
-        rest, _ = sample_sequence(proc, ss, 120, 180, state=state)
+        full, _ = proc.sample_block(ss, 0, 300)
+        first, state = proc.sample_block(ss, 0, 120)
+        rest, _ = proc.sample_block(ss, 120, 180, state=state)
         assert np.array_equal(np.concatenate([first, rest]), full)
 
     def test_samples_differ_across_streams(self):
         proc = IndependentEdges(base=K3, prob=0.5)
-        m1, _ = sample_sequence(proc, 1, 0, 50)
-        m2, _ = sample_sequence(proc, 2, 0, 50)
+        m1, _ = proc.sample_block(1, 0, 50)
+        m2, _ = proc.sample_block(2, 0, 50)
         assert not np.array_equal(m1, m2)
 
 
@@ -229,7 +230,7 @@ class TestMarkovChainWalk:
     def test_replayed_path_matches_searchsorted_loop(self):
         proc = self._proc()
         ss = np.random.SeedSequence(31)
-        u = proc._uniforms(_stream_key(ss), 0, 5000)
+        u = _counter_uniforms(_stream_key(ss), 0, 5000, 1).ravel()
         s0 = int(np.searchsorted(proc._cum_init, u[0], side="right"))
         expected = np.concatenate([[s0], markov_walk_searchsorted(proc._cum_rows, s0, u[1:])])
         assert np.array_equal(proc.sample_state_path(ss, 5000), expected)
@@ -241,7 +242,7 @@ class TestMarkovChainWalk:
     def test_explicit_state_matches_searchsorted_loop(self, k_start):
         proc = self._proc()
         ss = np.random.SeedSequence(32)
-        u = proc._uniforms(_stream_key(ss), k_start, k_start + 900)
+        u = _counter_uniforms(_stream_key(ss), k_start, 900, 1).ravel()
         for state in range(4):
             got = proc.sample_state_path(ss, 900, k_start=k_start, state=state)
             assert np.array_equal(got, markov_walk_searchsorted(proc._cum_rows, state, u))
@@ -252,6 +253,63 @@ class TestMarkovChainWalk:
         u = np.random.default_rng(9).random(3000)
         assert np.array_equal(got, markov_walk_searchsorted(proc._cum_rows, 2, u))
         assert proc.advance_from(np.random.default_rng(9), 2, 0).shape == (0,)
+
+
+class TestCounterUniforms:
+    """Counter-addressed draws equal the rows of whole generated blocks."""
+
+    @pytest.mark.parametrize("slabs", [1, 2])
+    @pytest.mark.parametrize("k_start,count", [
+        (0, 1), (1, 5), (1023, 1), (1023, 3), (1025, 40), (0, CHUNK),
+        (1, 2 * CHUNK + 7), (CHUNK - 2, CHUNK + 4)])
+    @pytest.mark.parametrize("size", [1, 9])
+    def test_matches_full_block_loop(self, slabs, k_start, count, size):
+        key = _stream_key(np.random.SeedSequence(2718))
+        got = _counter_uniforms(key, k_start, count, size, slabs=slabs)
+        expected = philox_block_draws_loop(key, k_start, count, size, slabs=slabs)
+        assert np.array_equal(got, expected)
+
+
+class _FixedUniforms:
+    """Stands in for a generator and hands out the given uniforms in order."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out, self.values = np.array(self.values[:size]), self.values[size:]
+        return out
+
+
+class TestMarkovRowShortfall:
+    """Rows may sum to 1 only within tolerance; a uniform past a row's total
+    still selects a state the row can reach."""
+
+    U = 0.9999999999
+
+    def test_uniform_past_row_total_picks_last_state(self):
+        proc = MarkovSwitching([edge(2, 0, 1), edge(2, 1, 0)],
+                               [[0.5, 0.5 - 4e-10], [0.5, 0.5]])
+        path = proc.advance_from(_FixedUniforms([self.U, self.U]), 0, 2)
+        assert path.tolist() == [1, 1]
+        assert proc.states[path].shape == (2, 2, 2)
+
+    def test_trailing_zero_probability_state_is_never_selected(self):
+        proc = MarkovSwitching([edge(3, 0, 1), edge(3, 1, 2), edge(3, 2, 0)],
+                               [[0.5, 0.5 - 4e-10, 0.0], [0.0, 1.0, 0.0],
+                                [0.2, 0.3, 0.5]])
+        assert proc.advance_from(_FixedUniforms([self.U]), 0, 1).tolist() == [1]
+        assert proc.advance_from(_FixedUniforms([self.U]), 1, 1).tolist() == [1]
+        assert proc.advance_from(_FixedUniforms([0.0]), 1, 1).tolist() == [1]
+
+    def test_initial_distribution_shortfall(self):
+        proc = MarkovSwitching([edge(3, 0, 1), edge(3, 1, 2), edge(3, 2, 0)],
+                               np.full((3, 3), 1.0 / 3.0),
+                               initial=[0.5, 0.5 - 4e-10, 0.0])
+        assert proc.draw_initial(_FixedUniforms([self.U])) == 1
+        assert proc.draw_initial(_FixedUniforms([0.25])) == 0
 
 
 class TestJointConnectivityReport:
@@ -387,7 +445,7 @@ class TestPerEdgeActivation:
         base = K3.copy()
         prob = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         proc = IndependentEdges(base=base, prob=prob)
-        mats, _ = sample_sequence(proc, 5, 0, 400)
+        mats, _ = proc.sample_block(5, 0, 400)
         # channels with probability one always fire, all others never do
         assert np.all(mats[:, 0, 1] == 1.0)
         assert np.all(mats[:, 1, 0] == 1.0)
@@ -403,7 +461,7 @@ class TestPerEdgeActivation:
 
     def test_perturbation_preserves_mean_and_can_go_negative(self):
         proc = IndependentEdges(base=0.5 * K3, prob=1.0, perturb=1.0)
-        mats, _ = sample_sequence(proc, 9, 0, 4000)
+        mats, _ = proc.sample_block(9, 0, 4000)
         offdiag = ~np.eye(3, dtype=bool)
         vals = mats[:, offdiag]
         assert vals.min() < 0.0  # half-width exceeds the base weight

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from subgradnet import (CommNoiseModel, draw_channel_noise, psi_matrix,
-                        stacked_noise_matrices)
+from oracles import draw_channel_noise, psi_matrix, stacked_noise_matrices
+from subgradnet import CommNoiseModel
 
 
 def model(sigma=0.5, b=0.1, dim=2, cap=None):

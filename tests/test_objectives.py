@@ -5,8 +5,8 @@ import pytest
 
 from oracles import central_difference
 from subgradnet import (CustomObjective, FactorizationError, LassoProblem,
-                        NonConvergenceError, global_optimum,
-                        quadratic_objective, soft_threshold)
+                        NonConvergenceError, QuadraticObjective,
+                        global_optimum, soft_threshold)
 
 
 def scalar_lasso(x0=2.0, sigma_v=0.0, kappa=0.5):
@@ -168,19 +168,19 @@ class TestNoisySubgradient:
 
 class TestQuadraticObjective:
     def test_two_point_midpoint(self):
-        obj = quadratic_objective([[0.0, 0.0], [2.0, 0.0]])
+        obj = QuadraticObjective(np.asarray([[0.0, 0.0], [2.0, 0.0]]))
         x_star, f_star = global_optimum(obj)
         assert np.allclose(x_star, [1.0, 0.0])
         assert f_star == pytest.approx(1.0)
 
     def test_single_node(self):
-        obj = quadratic_objective([[3.0, -1.0]])
+        obj = QuadraticObjective(np.asarray([[3.0, -1.0]]))
         x_star, f_star = global_optimum(obj)
         assert np.allclose(x_star, [3.0, -1.0])
         assert f_star == 0.0
 
     def test_three_point_centroid(self):
-        obj = quadratic_objective([[1.0, 1.0], [3.0, 1.0], [2.0, 4.0]])
+        obj = QuadraticObjective(np.asarray([[1.0, 1.0], [3.0, 1.0], [2.0, 4.0]]))
         x_star, f_star = global_optimum(obj)
         assert np.allclose(x_star, [2.0, 2.0])
         # direct-evaluation oracle: 0.5 * (2 + 2 + 4)
@@ -188,13 +188,13 @@ class TestQuadraticObjective:
         assert f_star == pytest.approx(direct) == pytest.approx(4.0)
 
     def test_growth_constants(self):
-        obj = quadratic_objective([[0.0, 3.0], [4.0, 0.0]])
+        obj = QuadraticObjective(np.asarray([[0.0, 3.0], [4.0, 0.0]]))
         assert np.array_equal(obj.sigma_d, [1.0, 1.0])
         assert np.allclose(obj.c_d, [3.0, 4.0])
 
     def test_subgradient_inequality_randomized(self):
         rng = np.random.default_rng(21)
-        obj = quadratic_objective(rng.normal(size=(4, 3)))
+        obj = QuadraticObjective(rng.normal(size=(4, 3)))
         for _ in range(10_000):
             i = int(rng.integers(4))
             x_bar, x = rng.normal(size=3) * 5, rng.normal(size=3) * 5
@@ -204,7 +204,7 @@ class TestQuadraticObjective:
     def test_stacked_gradient_bound(self):
         # ||d||^2 <= 2 sigma_d^2 ||X||^2 + 2 N C_d^2 at stacked level
         rng = np.random.default_rng(22)
-        obj = quadratic_objective(rng.normal(size=(5, 2)) * 3)
+        obj = QuadraticObjective(rng.normal(size=(5, 2)) * 3)
         sd = float(np.max(obj.sigma_d)) ** 2
         cd = float(np.max(obj.c_d)) ** 2
         for _ in range(1000):
@@ -275,7 +275,7 @@ class TestCustomObjective:
 class TestGrowthConstantsInvariant:
     def test_both_families_respect_linear_growth_at_large_norms(self):
         rng = np.random.default_rng(31)
-        quad = quadratic_objective(rng.normal(size=(3, 2)) * 4)
+        quad = QuadraticObjective(rng.normal(size=(3, 2)) * 4)
         lasso = LassoProblem(x0=[1.0, -2.0], covariances=np.stack([
             np.diag([2.0, 0.5]), np.eye(2), np.array([[1.0, 0.3], [0.3, 1.0]])]),
             sigma_v=[0.2, 0.1, 0.5], kappa=0.4)

@@ -1,4 +1,5 @@
-"""Property tests of the batched step kernel and the engine around it.
+"""Property tests of the batched step kernel, the engine around it and the
+counter-addressed graph draws.
 
 Criterion 8 compares 1-worker and 8-worker aggregates exactly, which holds
 only if a replication's arithmetic is the same in every batch it lands in.
@@ -7,10 +8,10 @@ only if a replication's arithmetic is the same in every batch it lands in.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from subgradnet import (CommNoiseModel, IndependentEdges, InitialStates,
-                        LassoProblem, MarkovSwitching, QuadraticObjective,
-                        StepSchedule, apply_step, draw_channel_noise,
-                        step_per_node)
+from oracles import draw_channel_noise, step_per_node
+from subgradnet import (CommNoiseModel, DeterministicCycle, IndependentEdges,
+                        InitialStates, LassoProblem, MarkovSwitching,
+                        QuadraticObjective, StepSchedule, apply_step)
 from subgradnet.engine import _run_batch, default_record_ks
 
 PER_REP_KEYS = ("V", "opt_gap", "state_sq", "dist", "stack_dsq", "mean_state",
@@ -33,8 +34,12 @@ def _process(kind, n_nodes, rng):
     base = np.ones((n_nodes, n_nodes)) - np.eye(n_nodes)
     if kind == "independent":
         return IndependentEdges(base=0.4 * base, prob=0.7, perturb=0.6)
+    if kind == "independent-unperturbed":
+        return IndependentEdges(base=0.4 * base, prob=0.7)
     states = [rng.normal(scale=0.3, size=(n_nodes, n_nodes)) * base + 0.2 * base
               for _ in range(3)]
+    if kind == "cycle":
+        return DeterministicCycle(states)
     trans = rng.random((3, 3)) + 0.1
     return MarkovSwitching(states, trans / trans.sum(axis=1, keepdims=True))
 
@@ -119,3 +124,18 @@ def test_kernel_matches_per_node_oracle_and_is_stack_independent(case):
     stacked = apply_step(x, a, sched.alpha(k), sched.c(k), model, np.stack(xis),
                          objective.subgradient_stack(x))
     assert np.array_equal(stacked, np.stack(singles))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["cycle", "independent", "independent-unperturbed",
+                             "markov"]),
+       n_nodes=st.integers(2, 4), k0=st.integers(0, 2100),
+       count=st.integers(1, 1100), seed=st.integers(0, 2 ** 32 - 1))
+def test_sample_block_from_any_start_matches_replay_from_zero(kind, n_nodes, k0,
+                                                              count, seed):
+    process = _process(kind, n_nodes, np.random.default_rng(seed))
+    stream = np.random.SeedSequence(seed)
+    part, part_state = process.sample_block(stream, k0, count)
+    full, full_state = process.sample_block(stream, 0, k0 + count)
+    assert np.array_equal(part, full[k0:])
+    assert part_state == full_state
