@@ -267,10 +267,13 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
             np.multiply(g.standard_normal((span, n_nodes, n_nodes, dim)),
                         inv_sqrt_dim, out=np.swapaxes(xi_in[r], 1, 2))
         if has_zeta:
-            z_chunk = np.stack([g.standard_normal((span, n_nodes, dim))
-                                for g in grad_gen])
-            v_chunk = np.stack([g.standard_normal((span, n_nodes))
-                                for g in grad_gen])
+            # Gradient-noise factors for the whole chunk, step-major so the
+            # slice of step t is contiguous; the raw draws are dropped here.
+            u_chunk, uv_chunk = objective.noise_factors(
+                np.stack([g.standard_normal((span, n_nodes, dim))
+                          for g in grad_gen], axis=1),
+                np.stack([g.standard_normal((span, n_nodes))
+                          for g in grad_gen], axis=1))
         chunk_ks = np.arange(k, k + span)
         alphas = schedule.alpha(chunk_ks).tolist()
         cs = schedule.c(chunk_ks).tolist()
@@ -286,13 +289,13 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
             c_k = cs[t]
 
             xc, v_now, s_sq = observe(k, x)
-            d_stack = objective.subgradient_stack(x)
             if has_zeta:
-                zeta = objective.zeta_from_draws(x, z_chunk[:, t], v_chunk[:, t])
+                d_stack, zeta = objective.subgradient_stack(
+                    x, (u_chunk[t], uv_chunk[t]))
                 step_src = d_stack + zeta
             else:
                 zeta = None
-                step_src = d_stack
+                d_stack = step_src = objective.subgradient_stack(x)
             x_new, noise, psi = _step(x, a, row_sums, alpha_k, c_k, model,
                                       xi_in[:, t], step_src)
 

@@ -6,6 +6,7 @@ formatted with shortest round-trip ``repr`` and every random quantity hangs
 off the experiment seed through named sub-streams.
 """
 
+import contextlib
 import os
 from dataclasses import dataclass
 
@@ -171,50 +172,75 @@ def _write_summary(path, cfg, constants, report, conditions, mc, passes, x_star,
         fh.write("\n".join(lines) + "\n")
 
 
+@contextlib.contextmanager
+def _staged_outputs(paths):
+    """Temp files next to ``paths``, to be written in place of them.
+
+    The temp files are created on entry, so an unwritable output location
+    fails before any work.  On a clean exit each one replaces its target;
+    on an error all are removed and the targets keep their old contents.
+    """
+    temps = []
+    try:
+        for path in paths:
+            if os.path.isdir(path):
+                raise IsADirectoryError(f"output path is a directory: {path}")
+            temp = f"{path}.{os.getpid()}.tmp"
+            with open(temp, "w", encoding="utf-8"):
+                pass
+            temps.append(temp)
+        yield temps
+        for temp, path in zip(temps, paths):
+            os.replace(temp, path)
+    finally:
+        for temp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(temp)
+
+
 def run_experiment(cfg, out_dir=None):
     """Full pipeline: constants, condition verdicts, Monte Carlo, files.
 
     Writes the per-step aggregate trace CSV and a key/value summary into the
-    output directory and returns the in-memory results.  Output paths are
-    opened before any simulation starts, so path problems fail fast.
+    output directory and returns the in-memory results.  Output temp files
+    are created before any simulation starts, so path problems fail fast,
+    and they replace the outputs only when the run completes, so a failed
+    run leaves an earlier run's files intact.
     """
     cfgmod.validate_config(cfg)
     directory = out_dir if out_dir is not None else cfg.output.directory
     os.makedirs(directory, exist_ok=True)
     trace_path = os.path.join(directory, cfg.output.trace)
     summary_path = os.path.join(directory, cfg.output.summary)
-    for path in (trace_path, summary_path):
-        with open(path, "w", encoding="utf-8"):
-            pass
+    with _staged_outputs((trace_path, summary_path)) as (trace_tmp, summary_tmp):
+        objective = cfgmod.build_objective(cfg)
+        process = cfgmod.build_process(cfg)
+        model = cfgmod.build_noise(cfg, objective.dim)
+        schedule = cfgmod.build_schedule(cfg)
+        init = cfgmod.build_init(cfg)
+        x_star, f_star = global_optimum(objective)
 
-    objective = cfgmod.build_objective(cfg)
-    process = cfgmod.build_process(cfg)
-    model = cfgmod.build_noise(cfg, objective.dim)
-    schedule = cfgmod.build_schedule(cfg)
-    init = cfgmod.build_init(cfg)
-    x_star, f_star = global_optimum(objective)
+        report, constants = estimate_constants(cfg, objective, process, model)
+        # The condition thresholds are calibrated at horizon 1e6 (notably C2's
+        # required drop); shorter horizons can flag a valid schedule.
+        verify_horizon = cfg.verify_horizon if cfg.verify_horizon is not None else 1_000_000
+        conditions = verify_conditions(schedule.alpha, schedule.c, constants.C0,
+                                       verify_horizon)
 
-    report, constants = estimate_constants(cfg, objective, process, model)
-    # The condition thresholds are calibrated at horizon 1e6 (notably C2's
-    # required drop); shorter horizons can flag a valid schedule.
-    verify_horizon = cfg.verify_horizon if cfg.verify_horizon is not None else 1_000_000
-    conditions = verify_conditions(schedule.alpha, schedule.c, constants.C0,
-                                   verify_horizon)
+        record_ks = default_record_ks(cfg.run.horizon, cfg.run.dense_until,
+                                      cfg.run.record_stride)
+        mc = monte_carlo(objective, process, model, schedule, cfg.run.horizon,
+                         cfg.run.seed, cfg.run.reps, x_star, f_star, init=init,
+                         record_ks=record_ks, check_stride=cfg.run.check_stride,
+                         workers=cfg.run.workers, C0=constants.C0)
 
-    record_ks = default_record_ks(cfg.run.horizon, cfg.run.dense_until,
-                                  cfg.run.record_stride)
-    mc = monte_carlo(objective, process, model, schedule, cfg.run.horizon,
-                     cfg.run.seed, cfg.run.reps, x_star, f_star, init=init,
-                     record_ks=record_ks, check_stride=cfg.run.check_stride,
-                     workers=cfg.run.workers, C0=constants.C0)
+        passes = evaluate_thresholds(cfg, mc, x_star)
+        for name, chk in conditions.checks.items():
+            passes[f"condition_{name}"] = chk.holds
 
-    passes = evaluate_thresholds(cfg, mc, x_star)
-    for name, chk in conditions.checks.items():
-        passes[f"condition_{name}"] = chk.holds
-
-    _write_trace(trace_path, mc)
-    _write_summary(summary_path, cfg, constants, report, conditions, mc,
-                   passes, x_star, f_star)
+        _write_trace(trace_tmp, mc)
+        _write_summary(summary_tmp, cfg, constants, report, conditions, mc,
+                       passes, x_star, f_star)
     return ExperimentResult(config=cfg, constants=constants, report=report,
                             conditions=conditions, mc=mc, passes=passes,
                             trace_path=trace_path, summary_path=summary_path)

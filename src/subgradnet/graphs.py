@@ -267,6 +267,8 @@ class MarkovSwitching:
         """
         key = _stream_key(stream)
         if state is None:
+            if count == 0:
+                return np.empty(0, dtype=np.int64)
             u = _counter_uniforms(key, 0, k_start + count, 1).ravel()
             s0 = int(np.searchsorted(self._cum_init, u[0], side="right"))
             path = np.concatenate(([s0], _walk_chain(self._cum_rows, s0, u[1:])))
@@ -278,7 +280,7 @@ class MarkovSwitching:
 
     def sample_block(self, stream, k_start, count, state=None):
         path = self.sample_state_path(stream, count, k_start=k_start, state=state)
-        return self.states[path].copy(), int(path[-1])
+        return self.states[path].copy(), int(path[-1]) if path.size else state
 
     def advance_from(self, rng, state, count):
         """Continue the chain for ``count`` steps with fresh draws from ``rng``.

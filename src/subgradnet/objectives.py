@@ -4,8 +4,10 @@ Two built-in families: separable quadratics (closed-form optimum, exact
 gradients) and the population-risk L1-regularized regression problem, whose
 noisy subgradient reproduces the statistical structure of streaming
 regression data: the noise is a martingale difference whose conditional
-second moment grows with the squared state.  A deterministic proximal-gradient
-oracle computes the global optimum independently of any simulation.
+second moment grows with the squared state.  Its state-free factors are
+computed once per block of draws and each step's subgradient and noise share
+one covariance product.  A deterministic proximal-gradient oracle computes the
+global optimum independently of any simulation.
 """
 
 import warnings
@@ -99,6 +101,34 @@ def _check_psd(matrix, tol=1e-10):
         raise FactorizationError(
             f"covariance has negative eigenvalue {w.min():.3e}")
     return (m + m.T) / 2.0, v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.T
+
+
+def _noise_factors(sqrt_cov, sigma_v, z, v):
+    """Noise factors ``u = sqrt_cov @ z`` and ``u * sigma_v * v``.
+
+    With stacked per-node factors, z is (..., N, n) and v (..., N); with one
+    node's, z is (..., n) and v (...).  Neither factor depends on the state.
+    """
+    u = (sqrt_cov @ np.asarray(z, dtype=float)[..., None])[..., 0]
+    return u, u * (sigma_v * np.asarray(v, dtype=float))[..., None]
+
+
+def _measure(cov, x0, kappa, states, factors=None):
+    """Subgradient ``d = R w + kappa sign(x)`` with ``w = x - x0``, and with
+    noise factors ``(u, u sigma_v v)`` also the noise ``u (u.w) - R w - u sigma_v v``.
+
+    Every product is a per-slice matmul, so the arithmetic of one state does
+    not depend on how many states share the stack.
+    """
+    x = np.asarray(states, dtype=float)
+    w = x - x0
+    rw = (cov @ w[..., None])[..., 0]
+    d = rw + kappa * np.sign(x)
+    if factors is None:
+        return d
+    u, uv = factors
+    s = (u * w).sum(axis=-1)
+    return d, u * s[..., None] - rw - uv
 
 
 @dataclass(frozen=True)
@@ -196,43 +226,39 @@ class LassoProblem:
 
     def subgradient(self, i, x):
         """Exact subgradient; the L1 part selects 0 at kinks (minimum norm)."""
-        x = np.asarray(x, dtype=float)
-        return self.covariances[i] @ (x - self.x0) + self.kappa * np.sign(x)
+        return _measure(self.covariances[i], self.x0, self.kappa, x)
 
-    def subgradient_stack(self, states):
-        x = np.asarray(states, dtype=float)
-        diff = x - self.x0
-        quad = np.einsum("nij,...nj->...ni", self.covariances, diff)
-        return quad + self.kappa * np.sign(x)
+    def subgradient_stack(self, states, factors=None):
+        """Per-node subgradients d for stacked states (..., N, n).
+
+        Given the noise factors of the same step (``noise_factors``, sliced
+        to the states' leading shape), returns the measurement ``(d, zeta)``
+        instead; both share one ``R_i (x - x0)`` product.
+        """
+        return _measure(self.covariances, self.x0, self.kappa, states, factors)
+
+    def noise_factors(self, z, v):
+        """State-free noise factors ``(u, u sigma_v v)`` with ``u = R_i^{1/2} z``
+        from standard-normal draws z (..., N, n) and v (..., N)."""
+        return _noise_factors(self._sqrt_cov, self.sigma_v, z, v)
 
     def zeta_from_draws(self, states, z, v):
         """Gradient noise from standard-normal draws z (..., N, n), v (..., N)."""
-        x = np.asarray(states, dtype=float)
-        u = np.einsum("nij,...nj->...ni", self._sqrt_cov, z)
-        w = x - self.x0
-        s = (u * w).sum(axis=-1)
-        rw = np.einsum("nij,...nj->...ni", self.covariances, w)
-        v_scaled = self.sigma_v * np.asarray(v)
-        return u * s[..., None] - rw - u * v_scaled[..., None]
+        return self.subgradient_stack(states, self.noise_factors(z, v))[1]
 
     def noisy_subgradient(self, i, x, rng):
         """Subgradient measurement (d + zeta, zeta) from one fresh sample."""
-        x = np.asarray(x, dtype=float)
-        u = self._sqrt_cov[i] @ rng.standard_normal(self.dim)
-        v = self.sigma_v[i] * rng.standard_normal()
-        w = x - self.x0
-        zeta = u * float(u @ w) - self.covariances[i] @ w - u * v
-        return self.subgradient(i, x) + zeta, zeta
+        factors = _noise_factors(self._sqrt_cov[i], self.sigma_v[i],
+                                 rng.standard_normal(self.dim), rng.standard_normal())
+        d, zeta = _measure(self.covariances[i], self.x0, self.kappa, x, factors)
+        return d + zeta, zeta
 
     def zeta_samples(self, i, x, rng, count):
         """Vectorized draws of the gradient noise at a frozen state."""
-        x = np.asarray(x, dtype=float)
-        z = rng.standard_normal((count, self.dim))
-        v = self.sigma_v[i] * rng.standard_normal(count)
-        u = z @ self._sqrt_cov[i].T
-        w = x - self.x0
-        s = u @ w
-        return u * s[:, None] - self.covariances[i] @ w - u * v[:, None]
+        factors = _noise_factors(self._sqrt_cov[i], self.sigma_v[i],
+                                 rng.standard_normal((count, self.dim)),
+                                 rng.standard_normal(count))
+        return _measure(self.covariances[i], self.x0, self.kappa, x, factors)[1]
 
     def optimum(self, tol=1e-10, max_iter=1_000_000):
         """Deterministic proximal-gradient solve of the exact summed risk.

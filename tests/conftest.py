@@ -1,6 +1,13 @@
 import pathlib
 
 import pytest
+from hypothesis import settings
+
+# Fixed example generation, and a reproduction blob printed on failure, so a
+# failing property fails the same way on every rerun.  Tests keep their own
+# max_examples.
+settings.register_profile("reproducible", print_blob=True, derandomize=True)
+settings.load_profile("reproducible")
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 

@@ -251,3 +251,24 @@ def step_compact(states, adjacency, schedule, objective, k,
     if not np.all(np.isfinite(new)):
         raise DivergenceDetected("non-finite state after compact step", step=k)
     return new.reshape(n_nodes, dim)
+
+
+def lasso_measurement_loop(problem, states, z, v):
+    """Lasso subgradient and gradient noise, one node of one state at a time.
+
+    d_i = R_i (x_i - x0) + kappa sign(x_i) and
+    zeta_i = (u u^T - R_i)(x_i - x0) - u sigma_v_i v_i with u = R_i^{1/2} z_i,
+    built from an explicit outer product.
+    """
+    x = np.asarray(states, dtype=float)
+    z = np.asarray(z, dtype=float)
+    v = np.asarray(v, dtype=float)
+    d, zeta = np.empty_like(x), np.empty_like(x)
+    for idx in np.ndindex(x.shape[:-1]):
+        i = idx[-1]
+        cov = problem.covariances[i]
+        w = x[idx] - problem.x0
+        u = problem._sqrt_cov[i] @ z[idx]
+        d[idx] = cov @ w + problem.kappa * np.sign(x[idx])
+        zeta[idx] = (np.outer(u, u) - cov) @ w - u * problem.sigma_v[i] * v[idx]
+    return d, zeta

@@ -5,7 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from subgradnet import run_experiment, run_trajectory_from_config
+from subgradnet import (DivergenceDetected, run_experiment,
+                        run_trajectory_from_config)
 from subgradnet.config import config_from_dict
 from subgradnet.experiment import TRACE_HEADER, estimate_constants
 from subgradnet import config as cfgmod
@@ -64,6 +65,27 @@ class TestRunExperiment:
         with pytest.raises(OSError):
             run_experiment(cfg, out_dir=str(blocker / "sub"))
         assert time.perf_counter() - start < 2.0
+
+    def test_diverged_run_leaves_earlier_outputs_intact(self, tmp_path):
+        out = tmp_path / "out"
+        good = run_experiment(small_cfg(horizon=50, reps=2), out_dir=str(out))
+        paths = (good.trace_path, good.summary_path)
+        before = [open(p, "rb").read() for p in paths]
+        diverging = small_cfg({"schedule": {"alpha1": 1e9},
+                               "init": {"kind": "explicit",
+                                        "states": [[1.0, 1.0], [2.0, -1.0], [0.0, 3.0]]}},
+                              horizon=50, reps=2)
+        with pytest.raises(DivergenceDetected):
+            run_experiment(diverging, out_dir=str(out))
+        assert [open(p, "rb").read() for p in paths] == before
+        assert sorted(os.listdir(out)) == sorted(os.path.basename(p) for p in paths)
+
+    def test_output_path_that_is_a_directory_fails_fast(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "summary.txt").mkdir(parents=True)
+        with pytest.raises(IsADirectoryError):
+            run_experiment(small_cfg(horizon=100_000, reps=20), out_dir=str(out))
+        assert sorted(os.listdir(out)) == ["summary.txt"]
 
     def test_summary_contains_required_fields(self, tmp_path):
         cfg = small_cfg()

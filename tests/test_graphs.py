@@ -195,6 +195,22 @@ class TestSampleSequence:
         m2, _ = proc.sample_block(2, 0, 50)
         assert not np.array_equal(m1, m2)
 
+    @pytest.mark.parametrize("k_start", [0, 1, 1023, 1024, 2049])
+    def test_zero_steps_give_an_empty_block_and_keep_the_state(self, k_start):
+        markov = MarkovSwitching([K3, cycle3()], [[0.3, 0.7], [0.6, 0.4]])
+        procs = [DeterministicCycle([K3, cycle3()]),
+                 IndependentEdges(base=K3, prob=0.5, perturb=0.3), markov]
+        ss = np.random.SeedSequence(5)
+        states = [None] + ([1] if k_start >= 1 else [])
+        for proc in procs:
+            for state in states:
+                mats, after = proc.sample_block(ss, k_start, 0, state=state)
+                assert mats.shape == (0, 3, 3)
+                assert after == (state if proc is markov else None)
+        for state in states:
+            path = markov.sample_state_path(ss, 0, k_start=k_start, state=state)
+            assert path.shape == (0,) and path.dtype == np.int64
+
 
 class TestMarkovStationary:
     def test_uniform_chain_visit_frequencies_match_pi(self):

@@ -1,5 +1,5 @@
-"""Property tests of the batched step kernel, the engine around it and the
-counter-addressed graph draws.
+"""Property tests of the batched step kernel, the engine around it, the lasso
+measurement and the counter-addressed graph draws.
 
 Criterion 8 compares 1-worker and 8-worker aggregates exactly, which holds
 only if a replication's arithmetic is the same in every batch it lands in.
@@ -8,7 +8,7 @@ only if a replication's arithmetic is the same in every batch it lands in.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from oracles import draw_channel_noise, step_per_node
+from oracles import draw_channel_noise, lasso_measurement_loop, step_per_node
 from subgradnet import (CommNoiseModel, DeterministicCycle, IndependentEdges,
                         InitialStates, LassoProblem, MarkovSwitching,
                         QuadraticObjective, StepSchedule, apply_step)
@@ -139,3 +139,55 @@ def test_sample_block_from_any_start_matches_replay_from_zero(kind, n_nodes, k0,
     full, full_state = process.sample_block(stream, 0, k0 + count)
     assert np.array_equal(part, full[k0:])
     assert part_state == full_state
+
+
+@st.composite
+def lasso_cases(draw):
+    dim = draw(st.integers(1, 4))
+    n_nodes = draw(st.integers(1, 4))
+    return dict(
+        dim=dim,
+        n_nodes=n_nodes,
+        # Rank below dim gives a singular covariance.
+        ranks=draw(st.lists(st.integers(0, dim), min_size=n_nodes, max_size=n_nodes)),
+        lead=draw(st.sampled_from([(), (3,), (2, 3)])),
+        seed=draw(st.integers(0, 2 ** 32 - 1)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(lasso_cases())
+def test_fused_lasso_measurement_matches_separate_calls_and_slices(case):
+    rng = np.random.default_rng(case["seed"])
+    dim, n, lead = case["dim"], case["n_nodes"], case["lead"]
+    covs = []
+    for rank in case["ranks"]:
+        m = rng.normal(size=(dim, rank))
+        covs.append(m @ m.T)
+    problem = LassoProblem(x0=rng.normal(size=dim), covariances=np.stack(covs),
+                           sigma_v=rng.random(n), kappa=float(rng.random()))
+    x = rng.normal(size=lead + (n, dim)) * 3.0
+    x[..., 0] = 0.0  # a kink of the L1 term
+    z = rng.normal(size=lead + (n, dim))
+    v = rng.normal(size=lead + (n,))
+
+    factors = problem.noise_factors(z, v)
+    d, zeta = problem.subgradient_stack(x, factors)
+    assert np.array_equal(d, problem.subgradient_stack(x))
+    assert np.array_equal(zeta, problem.zeta_from_draws(x, z, v))
+
+    d_ref, zeta_ref = lasso_measurement_loop(problem, x, z, v)
+    scale = 1.0 + np.abs(x).max() * (1.0 + np.abs(z).max()) ** 2
+    assert np.max(np.abs(d - d_ref)) <= 1e-12 * scale
+    assert np.max(np.abs(zeta - zeta_ref)) <= 1e-12 * scale
+
+    # The engine takes factors once per chunk and slices them per step.
+    for axis in range(len(lead)):
+        for t in range(lead[axis]):
+            at = (slice(None),) * axis + (t,)
+            u_t, uv_t = problem.noise_factors(z[at], v[at])
+            assert np.array_equal(u_t, factors[0][at])
+            assert np.array_equal(uv_t, factors[1][at])
+            d_t, zeta_t = problem.subgradient_stack(x[at], (u_t, uv_t))
+            assert np.array_equal(d_t, d[at])
+            assert np.array_equal(zeta_t, zeta[at])
