@@ -10,12 +10,12 @@ from .config import (ExperimentConfig, build_init, build_noise, build_objective,
                      build_process, build_schedule, config_from_dict,
                      load_config, save_config, validate_config)
 from .engine import (InitialStates, MonteCarloResult, StepRecord, apply_step,
-                     consensus_projection, default_record_ks,
-                     delta_recursion_check, monte_carlo, run_trajectory)
+                     default_record_ks, delta_recursion_check, monte_carlo,
+                     run_trajectory)
 from .errors import (ConfigError, DivergenceDetected, FactorizationError,
                      NoStationaryDistributionError, NonConvergenceError,
                      NonSymmetricError, ParseError, SubgradNetError,
-                     ValidationError)
+                     ValidationError, WorkerLost)
 from .experiment import (ExperimentConstants, ExperimentResult,
                          estimate_constants, run_experiment,
                          run_trajectory_from_config)

@@ -8,10 +8,12 @@ measurements plus a noisy subgradient step:
 
 with y_ji = x_j + psi(x_j - x_i) xi_ji.  One batched step kernel computes it
 for a whole stack of replications; the Monte Carlo loop, ``apply_step`` and
-the consensus-error recursion check all call it, and the recursion check
-reuses the kernel's noise term.  The tests check the kernel against a
-per-node loop and the stacked compact matrix form, which they keep as
-independent references.
+the consensus-error recursion check all call it.  The tests keep a per-node
+loop and the stacked compact matrix form as its independent references.
+The Monte Carlo loop runs in 1024-step chunks: per step it makes only the
+measurement, the kernel call and, on check steps, the recursion check; once
+per chunk it checks the states for divergence, records them and evaluates
+the psi and d bound monitors.
 
 Randomness is organized as one stream per replication, split into disjoint
 sub-streams for initial states, graph draws, channel noise and gradient noise,
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceDetected
+from .errors import DivergenceDetected, WorkerLost
 
 # Steps per internal draw block; fixed, part of the determinism contract.
 _CHUNK = 1024
@@ -33,19 +35,22 @@ _CHUNK = 1024
 _DIVERGENCE_NORM_SQ = 1e24
 
 
-def consensus_projection(stacked, n_nodes, dim):
-    """Deviation-from-average part of a stacked state vector.
-
-    Applying it twice equals applying it once, and the node blocks of the
-    result sum to zero.
-    """
-    x = np.asarray(stacked, dtype=float).reshape(n_nodes, dim)
-    return (x - x.mean(axis=0)).reshape(n_nodes * dim)
-
-
 def _center(states):
     """Deviation of each node from the node average, over axis -2."""
     return states - states.sum(axis=-2, keepdims=True) / states.shape[-2]
+
+
+def _check_divergence(hist, k0, rep_indices):
+    """Squared norms of the states ``hist`` before steps k0, k0+1, ...; raises
+    at the first step whose largest one is not below the limit."""
+    s_sq = np.einsum("trnd,trnd->tr", hist, hist)
+    over = ~(s_sq.max(axis=1) < _DIVERGENCE_NORM_SQ)
+    if over.any():
+        t = int(over.argmax())
+        bad = int(np.nanargmax(s_sq[t]))
+        raise DivergenceDetected(f"state norm blew up at step {k0 + t}",
+                                 replication=int(rep_indices[bad]), step=k0 + t)
+    return s_sq
 
 
 def _step(x, a, row_sums, alpha_k, c_k, model, xi_in, d_plus_zeta):
@@ -219,40 +224,44 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
         "recursion_max": np.zeros(reps),
     }
 
-    sigma_sq = model.sigma ** 2
-    b_sq = model.b ** 2
     sd_sq = float(np.max(objective.sigma_d)) ** 2
     cd_sq = float(np.max(objective.c_d)) ** 2
-    inv_sqrt_dim = 1.0 / np.sqrt(dim)
     has_zeta = objective.has_gradient_noise
-    x_star = np.asarray(x_star, dtype=float)
 
-    def record(k, x_now, v_now, s_sq_now):
-        slot = rec_slot[k]
-        xbar = x_now.mean(axis=1)
-        out["V"][:, slot] = v_now
-        out["state_sq"][:, slot] = s_sq_now
-        out["mean_state"][:, slot] = xbar
-        out["opt_gap"][:, slot] = objective.total_cost(xbar) - f_star
-        dev = x_now - x_star
-        dist_sq = (dev * dev).sum(axis=2)
-        out["dist"][:, slot] = np.sqrt(dist_sq.max(axis=1))
-        out["stack_dsq"][:, slot] = dist_sq.sum(axis=1)
+    def observe(k0, hist, d_hist=None, psi_max=None):
+        """Check and record the states ``hist`` before steps k0, k0+1, ...
+        and monitor the bounds on the same steps' subgradients ``d_hist`` and
+        largest intensities ``psi_max``."""
+        s_sq = _check_divergence(hist, k0, rep_indices)
+        xc = _center(hist)
+        v = np.einsum("trnd,trnd->tr", xc, xc)
+        rows = np.flatnonzero(record_mask[k0:k0 + hist.shape[0]])
+        slots = rec_slot[k0 + rows]
+        x_rec = hist[rows]
+        xbar = x_rec.mean(axis=2)
+        dist_sq = np.square(x_rec - np.asarray(x_star, dtype=float)).sum(axis=3)
+        out["V"][:, slots] = v[rows].T
+        out["state_sq"][:, slots] = s_sq[rows].T
+        out["mean_state"][:, slots] = xbar.swapaxes(0, 1)
+        out["opt_gap"][:, slots] = (objective.total_cost(xbar) - f_star).T
+        out["dist"][:, slots] = np.sqrt(dist_sq.max(axis=2)).T
+        out["stack_dsq"][:, slots] = dist_sq.sum(axis=2).T
+        if d_hist is not None:
+            psi_bound = 4.0 * model.sigma ** 2 * v + 2.0 * model.b ** 2
+            d_bound = 2.0 * sd_sq * s_sq + 2.0 * n_nodes * cd_sq
+            d_sq = np.einsum("trnd,trnd->tr", d_hist, d_hist)
+            out["psi_violation"] = np.maximum(out["psi_violation"],
+                                              (psi_max ** 2 - psi_bound).max(axis=0))
+            out["d_violation"] = np.maximum(out["d_violation"],
+                                            (d_sq - d_bound).max(axis=0))
 
-    def observe(k, x_now):
-        """Centred state and squared norms at step k, checked and recorded."""
-        xc = _center(x_now)
-        v_now = np.einsum("rnd,rnd->r", xc, xc)
-        s_sq = np.einsum("rnd,rnd->r", x_now, x_now)
-        if not s_sq.max() < _DIVERGENCE_NORM_SQ:
-            bad = int(np.nanargmax(s_sq))
-            raise DivergenceDetected(f"state norm blew up at step {k}",
-                                     replication=int(rep_indices[bad]), step=k)
-        if record_mask[k]:
-            record(k, x_now, v_now, s_sq)
-        return xc, v_now, s_sq
-
+    # A floating-point error interrupts a step; unless a state has diverged by
+    # then, the step is redone under the caller's error handling and warns.
+    fp_modes = np.geterr()
     xi_buf = np.empty((reps, min(_CHUNK, horizon), n_nodes, n_nodes, dim))
+    hist = np.empty((xi_buf.shape[1], reps, n_nodes, dim))
+    d_hist = np.empty_like(hist)
+    psi_max = np.empty(hist.shape[:2])
     k = 0
     while k < horizon:
         span = min(_CHUNK, horizon - k)
@@ -265,7 +274,7 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
         xi_in = xi_buf[:, :span]
         for r, g in enumerate(comm_gen):
             np.multiply(g.standard_normal((span, n_nodes, n_nodes, dim)),
-                        inv_sqrt_dim, out=np.swapaxes(xi_in[r], 1, 2))
+                        1.0 / np.sqrt(dim), out=np.swapaxes(xi_in[r], 1, 2))
         if has_zeta:
             # Gradient-noise factors for the whole chunk, step-major so the
             # slice of step t is contiguous; the raw draws are dropped here.
@@ -277,18 +286,10 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
         chunk_ks = np.arange(k, k + span)
         alphas = schedule.alpha(chunk_ks).tolist()
         cs = schedule.c(chunk_ks).tolist()
-        # Per-step inputs of the psi and d bound monitors, reduced per chunk.
-        psi_max = np.empty((reps, span))
-        v_seen = np.empty((reps, span))
-        d_sq = np.empty((reps, span))
-        s_sq_seen = np.empty((reps, span))
-        for t in range(span):
+
+        def advance(t, x):
             a = graphs[:, t]
             row_sums = row_sums_chunk[:, t]
-            alpha_k = alphas[t]
-            c_k = cs[t]
-
-            xc, v_now, s_sq = observe(k, x)
             if has_zeta:
                 d_stack, zeta = objective.subgradient_stack(
                     x, (u_chunk[t], uv_chunk[t]))
@@ -296,29 +297,29 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
             else:
                 zeta = None
                 d_stack = step_src = objective.subgradient_stack(x)
-            x_new, noise, psi = _step(x, a, row_sums, alpha_k, c_k, model,
+            x_new, noise, psi = _step(x, a, row_sums, alphas[t], cs[t], model,
                                       xi_in[:, t], step_src)
-
-            psi_max[:, t] = psi.max(axis=(1, 2))
-            v_seen[:, t] = v_now
-            d_sq[:, t] = np.einsum("rnd,rnd->r", d_stack, d_stack)
-            s_sq_seen[:, t] = s_sq
-
-            if check_stride and k % check_stride == 0:
-                disc = _recursion_gap(xc, a, row_sums, alpha_k, c_k, noise,
-                                      zeta, d_stack, x_new)
+            d_hist[t] = d_stack
+            psi.max(axis=(1, 2), out=psi_max[t])
+            if check_stride and (k + t) % check_stride == 0:
+                disc = _recursion_gap(_center(x), a, row_sums, alphas[t], cs[t],
+                                      noise, zeta, d_stack, x_new)
                 np.maximum(out["recursion_max"], disc, out=out["recursion_max"])
+            return x_new
 
-            x = x_new
-            k += 1
-        np.maximum(out["psi_violation"],
-                   (psi_max ** 2 - (4.0 * sigma_sq * v_seen + 2.0 * b_sq)).max(axis=1),
-                   out=out["psi_violation"])
-        np.maximum(out["d_violation"],
-                   (d_sq - (2.0 * sd_sq * s_sq_seen + 2.0 * n_nodes * cd_sq)).max(axis=1),
-                   out=out["d_violation"])
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            for t in range(span):
+                hist[t] = x
+                try:
+                    x = advance(t, x)
+                except FloatingPointError:
+                    _check_divergence(hist[:t + 1], k, rep_indices)
+                    with np.errstate(**fp_modes):
+                        x = advance(t, x)
+        observe(k, hist[:span], d_hist[:span], psi_max[:span])
+        k += span
 
-    observe(horizon, x)
+    observe(horizon, x[None])
     return out
 
 
@@ -374,10 +375,6 @@ class MonteCarloResult:
     per_rep: dict = field(default=None, repr=False)
 
 
-def _mc_worker(args):
-    return _run_batch(*args)
-
-
 def monte_carlo(objective, process, model, schedule, horizon, seed, reps,
                 x_star, f_star, init=None, record_ks=None, check_stride=0,
                 workers=1, C0=None):
@@ -398,20 +395,22 @@ def monte_carlo(objective, process, model, schedule, horizon, seed, reps,
         record_ks = default_record_ks(horizon)
     record_ks = np.asarray(record_ks, dtype=np.int64)
 
-    rep_indices = list(range(reps))
-    if workers <= 1 or reps == 1:
-        parts = [_run_batch(objective, process, model, schedule, horizon, seed,
-                            rep_indices, x_star, f_star, init, record_ks,
-                            check_stride)]
+    jobs = [(objective, process, model, schedule, horizon, seed, part.tolist(),
+             x_star, f_star, init, record_ks, check_stride)
+            for part in np.array_split(np.arange(reps), max(1, min(workers, reps)))]
+    if len(jobs) == 1:
+        parts = [_run_batch(*jobs[0])]
     else:
-        n_parts = min(workers, reps)
-        splits = np.array_split(np.asarray(rep_indices), n_parts)
-        jobs = [(objective, process, model, schedule, horizon, seed,
-                 list(part), x_star, f_star, init, record_ks, check_stride)
-                for part in splits if len(part)]
-        ctx = multiprocessing.get_context()
-        with ctx.Pool(processes=len(jobs)) as pool:
-            parts = pool.map(_mc_worker, jobs)
+        # Imported here: at module level it adds 1.3 MB to every run's RSS.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+        try:
+            with ProcessPoolExecutor(len(jobs),
+                                     mp_context=multiprocessing.get_context()) as pool:
+                futures = [pool.submit(_run_batch, *job) for job in jobs]
+                parts = [f.result() for f in futures]
+        except BrokenProcessPool as exc:
+            raise WorkerLost("a Monte Carlo worker process ended abruptly") from exc
 
     per_rep = {key: np.concatenate([p[key] for p in parts], axis=0)
                for key in ("V", "opt_gap", "state_sq", "dist", "stack_dsq",

@@ -30,6 +30,10 @@ class DivergenceDetected(SubgradNetError):
         self.step = step
 
 
+class WorkerLost(SubgradNetError):
+    """A worker process ended before returning its share of the replications."""
+
+
 class ConfigError(SubgradNetError):
     """Base class for configuration problems."""
 

@@ -2,9 +2,9 @@
 
 Deliberately separate from the library implementations: eigenvalues by cyclic
 Jacobi rotations, cubic characteristic-polynomial roots in closed form, plain
-finite differences, the per-node and stacked compact forms of the step, and
-the sequential loops that the library's vectorised routines replaced.  These
-provide the second route of every dual-route check.
+finite differences, the per-node and stacked compact forms of the step, the
+consensus projection, and the sequential loops that the library's vectorised
+routines replaced.  These provide the second route of every dual-route check.
 """
 
 import math
@@ -200,6 +200,16 @@ def stacked_noise_matrices(model, states, adjacency, rng, xi=None):
     return d_mat, psi_big, xi_stacked
 
 
+def consensus_projection(stacked, n_nodes, dim):
+    """Deviation-from-average part of a stacked state vector.
+
+    Applying it twice equals applying it once, and the node blocks of the
+    result sum to zero.
+    """
+    x = np.asarray(stacked, dtype=float).reshape(n_nodes, dim)
+    return (x - x.mean(axis=0)).reshape(n_nodes * dim)
+
+
 def step_per_node(states, adjacency, schedule, model, objective, rng, k):
     """Reference per-node update drawing its own noises from ``rng``.
 
@@ -272,3 +282,29 @@ def lasso_measurement_loop(problem, states, z, v):
         d[idx] = cov @ w + problem.kappa * np.sign(x[idx])
         zeta[idx] = (np.outer(u, u) - cov) @ w - u * problem.sigma_v[i] * v[idx]
     return d, zeta
+
+
+def quadratic_record_loop(state, targets, x_star, f_star):
+    """Recorded metrics of one ``(N, dim)`` state of the quadratic objective
+    sum_i 0.5 ||x - target_i||^2, node by node in plain Python floats.
+
+    Returns V (squared distance from the node average), ||X||^2, the largest
+    node distance to x*, the stacked squared distance to x*, the node average
+    and the optimality gap of the node average.
+    """
+    rows = [[float(e) for e in node] for node in np.asarray(state)]
+    n, dim = len(rows), len(rows[0])
+    mean = [sum(row[j] for row in rows) / n for j in range(dim)]
+
+    def sq_dist(u, w):
+        return sum((u[j] - w[j]) ** 2 for j in range(dim))
+
+    dists = [sq_dist(row, x_star) for row in rows]
+    return {
+        "V": sum(sq_dist(row, mean) for row in rows),
+        "state_sq": sum(sq_dist(row, [0.0] * dim) for row in rows),
+        "dist": math.sqrt(max(dists)),
+        "stack_dsq": sum(dists),
+        "mean_state": mean,
+        "opt_gap": sum(0.5 * sq_dist(mean, t) for t in targets) - f_star,
+    }

@@ -1,16 +1,19 @@
 """Step equivalence, consensus-error recursion, trajectories, Monte Carlo."""
 
+import os
+
 import numpy as np
 import pytest
+import yaml
 
-from oracles import (draw_channel_noise, stacked_noise_matrices, step_compact,
-                     step_per_node)
+from oracles import (consensus_projection, draw_channel_noise,
+                     stacked_noise_matrices, step_compact, step_per_node)
 from subgradnet import (CommNoiseModel, CustomObjective, DeterministicCycle,
                         DivergenceDetected, IndependentEdges, InitialStates,
-                        QuadraticObjective, StepSchedule, apply_step,
-                        consensus_projection, default_record_ks,
-                        delta_recursion_check, laplacian, monte_carlo,
-                        run_trajectory)
+                        QuadraticObjective, StepSchedule, SubgradNetError,
+                        WorkerLost, apply_step, cli, config,
+                        default_record_ks, delta_recursion_check, laplacian,
+                        monte_carlo, run_trajectory)
 from subgradnet.engine import replication_stream
 
 
@@ -362,3 +365,42 @@ class TestCappedIntensity:
         model = CommNoiseModel(sigma=1.0, b=0.5, noise_dim=2, cap=0.75)
         assert model.psi(np.array([100.0, 0.0])) == 0.75
         assert model.psi(np.zeros(2)) == 0.5
+
+
+class ExitingObjective(QuadraticObjective):
+    """Ends the process that measures it, as a killed worker would."""
+
+    def subgradient_stack(self, states):
+        os._exit(1)
+
+
+class TestLostWorker:
+    OBJECTIVE = ExitingObjective(np.array([[0.0, 0.0], [2.0, 0.0]]))
+
+    def test_monte_carlo_raises_instead_of_hanging(self):
+        proc = IndependentEdges(base=np.ones((2, 2)) - np.eye(2), prob=0.9)
+        model = CommNoiseModel(sigma=0.1, b=0.1, noise_dim=2)
+        x_star, f_star = self.OBJECTIVE.optimum()
+        with pytest.raises(WorkerLost) as info:
+            monte_carlo(self.OBJECTIVE, proc, model, StepSchedule(), 20, 0, 2,
+                        x_star, f_star, workers=2)
+        assert isinstance(info.value, SubgradNetError)
+
+    def test_cli_run_exits_one_with_one_line(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(config, "build_objective", lambda cfg: self.OBJECTIVE)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({
+            "problem": {"kind": "quadratic",
+                        "targets": self.OBJECTIVE.targets.tolist()},
+            "graph": {"kind": "independent", "base": "complete", "n_nodes": 2,
+                      "activation_prob": 0.9},
+            "noise": {"sigma": 0.1, "b": 0.1},
+            "run": {"horizon": 20, "reps": 2, "seed": 3, "workers": 2},
+            "verify": {"horizon": 1000},
+            "connectivity": {"windows": 2, "reps": 8},
+        }), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "worker process" in err
+        assert not (out_dir / "trace.csv").exists()

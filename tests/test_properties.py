@@ -82,6 +82,15 @@ def test_per_rep_outputs_do_not_depend_on_batch_grouping(case):
             assert np.array_equal(part[key], full[key][batch]), key
 
 
+@settings(max_examples=4, deadline=None)
+@given(cases(), st.integers(1025, 2100))
+def test_batch_grouping_invariance_holds_across_chunk_edges(case, horizon):
+    # Observation runs once per 1024-step chunk, so horizons past the first
+    # chunk edge exercise it on more than one chunk.
+    test_per_rep_outputs_do_not_depend_on_batch_grouping.hypothesis.inner_test(
+        dict(case, horizon=horizon))
+
+
 @st.composite
 def step_cases(draw):
     return dict(
