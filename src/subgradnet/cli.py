@@ -85,7 +85,11 @@ def _cmd_run(args):
 def _cmd_verify_schedule(args):
     cfg = cfgmod.load_config(args.config)
     schedule = cfgmod.build_schedule(cfg)
-    report = verify_conditions(schedule.alpha, schedule.c, args.C, args.horizon)
+    try:
+        report = verify_conditions(schedule.alpha, schedule.c, args.C, args.horizon)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for line in report.lines():
         print(line)
     return 0

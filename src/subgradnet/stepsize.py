@@ -11,7 +11,11 @@ horizon; they are asymptotic statements, so each check is a falsifiable
 finite-horizon rendering with frozen thresholds chosen to separate this family
 (which satisfies all five analytically) from canonical counterexamples such as
 polynomial schedules with divergent squared sums.  Partial sums of ``alpha``
-are computed in one place, :func:`kahan_cumsum`, with compensated summation.
+are computed by one compensated (Neumaier) block step, which both
+:func:`kahan_cumsum` and :func:`verify_conditions` call.  The verifier streams
+``[0, horizon]`` in blocks of ``_PREFIX_BLOCK`` (65,536) steps and keeps only
+per-block reductions and the values at a few hundred fixed steps, so its
+memory does not depend on the horizon.
 """
 
 import math
@@ -38,27 +42,36 @@ _TREND_INTERVALS = 3
 _PREFIX_BLOCK = 65536
 
 
+def _neumaier_block(v, s, comp, out):
+    """Compensated running sums of block ``v`` continued from running sum ``s``
+    and compensation ``comp``, written to ``out``; returns the new (s, comp).
+
+    Within the block the running sum is one sequential ``cumsum``, each step's
+    TwoSum error is elementwise, and the errors are accumulated by a second
+    sequential ``cumsum`` seeded with ``comp``.
+    """
+    run = np.cumsum(np.concatenate(([s], v)))
+    prev, t = run[:-1], run[1:]
+    err = np.where(np.abs(prev) >= np.abs(v), (prev - t) + v, (v - t) + prev)
+    err[0] += comp
+    np.cumsum(err, out=err)
+    np.add(t, err, out=out)
+    return float(t[-1]), float(err[-1])
+
+
 def kahan_cumsum(values):
     """Compensated (Kahan/Neumaier) running sums of a 1-D array.
 
-    Matches the sequential Neumaier loop bit for bit: within a block the
-    running sum is one sequential ``cumsum``, each step's TwoSum error is
-    elementwise, and the errors are accumulated by a second sequential
-    ``cumsum`` seeded with the compensation carried from the previous block.
-    Blocks bound the temporaries.
+    Matches the sequential Neumaier loop bit for bit.  The array goes through
+    :func:`_neumaier_block` in blocks of ``_PREFIX_BLOCK`` values, which bound
+    the temporaries.
     """
     x = np.asarray(values, dtype=float)
     out = np.empty_like(x)
     s = comp = 0.0
     for lo in range(0, x.shape[0], _PREFIX_BLOCK):
-        v = x[lo:lo + _PREFIX_BLOCK]
-        run = np.cumsum(np.concatenate(([s], v)))
-        prev, t = run[:-1], run[1:]
-        err = np.where(np.abs(prev) >= np.abs(v), (prev - t) + v, (v - t) + prev)
-        err[0] += comp
-        np.cumsum(err, out=err)
-        np.add(t, err, out=out[lo:lo + v.shape[0]])
-        s, comp = float(t[-1]), float(err[-1])
+        hi = lo + _PREFIX_BLOCK
+        s, comp = _neumaier_block(x[lo:hi], s, comp, out[lo:hi])
     return out
 
 
@@ -179,38 +192,74 @@ def verify_conditions(alpha_fn, c_fn, C, horizon):
     conditions; callers verify at the constant their experiment actually uses.
     Verdict per condition is one of holds-numerically / fails / inconclusive;
     checks on the exponential quantities run in log space, so large ``C``
-    values do not overflow.
+    values do not overflow.  The functions are called on one block of at most
+    ``_PREFIX_BLOCK`` steps at a time, and no array is longer than a block
+    plus the one value carried in from the previous block.
     """
     horizon = int(horizon)
     if horizon < 1000:
         raise ValueError("condition verification needs horizon >= 1000")
     if C <= 0:
         raise ValueError("C must be positive")
-    ks = np.arange(horizon + 1)
-    a = np.asarray(alpha_fn(ks), dtype=float)
-    c = np.asarray(c_fn(ks), dtype=float)
-    if np.any(~np.isfinite(a)) or np.any(a <= 0):
-        raise ValueError("alpha(k) must be positive and finite on [0, horizon]")
-    if np.any(~np.isfinite(c)) or np.any(c <= 0):
-        raise ValueError("c(k) must be positive and finite on [0, horizon]")
-    S = kahan_cumsum(a)
 
     h10 = horizon // 10
     last_decade = np.unique(np.geomspace(max(h10, 1), horizon, 65).astype(int))
-    decades = _decade_checkpoints(horizon)
+    decades = np.array(_decade_checkpoints(horizon))
     log_dec = np.log(decades)
+    grid = last_decade[last_decade < horizon]
+    peak_grid = np.unique(np.geomspace(1, horizon, 200).astype(int))
+
+    # One pass over [0, horizon] in blocks: alpha, c and their partial sums S
+    # are kept only at the steps the checks read (idx); the rest of the checks
+    # are reductions folded block by block, with each block's last alpha and c
+    # carried across the edge.
+    idx = np.unique(np.concatenate(
+        (decades, last_decade, grid + 1, peak_grid, [10, horizon // 2, horizon])))
+    a_at, c_at, S_at = np.empty(idx.size), np.empty(idx.size), np.empty(idx.size)
+    s = comp = 0.0
+    a_sq_head = a_sq_tail = c_sq_head = c_sq_tail = partial_sum = 0.0
+    a_decreasing = c_decreasing = True
+    ratio_max = -np.inf
+    a_last = c_last = np.empty(0)
+    for lo in range(0, horizon + 1, _PREFIX_BLOCK):
+        ks = np.arange(lo, min(lo + _PREFIX_BLOCK, horizon + 1))
+        a = np.asarray(alpha_fn(ks), dtype=float)
+        c = np.asarray(c_fn(ks), dtype=float)
+        if np.any(~np.isfinite(a)) or np.any(a <= 0):
+            raise ValueError("alpha(k) must be positive and finite on [0, horizon]")
+        if np.any(~np.isfinite(c)) or np.any(c <= 0):
+            raise ValueError("c(k) must be positive and finite on [0, horizon]")
+        S = np.empty_like(a)
+        s, comp = _neumaier_block(a, s, comp, S)
+
+        head = max(h10 + 1 - lo, 0)
+        a_sq, c_sq = a * a, c * c
+        a_sq_head += float(a_sq[:head].sum())
+        a_sq_tail += float(a_sq[head:].sum())
+        c_sq_head += float(c_sq[:head].sum())
+        c_sq_tail += float(c_sq[head:].sum())
+        a_run, c_run = np.concatenate((a_last, a)), np.concatenate((c_last, c))
+        a_decreasing = a_decreasing and bool(np.all(np.diff(a_run) < 0))
+        c_decreasing = c_decreasing and bool(np.all(np.diff(c_run) < 0))
+        ratio_max = max(ratio_max, float(np.max(c_run[:-1] / c_run[1:])))
+        a_last, c_last = a[-1:], c[-1:]
+        partial_sum += float((a * np.exp(np.clip(-C * S, -745.0, 0.0))).sum())
+
+        i0, i1 = np.searchsorted(idx, [lo, lo + ks.size])
+        picked = idx[i0:i1] - lo
+        a_at[i0:i1], c_at[i0:i1], S_at[i0:i1] = a[picked], c[picked], S[picked]
+
+    dec, last, grid_at, grid_next, peak = (
+        np.searchsorted(idx, k) for k in (decades, last_decade, grid, grid + 1, peak_grid))
+    i10, i_half, i_end = np.searchsorted(idx, [10, horizon // 2, horizon])
 
     checks = {}
 
     # C1: monotone decay, divergent alpha sum, summable squares, bounded ratio.
-    a_sq, c_sq = a * a, c * c
-    a_sq_head, a_sq_tail = float(a_sq[: h10 + 1].sum()), float(a_sq[h10 + 1:].sum())
-    c_sq_head, c_sq_tail = float(c_sq[: h10 + 1].sum()), float(c_sq[h10 + 1:].sum())
-    ratio_max = float(np.max(c[:-1] / c[1:]))
     c1_parts = {
-        "alpha_decreasing": bool(np.all(np.diff(a) < 0)),
-        "c_decreasing": bool(np.all(np.diff(c) < 0)),
-        "alpha_sum_growing": bool(S[-1] - S[horizon // 2] > 1e-12 * max(S[-1], 1.0)),
+        "alpha_decreasing": a_decreasing,
+        "c_decreasing": c_decreasing,
+        "alpha_sum_growing": bool(S_at[i_end] - S_at[i_half] > 1e-12 * max(S_at[i_end], 1.0)),
         "alpha_sq_tail_rel": a_sq_tail / a_sq_head,
         "c_sq_tail_rel": c_sq_tail / c_sq_head,
         "c_ratio_max": ratio_max,
@@ -224,20 +273,19 @@ def verify_conditions(alpha_fn, c_fn, C, horizon):
 
     # C2: c^2/alpha must vanish; require a 1e-3 drop from k=10 to the horizon
     # and a monotone tail.
-    r = c_sq / a
-    r_drop = float(r[-1] / r[10])
+    r = c_at * c_at / a_at
+    r_drop = float(r[i_end] / r[i10])
     c2_parts = {"ratio_drop": r_drop,
-                "tail_monotone": _nonincreasing(r[last_decade])}
+                "tail_monotone": _nonincreasing(r[last])}
     c2_ok = r_drop < _C2_DECAY_FACTOR and c2_parts["tail_monotone"]
     checks["C2"] = ConditionCheck(HOLDS if c2_ok else FAILS, c2_parts)
 
     # C3: sum of alpha(k) exp(-C S(k)).  The tail past K is certified below
     # exp(C alpha(K)) exp(-C S(K)) / C, so a strictly shrinking log tail bound
     # across the last decades witnesses convergence.
-    log_tail = C * a[decades] - C * S[decades] - math.log(C)
-    terms = a * np.exp(np.clip(-C * S, -745.0, 0.0))
+    log_tail = C * a_at[dec] - C * S_at[dec] - math.log(C)
     c3_parts = {
-        "partial_sum": float(terms.sum()),
+        "partial_sum": partial_sum,
         "log_tail_bound_final": float(log_tail[-1]),
         "log_tail_decreasing": _strictly_decreasing(
             log_tail[-(_TREND_INTERVALS + 1):], rel_margin=0.0),
@@ -252,19 +300,19 @@ def verify_conditions(alpha_fn, c_fn, C, horizon):
 
     # Per-decade exponents: eta measures the exponential envelope's local
     # log-log slope, p the polynomial decay of alpha/c, adecay that of alpha.
-    dS = np.diff(S[decades])
+    dS = np.diff(S_at[dec])
     dlog = np.diff(log_dec)
     eta = C * dS / dlog
-    log_ac = np.log(a[decades]) - np.log(c[decades])
+    log_ac = np.log(a_at[dec]) - np.log(c_at[dec])
     p_hat = -np.diff(log_ac) / dlog
-    adecay = -np.diff(np.log(a[decades])) / dlog
+    adecay = -np.diff(np.log(a_at[dec])) / dlog
 
     # C4: alpha exp(C S)/c -> 0.  Needs a genuine polynomial gap between c and
     # alpha plus a sub-logarithmic envelope (eta shrinking decade over decade);
     # a directly observed decreasing tail with eta below the gap also counts.
-    ln_q = np.log(a) - np.log(c) + C * S
+    ln_q = np.log(a_at) - np.log(c_at) + C * S_at
     eta_tail = eta[-_TREND_INTERVALS:]
-    observed_q = _nonincreasing(ln_q[last_decade]) and eta[-1] < p_hat[-1]
+    observed_q = _nonincreasing(ln_q[last]) and eta[-1] < p_hat[-1]
     c4_parts = {
         "poly_exponent": float(p_hat[-1]),
         "eta_last": float(eta[-1]),
@@ -284,15 +332,14 @@ def verify_conditions(alpha_fn, c_fn, C, horizon):
     # C5: g = alpha exp(C S) eventually decreases and its forward differences
     # stay O(alpha^2 exp(2 C S)).  eta/adecay falling decade over decade
     # certifies eventual decrease even when the peak lies past the horizon.
-    ln_g = np.log(a) + C * S
+    ln_g = np.log(a_at) + C * S_at
     nu = eta / adecay
-    grid = last_decade[last_decade < horizon]
-    diff_factor = 1.0 - (a[grid + 1] / a[grid]) * np.exp(np.clip(C * a[grid + 1], None, 700.0))
-    log_scale = np.clip(-C * S[grid] - np.log(a[grid]), -745.0, 700.0)
+    diff_factor = 1.0 - ((a_at[grid_next] / a_at[grid_at])
+                         * np.exp(np.clip(C * a_at[grid_next], None, 700.0)))
+    log_scale = np.clip(-C * S_at[grid_at] - np.log(a_at[grid_at]), -745.0, 700.0)
     r5 = diff_factor * np.exp(log_scale)
-    g_grid = ln_g[last_decade]
-    peak_grid = np.unique(np.geomspace(1, horizon, 200).astype(int))
-    last_peak = int(peak_grid[int(np.argmax(ln_g[peak_grid]))])
+    g_grid = ln_g[last]
+    last_peak = int(peak_grid[int(np.argmax(ln_g[peak]))])
     c5_parts = {
         "nu_decreasing": _strictly_decreasing(nu[-_TREND_INTERVALS:]),
         "observed_decreasing": _nonincreasing(g_grid),

@@ -3,8 +3,10 @@
 Deliberately separate from the library implementations: eigenvalues by cyclic
 Jacobi rotations, cubic characteristic-polynomial roots in closed form, plain
 finite differences, the per-node and stacked compact forms of the step, the
-consensus projection, and the sequential loops that the library's vectorised
-routines replaced.  These provide the second route of every dual-route check.
+consensus projection, the sequential loops that the library's vectorised
+routines replaced, and the whole-array step-size condition check that the
+library's block-streamed one replaced.  These provide the second route of
+every dual-route check.
 """
 
 import math
@@ -12,6 +14,7 @@ import math
 import numpy as np
 
 from subgradnet import DivergenceDetected, laplacian
+from subgradnet import stepsize as ss
 from subgradnet.graphs import CHUNK
 
 
@@ -308,3 +311,140 @@ def quadratic_record_loop(state, targets, x_star, f_star):
         "mean_state": mean,
         "opt_gap": sum(0.5 * sq_dist(mean, t) for t in targets) - f_star,
     }
+
+
+def verify_conditions_full(alpha_fn, c_fn, C, horizon):
+    """The C1-C5 step-size check on whole length-(horizon + 1) arrays.
+
+    The reference for the library's block-streamed ``verify_conditions``: the
+    same verdict code, fed by full arrays of alpha, c and their partial sums.
+    """
+    horizon = int(horizon)
+    if horizon < 1000:
+        raise ValueError("condition verification needs horizon >= 1000")
+    if C <= 0:
+        raise ValueError("C must be positive")
+    ks = np.arange(horizon + 1)
+    a = np.asarray(alpha_fn(ks), dtype=float)
+    c = np.asarray(c_fn(ks), dtype=float)
+    if np.any(~np.isfinite(a)) or np.any(a <= 0):
+        raise ValueError("alpha(k) must be positive and finite on [0, horizon]")
+    if np.any(~np.isfinite(c)) or np.any(c <= 0):
+        raise ValueError("c(k) must be positive and finite on [0, horizon]")
+    S = ss.kahan_cumsum(a)
+
+    h10 = horizon // 10
+    last_decade = np.unique(np.geomspace(max(h10, 1), horizon, 65).astype(int))
+    decades = ss._decade_checkpoints(horizon)
+    log_dec = np.log(decades)
+
+    checks = {}
+
+    # C1: monotone decay, divergent alpha sum, summable squares, bounded ratio.
+    a_sq, c_sq = a * a, c * c
+    a_sq_head, a_sq_tail = float(a_sq[: h10 + 1].sum()), float(a_sq[h10 + 1:].sum())
+    c_sq_head, c_sq_tail = float(c_sq[: h10 + 1].sum()), float(c_sq[h10 + 1:].sum())
+    ratio_max = float(np.max(c[:-1] / c[1:]))
+    c1_parts = {
+        "alpha_decreasing": bool(np.all(np.diff(a) < 0)),
+        "c_decreasing": bool(np.all(np.diff(c) < 0)),
+        "alpha_sum_growing": bool(S[-1] - S[horizon // 2] > 1e-12 * max(S[-1], 1.0)),
+        "alpha_sq_tail_rel": a_sq_tail / a_sq_head,
+        "c_sq_tail_rel": c_sq_tail / c_sq_head,
+        "c_ratio_max": ratio_max,
+    }
+    c1_ok = (c1_parts["alpha_decreasing"] and c1_parts["c_decreasing"]
+             and c1_parts["alpha_sum_growing"]
+             and c1_parts["alpha_sq_tail_rel"] < ss._C1_TAIL_REL
+             and c1_parts["c_sq_tail_rel"] < ss._C1_TAIL_REL
+             and ratio_max <= ss._C1_RATIO_BOUND)
+    checks["C1"] = ss.ConditionCheck(ss.HOLDS if c1_ok else ss.FAILS, c1_parts)
+
+    # C2: c^2/alpha must vanish; require a 1e-3 drop from k=10 to the horizon
+    # and a monotone tail.
+    r = c_sq / a
+    r_drop = float(r[-1] / r[10])
+    c2_parts = {"ratio_drop": r_drop,
+                "tail_monotone": ss._nonincreasing(r[last_decade])}
+    c2_ok = r_drop < ss._C2_DECAY_FACTOR and c2_parts["tail_monotone"]
+    checks["C2"] = ss.ConditionCheck(ss.HOLDS if c2_ok else ss.FAILS, c2_parts)
+
+    # C3: sum of alpha(k) exp(-C S(k)).  The tail past K is certified below
+    # exp(C alpha(K)) exp(-C S(K)) / C, so a strictly shrinking log tail bound
+    # across the last decades witnesses convergence.
+    log_tail = C * a[decades] - C * S[decades] - math.log(C)
+    terms = a * np.exp(np.clip(-C * S, -745.0, 0.0))
+    c3_parts = {
+        "partial_sum": float(terms.sum()),
+        "log_tail_bound_final": float(log_tail[-1]),
+        "log_tail_decreasing": ss._strictly_decreasing(
+            log_tail[-(ss._TREND_INTERVALS + 1):], rel_margin=0.0),
+    }
+    if c3_parts["log_tail_decreasing"]:
+        verdict = ss.HOLDS
+    elif np.any(np.diff(log_tail[-(ss._TREND_INTERVALS + 1):]) > 0):
+        verdict = ss.FAILS
+    else:
+        verdict = ss.INCONCLUSIVE
+    checks["C3"] = ss.ConditionCheck(verdict, c3_parts)
+
+    # Per-decade exponents: eta measures the exponential envelope's local
+    # log-log slope, p the polynomial decay of alpha/c, adecay that of alpha.
+    dS = np.diff(S[decades])
+    dlog = np.diff(log_dec)
+    eta = C * dS / dlog
+    log_ac = np.log(a[decades]) - np.log(c[decades])
+    p_hat = -np.diff(log_ac) / dlog
+    adecay = -np.diff(np.log(a[decades])) / dlog
+
+    # C4: alpha exp(C S)/c -> 0.  Needs a genuine polynomial gap between c and
+    # alpha plus a sub-logarithmic envelope (eta shrinking decade over decade);
+    # a directly observed decreasing tail with eta below the gap also counts.
+    ln_q = np.log(a) - np.log(c) + C * S
+    eta_tail = eta[-ss._TREND_INTERVALS:]
+    observed_q = ss._nonincreasing(ln_q[last_decade]) and eta[-1] < p_hat[-1]
+    c4_parts = {
+        "poly_exponent": float(p_hat[-1]),
+        "eta_last": float(eta[-1]),
+        "eta_decreasing": ss._strictly_decreasing(eta_tail),
+        "observed_decreasing": bool(observed_q),
+    }
+    if p_hat[-1] <= ss._C4_MIN_POLY_EXPONENT:
+        verdict = ss.FAILS
+    elif c4_parts["eta_decreasing"] or observed_q:
+        verdict = ss.HOLDS
+    elif np.all(np.diff(eta_tail) >= 0):
+        verdict = ss.FAILS
+    else:
+        verdict = ss.INCONCLUSIVE
+    checks["C4"] = ss.ConditionCheck(verdict, c4_parts)
+
+    # C5: g = alpha exp(C S) eventually decreases and its forward differences
+    # stay O(alpha^2 exp(2 C S)).  eta/adecay falling decade over decade
+    # certifies eventual decrease even when the peak lies past the horizon.
+    ln_g = np.log(a) + C * S
+    nu = eta / adecay
+    grid = last_decade[last_decade < horizon]
+    diff_factor = 1.0 - (a[grid + 1] / a[grid]) * np.exp(np.clip(C * a[grid + 1], None, 700.0))
+    log_scale = np.clip(-C * S[grid] - np.log(a[grid]), -745.0, 700.0)
+    r5 = diff_factor * np.exp(log_scale)
+    g_grid = ln_g[last_decade]
+    peak_grid = np.unique(np.geomspace(1, horizon, 200).astype(int))
+    last_peak = int(peak_grid[int(np.argmax(ln_g[peak_grid]))])
+    c5_parts = {
+        "nu_decreasing": ss._strictly_decreasing(nu[-ss._TREND_INTERVALS:]),
+        "observed_decreasing": ss._nonincreasing(g_grid),
+        "diff_ratio_max": float(np.max(np.abs(r5))) if r5.size else 0.0,
+        "last_peak_index": last_peak,
+    }
+    bounded = c5_parts["diff_ratio_max"] < ss._C5_RATIO_BOUND
+    if bounded and (c5_parts["nu_decreasing"] or c5_parts["observed_decreasing"]):
+        verdict = ss.HOLDS
+    elif not bounded or (np.all(np.diff(nu[-ss._TREND_INTERVALS:]) >= 0)
+                         and not c5_parts["observed_decreasing"]):
+        verdict = ss.FAILS
+    else:
+        verdict = ss.INCONCLUSIVE
+    checks["C5"] = ss.ConditionCheck(verdict, c5_parts)
+
+    return ss.ConditionReport(C=float(C), horizon=horizon, checks=checks)

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, output overrides."""
 
+import pytest
 import yaml
 
 from subgradnet.cli import main
@@ -38,6 +39,18 @@ class TestUsageAndErrors:
         path = write_cfg(tmp_path, bad)
         assert main(["optimum", "--config", path]) == 1
         assert "tau2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value,needle", [("--horizon", "500", "horizon"),
+                                                   ("--C", "0", "C must be positive")])
+    def test_bad_verify_argument_exits_one_with_one_line(self, tmp_path, capsys,
+                                                         flag, value, needle):
+        path = write_cfg(tmp_path)
+        assert main(["verify-schedule", "--config", path, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert needle in captured.err
+        assert len(captured.err.splitlines()) == 1
 
     def test_divergence_exits_two(self, tmp_path, capsys):
         diverging = dict(SMALL)

@@ -1,12 +1,15 @@
 """Step-size schedule values, compensated sums, and condition verdicts."""
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
-from oracles import neumaier_cumsum_loop
+from oracles import neumaier_cumsum_loop, verify_conditions_full
 from subgradnet import (FAILS, HOLDS, StepSchedule, kahan_cumsum,
                         verify_conditions)
 from subgradnet.stepsize import _PREFIX_BLOCK
@@ -190,3 +193,96 @@ class TestVectorisedNeumaierPrefix:
         vals = [1e16, 1.0, -1e16, 1.0]
         assert np.array_equal(kahan_cumsum(vals), neumaier_cumsum_loop(vals))
         assert kahan_cumsum(vals)[-1] == 2.0
+
+
+def _slow(k):
+    return (np.asarray(k, dtype=float) + 1.0) ** -0.4
+
+
+def _growing(k):
+    return np.asarray(k, dtype=float) + 1.0
+
+
+_SHIPPED = StepSchedule()
+
+
+def _alpha_up_at_block_edge(k):
+    return _SHIPPED.alpha(k) * np.where(np.asarray(k) >= _PREFIX_BLOCK, 2.0, 1.0)
+
+
+def _c_down_at_block_edge(k):
+    return _SHIPPED.c(k) * np.where(np.asarray(k) >= _PREFIX_BLOCK, 0.05, 1.0)
+
+
+# C0 that the connectivity report estimates for the shipped A1 config.
+_A1_C0 = 109.82
+_SCHEDULES = {
+    "shipped-C1": (_SHIPPED.alpha, _SHIPPED.c, 1.0),
+    "shipped-A1-C0": (_SHIPPED.alpha, _SHIPPED.c, _A1_C0),
+    "divergent-squares": (_slow, _slow, 1.0),
+    "c-equals-alpha": (_SHIPPED.alpha, _SHIPPED.alpha, 1.0),
+    "increasing": (_growing, _growing, 1.0),
+    # Monotone within each block; only the edge breaks C1's decrease and ratio.
+    "jump-at-block-edge": (_alpha_up_at_block_edge, _c_down_at_block_edge, 1.0),
+}
+# Details that are sums over the whole horizon; the streamed check adds them
+# block by block, so they differ from one whole-array sum in the last bits.
+_SUMMED = {("C1", "alpha_sq_tail_rel"), ("C1", "c_sq_tail_rel"), ("C3", "partial_sum")}
+
+
+class TestStreamedVerifier:
+    """The block-streamed check agrees with the whole-array reference."""
+
+    @pytest.mark.parametrize("horizon", [1000, _PREFIX_BLOCK - 1, _PREFIX_BLOCK,
+                                         _PREFIX_BLOCK + 1, 2 * _PREFIX_BLOCK + 3,
+                                         1_000_000])
+    @pytest.mark.parametrize("name", sorted(_SCHEDULES))
+    def test_matches_whole_array_reference(self, name, horizon):
+        alpha_fn, c_fn, C = _SCHEDULES[name]
+        streamed = verify_conditions(alpha_fn, c_fn, C, horizon)
+        reference = verify_conditions_full(alpha_fn, c_fn, C, horizon)
+        assert streamed.lines() == reference.lines()
+        for cond, chk in reference.checks.items():
+            got = streamed.checks[cond].details
+            assert got.keys() == chk.details.keys()
+            for key, want in chk.details.items():
+                if (cond, key) in _SUMMED:
+                    assert got[key] == pytest.approx(want, rel=1e-12, abs=0.0)
+                else:
+                    assert got[key] == want and type(got[key]) is type(want), (cond, key)
+
+    @pytest.mark.parametrize("which,bad_value,message", [
+        ("alpha", 0.0, "alpha"), ("c", -1.0, "c"), ("c", np.nan, "c")])
+    def test_bad_value_inside_second_block_raises(self, which, bad_value, message):
+        bad_k = _PREFIX_BLOCK + 7
+
+        def spoil(fn):
+            return lambda k: np.where(np.asarray(k) == bad_k, bad_value, fn(k))
+
+        alpha_fn = spoil(_SHIPPED.alpha) if which == "alpha" else _SHIPPED.alpha
+        c_fn = spoil(_SHIPPED.c) if which == "c" else _SHIPPED.c
+        with pytest.raises(ValueError, match=rf"^{message}\(k\) must be positive"):
+            verify_conditions(alpha_fn, c_fn, 1.0, 3 * _PREFIX_BLOCK)
+
+    def test_peak_memory_does_not_grow_with_horizon(self):
+        # Bound from arithmetic: the interpreter with numpy and the package takes
+        # about 31 MiB, and one block's temporaries are a few dozen arrays of
+        # 65,536 doubles (0.5 MiB each).  Whole-array checking at this horizon
+        # holds about eleven arrays of 80 MB each.
+        bound_mb = 100.0
+        inner = ("import resource\n"
+                 "from subgradnet import StepSchedule, verify_conditions\n"
+                 "s = StepSchedule()\n"
+                 "verify_conditions(s.alpha, s.c, 1.0, 10_000_000)\n"
+                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        # A process takes over the peak RSS of the one that started it at exec,
+        # so the measured interpreter is started by a small intermediate one.
+        outer = ("import subprocess, sys\n"
+                 "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", outer, inner], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        peak_mb = int(done.stdout.split()[-1]) * 1024 / 1e6  # ru_maxrss is in KiB
+        assert peak_mb < bound_mb
