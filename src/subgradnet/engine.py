@@ -10,9 +10,13 @@ with y_ji = x_j + psi(x_j - x_i) xi_ji.  One batched step kernel computes it
 for a whole stack of replications; the Monte Carlo loop, ``apply_step`` and
 the consensus-error recursion check all call it.  The tests keep a per-node
 loop and the stacked compact matrix form as its independent references.
-The Monte Carlo loop runs in 1024-step chunks: per step it makes only the
+The Monte Carlo loop draws its randomness in 1024-step chunks, the
+determinism unit.  It walks each chunk in sub-spans sized by a byte budget
+for the step buffers, which are allocated once per batch and hold one
+sub-span (at least one step), not a whole chunk; the draws of a sub-span are
+the same numbers the whole chunk would use.  Per step it makes only the
 measurement, the kernel call and, on check steps, the recursion check; once
-per chunk it checks the states for divergence, records them and evaluates
+per sub-span it checks the states for divergence, records them and evaluates
 the psi and d bound monitors.
 
 Randomness is organized as one stream per replication, split into disjoint
@@ -32,22 +36,48 @@ from .errors import DivergenceDetected, WorkerLost
 # Steps per internal draw block; fixed, part of the determinism contract.
 _CHUNK = 1024
 
+# Bytes of step buffers one batch holds; sets the sub-span a chunk is walked
+# in.  Outputs do not depend on it.  Each sub-span pays a fixed cost per
+# replication for its graph and noise draws: at 2 MiB that cost took 5-7% of
+# the shipped configs' Monte Carlo time, at 4 MiB about half that.
+_BUDGET_BYTES = 4 << 20
+
 _DIVERGENCE_NORM_SQ = 1e24
 
 
-def _center(states):
+def _step_bytes(reps, n_nodes, dim, has_zeta):
+    """Bytes the batch buffers hold per step of a sub-span: the graphs, row
+    sums and channel noise, the states, their centred copies and
+    subgradients, the psi maxima and, with gradient noise, the step-major
+    draws and noise factors; plus one replication's raw channel draws."""
+    per_rep = n_nodes * n_nodes * (dim + 1) + n_nodes + 3 * n_nodes * dim + 1
+    if has_zeta:
+        per_rep += 3 * n_nodes * dim + n_nodes
+    return 8 * (reps * per_rep + n_nodes * n_nodes * dim)
+
+
+def _sub_span(reps, n_nodes, dim, has_zeta):
+    """Steps per sub-span: as many as the byte budget holds, 1 to _CHUNK."""
+    return max(1, min(_CHUNK, _BUDGET_BYTES // _step_bytes(reps, n_nodes, dim,
+                                                           has_zeta)))
+
+
+def _center(states, out=None):
     """Deviation of each node from the node average, over axis -2."""
-    return states - states.sum(axis=-2, keepdims=True) / states.shape[-2]
+    return np.subtract(states, states.sum(axis=-2, keepdims=True) / states.shape[-2],
+                       out=out)
 
 
 def _check_divergence(hist, k0, rep_indices):
     """Squared norms of the states ``hist`` before steps k0, k0+1, ...; raises
-    at the first step whose largest one is not below the limit."""
+    at the first step where one is not below the limit, naming the
+    replication with the largest, NaN counting as largest."""
     s_sq = np.einsum("trnd,trnd->tr", hist, hist)
     over = ~(s_sq.max(axis=1) < _DIVERGENCE_NORM_SQ)
     if over.any():
         t = int(over.argmax())
-        bad = int(np.nanargmax(s_sq[t]))
+        nan = np.isnan(s_sq[t])
+        bad = int(nan.argmax() if nan.any() else s_sq[t].argmax())
         raise DivergenceDetected(f"state norm blew up at step {k0 + t}",
                                  replication=int(rep_indices[bad]), step=k0 + t)
     return s_sq
@@ -228,12 +258,33 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
     cd_sq = float(np.max(objective.c_d)) ** 2
     has_zeta = objective.has_gradient_noise
 
+    # Every step buffer is allocated once per batch, ``span`` steps long, and
+    # each 1024-step chunk is walked in sub-spans of at most ``span`` steps.
+    span = min(_sub_span(reps, n_nodes, dim, has_zeta), max(horizon, 1))
+    graphs = np.empty((reps, span, n_nodes, n_nodes))
+    row_sums = np.empty((reps, span, n_nodes))
+    # Channel noise stored receiver-major: xi_in[r, t, i, j] = xi_ji.
+    xi_in = np.empty((reps, span, n_nodes, n_nodes, dim))
+    normals = np.empty((span, n_nodes, n_nodes, dim))
+    hist = np.empty((span, reps, n_nodes, dim))
+    centred = np.empty_like(hist)
+    d_hist = np.empty_like(hist)
+    psi_max = np.empty((span, reps))
+    if has_zeta:
+        # Raw gradient-noise draws of a whole chunk; the factors are formed
+        # per sub-span from step-major copies, so the slice of step t is
+        # contiguous.
+        z_draws = np.empty((reps, min(_CHUNK, horizon), n_nodes, dim))
+        v_draws = np.empty(z_draws.shape[:3])
+        z_steps, u, uv = (np.empty_like(hist) for _ in range(3))
+        v_steps = np.empty(hist.shape[:3])
+
     def observe(k0, hist, d_hist=None, psi_max=None):
         """Check and record the states ``hist`` before steps k0, k0+1, ...
         and monitor the bounds on the same steps' subgradients ``d_hist`` and
         largest intensities ``psi_max``."""
         s_sq = _check_divergence(hist, k0, rep_indices)
-        xc = _center(hist)
+        xc = _center(hist, out=centred[:hist.shape[0]])
         v = np.einsum("trnd,trnd->tr", xc, xc)
         rows = np.flatnonzero(record_mask[k0:k0 + hist.shape[0]])
         slots = rec_slot[k0 + rows]
@@ -258,66 +309,62 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
     # A floating-point error interrupts a step; unless a state has diverged by
     # then, the step is redone under the caller's error handling and warns.
     fp_modes = np.geterr()
-    xi_buf = np.empty((reps, min(_CHUNK, horizon), n_nodes, n_nodes, dim))
-    hist = np.empty((xi_buf.shape[1], reps, n_nodes, dim))
-    d_hist = np.empty_like(hist)
-    psi_max = np.empty(hist.shape[:2])
     k = 0
     while k < horizon:
-        span = min(_CHUNK, horizon - k)
-        graphs = np.empty((reps, span, n_nodes, n_nodes))
-        for r in range(reps):
-            graphs[r], graph_state[r] = process.sample_block(
-                graph_ss[r], k, span, state=graph_state[r])
-        row_sums_chunk = graphs.sum(axis=3)
-        # Channel noise stored receiver-major: xi_in[r, t, i, j] = xi_ji.
-        xi_in = xi_buf[:, :span]
-        for r, g in enumerate(comm_gen):
-            np.multiply(g.standard_normal((span, n_nodes, n_nodes, dim)),
-                        1.0 / np.sqrt(dim), out=np.swapaxes(xi_in[r], 1, 2))
+        chunk = min(_CHUNK, horizon - k)
         if has_zeta:
-            # Gradient-noise factors for the whole chunk, step-major so the
-            # slice of step t is contiguous; the raw draws are dropped here.
-            u_chunk, uv_chunk = objective.noise_factors(
-                np.stack([g.standard_normal((span, n_nodes, dim))
-                          for g in grad_gen], axis=1),
-                np.stack([g.standard_normal((span, n_nodes))
-                          for g in grad_gen], axis=1))
-        chunk_ks = np.arange(k, k + span)
+            # One stream per replication: the chunk's z, then its v.
+            for r, g in enumerate(grad_gen):
+                g.standard_normal(out=z_draws[r, :chunk])
+                g.standard_normal(out=v_draws[r, :chunk])
+        chunk_ks = np.arange(k, k + chunk)
         alphas = schedule.alpha(chunk_ks).tolist()
         cs = schedule.c(chunk_ks).tolist()
-
-        def advance(t, x):
-            a = graphs[:, t]
-            row_sums = row_sums_chunk[:, t]
+        for t0 in range(0, chunk, span):
+            k0, s = k + t0, min(span, chunk - t0)
+            for r in range(reps):
+                graphs[r, :s], graph_state[r] = process.sample_block(
+                    graph_ss[r], k0, s, state=graph_state[r])
+            graphs[:, :s].sum(axis=3, out=row_sums[:, :s])
+            for r, g in enumerate(comm_gen):
+                g.standard_normal(out=normals[:s])
+                np.multiply(normals[:s], 1.0 / np.sqrt(dim),
+                            out=np.swapaxes(xi_in[r, :s], 1, 2))
             if has_zeta:
-                d_stack, zeta = objective.subgradient_stack(
-                    x, (u_chunk[t], uv_chunk[t]))
-                step_src = d_stack + zeta
-            else:
-                zeta = None
-                d_stack = step_src = objective.subgradient_stack(x)
-            x_new, noise, psi = _step(x, a, row_sums, alphas[t], cs[t], model,
-                                      xi_in[:, t], step_src)
-            d_hist[t] = d_stack
-            psi.max(axis=(1, 2), out=psi_max[t])
-            if check_stride and (k + t) % check_stride == 0:
-                disc = _recursion_gap(_center(x), a, row_sums, alphas[t], cs[t],
-                                      noise, zeta, d_stack, x_new)
-                np.maximum(out["recursion_max"], disc, out=out["recursion_max"])
-            return x_new
+                np.copyto(z_steps[:s], z_draws[:, t0:t0 + s].swapaxes(0, 1))
+                np.copyto(v_steps[:s], v_draws[:, t0:t0 + s].swapaxes(0, 1))
+                objective.noise_factors(z_steps[:s], v_steps[:s], out=(u[:s], uv[:s]))
 
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            for t in range(span):
-                hist[t] = x
-                try:
-                    x = advance(t, x)
-                except FloatingPointError:
-                    _check_divergence(hist[:t + 1], k, rep_indices)
-                    with np.errstate(**fp_modes):
+            def advance(t, x):
+                a = graphs[:, t]
+                alpha_k, c_k = alphas[t0 + t], cs[t0 + t]
+                if has_zeta:
+                    d_stack, zeta = objective.subgradient_stack(x, (u[t], uv[t]))
+                    step_src = d_stack + zeta
+                else:
+                    zeta = None
+                    d_stack = step_src = objective.subgradient_stack(x)
+                x_new, noise, psi = _step(x, a, row_sums[:, t], alpha_k, c_k, model,
+                                          xi_in[:, t], step_src)
+                d_hist[t] = d_stack
+                psi.max(axis=(1, 2), out=psi_max[t])
+                if check_stride and (k0 + t) % check_stride == 0:
+                    disc = _recursion_gap(_center(x), a, row_sums[:, t], alpha_k, c_k,
+                                          noise, zeta, d_stack, x_new)
+                    np.maximum(out["recursion_max"], disc, out=out["recursion_max"])
+                return x_new
+
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                for t in range(s):
+                    hist[t] = x
+                    try:
                         x = advance(t, x)
-        observe(k, hist[:span], d_hist[:span], psi_max[:span])
-        k += span
+                    except FloatingPointError:
+                        _check_divergence(hist[:t + 1], k0, rep_indices)
+                        with np.errstate(**fp_modes):
+                            x = advance(t, x)
+            observe(k0, hist[:s], d_hist[:s], psi_max[:s])
+        k += chunk
 
     observe(horizon, x[None])
     return out

@@ -103,14 +103,18 @@ def _check_psd(matrix, tol=1e-10):
     return (m + m.T) / 2.0, v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.T
 
 
-def _noise_factors(sqrt_cov, sigma_v, z, v):
+def _noise_factors(sqrt_cov, sigma_v, z, v, out=None):
     """Noise factors ``u = sqrt_cov @ z`` and ``u * sigma_v * v``.
 
     With stacked per-node factors, z is (..., N, n) and v (..., N); with one
     node's, z is (..., n) and v (...).  Neither factor depends on the state.
+    ``out``, a pair of arrays shaped like z, receives the two factors.
     """
-    u = (sqrt_cov @ np.asarray(z, dtype=float)[..., None])[..., 0]
-    return u, u * (sigma_v * np.asarray(v, dtype=float))[..., None]
+    u_out, uv_out = (None, None) if out is None else out
+    u = np.matmul(sqrt_cov, np.asarray(z, dtype=float)[..., None],
+                  out=None if u_out is None else u_out[..., None])[..., 0]
+    return u, np.multiply(u, (sigma_v * np.asarray(v, dtype=float))[..., None],
+                          out=uv_out)
 
 
 def _measure(cov, x0, kappa, states, factors=None):
@@ -237,10 +241,11 @@ class LassoProblem:
         """
         return _measure(self.covariances, self.x0, self.kappa, states, factors)
 
-    def noise_factors(self, z, v):
+    def noise_factors(self, z, v, out=None):
         """State-free noise factors ``(u, u sigma_v v)`` with ``u = R_i^{1/2} z``
-        from standard-normal draws z (..., N, n) and v (..., N)."""
-        return _noise_factors(self._sqrt_cov, self.sigma_v, z, v)
+        from standard-normal draws z (..., N, n) and v (..., N); written to
+        the pair ``out`` when given."""
+        return _noise_factors(self._sqrt_cov, self.sigma_v, z, v, out)
 
     def zeta_from_draws(self, states, z, v):
         """Gradient noise from standard-normal draws z (..., N, n), v (..., N)."""

@@ -1,17 +1,20 @@
 """Observation at 1024-step chunk edges: recorded metrics, the batched
-optimality gap, divergence reports and floating-point warnings."""
+optimality gap, divergence reports (NaN states included) and floating-point
+warnings."""
 
 import warnings
 
 import numpy as np
 import pytest
+import yaml
 
 from oracles import quadratic_record_loop
 from subgradnet import (CommNoiseModel, CustomObjective, DeterministicCycle,
                         DivergenceDetected, IndependentEdges, InitialStates,
                         LassoProblem, QuadraticObjective, StepSchedule,
-                        apply_step, global_optimum)
-from subgradnet.engine import _run_batch, default_record_ks, replication_stream
+                        apply_step, cli, config, engine, global_optimum)
+from subgradnet.engine import (_check_divergence, _run_batch, default_record_ks,
+                               replication_stream)
 
 RECORDED = ("V", "state_sq", "dist", "stack_dsq", "mean_state", "opt_gap")
 REPS = 3
@@ -118,30 +121,101 @@ def _cubic_objective(n_nodes, gain):
         dim=1, sigma_d_values=[0.0] * n_nodes, c_d_values=[0.0] * n_nodes)
 
 
-def test_mid_chunk_divergence_reports_first_crossing_without_warnings():
-    n_nodes, seed, horizon = 3, 0, 2500
-    objective = _cubic_objective(n_nodes, 5e-5)
+class _MidChunkDivergence:
+    """A 3-replication run whose replication 2 crosses the limit between the
+    first and second chunk edges and overflows a few steps later."""
+
+    N_NODES, SEED, HORIZON = 3, 0, 2500
+    objective = _cubic_objective(N_NODES, 5e-5)
     # Negative weights make node disagreement grow until the cubic term takes over.
-    process = DeterministicCycle([-0.4 * (np.ones((n_nodes, n_nodes)) - np.eye(n_nodes))])
+    process = DeterministicCycle([-0.4 * (np.ones((N_NODES, N_NODES)) - np.eye(N_NODES))])
     model = CommNoiseModel(sigma=0.0, b=0.0, noise_dim=1)
     schedule, init = StepSchedule(), InitialStates.uniform(-1.0, 1.0)
 
-    for step, x in enumerate(_replay(_initial_states(init, seed, n_nodes, 1),
-                                     process, schedule, model, objective, horizon)):
-        s_sq = (x * x).sum(axis=(1, 2))
-        if not s_sq.max() < 1e24:
-            break
-    replication = int(np.nanargmax(s_sq))
-    assert 1024 < step < 2048 and replication != 0
+    @classmethod
+    def first_crossing(cls):
+        """(replication, step) of the first crossing, from a per-step replay."""
+        for step, x in enumerate(_replay(_initial_states(cls.init, cls.SEED, cls.N_NODES, 1),
+                                         cls.process, cls.schedule, cls.model,
+                                         cls.objective, cls.HORIZON)):
+            s_sq = (x * x).sum(axis=(1, 2))
+            if not s_sq.max() < 1e24:
+                break
+        replication = int(np.nanargmax(s_sq))
+        assert 1024 < step < 2048 and replication != 0
+        return replication, step
 
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    @classmethod
+    def run(cls):
+        """The reported (replication, step) and the RuntimeWarnings that escaped."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DivergenceDetected) as info:
+                _run_batch(cls.objective, cls.process, cls.model, cls.schedule,
+                           cls.HORIZON, cls.SEED, list(range(REPS)), np.zeros(1), 0.0,
+                           cls.init, default_record_ks(cls.HORIZON), 0)
+        return ((info.value.replication, info.value.step),
+                [w for w in caught if issubclass(w.category, RuntimeWarning)])
+
+
+def test_mid_chunk_divergence_reports_first_crossing_without_warnings():
+    assert _MidChunkDivergence.run() == (_MidChunkDivergence.first_crossing(), [])
+
+
+@pytest.mark.parametrize("span", (1, 7, 300))
+def test_mid_chunk_divergence_report_does_not_depend_on_the_sub_span(span, monkeypatch):
+    shape = (REPS, _MidChunkDivergence.N_NODES, 1, False)
+    monkeypatch.setattr(engine, "_BUDGET_BYTES", span * engine._step_bytes(*shape))
+    assert engine._sub_span(*shape) == span
+    assert _MidChunkDivergence.run() == (_MidChunkDivergence.first_crossing(), [])
+
+
+class NaNObjective(QuadraticObjective):
+    """Its subgradient is NaN at every state, so every state after the first
+    step is NaN; quiet NaNs raise no floating-point error."""
+
+    def subgradient_stack(self, states):
+        return np.full(np.shape(states), np.nan)
+
+
+class TestNaNStates:
+    def _hist(self, reps, steps=150):
+        return np.random.default_rng(1).uniform(-1.0, 1.0, size=(steps, reps, 3, 2))
+
+    def test_nan_replication_is_reported_not_the_largest_finite_one(self):
+        hist = self._hist(12)
+        hist[:, 10] *= 1e3  # the largest finite states, still below the limit
+        hist[102, 11, 1, 0] = np.nan
+        rep_indices = list(range(40, 52))
         with pytest.raises(DivergenceDetected) as info:
-            _run_batch(objective, process, model, schedule, horizon, seed,
-                       list(range(REPS)), np.zeros(1), 0.0, init,
-                       default_record_ks(horizon), 0)
-    assert (info.value.replication, info.value.step) == (replication, step)
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+            _check_divergence(hist, 5000, rep_indices)
+        assert (info.value.replication, info.value.step) == (51, 5102)
+
+    def test_single_nan_replication_raises_divergence(self):
+        hist = self._hist(1)
+        hist[7:, 0] = np.nan
+        with pytest.raises(DivergenceDetected) as info:
+            _check_divergence(hist, 0, [3])
+        assert (info.value.replication, info.value.step) == (3, 7)
+
+    def test_cli_run_with_nan_state_exits_two(self, tmp_path, monkeypatch, capsys):
+        objective = NaNObjective(np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]]))
+        monkeypatch.setattr(config, "build_objective", lambda cfg: objective)
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({
+            "problem": {"kind": "quadratic", "targets": objective.targets.tolist()},
+            "graph": {"kind": "independent", "base": "complete", "n_nodes": 3,
+                      "activation_prob": 0.9},
+            "noise": {"sigma": 0.1, "b": 0.1},
+            "run": {"horizon": 20, "reps": 1, "seed": 3},
+            "verify": {"horizon": 1000},
+            "connectivity": {"windows": 2, "reps": 8},
+        }), encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "replication=0, step=1)" in err
+        assert not (out_dir / "trace.csv").exists()
 
 
 def test_run_that_does_not_diverge_keeps_its_warnings():

@@ -5,6 +5,8 @@ Criterion 8 compares 1-worker and 8-worker aggregates exactly, which holds
 only if a replication's arithmetic is the same in every batch it lands in.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -12,6 +14,7 @@ from oracles import draw_channel_noise, lasso_measurement_loop, step_per_node
 from subgradnet import (CommNoiseModel, DeterministicCycle, IndependentEdges,
                         InitialStates, LassoProblem, MarkovSwitching,
                         QuadraticObjective, StepSchedule, apply_step)
+from subgradnet import engine
 from subgradnet.engine import _run_batch, default_record_ks
 
 PER_REP_KEYS = ("V", "opt_gap", "state_sq", "dist", "stack_dsq", "mean_state",
@@ -60,6 +63,9 @@ def cases(draw):
         dim=draw(st.integers(1, 4)),
         horizon=draw(st.integers(1, 300)),
         seed=draw(st.integers(0, 2 ** 32 - 1)),
+        # Step-buffer budget: batches of different sizes walk their chunks in
+        # sub-spans of different lengths, from 1 step to a whole chunk.
+        budget=draw(st.integers(0, 1 << 21)),
     )
 
 
@@ -75,11 +81,12 @@ def test_per_rep_outputs_do_not_depend_on_batch_grouping(case):
     tail = (np.zeros(dim), 0.0, InitialStates.uniform(-2.0, 2.0),
             default_record_ks(horizon, dense_until=50, stride=25), 7)
 
-    full = _run_batch(*args, list(range(case["n_reps"])), *tail)
-    for batch in case["batches"]:
-        part = _run_batch(*args, batch, *tail)
-        for key in PER_REP_KEYS:
-            assert np.array_equal(part[key], full[key][batch]), key
+    with mock.patch.object(engine, "_BUDGET_BYTES", case["budget"]):
+        full = _run_batch(*args, list(range(case["n_reps"])), *tail)
+        for batch in case["batches"]:
+            part = _run_batch(*args, batch, *tail)
+            for key in PER_REP_KEYS:
+                assert np.array_equal(part[key], full[key][batch]), key
 
 
 @settings(max_examples=4, deadline=None)

@@ -1,0 +1,96 @@
+"""Sub-spans of the byte budget: walking each 1024-step chunk in pieces of any
+length gives the same per-replication outputs, and the Monte Carlo working
+set stays bounded as N grows."""
+
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from subgradnet import (CommNoiseModel, IndependentEdges, InitialStates,
+                        LassoProblem, MarkovSwitching, QuadraticObjective,
+                        StepSchedule, engine)
+from subgradnet.engine import _run_batch, default_record_ks
+
+PER_REP_KEYS = ("V", "opt_gap", "state_sq", "dist", "stack_dsq", "mean_state",
+                "psi_violation", "d_violation", "recursion_max")
+FORCED_SPANS = (1, 7, 300)
+REPS, N_NODES = 3, 4
+
+
+def force_span(monkeypatch, span, objective):
+    """Sets the budget so that a batch of REPS replications of ``objective``
+    walks its chunks in sub-spans of ``span`` steps."""
+    shape = (REPS, objective.n_nodes, objective.dim, objective.has_gradient_noise)
+    monkeypatch.setattr(engine, "_BUDGET_BYTES", span * engine._step_bytes(*shape))
+    assert engine._sub_span(*shape) == span
+
+
+def _quadratic(rng):
+    base = np.ones((N_NODES, N_NODES)) - np.eye(N_NODES)
+    return (QuadraticObjective(rng.normal(size=(N_NODES, 2))),
+            IndependentEdges(base=0.4 * base, prob=0.7, perturb=0.6))
+
+
+def _lasso(rng):
+    dim = 3
+    covs = [m @ m.T / dim + 0.5 * np.eye(dim) for m in rng.normal(size=(N_NODES, dim, dim))]
+    base = np.ones((N_NODES, N_NODES)) - np.eye(N_NODES)
+    states = [rng.normal(scale=0.3, size=base.shape) * base + 0.2 * base for _ in range(3)]
+    trans = rng.random((3, 3)) + 0.1
+    return (LassoProblem(x0=rng.normal(size=dim), covariances=np.stack(covs),
+                         sigma_v=0.3, kappa=0.1),
+            MarkovSwitching(states, trans / trans.sum(axis=1, keepdims=True)))
+
+
+@pytest.mark.parametrize("horizon", (1023, 1025, 2049))
+@pytest.mark.parametrize("build", (_quadratic, _lasso), ids=("quadratic", "lasso"))
+def test_outputs_do_not_depend_on_the_sub_span(build, horizon, monkeypatch):
+    objective, process = build(np.random.default_rng(horizon))
+    model = CommNoiseModel(sigma=0.3, b=0.2, noise_dim=objective.dim, cap=0.3)
+
+    def run():
+        return _run_batch(objective, process, model, StepSchedule(), horizon, 5,
+                          list(range(REPS)), np.zeros(objective.dim), 0.0,
+                          InitialStates.uniform(-2.0, 2.0),
+                          default_record_ks(horizon, dense_until=50, stride=25), 97)
+
+    natural = run()  # a whole chunk per sub-span at this size
+    for span in FORCED_SPANS:
+        force_span(monkeypatch, span, objective)
+        out = run()
+        for key in PER_REP_KEYS:
+            assert np.array_equal(out[key], natural[key]), (span, key)
+
+
+def test_peak_memory_does_not_grow_with_node_count():
+    # Bound from arithmetic: the interpreter with numpy and the package takes
+    # about 31 MiB, the step buffers 4 MiB, and one step's kernel temporaries
+    # a few arrays of 8 x 40 x 40 x 2 doubles (0.2 MiB each).  Buffers of
+    # whole 1024-step chunks would hold 210 MB of channel noise and a 105 MB
+    # graph block at this size.
+    bound_mb = 100.0
+    inner = ("import resource\n"
+             "import numpy as np\n"
+             "from subgradnet import (CommNoiseModel, IndependentEdges, QuadraticObjective,\n"
+             "                        StepSchedule, monte_carlo)\n"
+             "n = 40\n"
+             "objective = QuadraticObjective(4.0 * np.random.default_rng(0).random((n, 2)))\n"
+             "process = IndependentEdges(0.1 * (np.ones((n, n)) - np.eye(n)), prob=0.8)\n"
+             "x_star, f_star = objective.optimum()\n"
+             "monte_carlo(objective, process, CommNoiseModel(sigma=0.1, b=0.1, noise_dim=2),\n"
+             "            StepSchedule(), 1024, 42, 8, x_star, f_star, check_stride=512)\n"
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+    # A process takes over the peak RSS of the one that started it at exec,
+    # so the measured interpreter is started by a small intermediate one.
+    outer = ("import subprocess, sys\n"
+             "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", outer, inner], env=env,
+                          capture_output=True, text=True, timeout=300, check=True)
+    peak_mb = int(done.stdout.split()[-1]) * 1024 / 1e6  # ru_maxrss is in KiB
+    assert peak_mb < bound_mb

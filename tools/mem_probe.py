@@ -1,0 +1,109 @@
+"""Peak RSS and page faults of one Monte Carlo call.
+
+Usage (from the repository root):
+
+    python3 tools/mem_probe.py a1-indep-quadratic [--horizon H] [--seed S]
+    python3 tools/mem_probe.py --nodes 100 --reps 20 --horizon 1024
+
+With a workload name of perfbench/workloads.py the call is that workload's
+Monte Carlo (its config, reps and horizon; --horizon overrides the horizon).
+With --nodes it is the wide-n50-indep workload resized to that node count
+and --reps replications, with node targets drawn from the seed.  Only the
+objects the call needs are built: no connectivity report, condition check or
+output file.  Run this script as its own process, started from a small one
+such as a shell, since a process takes over the peak RSS of the one that
+starts it.  Prints one JSON line: the process's peak RSS (`ru_maxrss`, in
+10^6 bytes), the minor page faults and seconds inside the call, and the
+sizes used.  With --run the whole `subgradnet run` of the config is made
+into a temporary directory instead (its report goes to stderr), and the
+faults and seconds are those of its Monte Carlo call; its peak RSS is then
+the one perfbench reports.
+"""
+
+import argparse
+import contextlib
+import json
+import os
+import resource
+import sys
+import tempfile
+import time
+
+import numpy as np
+import yaml
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import workloads  # noqa: E402
+from subgradnet import cli, experiment  # noqa: E402
+from subgradnet import config as cfgmod  # noqa: E402
+from subgradnet.engine import default_record_ks, monte_carlo  # noqa: E402
+from subgradnet.objectives import global_optimum  # noqa: E402
+
+
+def make_config(args):
+    if args.workload is not None:
+        return workloads.make_config(args.workload, args.seed, ROOT, args.horizon)
+    cfg = workloads.make_config("wide-n50-indep", args.seed, ROOT, args.horizon)
+    rng = np.random.default_rng(args.seed)
+    cfg["problem"]["targets"] = (4.0 * rng.random((args.nodes, 2))).tolist()
+    cfg["graph"]["n_nodes"] = args.nodes
+    cfg["run"]["reps"] = args.reps
+    return cfg
+
+
+def main(argv):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("workload", nargs="?", choices=workloads.NAMES)
+    parser.add_argument("--nodes", type=int)
+    parser.add_argument("--reps", type=int, default=workloads.WIDE_REPS)
+    parser.add_argument("--horizon", type=int)
+    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--run", action="store_true",
+                        help="make the whole run, not only its Monte Carlo call")
+    args = parser.parse_args(argv)
+    if (args.workload is None) == (args.nodes is None):
+        parser.error("give either a workload name or --nodes")
+
+    data = make_config(args)
+    cfg = cfgmod.config_from_dict(data)
+    cfgmod.validate_config(cfg)
+    measured = {}
+
+    def probed(*call_args, **kwargs):
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        start = time.perf_counter()
+        result = monte_carlo(*call_args, **kwargs)
+        measured["monte_carlo_s"] = round(time.perf_counter() - start, 3)
+        measured["minor_faults"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        return result
+
+    if args.run:
+        experiment.monte_carlo = probed
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.yaml")
+            with open(path, "w", encoding="utf-8") as fh:
+                yaml.safe_dump(data, fh)
+            with contextlib.redirect_stdout(sys.stderr):
+                if cli.main(["run", "--config", path, "--out", tmp]) != 0:
+                    return 1
+    else:
+        objective = cfgmod.build_objective(cfg)
+        x_star, f_star = global_optimum(objective)
+        probed(objective, cfgmod.build_process(cfg), cfgmod.build_noise(cfg, objective.dim),
+               cfgmod.build_schedule(cfg), cfg.run.horizon, cfg.run.seed, cfg.run.reps,
+               x_star, f_star, init=cfgmod.build_init(cfg),
+               record_ks=default_record_ks(cfg.run.horizon, cfg.run.dense_until,
+                                           cfg.run.record_stride),
+               check_stride=cfg.run.check_stride, workers=1)
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6  # KiB
+    print(json.dumps({"workload": args.workload, "nodes": args.nodes,
+                      "reps": cfg.run.reps, "horizon": cfg.run.horizon, "run": args.run,
+                      "peak_rss_mb": round(peak, 2), **measured}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
