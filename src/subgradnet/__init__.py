@@ -24,8 +24,8 @@ from .graphs import (DeterministicCycle, IndependentEdges, LaplacianStats,
                      lambda2, laplacian, mean_graph_spanning_check,
                      symmetrized_laplacian, validate_adjacency)
 from .noise import CommNoiseModel
-from .objectives import (CustomObjective, LassoProblem, QuadraticObjective,
-                         global_optimum, soft_threshold)
+from .objectives import (LassoProblem, QuadraticObjective, global_optimum,
+                         soft_threshold)
 from .stepsize import (FAILS, HOLDS, INCONCLUSIVE, ConditionCheck,
                        ConditionReport, StepSchedule, kahan_cumsum,
                        verify_conditions)

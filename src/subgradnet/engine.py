@@ -8,8 +8,11 @@ measurements plus a noisy subgradient step:
 
 with y_ji = x_j + psi(x_j - x_i) xi_ji.  One batched step kernel computes it
 for a whole stack of replications; the Monte Carlo loop, ``apply_step`` and
-the consensus-error recursion check all call it.  The tests keep a per-node
-loop and the stacked compact matrix form as its independent references.
+the consensus-error recursion check all call it.  It writes its temporaries
+into a workspace allocated once per batch and sums the squared dim-major
+pair differences over ``d`` in index order, an einsum's order up to dim 2.
+The tests keep a per-node loop, the stacked compact matrix form and the
+einsum form as its references.
 The Monte Carlo loop draws its randomness in 1024-step chunks, the
 determinism unit.  It walks each chunk in sub-spans sized by a byte budget
 for the step buffers, which are allocated once per batch and hold one
@@ -32,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceDetected, WorkerLost
+from .graphs import _stream_key
 
 # Steps per internal draw block; fixed, part of the determinism contract.
 _CHUNK = 1024
@@ -83,23 +87,63 @@ def _check_divergence(hist, k0, rep_indices):
     return s_sq
 
 
-def _step(x, a, row_sums, alpha_k, c_k, model, xi_in, d_plus_zeta):
-    """The step kernel: next state, channel-noise sum and intensities.
+class _Workspace:
+    """Buffers and views for every temporary of ``_step`` on states shaped
+    ``lead + (N, dim)``; allocated once, reused by every call."""
 
-    Works on one state ``(N, dim)`` or a stack ``(..., N, dim)``.
-    ``xi_in[..., i, j, :]`` is the noise on channel (j -> i), receiver-major.
-    The consensus term is ``a @ x - row_sums * x`` and the noise sum
-    ``sum_j a_ij psi_ji xi_ji`` is one ``(1, N) @ (N, dim)`` product per
-    receiver; ``psi`` is symmetric, so ``a * psi`` pairs each weight with its
-    channel's intensity.  Every contraction is a per-slice matmul, so the
-    arithmetic of one replication does not depend on how many replications
-    share the stack.
+    def __init__(self, lead, n_nodes, dim):
+        self.diff = np.empty(lead + (dim, n_nodes, n_nodes))  # dim-major
+        self.diff_d = [self.diff[..., d, :, :] for d in range(dim)]
+        self.psi = np.empty(lead + (n_nodes, n_nodes))
+        self.a_psi = np.empty_like(self.psi)
+        self.a_psi_rows = self.a_psi[..., None, :]
+        # The noise sum keeps the (1, dim) row of its per-receiver matmul.
+        self.noise_rows = np.empty(lead + (n_nodes, 1, dim))
+        self.noise = self.noise_rows[..., 0, :]
+        self.consensus = np.empty(lead + (n_nodes, dim))
+        self.term = np.empty_like(self.consensus)
+
+
+def _step(x, a, row_sums, alpha_k, c_k, model, xi_in, d_plus_zeta, ws=None, out=None):
+    """The step kernel: writes the next state into ``out`` and returns it
+    with the channel-noise sum and the intensities, both views of ``ws``.
+
+    Works on one state ``(N, dim)`` or a stack ``(..., N, dim)``; without
+    ``ws`` it makes a fresh workspace and ``out`` for the operands' broadcast
+    leading shape.  ``xi_in[..., i, j, :]`` is the noise on channel
+    (j -> i), receiver-major.  The pair norms come from the dim-major
+    differences ``x_i - x_j``, squared in place and summed over ``d`` in
+    index order.  The consensus term is ``a @ x - row_sums * x`` and the
+    noise sum ``sum_j a_ij psi_ji xi_ji`` is one ``(1, N) @ (N, dim)``
+    product per receiver; ``psi`` is symmetric, so ``a * psi`` pairs each
+    weight with its channel's intensity.  Every contraction is a per-slice
+    matmul, so the arithmetic of one replication does not depend on how many
+    replications share the stack.
     """
-    diff = x[..., :, None, :] - x[..., None, :, :]
-    psi = model.psi_values(np.sqrt(np.einsum("...ijd,...ijd->...ij", diff, diff)))
-    noise = ((a * psi)[..., None, :] @ xi_in)[..., 0, :]
-    consensus = a @ x - row_sums[..., None] * x
-    return x + c_k * (consensus + noise) - alpha_k * d_plus_zeta, noise, psi
+    if ws is None:
+        lead = np.broadcast_shapes(x.shape[:-2], a.shape[:-2], xi_in.shape[:-3],
+                                   d_plus_zeta.shape[:-2])
+        ws, out = _Workspace(lead, *x.shape[-2:]), np.empty(lead + x.shape[-2:])
+    xt = x.swapaxes(-1, -2)
+    # x_j[d] into row i, then x_i[d] minus it: numpy buffers each broadcast
+    # operand of a call, so one per call keeps that buffer to one operand's.
+    sq = ws.diff
+    np.copyto(sq, xt[..., None, :])
+    np.subtract(xt[..., :, None], sq, out=sq)
+    np.multiply(sq, sq, out=sq)
+    norm_sq = ws.diff_d[0]
+    for sq_d in ws.diff_d[1:]:
+        norm_sq = np.add(norm_sq, sq_d, out=ws.psi)
+    psi = model.psi_values(np.sqrt(norm_sq, out=ws.psi), out=ws.psi)
+    np.multiply(a, psi, out=ws.a_psi)
+    np.matmul(ws.a_psi_rows, xi_in, out=ws.noise_rows)
+    consensus = np.matmul(a, x, out=ws.consensus)
+    np.subtract(consensus, np.multiply(row_sums[..., None], x, out=ws.term),
+                out=consensus)
+    np.add(consensus, ws.noise, out=consensus)
+    np.add(x, np.multiply(consensus, c_k, out=consensus), out=out)
+    np.subtract(out, np.multiply(d_plus_zeta, alpha_k, out=ws.term), out=out)
+    return out, ws.noise, psi
 
 
 def _recursion_gap(delta, a, row_sums, alpha_k, c_k, noise, zeta, d_stack, x_new):
@@ -126,7 +170,8 @@ def apply_step(states, adjacency, alpha_k, c_k, model, xi, d_plus_zeta):
     x = np.asarray(states, dtype=float)
     a = np.asarray(adjacency, dtype=float)
     return _step(x, a, a.sum(axis=-1), alpha_k, c_k, model,
-                 np.swapaxes(np.asarray(xi, dtype=float), -3, -2), d_plus_zeta)[0]
+                 np.swapaxes(np.asarray(xi, dtype=float), -3, -2),
+                 np.asarray(d_plus_zeta, dtype=float))[0]
 
 
 def delta_recursion_check(states, adjacency, schedule, model, objective, k,
@@ -231,14 +276,13 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
     record_mask[record_ks] = True
     rec_slot = np.cumsum(record_mask) - 1
 
-    graph_ss, comm_gen, grad_gen, states = [], [], [], []
+    graph_keys, comm_gen, grad_gen, states = [], [], [], []
     for rep in rep_indices:
         init_ss, g_ss, c_ss, z_ss = replication_stream(seed, rep).spawn(4)
-        graph_ss.append(g_ss)
+        graph_keys.append(_stream_key(g_ss))
         comm_gen.append(np.random.default_rng(c_ss))
         grad_gen.append(np.random.default_rng(z_ss))
         states.append(init.draw(np.random.default_rng(init_ss), n_nodes, dim))
-    x = np.stack(states)
     graph_state = [None] * reps
 
     out = {
@@ -260,24 +304,28 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
 
     # Every step buffer is allocated once per batch, ``span`` steps long, and
     # each 1024-step chunk is walked in sub-spans of at most ``span`` steps.
+    # ``hist`` holds a sub-span's states and the state after it; the kernel
+    # writes each next state into it and its temporaries into ``ws``.
     span = min(_sub_span(reps, n_nodes, dim, has_zeta), max(horizon, 1))
     graphs = np.empty((reps, span, n_nodes, n_nodes))
     row_sums = np.empty((reps, span, n_nodes))
     # Channel noise stored receiver-major: xi_in[r, t, i, j] = xi_ji.
     xi_in = np.empty((reps, span, n_nodes, n_nodes, dim))
     normals = np.empty((span, n_nodes, n_nodes, dim))
-    hist = np.empty((span, reps, n_nodes, dim))
-    centred = np.empty_like(hist)
-    d_hist = np.empty_like(hist)
+    hist = np.empty((span + 1, reps, n_nodes, dim))
+    hist[0] = np.stack(states)
+    centred = np.empty((span, reps, n_nodes, dim))
+    d_hist = np.empty_like(centred)
     psi_max = np.empty((span, reps))
+    ws = _Workspace((reps,), n_nodes, dim)
     if has_zeta:
         # Raw gradient-noise draws of a whole chunk; the factors are formed
         # per sub-span from step-major copies, so the slice of step t is
         # contiguous.
         z_draws = np.empty((reps, min(_CHUNK, horizon), n_nodes, dim))
         v_draws = np.empty(z_draws.shape[:3])
-        z_steps, u, uv = (np.empty_like(hist) for _ in range(3))
-        v_steps = np.empty(hist.shape[:3])
+        z_steps, u, uv = (np.empty_like(centred) for _ in range(3))
+        v_steps = np.empty(centred.shape[:3])
 
     def observe(k0, hist, d_hist=None, psi_max=None):
         """Check and record the states ``hist`` before steps k0, k0+1, ...
@@ -324,7 +372,7 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
             k0, s = k + t0, min(span, chunk - t0)
             for r in range(reps):
                 graphs[r, :s], graph_state[r] = process.sample_block(
-                    graph_ss[r], k0, s, state=graph_state[r])
+                    graph_keys[r], k0, s, state=graph_state[r])
             graphs[:, :s].sum(axis=3, out=row_sums[:, :s])
             for r, g in enumerate(comm_gen):
                 g.standard_normal(out=normals[:s])
@@ -335,38 +383,38 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
                 np.copyto(v_steps[:s], v_draws[:, t0:t0 + s].swapaxes(0, 1))
                 objective.noise_factors(z_steps[:s], v_steps[:s], out=(u[:s], uv[:s]))
 
-            def advance(t, x):
+            def advance(t):
+                x = hist[t]
                 a = graphs[:, t]
                 alpha_k, c_k = alphas[t0 + t], cs[t0 + t]
                 if has_zeta:
-                    d_stack, zeta = objective.subgradient_stack(x, (u[t], uv[t]))
+                    d_stack, zeta = objective.subgradient_stack(x, (u[t], uv[t]),
+                                                                out=d_hist[t])
                     step_src = d_stack + zeta
                 else:
                     zeta = None
-                    d_stack = step_src = objective.subgradient_stack(x)
+                    d_stack = step_src = objective.subgradient_stack(x, out=d_hist[t])
                 x_new, noise, psi = _step(x, a, row_sums[:, t], alpha_k, c_k, model,
-                                          xi_in[:, t], step_src)
-                d_hist[t] = d_stack
-                psi.max(axis=(1, 2), out=psi_max[t])
+                                          xi_in[:, t], step_src, ws, hist[t + 1])
+                np.maximum.reduce(psi, axis=(1, 2), out=psi_max[t])
                 if check_stride and (k0 + t) % check_stride == 0:
                     disc = _recursion_gap(_center(x), a, row_sums[:, t], alpha_k, c_k,
                                           noise, zeta, d_stack, x_new)
                     np.maximum(out["recursion_max"], disc, out=out["recursion_max"])
-                return x_new
 
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 for t in range(s):
-                    hist[t] = x
                     try:
-                        x = advance(t, x)
+                        advance(t)
                     except FloatingPointError:
                         _check_divergence(hist[:t + 1], k0, rep_indices)
                         with np.errstate(**fp_modes):
-                            x = advance(t, x)
+                            advance(t)
             observe(k0, hist[:s], d_hist[:s], psi_max[:s])
+            hist[0] = hist[s]
         k += chunk
 
-    observe(horizon, x[None])
+    observe(horizon, hist[:1])
     return out
 
 

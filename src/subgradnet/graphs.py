@@ -98,6 +98,11 @@ def _as_seed_sequence(seed):
 
 
 def _stream_key(stream):
+    """Philox key of a stream: a seed or ``SeedSequence``, or a key this
+    function returned, which passes through, so repeated draws of one stream
+    can derive it once."""
+    if isinstance(stream, np.ndarray) and stream.dtype == np.uint64:
+        return stream
     return _as_seed_sequence(stream).generate_state(2, np.uint64)
 
 
@@ -108,8 +113,9 @@ def _counter_uniforms(key, k_start, count, size, slabs=1):
     counter.  Each block holds ``slabs`` consecutive slabs of
     ``CHUNK * size`` words, and step k owns ``size`` words of every slab, at
     offset ``(k % CHUNK) * size``.  Each draw starts at the counter of its
-    first needed word, so only the requested rows are generated.  Returns
-    shape ``(slabs, count, size)``.
+    first needed word, so only the requested rows are generated; a word w
+    becomes the double ``(w >> 11) * 2**-53``, as ``Generator.random`` makes
+    it.  Returns shape ``(slabs, count, size)``.
     """
     out = np.empty((slabs, count, size))
     pos = 0
@@ -118,10 +124,11 @@ def _counter_uniforms(key, k_start, count, size, slabs=1):
         take = min(CHUNK - lo, count - pos)
         for s in range(slabs):
             first = (s * CHUNK + lo) * size
-            gen = np.random.Generator(
-                np.random.Philox(counter=[first // 4, 0, block, 0], key=key))
-            gen.random(first % 4)  # Philox emits four words per counter value
-            out[s, pos:pos + take] = gen.random((take, size))
+            bits = np.random.Philox(counter=[first // 4, 0, block, 0], key=key)
+            # Philox emits four words per counter value.
+            words = bits.random_raw(first % 4 + take * size)[first % 4:]
+            np.multiply(np.right_shift(words, 11, out=words), 2.0 ** -53,
+                        out=out[s, pos:pos + take].reshape(-1))
         pos += take
     return out
 

@@ -36,28 +36,13 @@ class CommNoiseModel:
         if self.cap is not None and self.cap < 0:
             raise ValueError("cap must be nonnegative")
 
-    def psi(self, delta):
-        """Noise intensity for one relative state; |psi| <= sigma*||delta|| + b."""
-        val = self.sigma * float(np.linalg.norm(delta)) + self.b
+    def psi_values(self, delta_norms, out=None):
+        """Vectorized intensity from precomputed relative-state norms, written
+        into ``out`` when given (which may be ``delta_norms`` itself)."""
+        if out is None:
+            out = np.empty(np.shape(delta_norms))
+        np.multiply(delta_norms, self.sigma, out=out)
+        np.add(out, self.b, out=out)
         if self.cap is not None:
-            val = min(val, self.cap)
-        return val
-
-    def psi_values(self, delta_norms):
-        """Vectorized intensity from precomputed relative-state norms."""
-        val = self.sigma * np.asarray(delta_norms, dtype=float) + self.b
-        if self.cap is not None:
-            val = np.minimum(val, self.cap)
-        return val
-
-    def draw_xi(self, rng):
-        """One channel-noise vector with unit second moment."""
-        return rng.standard_normal(self.noise_dim) / np.sqrt(self.noise_dim)
-
-    def measure_state(self, x_j, x_i, rng):
-        """Noisy measurement of x_j as heard by node i."""
-        x_j = np.asarray(x_j, dtype=float)
-        x_i = np.asarray(x_i, dtype=float)
-        if x_j.shape != x_i.shape:
-            raise ValueError("state vectors must share a shape")
-        return x_j + self.psi(x_j - x_i) * self.draw_xi(rng)
+            np.minimum(out, self.cap, out=out)
+        return out

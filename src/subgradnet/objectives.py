@@ -77,9 +77,10 @@ class QuadraticObjective:
     def subgradient(self, i, x):
         return np.asarray(x, dtype=float) - self.targets[i]
 
-    def subgradient_stack(self, states):
-        """Per-node gradients for stacked states of shape (..., N, n)."""
-        return np.asarray(states, dtype=float) - self.targets
+    def subgradient_stack(self, states, out=None):
+        """Per-node gradients for stacked states of shape (..., N, n),
+        written into ``out`` when given."""
+        return np.subtract(states, self.targets, out=out)
 
     def noisy_subgradient(self, i, x, rng):
         d = self.subgradient(i, x)
@@ -117,9 +118,10 @@ def _noise_factors(sqrt_cov, sigma_v, z, v, out=None):
                           out=uv_out)
 
 
-def _measure(cov, x0, kappa, states, factors=None):
-    """Subgradient ``d = R w + kappa sign(x)`` with ``w = x - x0``, and with
-    noise factors ``(u, u sigma_v v)`` also the noise ``u (u.w) - R w - u sigma_v v``.
+def _measure(cov, x0, kappa, states, factors=None, out=None):
+    """Subgradient ``d = R w + kappa sign(x)`` with ``w = x - x0``, written
+    into ``out`` when given, and with noise factors ``(u, u sigma_v v)`` also
+    the noise ``u (u.w) - R w - u sigma_v v``.
 
     Every product is a per-slice matmul, so the arithmetic of one state does
     not depend on how many states share the stack.
@@ -127,7 +129,7 @@ def _measure(cov, x0, kappa, states, factors=None):
     x = np.asarray(states, dtype=float)
     w = x - x0
     rw = (cov @ w[..., None])[..., 0]
-    d = rw + kappa * np.sign(x)
+    d = np.add(rw, kappa * np.sign(x), out=out)
     if factors is None:
         return d
     u, uv = factors
@@ -232,14 +234,15 @@ class LassoProblem:
         """Exact subgradient; the L1 part selects 0 at kinks (minimum norm)."""
         return _measure(self.covariances[i], self.x0, self.kappa, x)
 
-    def subgradient_stack(self, states, factors=None):
-        """Per-node subgradients d for stacked states (..., N, n).
+    def subgradient_stack(self, states, factors=None, out=None):
+        """Per-node subgradients d for stacked states (..., N, n), written
+        into ``out`` when given.
 
         Given the noise factors of the same step (``noise_factors``, sliced
         to the states' leading shape), returns the measurement ``(d, zeta)``
         instead; both share one ``R_i (x - x0)`` product.
         """
-        return _measure(self.covariances, self.x0, self.kappa, states, factors)
+        return _measure(self.covariances, self.x0, self.kappa, states, factors, out)
 
     def noise_factors(self, z, v, out=None):
         """State-free noise factors ``(u, u sigma_v v)`` with ``u = R_i^{1/2} z``
@@ -295,71 +298,6 @@ class LassoProblem:
     def summed_covariance_is_singular(self, tol=1e-10):
         w = np.linalg.eigvalsh(self.covariances.sum(axis=0))
         return bool(w.min() <= tol * max(float(w.max()), 1.0))
-
-
-@dataclass(frozen=True)
-class CustomObjective:
-    """Escape hatch for user-supplied costs; no optimum oracle."""
-
-    cost_fns: tuple
-    subgradient_fns: tuple
-    dim: int
-    sigma_d_values: np.ndarray
-    c_d_values: np.ndarray
-
-    @property
-    def n_nodes(self):
-        return len(self.cost_fns)
-
-    @property
-    def has_gradient_noise(self):
-        return False
-
-    @property
-    def sigma_d(self):
-        return np.asarray(self.sigma_d_values, dtype=float)
-
-    @property
-    def c_d(self):
-        return np.asarray(self.c_d_values, dtype=float)
-
-    @property
-    def sigma_zeta(self):
-        return 0.0
-
-    @property
-    def c_zeta(self):
-        return 0.0
-
-    def cost(self, i, x):
-        return float(self.cost_fns[i](np.asarray(x, dtype=float)))
-
-    def total_cost(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return float(sum(fn(x) for fn in self.cost_fns))
-        flat = x.reshape(-1, x.shape[-1])
-        vals = np.array([sum(fn(row) for fn in self.cost_fns) for row in flat])
-        return vals.reshape(x.shape[:-1])
-
-    def subgradient(self, i, x):
-        return np.asarray(self.subgradient_fns[i](np.asarray(x, dtype=float)), dtype=float)
-
-    def subgradient_stack(self, states):
-        x = np.asarray(states, dtype=float)
-        flat = x.reshape(-1, self.n_nodes, self.dim)
-        out = np.empty_like(flat)
-        for b in range(flat.shape[0]):
-            for i in range(self.n_nodes):
-                out[b, i] = self.subgradient(i, flat[b, i])
-        return out.reshape(x.shape)
-
-    def noisy_subgradient(self, i, x, rng):
-        d = self.subgradient(i, x)
-        return d, np.zeros_like(d)
-
-    def optimum(self):
-        raise NonConvergenceError("custom objectives carry no optimum oracle")
 
 
 def global_optimum(objective):

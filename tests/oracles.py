@@ -2,18 +2,20 @@
 
 Deliberately separate from the library implementations: eigenvalues by cyclic
 Jacobi rotations, cubic characteristic-polynomial roots in closed form, plain
-finite differences, the per-node and stacked compact forms of the step, the
-consensus projection, the sequential loops that the library's vectorised
-routines replaced, and the whole-array step-size condition check that the
-library's block-streamed one replaced.  These provide the second route of
-every dual-route check.
+finite differences, a callback objective, the scalar channel-noise model, the
+per-node and stacked compact forms of the step, the broadcast-and-einsum form
+of the batched step kernel, the consensus projection, the sequential loops
+that the library's vectorised routines replaced, and the whole-array
+step-size condition check that the library's block-streamed one replaced.
+These provide the second route of every dual-route check.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from subgradnet import DivergenceDetected, laplacian
+from subgradnet import DivergenceDetected, NonConvergenceError, laplacian
 from subgradnet import stepsize as ss
 from subgradnet.graphs import CHUNK
 
@@ -149,6 +151,91 @@ def philox_block_draws_loop(key, k_start, count, size, slabs=1):
     return out
 
 
+@dataclass(frozen=True)
+class CustomObjective:
+    """Per-node costs and subgradients from callbacks; no optimum oracle."""
+
+    cost_fns: tuple
+    subgradient_fns: tuple
+    dim: int
+    sigma_d_values: np.ndarray
+    c_d_values: np.ndarray
+
+    @property
+    def n_nodes(self):
+        return len(self.cost_fns)
+
+    @property
+    def has_gradient_noise(self):
+        return False
+
+    @property
+    def sigma_d(self):
+        return np.asarray(self.sigma_d_values, dtype=float)
+
+    @property
+    def c_d(self):
+        return np.asarray(self.c_d_values, dtype=float)
+
+    @property
+    def sigma_zeta(self):
+        return 0.0
+
+    @property
+    def c_zeta(self):
+        return 0.0
+
+    def cost(self, i, x):
+        return float(self.cost_fns[i](np.asarray(x, dtype=float)))
+
+    def total_cost(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return float(sum(fn(x) for fn in self.cost_fns))
+        flat = x.reshape(-1, x.shape[-1])
+        vals = np.array([sum(fn(row) for fn in self.cost_fns) for row in flat])
+        return vals.reshape(x.shape[:-1])
+
+    def subgradient(self, i, x):
+        return np.asarray(self.subgradient_fns[i](np.asarray(x, dtype=float)), dtype=float)
+
+    def subgradient_stack(self, states, out=None):
+        x = np.asarray(states, dtype=float)
+        d = np.empty(x.shape) if out is None else out
+        for idx in np.ndindex(x.shape[:-1]):
+            d[idx] = self.subgradient(idx[-1], x[idx])
+        return d
+
+    def noisy_subgradient(self, i, x, rng):
+        d = self.subgradient(i, x)
+        return d, np.zeros_like(d)
+
+    def optimum(self):
+        raise NonConvergenceError("custom objectives carry no optimum oracle")
+
+
+def psi(model, delta):
+    """Noise intensity for one relative state; |psi| <= sigma*||delta|| + b."""
+    val = model.sigma * float(np.linalg.norm(delta)) + model.b
+    if model.cap is not None:
+        val = min(val, model.cap)
+    return val
+
+
+def draw_xi(model, rng):
+    """One channel-noise vector with unit second moment."""
+    return rng.standard_normal(model.noise_dim) / np.sqrt(model.noise_dim)
+
+
+def measure_state(model, x_j, x_i, rng):
+    """Noisy measurement of x_j as heard by node i."""
+    x_j = np.asarray(x_j, dtype=float)
+    x_i = np.asarray(x_i, dtype=float)
+    if x_j.shape != x_i.shape:
+        raise ValueError("state vectors must share a shape")
+    return x_j + psi(model, x_j - x_i) * draw_xi(model, rng)
+
+
 def draw_channel_noise(model, adjacency, rng):
     """Channel noises for every active channel of one realized graph.
 
@@ -162,7 +249,7 @@ def draw_channel_noise(model, adjacency, rng):
     for j in range(n_nodes):
         for i in range(n_nodes):
             if a[i, j] != 0.0:
-                xi[j, i] = model.draw_xi(rng)
+                xi[j, i] = draw_xi(model, rng)
     return xi
 
 
@@ -231,7 +318,7 @@ def step_per_node(states, adjacency, schedule, model, objective, rng, k):
         for j in range(n_nodes):
             a_ij = adjacency[i, j]
             if a_ij != 0.0:
-                y_ji = x[j] + model.psi(x[j] - x[i]) * xi[j, i]
+                y_ji = x[j] + psi(model, x[j] - x[i]) * xi[j, i]
                 coupling += a_ij * (y_ji - x[i])
         new[i] = x[i] + c_k * coupling
     for i in range(n_nodes):
@@ -264,6 +351,20 @@ def step_compact(states, adjacency, schedule, objective, k,
     if not np.all(np.isfinite(new)):
         raise DivergenceDetected("non-finite state after compact step", step=k)
     return new.reshape(n_nodes, dim)
+
+
+def step_einsum(x, a, row_sums, alpha_k, c_k, model, xi_in, d_plus_zeta):
+    """The batched step kernel with allocated temporaries: node-major
+    broadcast differences and pair norms by ``einsum``.
+
+    Takes the library kernel's operands (``xi_in`` receiver-major) and
+    returns its next state, channel-noise sum and intensities.
+    """
+    diff = x[..., :, None, :] - x[..., None, :, :]
+    psi_all = model.psi_values(np.sqrt(np.einsum("...ijd,...ijd->...ij", diff, diff)))
+    noise = ((a * psi_all)[..., None, :] @ xi_in)[..., 0, :]
+    consensus = a @ x - row_sums[..., None] * x
+    return x + c_k * (consensus + noise) - alpha_k * d_plus_zeta, noise, psi_all
 
 
 def lasso_measurement_loop(problem, states, z, v):

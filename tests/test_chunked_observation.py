@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 import yaml
 
-from oracles import quadratic_record_loop
-from subgradnet import (CommNoiseModel, CustomObjective, DeterministicCycle,
+from oracles import CustomObjective, quadratic_record_loop
+from subgradnet import (CommNoiseModel, DeterministicCycle,
                         DivergenceDetected, IndependentEdges, InitialStates,
                         LassoProblem, QuadraticObjective, StepSchedule,
                         apply_step, cli, config, engine, global_optimum)
@@ -174,8 +174,10 @@ class NaNObjective(QuadraticObjective):
     """Its subgradient is NaN at every state, so every state after the first
     step is NaN; quiet NaNs raise no floating-point error."""
 
-    def subgradient_stack(self, states):
-        return np.full(np.shape(states), np.nan)
+    def subgradient_stack(self, states, out=None):
+        d = np.empty(np.shape(states)) if out is None else out
+        d.fill(np.nan)
+        return d
 
 
 class TestNaNStates:

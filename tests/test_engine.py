@@ -1,20 +1,22 @@
 """Step equivalence, consensus-error recursion, trajectories, Monte Carlo."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 import yaml
 
-from oracles import (consensus_projection, draw_channel_noise,
-                     stacked_noise_matrices, step_compact, step_per_node)
-from subgradnet import (CommNoiseModel, CustomObjective, DeterministicCycle,
+from oracles import (CustomObjective, consensus_projection, draw_channel_noise,
+                     psi, stacked_noise_matrices, step_compact, step_einsum,
+                     step_per_node)
+from subgradnet import (CommNoiseModel, DeterministicCycle,
                         DivergenceDetected, IndependentEdges, InitialStates,
                         QuadraticObjective, StepSchedule, SubgradNetError,
                         WorkerLost, apply_step, cli, config,
                         default_record_ks, delta_recursion_check, laplacian,
                         monte_carlo, run_trajectory)
-from subgradnet.engine import replication_stream
+from subgradnet.engine import _step, _Workspace, replication_stream
 
 
 def zero_objective(n_nodes, dim):
@@ -145,6 +147,61 @@ class TestStepEquivalence:
                                 np.zeros((n, n, dim)), np.zeros((n, dim)))
             assert np.max(np.abs(x_next.mean(axis=0) - x.mean(axis=0))) < 1e-12
             x = x_next
+
+
+def kernel_operands(rng, reps, n, dim, cap=None):
+    """Operands of one batched kernel call: states, signed adjacency, row
+    sums, gains, model, receiver-major channel noise and subgradients."""
+    x = rng.normal(size=(reps, n, dim)) * 3.0
+    a = rng.normal(size=(reps, n, n)) * (rng.random((reps, n, n)) < 0.7)
+    a[:, np.arange(n), np.arange(n)] = 0.0
+    model = CommNoiseModel(sigma=float(rng.random()), b=float(rng.random()),
+                           noise_dim=dim, cap=cap)
+    xi_in = rng.standard_normal((reps, n, n, dim)) / np.sqrt(dim)
+    return (x, a, a.sum(axis=-1), 0.3, 0.7, model, xi_in,
+            rng.normal(size=(reps, n, dim)))
+
+
+class TestKernelWorkspace:
+    """The in-place kernel against the broadcast-and-einsum form: the pair
+    norms sum over d in index order, which is einsum's order up to dim 2."""
+
+    def _both(self, seed, reps, n, dim, cap):
+        ops = kernel_operands(np.random.default_rng(seed), reps, n, dim, cap)
+        got = _step(*ops, _Workspace((reps,), n, dim), np.empty((reps, n, dim)))
+        return got, step_einsum(*ops)
+
+    @pytest.mark.parametrize("dim", (1, 2))
+    @pytest.mark.parametrize("cap", (None, 1.5))
+    def test_bit_identical_to_einsum_form_up_to_dim_two(self, dim, cap):
+        for seed, (reps, n) in enumerate([(1, 2), (3, 5), (20, 5), (2, 9)]):
+            got, ref = self._both(seed, reps, n, dim, cap)
+            for g, r in zip(got, ref):
+                assert np.array_equal(g, r)
+
+    @pytest.mark.parametrize("dim", (3, 4))
+    @pytest.mark.parametrize("cap", (None, 1.5))
+    def test_last_bits_of_einsum_form_from_dim_three(self, dim, cap):
+        for seed, (reps, n) in enumerate([(1, 2), (3, 5), (20, 4), (2, 9)]):
+            got, ref = self._both(seed, reps, n, dim, cap)
+            for g, r in zip(got, ref):
+                assert np.max(np.abs(g - r)) <= 1e-14 * np.max(np.abs(r))
+
+    def test_calls_with_a_workspace_allocate_no_pair_array(self):
+        reps, n, dim = 4, 60, 2
+        ops = kernel_operands(np.random.default_rng(0), reps, n, dim)
+        ws, out = _Workspace((reps,), n, dim), np.empty((reps, n, dim))
+        tracemalloc.start()
+        try:
+            _step(*ops, ws, out)
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for _ in range(10):
+                _step(*ops, ws, out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - base < reps * n * n * 8
 
 
 class TestDeltaRecursion:
@@ -363,14 +420,14 @@ class TestCappedIntensity:
 
     def test_cap_limits_intensity(self):
         model = CommNoiseModel(sigma=1.0, b=0.5, noise_dim=2, cap=0.75)
-        assert model.psi(np.array([100.0, 0.0])) == 0.75
-        assert model.psi(np.zeros(2)) == 0.5
+        assert psi(model, np.array([100.0, 0.0])) == 0.75
+        assert psi(model, np.zeros(2)) == 0.5
 
 
 class ExitingObjective(QuadraticObjective):
     """Ends the process that measures it, as a killed worker would."""
 
-    def subgradient_stack(self, states):
+    def subgradient_stack(self, states, out=None):
         os._exit(1)
 
 

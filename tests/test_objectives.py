@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from oracles import central_difference
-from subgradnet import (CustomObjective, FactorizationError, LassoProblem,
-                        NonConvergenceError, QuadraticObjective,
-                        global_optimum, soft_threshold)
+from oracles import CustomObjective, central_difference
+from subgradnet import (FactorizationError, LassoProblem, NonConvergenceError,
+                        QuadraticObjective, global_optimum, soft_threshold)
 
 
 def scalar_lasso(x0=2.0, sigma_v=0.0, kappa=0.5):
