@@ -47,19 +47,20 @@ def validate_adjacency(weights):
 def laplacian(adjacency):
     """Generalized Laplacian: off-diagonal -a_ij, diagonal sum_{j!=i} a_ij.
 
-    Every row sums to zero, so L @ 1 = 0 regardless of weight signs.
+    Every row sums to zero, so L @ 1 = 0 regardless of weight signs.  Leading
+    axes index a stack of matrices.
     """
     a = np.asarray(adjacency, dtype=float)
-    lap = -a.copy()
-    idx = np.arange(a.shape[0])
-    lap[idx, idx] = a.sum(axis=1) - np.diag(a)
+    lap = -a
+    idx = np.arange(a.shape[-1])
+    lap[..., idx, idx] = a.sum(axis=-1) - np.diagonal(a, axis1=-2, axis2=-1)
     return lap
 
 
 def symmetrized_laplacian(lap):
-    """Symmetric part (L + L^T) / 2; exact fixed point on symmetric input."""
+    """Symmetric part (L + L^T) / 2 of each matrix; exact on symmetric input."""
     lap = np.asarray(lap, dtype=float)
-    return (lap + lap.T) / 2.0
+    return (lap + np.swapaxes(lap, -1, -2)) / 2.0
 
 
 def lambda2(matrix, tol=1e-10):
@@ -115,22 +116,31 @@ def _counter_uniforms(key, k_start, count, size, slabs=1):
     offset ``(k % CHUNK) * size``.  Each draw starts at the counter of its
     first needed word, so only the requested rows are generated; a word w
     becomes the double ``(w >> 11) * 2**-53``, as ``Generator.random`` makes
-    it.  Returns shape ``(slabs, count, size)``.
+    it.  One generator serves every draw, re-pointed by assigning its state.
+    ``key`` may be a stack, ``(..., 2)``; returns ``(slabs, *key.shape[:-1], count, size)``.
     """
-    out = np.empty((slabs, count, size))
-    pos = 0
+    keys = key.reshape(-1, 2)
+    out = np.empty((slabs, len(keys), count, size))
+    bits, pos = None, 0
     while pos < count:
         block, lo = divmod(k_start + pos, CHUNK)
         take = min(CHUNK - lo, count - pos)
         for s in range(slabs):
             first = (s * CHUNK + lo) * size
-            bits = np.random.Philox(counter=[first // 4, 0, block, 0], key=key)
-            # Philox emits four words per counter value.
-            words = bits.random_raw(first % 4 + take * size)[first % 4:]
-            np.multiply(np.right_shift(words, 11, out=words), 2.0 ** -53,
-                        out=out[s, pos:pos + take].reshape(-1))
+            counter = [first // 4, 0, block, 0]
+            for j, kj in enumerate(keys):
+                if bits is None:
+                    bits = np.random.Philox(counter=counter, key=kj)
+                else:  # a seventh of the cost of a new generator
+                    bits.state = {"bit_generator": "Philox", "buffer": [0] * 4,
+                                  "state": {"counter": counter, "key": kj},
+                                  "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+                # Philox emits four words per counter value.
+                words = bits.random_raw(first % 4 + take * size)[first % 4:]
+                np.multiply(np.right_shift(words, 11, out=words), 2.0 ** -53,
+                            out=out[s, j, pos:pos + take].reshape(-1))
         pos += take
-    return out
+    return out.reshape((slabs, *key.shape[:-1], count, size))
 
 
 class DeterministicCycle:
@@ -182,10 +192,11 @@ class IndependentEdges:
         self._has_perturb = bool(np.any(self.perturb > 0))
 
     def sample_block(self, stream, k_start, count, state=None):
+        """A ``(K, 2)`` stack of keys as ``stream`` gives K blocks, ``(K, count, N, N)``."""
         n = self.n_nodes
         slabs = 2 if self._has_perturb else 1
-        draws = _counter_uniforms(_stream_key(stream), k_start, count, n * n,
-                                  slabs=slabs).reshape(slabs, count, n, n)
+        draws = _counter_uniforms(_stream_key(stream), k_start, count, n * n, slabs=slabs)
+        draws = draws.reshape(draws.shape[:-1] + (n, n))
         # The diagonal never fires: its probability and half-width are zero.
         active = draws[0] < self.prob
         out = np.where(active, self.base, 0.0)
@@ -360,7 +371,7 @@ class LaplacianStats:
 
 
 def _window_samples(process, stream, h, windows, reps):
-    """Yield per-window lists of sampled Laplacian stacks, shape (reps, h, N, N)."""
+    """Yield per-window stacks of sampled adjacency matrices, shape (reps, h, N, N)."""
     ss = _as_seed_sequence(stream)
     if isinstance(process, DeterministicCycle):
         for m in range(windows):
@@ -370,26 +381,24 @@ def _window_samples(process, stream, h, windows, reps):
     if isinstance(process, IndependentEdges):
         children = ss.spawn(windows * reps)
         for m in range(windows):
-            block = [process.sample_block(children[m * reps + r], m * h, h)[0]
-                     for r in range(reps)]
-            yield np.stack(block)
+            keys = np.stack([_stream_key(c) for c in children[m * reps:(m + 1) * reps]])
+            yield process.sample_block(keys, m * h, h)[0]
         return
     if isinstance(process, MarkovSwitching):
         anchor_ss, *children = ss.spawn(windows * reps + 1)
         base_path = process.sample_state_path(anchor_ss, windows * h)
         for m in range(windows):
             anchor = None if m == 0 else int(base_path[m * h - 1])
-            block = []
+            paths = []
             for r in range(reps):
                 rng = np.random.default_rng(children[m * reps + r])
                 if anchor is None:
                     s0 = process.draw_initial(rng)
                     rest = process.advance_from(rng, s0, h - 1) if h > 1 else []
-                    path = np.concatenate([[s0], rest]).astype(np.int64)
+                    paths.append(np.concatenate([[s0], rest]).astype(np.int64))
                 else:
-                    path = process.advance_from(rng, anchor, h)
-                block.append(process.states[path])
-            yield np.stack(block)
+                    paths.append(process.advance_from(rng, anchor, h))
+            yield process.states[np.stack(paths)]
         return
     raise TypeError(f"unsupported graph process type {type(process)!r}")
 
@@ -402,30 +411,28 @@ def joint_connectivity_report(process, h, windows, reps, stream):
     window samples (conditioning on the realized chain state at the window
     start for Markov processes), and its second smallest eigenvalue is
     recorded.  Also estimates the conditional Laplacian norm moment of order
-    2*max(h, 2) and the edge-count-weighted squared-weight moment.
+    2*max(h, 2) and the edge-count-weighted squared-weight moment.  Each
+    window takes one stacked call per quantity, with a per-sample loop's bits.
     """
     if h < 1 or windows < 1 or reps < 1:
         raise ValueError("h, windows and reps must all be at least 1")
     q = 2 * max(h, 2)
     lam2 = []
-    norm_moment = 0.0
-    edge_moment = 0.0
+    norm_moment = edge_moment = 0.0
     for block in _window_samples(process, stream, h, windows, reps):
-        n_reps = block.shape[0]
-        lap_sum = np.zeros((process.n_nodes, process.n_nodes))
-        for i in range(h):
-            norms = np.empty(n_reps)
-            edges = np.empty(n_reps)
-            for r in range(n_reps):
-                lap = laplacian(block[r, i])
-                norms[r] = np.linalg.norm(lap, 2) ** q
-                a = block[r, i]
-                n_edges = int(np.count_nonzero(a) - np.count_nonzero(np.diag(a)))
-                edges[r] = n_edges * float(np.max(a * a))
-                lap_sum += symmetrized_laplacian(lap)
-            norm_moment = max(norm_moment, float(norms.mean()))
-            edge_moment = max(edge_moment, float(edges.mean()))
-        lam2.append(lambda2(lap_sum / n_reps, tol=1e-8))
+        laps = laplacian(block)
+        # Step-major rows over the replications, contiguous so that each mean
+        # sums in the pairwise order of a 1-D array; each power is a Python
+        # float's, since a vectorised power can differ in the last bit.
+        norms = np.linalg.norm(laps, 2, axis=(-2, -1)).T.tolist()
+        powered = np.array([[v ** q for v in row] for row in norms])
+        # Diagonals are zero, so every nonzero entry is an edge.
+        edges = np.count_nonzero(block, axis=(-2, -1)) * np.max(block * block, axis=(-2, -1))
+        norm_moment = max(norm_moment, float(powered.mean(axis=1).max()))
+        edge_moment = max(edge_moment, float(np.ascontiguousarray(edges.T).mean(axis=1).max()))
+        # The Laplacian sum in (step, rep) order, from +0.0 as a loop would.
+        steps = np.swapaxes(symmetrized_laplacian(laps), 0, 1).reshape((-1,) + laps.shape[-2:])
+        lam2.append(lambda2(steps.sum(axis=0, initial=0.0) / block.shape[0], tol=1e-8))
     return LaplacianStats(
         h=h,
         lambda2_per_window=lam2,

@@ -15,7 +15,8 @@ are computed by one compensated (Neumaier) block step, which both
 :func:`kahan_cumsum` and :func:`verify_conditions` call.  The verifier streams
 ``[0, horizon]`` in blocks of ``_PREFIX_BLOCK`` (65,536) steps and keeps only
 per-block reductions and the values at a few hundred fixed steps, so its
-memory does not depend on the horizon.
+memory does not depend on the horizon.  A sort replaces ``np.unique``, whose
+first call imports ``numpy.ma``, about 15 ms of a run's setup.
 """
 
 import math
@@ -184,6 +185,12 @@ def _nonincreasing(seq, rel_slack=1e-12):
     return bool(np.all(np.diff(arr) <= rel_slack * scale))
 
 
+def _sorted_distinct(values):
+    """Sorted distinct values: ``np.unique``'s, without its ``numpy.ma`` import."""
+    v = np.sort(values)
+    return v[np.concatenate(([True], v[1:] != v[:-1]))]
+
+
 def verify_conditions(alpha_fn, c_fn, C, horizon):
     """Numerically check the five step-size conditions over [0, horizon].
 
@@ -203,17 +210,17 @@ def verify_conditions(alpha_fn, c_fn, C, horizon):
         raise ValueError("C must be positive")
 
     h10 = horizon // 10
-    last_decade = np.unique(np.geomspace(max(h10, 1), horizon, 65).astype(int))
+    last_decade = _sorted_distinct(np.geomspace(max(h10, 1), horizon, 65).astype(int))
     decades = np.array(_decade_checkpoints(horizon))
     log_dec = np.log(decades)
     grid = last_decade[last_decade < horizon]
-    peak_grid = np.unique(np.geomspace(1, horizon, 200).astype(int))
+    peak_grid = _sorted_distinct(np.geomspace(1, horizon, 200).astype(int))
 
     # One pass over [0, horizon] in blocks: alpha, c and their partial sums S
     # are kept only at the steps the checks read (idx); the rest of the checks
     # are reductions folded block by block, with each block's last alpha and c
     # carried across the edge.
-    idx = np.unique(np.concatenate(
+    idx = _sorted_distinct(np.concatenate(
         (decades, last_decade, grid + 1, peak_grid, [10, horizon // 2, horizon])))
     a_at, c_at, S_at = np.empty(idx.size), np.empty(idx.size), np.empty(idx.size)
     s = comp = 0.0

@@ -5,8 +5,10 @@ Jacobi rotations, cubic characteristic-polynomial roots in closed form, plain
 finite differences, a callback objective, the scalar channel-noise model, the
 per-node and stacked compact forms of the step, the broadcast-and-einsum form
 of the batched step kernel, the consensus projection, the sequential loops
-that the library's vectorised routines replaced, and the whole-array
-step-size condition check that the library's block-streamed one replaced.
+that the library's vectorised routines replaced, the per-sample
+connectivity report that the library's stacked one replaced, and the
+whole-array step-size condition check that the library's block-streamed one
+replaced.
 These provide the second route of every dual-route check.
 """
 
@@ -15,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from subgradnet import DivergenceDetected, NonConvergenceError, laplacian
+from subgradnet import (DeterministicCycle, DivergenceDetected, IndependentEdges,
+                        LaplacianStats, MarkovSwitching, NonConvergenceError,
+                        lambda2, laplacian)
 from subgradnet import stepsize as ss
 from subgradnet.graphs import CHUNK
 
@@ -149,6 +153,71 @@ def philox_block_draws_loop(key, k_start, count, size, slabs=1):
         pos += take
         k += take
     return out
+
+
+def _window_samples_loop(process, stream, h, windows, reps):
+    """Per-window (reps, h, N, N) samples, one replication at a time."""
+    ss_root = (stream if isinstance(stream, np.random.SeedSequence)
+               else np.random.SeedSequence(stream))
+    if isinstance(process, DeterministicCycle):
+        for m in range(windows):
+            yield np.stack([process.sample_block(None, m * h, h)[0]])
+    elif isinstance(process, IndependentEdges):
+        children = ss_root.spawn(windows * reps)
+        for m in range(windows):
+            yield np.stack([process.sample_block(children[m * reps + r], m * h, h)[0]
+                            for r in range(reps)])
+    elif isinstance(process, MarkovSwitching):
+        anchor_ss, *children = ss_root.spawn(windows * reps + 1)
+        base_path = process.sample_state_path(anchor_ss, windows * h)
+        for m in range(windows):
+            anchor = None if m == 0 else int(base_path[m * h - 1])
+            block = []
+            for r in range(reps):
+                rng = np.random.default_rng(children[m * reps + r])
+                if anchor is None:
+                    s0 = process.draw_initial(rng)
+                    rest = process.advance_from(rng, s0, h - 1) if h > 1 else []
+                    path = np.concatenate([[s0], rest]).astype(np.int64)
+                else:
+                    path = process.advance_from(rng, anchor, h)
+                block.append(process.states[path])
+            yield np.stack(block)
+    else:
+        raise TypeError(f"unsupported graph process type {type(process)!r}")
+
+
+def connectivity_report_loop(process, h, windows, reps, stream):
+    """The windowed connectivity report, one sampled matrix at a time.
+
+    The reference for the library's stacked ``joint_connectivity_report``:
+    each sample's 2-D Laplacian, spectral norm and edge count, the norm's
+    power taken on its own, and the Laplacian sum accumulated step by step,
+    replication by replication.
+    """
+    q = 2 * max(h, 2)
+    lam2 = []
+    norm_moment = edge_moment = 0.0
+    for block in _window_samples_loop(process, stream, h, windows, reps):
+        n_reps, n = block.shape[0], block.shape[-1]
+        lap_sum = np.zeros((n, n))
+        for i in range(h):
+            norms = np.empty(n_reps)
+            edges = np.empty(n_reps)
+            for r in range(n_reps):
+                a = block[r, i]
+                lap = -a.copy()
+                lap[np.arange(n), np.arange(n)] = a.sum(axis=1) - np.diag(a)
+                norms[r] = np.linalg.norm(lap, 2) ** q
+                n_edges = int(np.count_nonzero(a) - np.count_nonzero(np.diag(a)))
+                edges[r] = n_edges * float(np.max(a * a))
+                lap_sum += (lap + lap.T) / 2.0
+            norm_moment = max(norm_moment, float(norms.mean()))
+            edge_moment = max(edge_moment, float(edges.mean()))
+        lam2.append(lambda2(lap_sum / n_reps, tol=1e-8))
+    return LaplacianStats(h=h, lambda2_per_window=lam2, moment_estimate=norm_moment,
+                          rho0_hat=norm_moment ** (1.0 / q), rho1_hat=edge_moment,
+                          windows=windows, reps=reps)
 
 
 @dataclass(frozen=True)

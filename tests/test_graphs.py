@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from oracles import (char_poly_eigenvalues_3x3, jacobi_eigenvalues,
-                     markov_walk_searchsorted, philox_block_draws_loop,
-                     reaches_all_brute)
+from oracles import (char_poly_eigenvalues_3x3, connectivity_report_loop,
+                     jacobi_eigenvalues, markov_walk_searchsorted,
+                     philox_block_draws_loop, reaches_all_brute)
 from subgradnet import (DeterministicCycle, IndependentEdges, MarkovSwitching,
                         NonSymmetricError, NoStationaryDistributionError,
                         is_balanced, joint_connectivity_report, lambda2,
@@ -271,6 +271,24 @@ class TestMarkovChainWalk:
         assert proc.advance_from(np.random.default_rng(9), 2, 0).shape == (0,)
 
 
+class TestStackedLaplacians:
+    def test_stacks_equal_the_2d_calls_on_each_slice(self):
+        rng = np.random.default_rng(5)
+        stack = rng.normal(size=(3, 2, 6, 6))
+        stack[..., np.arange(6), np.arange(6)] = 0.0
+        laps = laplacian(stack)
+        syms = symmetrized_laplacian(laps)
+        for idx in np.ndindex(stack.shape[:2]):
+            assert np.array_equal(laps[idx], laplacian(stack[idx]))
+            assert np.array_equal(syms[idx], symmetrized_laplacian(laplacian(stack[idx])))
+
+    def test_does_not_modify_its_input(self):
+        a = cycle3()
+        before = a.copy()
+        laplacian(a)
+        assert np.array_equal(a, before)
+
+
 class TestCounterUniforms:
     """Counter-addressed draws equal the rows of whole generated blocks."""
 
@@ -284,6 +302,28 @@ class TestCounterUniforms:
         got = _counter_uniforms(key, k_start, count, size, slabs=slabs)
         expected = philox_block_draws_loop(key, k_start, count, size, slabs=slabs)
         assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("slabs", [1, 2])
+    @pytest.mark.parametrize("k_start,count", [(0, 3), (CHUNK - 2, 5), (1, 2 * CHUNK + 7)])
+    @pytest.mark.parametrize("lead", [(1,), (4,), (2, 3)])
+    def test_stacked_keys_match_each_key_alone(self, slabs, k_start, count, lead):
+        keys = np.stack([_stream_key(c) for c in
+                         np.random.SeedSequence(99).spawn(int(np.prod(lead)))])
+        keys = keys.reshape(lead + (2,))
+        got = _counter_uniforms(keys, k_start, count, 4, slabs=slabs)
+        assert got.shape == (slabs, *lead, count, 4)
+        for idx in np.ndindex(lead):
+            expected = philox_block_draws_loop(keys[idx], k_start, count, 4, slabs=slabs)
+            assert np.array_equal(got[(slice(None),) + idx], expected)
+
+    @pytest.mark.parametrize("perturb", [0.0, 0.5])
+    def test_independent_block_of_stacked_keys(self, perturb):
+        proc = IndependentEdges(base=K3, prob=0.6, perturb=perturb)
+        keys = np.stack([_stream_key(c) for c in np.random.SeedSequence(4).spawn(5)])
+        got, _ = proc.sample_block(keys, CHUNK - 1, 3)
+        assert got.shape == (5, 3, 3, 3)
+        for j, key in enumerate(keys):
+            assert np.array_equal(got[j], proc.sample_block(key, CHUNK - 1, 3)[0])
 
 
 class _FixedUniforms:
@@ -370,6 +410,41 @@ class TestJointConnectivityReport:
         assert stats.rho0_hat > 0.0
         assert stats.rho1_hat > 0.0
         assert stats.moment_estimate == pytest.approx(stats.rho0_hat ** (2 * max(2, 2)))
+
+
+def _report_processes():
+    rng = np.random.default_rng(17)
+    base = rng.random((4, 4)) * (rng.random((4, 4)) < 0.8)
+    np.fill_diagonal(base, 0.0)
+    states = [edge(4, 0, 1) + edge(4, 2, 3), np.ones((4, 4)) - np.eye(4), 0.7 * base]
+    return {
+        "independent": IndependentEdges(base=base, prob=rng.random((4, 4))),
+        "independent-perturbed": IndependentEdges(base=base, prob=0.6, perturb=0.9),
+        "markov": MarkovSwitching(states, [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3],
+                                           [0.3, 0.3, 0.4]]),
+        "cycle": DeterministicCycle(states),
+        # Zero entries and lambda2 = 0: every zero's sign must match the loop's.
+        "disconnected": DeterministicCycle([states[0]]),
+        "empty": IndependentEdges(base=base, prob=0.0),
+    }
+
+
+class TestStackedReportMatchesLoop:
+    """The stacked report equals the per-sample loop bit for bit; h = 3
+    (moment order 6) catches a vectorised power of the norms."""
+
+    @pytest.mark.parametrize("kind", ["independent", "independent-perturbed", "markov",
+                                      "cycle", "disconnected", "empty"])
+    @pytest.mark.parametrize("h", [1, 2, 3])
+    @pytest.mark.parametrize("reps", [1, 9, 64])
+    def test_equals_per_sample_loop(self, kind, h, reps):
+        proc = _report_processes()[kind]
+        # A SeedSequence counts its spawned children, so each call gets its own.
+        stream = lambda: np.random.SeedSequence(entropy=31, spawn_key=(7,))  # noqa: E731
+        got = joint_connectivity_report(proc, h=h, windows=5, reps=reps, stream=stream())
+        want = connectivity_report_loop(proc, h=h, windows=5, reps=reps, stream=stream())
+        assert got == want
+        assert repr(got) == repr(want)
 
 
 class TestMeanGraphSpanningCheck:

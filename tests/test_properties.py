@@ -1,5 +1,5 @@
 """Property tests of the batched step kernel, the engine around it, the lasso
-measurement and the counter-addressed graph draws.
+measurement, the counter-addressed graph draws and the connectivity report.
 
 Criterion 8 compares 1-worker and 8-worker aggregates exactly, which holds
 only if a replication's arithmetic is the same in every batch it lands in.
@@ -10,10 +10,12 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from oracles import draw_channel_noise, lasso_measurement_loop, step_per_node
+from oracles import (connectivity_report_loop, draw_channel_noise,
+                     lasso_measurement_loop, step_per_node)
 from subgradnet import (CommNoiseModel, DeterministicCycle, IndependentEdges,
                         InitialStates, LassoProblem, MarkovSwitching,
-                        QuadraticObjective, StepSchedule, apply_step)
+                        QuadraticObjective, StepSchedule, apply_step,
+                        joint_connectivity_report)
 from subgradnet import engine
 from subgradnet.engine import _run_batch, default_record_ks
 
@@ -155,6 +157,19 @@ def test_sample_block_from_any_start_matches_replay_from_zero(kind, n_nodes, k0,
     full, full_state = process.sample_block(stream, 0, k0 + count)
     assert np.array_equal(part, full[k0:])
     assert part_state == full_state
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["cycle", "independent", "independent-unperturbed",
+                             "markov"]),
+       n_nodes=st.integers(2, 5), h=st.integers(1, 3), windows=st.integers(1, 3),
+       reps=st.integers(1, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_connectivity_report_equals_per_sample_loop(kind, n_nodes, h, windows,
+                                                            reps, seed):
+    process = _process(kind, n_nodes, np.random.default_rng(seed))
+    got = joint_connectivity_report(process, h, windows, reps, seed)
+    want = connectivity_report_loop(process, h, windows, reps, seed)
+    assert repr(got) == repr(want)
 
 
 @st.composite

@@ -12,7 +12,14 @@ import pytest
 from oracles import neumaier_cumsum_loop, verify_conditions_full
 from subgradnet import (FAILS, HOLDS, StepSchedule, kahan_cumsum,
                         verify_conditions)
-from subgradnet.stepsize import _PREFIX_BLOCK
+from subgradnet.stepsize import _PREFIX_BLOCK, _sorted_distinct
+
+
+def _src_env():
+    """The environment with the package source first on PYTHONPATH."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
 
 def mp_alpha(k, alpha1=1.0, tau1=1.0):
@@ -279,10 +286,31 @@ class TestStreamedVerifier:
         # so the measured interpreter is started by a small intermediate one.
         outer = ("import subprocess, sys\n"
                  "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)\n")
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        done = subprocess.run([sys.executable, "-c", outer, inner], env=env,
+        done = subprocess.run([sys.executable, "-c", outer, inner], env=_src_env(),
                               capture_output=True, text=True, timeout=300, check=True)
         peak_mb = int(done.stdout.split()[-1]) * 1024 / 1e6  # ru_maxrss is in KiB
         assert peak_mb < bound_mb
+
+    @pytest.mark.parametrize("horizon", [1000, 12_345, 1_000_000])
+    def test_sorted_distinct_equals_unique(self, horizon):
+        for grid in (np.geomspace(1, horizon, 200).astype(int),
+                     np.array([horizon, 10, horizon // 2, 10, 3])):
+            got, want = _sorted_distinct(grid), np.unique(grid)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_setup_checks_do_not_import_numpy_ma(self):
+        # np.unique imports numpy.ma on first use, about 15 ms of every run's
+        # setup.  A fresh interpreter, so no earlier test has imported it; it
+        # does not import the test oracles, which still call np.unique.
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "from subgradnet import (IndependentEdges, StepSchedule,\n"
+                "                        joint_connectivity_report, verify_conditions)\n"
+                "s = StepSchedule()\n"
+                "verify_conditions(s.alpha, s.c, 1.0, 1000)\n"
+                "k3 = np.ones((3, 3)) - np.eye(3)\n"
+                "joint_connectivity_report(IndependentEdges(k3, 0.5), 2, 2, 3, 0)\n"
+                "print('numpy.ma' in sys.modules)\n")
+        done = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                              capture_output=True, text=True, timeout=120, check=True)
+        assert done.stdout.split()[-1] == "False"
