@@ -19,8 +19,8 @@ for the step buffers, which are allocated once per batch and hold one
 sub-span (at least one step), not a whole chunk; the draws of a sub-span are
 the same numbers the whole chunk would use.  Per step it makes only the
 measurement, the kernel call and, on check steps, the recursion check; once
-per sub-span it checks the states for divergence, records them and evaluates
-the psi and d bound monitors.
+per sub-span it draws all replications' graphs in one in-place call, checks
+the states for divergence, records them and evaluates the psi and d monitors.
 
 Randomness is organized as one stream per replication, split into disjoint
 sub-streams for initial states, graph draws, channel noise and gradient noise,
@@ -283,7 +283,7 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
         comm_gen.append(np.random.default_rng(c_ss))
         grad_gen.append(np.random.default_rng(z_ss))
         states.append(init.draw(np.random.default_rng(init_ss), n_nodes, dim))
-    graph_state = [None] * reps
+    graph_keys, graph_state = np.stack(graph_keys), None
 
     out = {
         "ks": record_ks,
@@ -370,9 +370,8 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
         cs = schedule.c(chunk_ks).tolist()
         for t0 in range(0, chunk, span):
             k0, s = k + t0, min(span, chunk - t0)
-            for r in range(reps):
-                graphs[r, :s], graph_state[r] = process.sample_block(
-                    graph_keys[r], k0, s, state=graph_state[r])
+            _, graph_state = process.sample_block(graph_keys, k0, s, state=graph_state,
+                                                  out=graphs[:, :s])
             graphs[:, :s].sum(axis=3, out=row_sums[:, :s])
             for r, g in enumerate(comm_gen):
                 g.standard_normal(out=normals[:s])

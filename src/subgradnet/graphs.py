@@ -9,9 +9,11 @@ switching model.
 
 Sampling is counter-addressed: the matrix drawn at step ``k`` depends only on
 the process, the stream seed and ``k``, so blocks can be regenerated from any
-starting index and replications can run concurrently.
+starting index and replications can run concurrently.  For a ``(K, 2)`` key
+stack one ``sample_block`` call fills a ``(K, count, N, N)`` ``out`` as K calls would.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,25 +109,29 @@ def _stream_key(stream):
     return _as_seed_sequence(stream).generate_state(2, np.uint64)
 
 
-def _counter_uniforms(key, k_start, count, size, slabs=1):
+def _counter_uniforms(key, k_start, count, shape, slabs=1, out=None):
     """Uniforms of steps [k_start, k_start + count) of a keyed Philox stream.
 
     Step k lives in block ``k // CHUNK``, the third word of the Philox
-    counter.  Each block holds ``slabs`` consecutive slabs of
-    ``CHUNK * size`` words, and step k owns ``size`` words of every slab, at
-    offset ``(k % CHUNK) * size``.  Each draw starts at the counter of its
-    first needed word, so only the requested rows are generated; a word w
-    becomes the double ``(w >> 11) * 2**-53``, as ``Generator.random`` makes
-    it.  One generator serves every draw, re-pointed by assigning its state.
-    ``key`` may be a stack, ``(..., 2)``; returns ``(slabs, *key.shape[:-1], count, size)``.
+    counter.  Each block holds ``slabs`` consecutive slabs of ``CHUNK * size``
+    words, ``size`` the product of the step ``shape`` tuple, and step k owns
+    ``size`` words of every slab, at offset ``(k % CHUNK) * size``.  Each draw
+    starts at the counter of its first needed word, so only the requested
+    rows are generated; a word w becomes the double ``(w >> 11) * 2**-53``, as
+    ``Generator.random`` makes it.  One generator serves every draw,
+    re-pointed by assigning its state.  ``key`` may be a stack, ``(..., 2)``.
+    Fills and returns ``out``, by default a new array with ``slabs`` rows; a
+    given ``out`` holds one ``(K, count, *shape)`` array of any strides per
+    slab for a ``(K, 2)`` stack, or one ``(count, *shape)`` array for one key.
     """
-    keys = key.reshape(-1, 2)
-    out = np.empty((slabs, len(keys), count, size))
+    keys, size = key.reshape(-1, 2), math.prod(shape)
+    out = np.empty((slabs, *key.shape[:-1], count, *shape)) if out is None else out
+    rows = [o.reshape(len(keys), count, *shape) for o in out]  # views of ``out``
     bits, pos = None, 0
     while pos < count:
         block, lo = divmod(k_start + pos, CHUNK)
         take = min(CHUNK - lo, count - pos)
-        for s in range(slabs):
+        for s in range(len(rows)):
             first = (s * CHUNK + lo) * size
             counter = [first // 4, 0, block, 0]
             for j, kj in enumerate(keys):
@@ -137,10 +143,10 @@ def _counter_uniforms(key, k_start, count, size, slabs=1):
                                   "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
                 # Philox emits four words per counter value.
                 words = bits.random_raw(first % 4 + take * size)[first % 4:]
-                np.multiply(np.right_shift(words, 11, out=words), 2.0 ** -53,
-                            out=out[s, j, pos:pos + take].reshape(-1))
+                np.multiply(np.right_shift(words, 11, out=words).reshape((take, *shape)),
+                            2.0 ** -53, out=rows[s][j, pos:pos + take])
         pos += take
-    return out.reshape((slabs, *key.shape[:-1], count, size))
+    return out
 
 
 class DeterministicCycle:
@@ -156,9 +162,12 @@ class DeterministicCycle:
         self.matrices = np.stack(mats)
         self.n_nodes = n
 
-    def sample_block(self, stream, k_start, count, state=None):
-        idx = (np.arange(k_start, k_start + count)) % len(self.matrices)
-        return self.matrices[idx].copy(), None
+    def sample_block(self, stream, k_start, count, state=None, out=None):
+        """The one ``(count, N, N)`` block (the stream is unused), or ``out`` filled with it."""
+        block = self.matrices[np.arange(k_start, k_start + count) % len(self.matrices)]
+        if out is not None:
+            out[...] = block
+        return block if out is None else out, None
 
     def expected_active_channels(self):
         offdiag = ~np.eye(self.n_nodes, dtype=bool)
@@ -190,18 +199,24 @@ class IndependentEdges:
         if np.any(self.perturb < 0):
             raise ValueError("perturbation half-widths must be nonnegative")
         self._has_perturb = bool(np.any(self.perturb > 0))
+        # No sign bit or perturbation: active * base gives np.where's bits, no temporary.
+        self._mask_product = not (self._has_perturb or np.signbit(self.base).any())
 
-    def sample_block(self, stream, k_start, count, state=None):
+    def sample_block(self, stream, k_start, count, state=None, out=None):
         """A ``(K, 2)`` stack of keys as ``stream`` gives K blocks, ``(K, count, N, N)``."""
-        n = self.n_nodes
-        slabs = 2 if self._has_perturb else 1
-        draws = _counter_uniforms(_stream_key(stream), k_start, count, n * n, slabs=slabs)
-        draws = draws.reshape(draws.shape[:-1] + (n, n))
+        key = _stream_key(stream)
+        if out is None:
+            out = np.empty(key.shape[:-1] + (count,) + self.prob.shape)
+        # The activation uniforms are drawn into ``out``; the weights overwrite them.
+        draws = _counter_uniforms(key, k_start, count, self.prob.shape, out=(
+            (out, np.empty_like(out)) if self._has_perturb else (out,)))
         # The diagonal never fires: its probability and half-width are zero.
-        active = draws[0] < self.prob
-        out = np.where(active, self.base, 0.0)
+        if self._mask_product:  # 1.0 or 0.0, times the weight
+            return np.multiply(np.less(out, self.prob, out=out), self.base, out=out), None
+        active = np.less(out, self.prob)
+        out[...] = np.where(active, self.base, 0.0)
         if self._has_perturb:
-            out = out + np.where(active, (2.0 * draws[1] - 1.0) * self.perturb, 0.0)
+            out += np.where(active, (2.0 * draws[1] - 1.0) * self.perturb, 0.0)
         return out, None
 
     def mean_adjacency(self):
@@ -231,17 +246,19 @@ def _walk_chain(cum_rows, state, uniforms):
     """Markov chain states driven by one uniform per step, from ``state``.
 
     Step k moves to the number of entries of the current cumulative
-    transition row that are ``<= uniforms[k]``, the index
-    ``np.searchsorted(row, u, side="right")`` gives.  The next state for every
-    (step, state) pair is tabulated at once; the walk is a plain integer loop.
+    transition row that are ``<= u[k]``, the index ``np.searchsorted(row, u,
+    side="right")`` gives, tabulated for every (step, chain, state) at once.
+    Chains stack, ``uniforms`` ``(..., T)`` from states ``(...)``, and walk
+    together, one fancy index per step.
     """
-    table = (cum_rows[None] <= np.asarray(uniforms)[:, None, None]).sum(axis=-1)
-    s = int(state)
-    path = []
-    for row in table.tolist():
-        s = row[s]
-        path.append(s)
-    return np.array(path, dtype=np.int64)
+    lead, chains = uniforms.shape[:-1], math.prod(uniforms.shape[:-1])
+    u = uniforms.reshape(chains, uniforms.shape[-1]).T
+    table = np.stack([np.searchsorted(row, u, side="right") for row in cum_rows], axis=-1)
+    s, which = np.broadcast_to(state, lead).reshape(-1), np.arange(chains)
+    path = np.empty(u.shape, dtype=np.int64)
+    for t, next_state in enumerate(table):
+        s = path[t] = next_state[which, s]
+    return path.T.reshape(lead + (len(path),))
 
 
 class MarkovSwitching:
@@ -274,42 +291,29 @@ class MarkovSwitching:
         if self.initial.shape != (m,) or np.any(self.initial < 0) or \
                 abs(self.initial.sum() - 1.0) > _BALANCE_TOL:
             raise ValueError("initial distribution must be a probability vector")
-        self._cum_rows = _cumulative(t)
-        self._cum_init = _cumulative(self.initial)
+        # Row m is the initial distribution: a walk from state m draws the start.
+        self._cum_rows = _cumulative(np.vstack([t, self.initial]))
 
     def sample_state_path(self, stream, count, k_start=0, state=None):
         """State indices for steps [k_start, k_start + count).
 
         ``state`` is the chain state at step ``k_start - 1``; when omitted the
-        path is replayed from step 0 (drawing the initial state first).
+        path is replayed from step 0 (drawing the initial state first).  Key
+        stacks ``(K, 2)`` give ``(K, count)`` paths from ``(K,)`` states.
         """
         key = _stream_key(stream)
         if state is None:
-            if count == 0:
-                return np.empty(0, dtype=np.int64)
-            u = _counter_uniforms(key, 0, k_start + count, 1).ravel()
-            s0 = int(np.searchsorted(self._cum_init, u[0], side="right"))
-            path = np.concatenate(([s0], _walk_chain(self._cum_rows, s0, u[1:])))
-            return path[k_start:]
+            u = _counter_uniforms(key, 0, k_start + count, (1,))[0, ..., 0]
+            return _walk_chain(self._cum_rows, len(self.states), u)[..., k_start:]
         if k_start < 1:
             raise ValueError("an explicit chain state requires k_start >= 1")
-        return _walk_chain(self._cum_rows, state,
-                           _counter_uniforms(key, k_start, count, 1).ravel())
+        u = _counter_uniforms(key, k_start, count, (1,))[0, ..., 0]
+        return _walk_chain(self._cum_rows[:-1], state, u)  # no start state m here
 
-    def sample_block(self, stream, k_start, count, state=None):
+    def sample_block(self, stream, k_start, count, state=None, out=None):
+        """The block and its last state, ``(K,)`` for a key stack (``state`` if no steps)."""
         path = self.sample_state_path(stream, count, k_start=k_start, state=state)
-        return self.states[path].copy(), int(path[-1]) if path.size else state
-
-    def advance_from(self, rng, state, count):
-        """Continue the chain for ``count`` steps with fresh draws from ``rng``.
-
-        Used for conditional (frozen-anchor) window resampling; not part of
-        the counter-addressed path.
-        """
-        return _walk_chain(self._cum_rows, state, rng.random(count))
-
-    def draw_initial(self, rng):
-        return int(np.searchsorted(self._cum_init, rng.random(), side="right"))
+        return np.take(self.states, path, axis=0, out=out), path[..., -1] if count else state
 
     def stationary_distribution(self, tol=1e-9):
         """Solve pi T = pi, sum pi = 1; requires a unique solution.
@@ -378,27 +382,23 @@ def _window_samples(process, stream, h, windows, reps):
             mats, _ = process.sample_block(None, m * h, h)
             yield np.stack([mats])
         return
+    # The children ss.spawn gives while ss has spawned none; ss stays unchanged.
+    children = [np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (i,),
+                                       pool_size=ss.pool_size) for i in range(windows * reps + 1)]
     if isinstance(process, IndependentEdges):
-        children = ss.spawn(windows * reps)
         for m in range(windows):
             keys = np.stack([_stream_key(c) for c in children[m * reps:(m + 1) * reps]])
             yield process.sample_block(keys, m * h, h)[0]
         return
     if isinstance(process, MarkovSwitching):
-        anchor_ss, *children = ss.spawn(windows * reps + 1)
+        anchor_ss, *children = children
         base_path = process.sample_state_path(anchor_ss, windows * h)
         for m in range(windows):
-            anchor = None if m == 0 else int(base_path[m * h - 1])
-            paths = []
-            for r in range(reps):
-                rng = np.random.default_rng(children[m * reps + r])
-                if anchor is None:
-                    s0 = process.draw_initial(rng)
-                    rest = process.advance_from(rng, s0, h - 1) if h > 1 else []
-                    paths.append(np.concatenate([[s0], rest]).astype(np.int64))
-                else:
-                    paths.append(process.advance_from(rng, anchor, h))
-            yield process.states[np.stack(paths)]
+            # Each child's generator drives its chain, from the anchor after window 0.
+            u = np.stack([np.random.default_rng(c).random(h)
+                          for c in children[m * reps:(m + 1) * reps]])
+            start = len(process.states) if m == 0 else base_path[m * h - 1]
+            yield process.states[_walk_chain(process._cum_rows, start, u)]
         return
     raise TypeError(f"unsupported graph process type {type(process)!r}")
 

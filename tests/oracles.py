@@ -5,8 +5,9 @@ Jacobi rotations, cubic characteristic-polynomial roots in closed form, plain
 finite differences, a callback objective, the scalar channel-noise model, the
 per-node and stacked compact forms of the step, the broadcast-and-einsum form
 of the batched step kernel, the consensus projection, the sequential loops
-that the library's vectorised routines replaced, the per-sample
-connectivity report that the library's stacked one replaced, and the
+that the library's vectorised routines replaced, the per-key graph draws that
+its stacked ``sample_block`` replaced, the per-sample connectivity report
+that the library's stacked one replaced, and the
 whole-array step-size condition check that the library's block-streamed one
 replaced.
 These provide the second route of every dual-route check.
@@ -21,7 +22,7 @@ from subgradnet import (DeterministicCycle, DivergenceDetected, IndependentEdges
                         LaplacianStats, MarkovSwitching, NonConvergenceError,
                         lambda2, laplacian)
 from subgradnet import stepsize as ss
-from subgradnet.graphs import CHUNK
+from subgradnet.graphs import CHUNK, _walk_chain
 
 
 def jacobi_eigenvalues(matrix, tol=1e-12, max_sweeps=200):
@@ -155,6 +156,48 @@ def philox_block_draws_loop(key, k_start, count, size, slabs=1):
     return out
 
 
+def sample_block_per_key(process, key, k_start, count, state=None):
+    """One replication's ``sample_block``, as the library drew it one key at
+    a time: whole-block Philox draws, a ``np.where`` weight selection and a
+    ``searchsorted`` chain walk.  Returns the block and the last state."""
+    n = process.n_nodes
+    if isinstance(process, DeterministicCycle):
+        steps = np.arange(k_start, k_start + count)
+        return process.matrices[steps % len(process.matrices)].copy(), None
+    if isinstance(process, IndependentEdges):
+        slabs = 2 if np.any(process.perturb > 0) else 1
+        draws = philox_block_draws_loop(key, k_start, count, n * n, slabs=slabs)
+        draws = draws.reshape(slabs, count, n, n)
+        active = draws[0] < process.prob
+        out = np.where(active, process.base, 0.0)
+        if slabs == 2:
+            out = out + np.where(active, (2.0 * draws[1] - 1.0) * process.perturb, 0.0)
+        return out, None
+    if state is None:
+        if count == 0:
+            return np.empty((0, n, n)), None
+        u = philox_block_draws_loop(key, 0, k_start + count, 1).ravel()
+        s0 = int(np.searchsorted(process._cum_rows[-1], u[0], side="right"))
+        path = np.concatenate([[s0], markov_walk_searchsorted(process._cum_rows, s0, u[1:])])
+        path = path[k_start:]
+    else:
+        u = philox_block_draws_loop(key, k_start, count, 1).ravel()
+        path = markov_walk_searchsorted(process._cum_rows, state, u)
+    return process.states[path], int(path[-1]) if path.size else state
+
+
+def advance_from(process, rng, state, count):
+    """Continue a Markov chain for ``count`` steps with fresh draws from
+    ``rng``: the conditional (frozen-anchor) resampling of the per-sample
+    connectivity report."""
+    return _walk_chain(process._cum_rows, state, rng.random(count))
+
+
+def draw_initial(process, rng):
+    """A Markov chain's initial state from one draw of ``rng``."""
+    return int(np.searchsorted(process._cum_rows[-1], rng.random(), side="right"))
+
+
 def _window_samples_loop(process, stream, h, windows, reps):
     """Per-window (reps, h, N, N) samples, one replication at a time."""
     ss_root = (stream if isinstance(stream, np.random.SeedSequence)
@@ -176,11 +219,11 @@ def _window_samples_loop(process, stream, h, windows, reps):
             for r in range(reps):
                 rng = np.random.default_rng(children[m * reps + r])
                 if anchor is None:
-                    s0 = process.draw_initial(rng)
-                    rest = process.advance_from(rng, s0, h - 1) if h > 1 else []
+                    s0 = draw_initial(process, rng)
+                    rest = advance_from(process, rng, s0, h - 1) if h > 1 else []
                     path = np.concatenate([[s0], rest]).astype(np.int64)
                 else:
-                    path = process.advance_from(rng, anchor, h)
+                    path = advance_from(process, rng, anchor, h)
                 block.append(process.states[path])
             yield np.stack(block)
     else:

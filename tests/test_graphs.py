@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from oracles import (char_poly_eigenvalues_3x3, connectivity_report_loop,
-                     jacobi_eigenvalues, markov_walk_searchsorted,
-                     philox_block_draws_loop, reaches_all_brute)
+from oracles import (advance_from, char_poly_eigenvalues_3x3, connectivity_report_loop,
+                     draw_initial, jacobi_eigenvalues, markov_walk_searchsorted,
+                     philox_block_draws_loop, reaches_all_brute, sample_block_per_key)
 from subgradnet import (DeterministicCycle, IndependentEdges, MarkovSwitching,
                         NonSymmetricError, NoStationaryDistributionError,
                         is_balanced, joint_connectivity_report, lambda2,
@@ -246,8 +246,8 @@ class TestMarkovChainWalk:
     def test_replayed_path_matches_searchsorted_loop(self):
         proc = self._proc()
         ss = np.random.SeedSequence(31)
-        u = _counter_uniforms(_stream_key(ss), 0, 5000, 1).ravel()
-        s0 = int(np.searchsorted(proc._cum_init, u[0], side="right"))
+        u = _counter_uniforms(_stream_key(ss), 0, 5000, (1,)).ravel()
+        s0 = int(np.searchsorted(proc._cum_rows[-1], u[0], side="right"))
         expected = np.concatenate([[s0], markov_walk_searchsorted(proc._cum_rows, s0, u[1:])])
         assert np.array_equal(proc.sample_state_path(ss, 5000), expected)
         for k_start, count in ((0, 1), (1, 7), (1023, 3), (1500, 2000)):
@@ -258,17 +258,26 @@ class TestMarkovChainWalk:
     def test_explicit_state_matches_searchsorted_loop(self, k_start):
         proc = self._proc()
         ss = np.random.SeedSequence(32)
-        u = _counter_uniforms(_stream_key(ss), k_start, 900, 1).ravel()
+        u = _counter_uniforms(_stream_key(ss), k_start, 900, (1,)).ravel()
         for state in range(4):
             got = proc.sample_state_path(ss, 900, k_start=k_start, state=state)
             assert np.array_equal(got, markov_walk_searchsorted(proc._cum_rows, state, u))
 
+    def test_explicit_state_out_of_range_raises(self):
+        # State m (= len(states)) is the replay path's start row, not a chain state.
+        proc = self._proc()
+        keys = np.stack([_stream_key(np.random.SeedSequence(i)) for i in range(3)])
+        with pytest.raises(IndexError):
+            proc.sample_state_path(np.random.SeedSequence(33), 5, k_start=1, state=4)
+        with pytest.raises(IndexError):
+            proc.sample_block(keys, 1, 5, state=np.array([0, 4, 1]))
+
     def test_advance_from_matches_searchsorted_loop(self):
         proc = self._proc()
-        got = proc.advance_from(np.random.default_rng(9), 2, 3000)
+        got = advance_from(proc, np.random.default_rng(9), 2, 3000)
         u = np.random.default_rng(9).random(3000)
         assert np.array_equal(got, markov_walk_searchsorted(proc._cum_rows, 2, u))
-        assert proc.advance_from(np.random.default_rng(9), 2, 0).shape == (0,)
+        assert advance_from(proc, np.random.default_rng(9), 2, 0).shape == (0,)
 
 
 class TestStackedLaplacians:
@@ -299,7 +308,7 @@ class TestCounterUniforms:
     @pytest.mark.parametrize("size", [1, 9])
     def test_matches_full_block_loop(self, slabs, k_start, count, size):
         key = _stream_key(np.random.SeedSequence(2718))
-        got = _counter_uniforms(key, k_start, count, size, slabs=slabs)
+        got = _counter_uniforms(key, k_start, count, (size,), slabs=slabs)
         expected = philox_block_draws_loop(key, k_start, count, size, slabs=slabs)
         assert np.array_equal(got, expected)
 
@@ -310,7 +319,7 @@ class TestCounterUniforms:
         keys = np.stack([_stream_key(c) for c in
                          np.random.SeedSequence(99).spawn(int(np.prod(lead)))])
         keys = keys.reshape(lead + (2,))
-        got = _counter_uniforms(keys, k_start, count, 4, slabs=slabs)
+        got = _counter_uniforms(keys, k_start, count, (4,), slabs=slabs)
         assert got.shape == (slabs, *lead, count, 4)
         for idx in np.ndindex(lead):
             expected = philox_block_draws_loop(keys[idx], k_start, count, 4, slabs=slabs)
@@ -324,6 +333,27 @@ class TestCounterUniforms:
         assert got.shape == (5, 3, 3, 3)
         for j, key in enumerate(keys):
             assert np.array_equal(got[j], proc.sample_block(key, CHUNK - 1, 3)[0])
+
+
+class TestSignedWeights:
+    """A negative base, a -0.0 entry and perturbations keep the selection's
+    bits: inactive channels +0.0, active ones their weight's sign."""
+
+    BASE = np.array([[0.0, -0.0, 0.7], [-1.2, 0.0, 0.4], [0.3, -0.5, 0.0]])
+
+    @pytest.mark.parametrize("perturb", [0.0, 0.9])
+    def test_stacked_block_equals_per_key_draws(self, perturb):
+        proc = IndependentEdges(base=self.BASE, prob=0.5, perturb=perturb)
+        keys = np.stack([_stream_key(c) for c in np.random.SeedSequence(8).spawn(3)])
+        buf = np.full((3, 40, 3, 3), np.nan)
+        got, _ = proc.sample_block(keys, CHUNK - 20, 37, out=buf[:, 2:39])
+        assert got.base is buf
+        want = np.stack([sample_block_per_key(proc, key, CHUNK - 20, 37)[0] for key in keys])
+        assert got.tobytes() == want.tobytes()
+        if perturb == 0.0:
+            # The -0.0 channel reads -0.0 when active and +0.0 when not.
+            signs = np.signbit(got[..., 0, 1])
+            assert signs.any() and not signs.all()
 
 
 class _FixedUniforms:
@@ -348,7 +378,7 @@ class TestMarkovRowShortfall:
     def test_uniform_past_row_total_picks_last_state(self):
         proc = MarkovSwitching([edge(2, 0, 1), edge(2, 1, 0)],
                                [[0.5, 0.5 - 4e-10], [0.5, 0.5]])
-        path = proc.advance_from(_FixedUniforms([self.U, self.U]), 0, 2)
+        path = advance_from(proc, _FixedUniforms([self.U, self.U]), 0, 2)
         assert path.tolist() == [1, 1]
         assert proc.states[path].shape == (2, 2, 2)
 
@@ -356,16 +386,16 @@ class TestMarkovRowShortfall:
         proc = MarkovSwitching([edge(3, 0, 1), edge(3, 1, 2), edge(3, 2, 0)],
                                [[0.5, 0.5 - 4e-10, 0.0], [0.0, 1.0, 0.0],
                                 [0.2, 0.3, 0.5]])
-        assert proc.advance_from(_FixedUniforms([self.U]), 0, 1).tolist() == [1]
-        assert proc.advance_from(_FixedUniforms([self.U]), 1, 1).tolist() == [1]
-        assert proc.advance_from(_FixedUniforms([0.0]), 1, 1).tolist() == [1]
+        assert advance_from(proc, _FixedUniforms([self.U]), 0, 1).tolist() == [1]
+        assert advance_from(proc, _FixedUniforms([self.U]), 1, 1).tolist() == [1]
+        assert advance_from(proc, _FixedUniforms([0.0]), 1, 1).tolist() == [1]
 
     def test_initial_distribution_shortfall(self):
         proc = MarkovSwitching([edge(3, 0, 1), edge(3, 1, 2), edge(3, 2, 0)],
                                np.full((3, 3), 1.0 / 3.0),
                                initial=[0.5, 0.5 - 4e-10, 0.0])
-        assert proc.draw_initial(_FixedUniforms([self.U])) == 1
-        assert proc.draw_initial(_FixedUniforms([0.25])) == 0
+        assert draw_initial(proc, _FixedUniforms([self.U])) == 1
+        assert draw_initial(proc, _FixedUniforms([0.25])) == 0
 
 
 class TestJointConnectivityReport:
@@ -445,6 +475,18 @@ class TestStackedReportMatchesLoop:
         want = connectivity_report_loop(proc, h=h, windows=5, reps=reps, stream=stream())
         assert got == want
         assert repr(got) == repr(want)
+
+
+@pytest.mark.parametrize("kind", ["independent", "markov"])
+def test_report_leaves_its_seed_sequence_unchanged(kind):
+    proc = _report_processes()[kind]
+    stream = np.random.SeedSequence(entropy=31, spawn_key=(7,))
+    first = joint_connectivity_report(proc, h=2, windows=3, reps=5, stream=stream)
+    second = joint_connectivity_report(proc, h=2, windows=3, reps=5, stream=stream)
+    assert first == second
+    assert stream.n_children_spawned == 0
+    fresh = np.random.SeedSequence(entropy=31, spawn_key=(7,))
+    assert first == connectivity_report_loop(proc, h=2, windows=3, reps=5, stream=fresh)
 
 
 class TestMeanGraphSpanningCheck:

@@ -11,13 +11,14 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from oracles import (connectivity_report_loop, draw_channel_noise,
-                     lasso_measurement_loop, step_per_node)
+                     lasso_measurement_loop, sample_block_per_key, step_per_node)
 from subgradnet import (CommNoiseModel, DeterministicCycle, IndependentEdges,
                         InitialStates, LassoProblem, MarkovSwitching,
                         QuadraticObjective, StepSchedule, apply_step,
                         joint_connectivity_report)
 from subgradnet import engine
 from subgradnet.engine import _run_batch, default_record_ks
+from subgradnet.graphs import _stream_key
 
 PER_REP_KEYS = ("V", "opt_gap", "state_sq", "dist", "stack_dsq", "mean_state",
                 "psi_violation", "d_violation", "recursion_max")
@@ -157,6 +158,44 @@ def test_sample_block_from_any_start_matches_replay_from_zero(kind, n_nodes, k0,
     full, full_state = process.sample_block(stream, 0, k0 + count)
     assert np.array_equal(part, full[k0:])
     assert part_state == full_state
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["cycle", "independent", "independent-unperturbed",
+                             "markov"]),
+       n_nodes=st.integers(2, 4), reps=st.sampled_from([1, 3, 20]),
+       # Starts a little before the first 1024-step block edge.
+       k0=st.integers(1000, 1030),
+       count=st.one_of(st.just(0), st.just(1), st.integers(2, 40)),
+       with_state=st.booleans(), with_out=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_sample_block_equals_per_key_draws(kind, n_nodes, reps, k0, count,
+                                                   with_state, with_out, seed):
+    rng = np.random.default_rng(seed)
+    process = _process(kind, n_nodes, rng)
+    keys = np.stack([_stream_key(c) for c in np.random.SeedSequence(seed).spawn(reps)])
+    state = rng.integers(0, 3, reps) if with_state else None
+    # A strided view into a wider buffer, as the engine passes its graphs.
+    buf = np.full((reps, count + 3, n_nodes, n_nodes), np.nan)
+    out = buf[:, 1:count + 1] if with_out else None
+    got, last = process.sample_block(keys, k0, count, state=state, out=out)
+    per_key = [sample_block_per_key(process, key, k0, count,
+                                    None if state is None else int(state[r]))
+               for r, key in enumerate(keys)]
+    want = np.stack([block for block, _ in per_key])
+    if with_out:
+        assert got.base is buf
+    if kind == "cycle" and not with_out:
+        # The cycle ignores its stream and returns its one block for any K.
+        got = np.broadcast_to(got, want.shape)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if kind == "markov":
+        want_last = [s for _, s in per_key]
+        assert (last is None) == (want_last[0] is None)
+        if last is not None:
+            assert np.array_equal(last, want_last)
+    else:
+        assert last is None
 
 
 @settings(max_examples=40, deadline=None)

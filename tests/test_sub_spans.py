@@ -65,6 +65,37 @@ def test_outputs_do_not_depend_on_the_sub_span(build, horizon, monkeypatch):
             assert np.array_equal(out[key], natural[key]), (span, key)
 
 
+class _CountingProcess:
+    """A graph process that records the (k_start, count) of every draw."""
+
+    def __init__(self, inner):
+        self.inner, self.n_nodes, self.calls = inner, inner.n_nodes, []
+
+    def sample_block(self, stream, k_start, count, state=None, out=None):
+        self.calls.append((k_start, count))
+        return self.inner.sample_block(stream, k_start, count, state=state, out=out)
+
+
+@pytest.mark.parametrize("build", (_quadratic, _lasso), ids=("quadratic", "lasso"))
+def test_one_graph_draw_per_sub_span_for_all_replications(build, monkeypatch):
+    objective, process = build(np.random.default_rng(3))
+    counting = _CountingProcess(process)
+    model = CommNoiseModel(sigma=0.3, b=0.2, noise_dim=objective.dim)
+    horizon, span = 2100, 300
+    force_span(monkeypatch, span, objective)
+    outs = [_run_batch(objective, p, model, StepSchedule(), horizon, 5, list(range(REPS)),
+                       np.zeros(objective.dim), 0.0, InitialStates.uniform(-2.0, 2.0),
+                       default_record_ks(horizon, dense_until=50, stride=25), 97)
+            for p in (process, counting)]
+    sub_spans = []
+    for chunk in range(0, horizon, 1024):
+        end = min(chunk + 1024, horizon)
+        sub_spans += [(k, min(span, end - k)) for k in range(chunk, end, span)]
+    assert counting.calls == sub_spans
+    for key in PER_REP_KEYS:
+        assert np.array_equal(outs[0][key], outs[1][key]), key
+
+
 def test_peak_memory_does_not_grow_with_node_count():
     # Bound from arithmetic: the interpreter with numpy and the package takes
     # about 31 MiB, the step buffers 4 MiB, and one step's kernel temporaries
