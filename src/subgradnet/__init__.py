@@ -9,9 +9,8 @@ and descent step sizes.
 from .config import (ExperimentConfig, build_init, build_noise, build_objective,
                      build_process, build_schedule, config_from_dict,
                      load_config, save_config, validate_config)
-from .engine import (InitialStates, MonteCarloResult, StepRecord, apply_step,
-                     default_record_ks, delta_recursion_check, monte_carlo,
-                     run_trajectory)
+from .engine import (InitialStates, MonteCarloResult, StepRecord,
+                     default_record_ks, monte_carlo, run_trajectory)
 from .errors import (ConfigError, DivergenceDetected, FactorizationError,
                      NoStationaryDistributionError, NonConvergenceError,
                      NonSymmetricError, ParseError, SubgradNetError,

@@ -6,21 +6,32 @@ measurements plus a noisy subgradient step:
     x_i(k+1) = x_i(k) + c(k) * sum_j a_ij(k) (y_ji(k) - x_i(k))
                        - alpha(k) * (d_i(x_i(k)) + zeta_i(k))
 
-with y_ji = x_j + psi(x_j - x_i) xi_ji.  One batched step kernel computes it
-for a whole stack of replications; the Monte Carlo loop, ``apply_step`` and
-the consensus-error recursion check all call it.  It writes its temporaries
-into a workspace allocated once per batch and sums the squared dim-major
-pair differences over ``d`` in index order, an einsum's order up to dim 2.
-The tests keep a per-node loop, the stacked compact matrix form and the
-einsum form as its references.
-The Monte Carlo loop draws its randomness in 1024-step chunks, the
-determinism unit.  It walks each chunk in sub-spans sized by a byte budget
-for the step buffers, which are allocated once per batch and hold one
-sub-span (at least one step), not a whole chunk; the draws of a sub-span are
-the same numbers the whole chunk would use.  Per step it makes only the
-measurement, the kernel call and, on check steps, the recursion check; once
-per sub-span it draws all replications' graphs in one in-place call, checks
-the states for divergence, records them and evaluates the psi and d monitors.
+with y_ji = x_j + psi(x_j - x_i) xi_ji.  The channel noises enter only
+through each receiver's sum ``sum_j w_ij xi_ji`` with ``w = a * psi``.  They
+are i.i.d. N(0, I/dim) and drawn independently of x(k) and A(k), so given
+both that sum is N(0, ||w_i||^2 I/dim), and the receivers' sums are
+independent because their channels are disjoint.  The kernel therefore takes
+one N(0, I/dim) vector ``z_i`` per receiver and forms the sum as
+``||w_i|| z_i``: N * dim draws per step instead of N^2 * dim, with the same
+law.  A non-Gaussian or correlated channel model has no such closed form and
+would need per-channel draws again.
+
+One batched step kernel computes the step for a whole stack of
+replications; the Monte Carlo loop and the consensus-error recursion check
+call it.  It writes its temporaries into a workspace allocated once per
+batch and sums the squared dim-major pair differences over ``d`` in index
+order, an einsum's order up to dim 2.  The tests keep a per-node loop, the
+stacked compact matrix form and the einsum form as its references, and map
+per-channel draws onto the kernel's per-receiver input.
+The Monte Carlo loop walks each 1024-step chunk in sub-spans sized by a byte
+budget for the step buffers, which are allocated once per batch and hold one
+sub-span (at least one step), not a whole chunk; every stream is read in
+step order, so the draws of a sub-span are the same numbers whatever its
+length.  Per step it makes only the measurement, the kernel call and, on
+check steps, the recursion check; once per sub-span it draws all
+replications' graphs in one in-place call and each replication's channel
+and gradient noise in one call per stream, checks the states for
+divergence, records them and evaluates the psi and d monitors.
 
 Randomness is organized as one stream per replication, split into disjoint
 sub-streams for initial states, graph draws, channel noise and gradient noise,
@@ -37,27 +48,32 @@ import numpy as np
 from .errors import DivergenceDetected, WorkerLost
 from .graphs import _stream_key
 
-# Steps per internal draw block; fixed, part of the determinism contract.
+# Steps per chunk, the unit the schedule's gains are evaluated in.  Every
+# stream is read in step order, so outputs do not depend on it.
 _CHUNK = 1024
 
-# Bytes of step buffers one batch holds; sets the sub-span a chunk is walked
-# in.  Outputs do not depend on it.  Each sub-span pays a fixed cost per
-# replication for its graph and noise draws: at 2 MiB that cost took 5-7% of
-# the shipped configs' Monte Carlo time, at 4 MiB about half that.
+# Bytes one batch holds for a sub-span: its step buffers, the draws of every
+# stream included, and the temporaries of ``observe``; sets the sub-span a
+# chunk is walked in.  Outputs do not depend on it.  Each sub-span pays a
+# fixed cost per replication for its graph and noise draws: at 2 MiB that
+# cost took 5-7% of the shipped configs' Monte Carlo time, at 4 MiB about
+# half that.
 _BUDGET_BYTES = 4 << 20
 
 _DIVERGENCE_NORM_SQ = 1e24
 
 
 def _step_bytes(reps, n_nodes, dim, has_zeta):
-    """Bytes the batch buffers hold per step of a sub-span: the graphs, row
-    sums and channel noise, the states, their centred copies and
-    subgradients, the psi maxima and, with gradient noise, the step-major
-    draws and noise factors; plus one replication's raw channel draws."""
-    per_rep = n_nodes * n_nodes * (dim + 1) + n_nodes + 3 * n_nodes * dim + 1
+    """Bytes one batch holds per step of a sub-span: the graphs and row
+    sums, the per-receiver channel draws, the states, their centred copies
+    and subgradients, the psi maxima, the copy of the recorded states that
+    ``observe`` makes with up to two temporaries of its size and, with
+    gradient noise, the raw draws block and its step-major copies and noise
+    factors."""
+    per_rep = n_nodes * n_nodes + n_nodes + 7 * n_nodes * dim + 1
     if has_zeta:
-        per_rep += 3 * n_nodes * dim + n_nodes
-    return 8 * (reps * per_rep + n_nodes * n_nodes * dim)
+        per_rep += 4 * n_nodes * dim + 2 * n_nodes
+    return 8 * reps * per_rep
 
 
 def _sub_span(reps, n_nodes, dim, has_zeta):
@@ -96,32 +112,30 @@ class _Workspace:
         self.diff_d = [self.diff[..., d, :, :] for d in range(dim)]
         self.psi = np.empty(lead + (n_nodes, n_nodes))
         self.a_psi = np.empty_like(self.psi)
-        self.a_psi_rows = self.a_psi[..., None, :]
-        # The noise sum keeps the (1, dim) row of its per-receiver matmul.
-        self.noise_rows = np.empty(lead + (n_nodes, 1, dim))
-        self.noise = self.noise_rows[..., 0, :]
+        self.row_norm = np.empty(lead + (n_nodes,))
+        self.row_norm_col = self.row_norm[..., None]
+        self.noise = np.empty(lead + (n_nodes, dim))
         self.consensus = np.empty(lead + (n_nodes, dim))
         self.term = np.empty_like(self.consensus)
 
 
-def _step(x, a, row_sums, alpha_k, c_k, model, xi_in, d_plus_zeta, ws=None, out=None):
+def _step(x, a, row_sums, alpha_k, c_k, model, z, d_plus_zeta, ws=None, out=None):
     """The step kernel: writes the next state into ``out`` and returns it
     with the channel-noise sum and the intensities, both views of ``ws``.
 
     Works on one state ``(N, dim)`` or a stack ``(..., N, dim)``; without
     ``ws`` it makes a fresh workspace and ``out`` for the operands' broadcast
-    leading shape.  ``xi_in[..., i, j, :]`` is the noise on channel
-    (j -> i), receiver-major.  The pair norms come from the dim-major
-    differences ``x_i - x_j``, squared in place and summed over ``d`` in
-    index order.  The consensus term is ``a @ x - row_sums * x`` and the
-    noise sum ``sum_j a_ij psi_ji xi_ji`` is one ``(1, N) @ (N, dim)``
-    product per receiver; ``psi`` is symmetric, so ``a * psi`` pairs each
-    weight with its channel's intensity.  Every contraction is a per-slice
-    matmul, so the arithmetic of one replication does not depend on how many
-    replications share the stack.
+    leading shape.  ``z[..., i, :]`` is receiver i's N(0, I/dim) channel
+    draw.  The pair norms come from the dim-major differences ``x_i - x_j``,
+    squared in place and summed over ``d`` in index order.  The consensus
+    term is ``a @ x - row_sums * x`` and the noise sum is ``||w_i|| z_i``
+    with ``w = a * psi``, which has the law of ``sum_j w_ij xi_ji``; ``psi``
+    is symmetric, so ``w`` pairs each weight with its channel's intensity.
+    Every contraction is per slice, so the arithmetic of one replication
+    does not depend on how many replications share the stack.
     """
     if ws is None:
-        lead = np.broadcast_shapes(x.shape[:-2], a.shape[:-2], xi_in.shape[:-3],
+        lead = np.broadcast_shapes(x.shape[:-2], a.shape[:-2], z.shape[:-2],
                                    d_plus_zeta.shape[:-2])
         ws, out = _Workspace(lead, *x.shape[-2:]), np.empty(lead + x.shape[-2:])
     xt = x.swapaxes(-1, -2)
@@ -135,8 +149,9 @@ def _step(x, a, row_sums, alpha_k, c_k, model, xi_in, d_plus_zeta, ws=None, out=
     for sq_d in ws.diff_d[1:]:
         norm_sq = np.add(norm_sq, sq_d, out=ws.psi)
     psi = model.psi_values(np.sqrt(norm_sq, out=ws.psi), out=ws.psi)
-    np.multiply(a, psi, out=ws.a_psi)
-    np.matmul(ws.a_psi_rows, xi_in, out=ws.noise_rows)
+    w = np.multiply(a, psi, out=ws.a_psi)
+    np.sqrt(np.einsum("...ij,...ij->...i", w, w, out=ws.row_norm), out=ws.row_norm)
+    np.multiply(ws.row_norm_col, z, out=ws.noise)
     consensus = np.matmul(a, x, out=ws.consensus)
     np.subtract(consensus, np.multiply(row_sums[..., None], x, out=ws.term),
                 out=consensus)
@@ -159,48 +174,6 @@ def _recursion_gap(delta, a, row_sums, alpha_k, c_k, noise, zeta, d_stack, x_new
     gap = (delta - c_k * _center(lap_delta) + _center(noise_in)
            - alpha_k * _center(d_stack) - _center(x_new))
     return np.sqrt((gap * gap).sum(axis=(-2, -1)))
-
-
-def apply_step(states, adjacency, alpha_k, c_k, model, xi, d_plus_zeta):
-    """One update from pre-drawn noises; broadcasts over leading batch axes.
-
-    ``xi[..., j, i, :]`` is the channel noise on (j -> i); inactive channels
-    are multiplied by zero weights, so their entries never matter.
-    """
-    x = np.asarray(states, dtype=float)
-    a = np.asarray(adjacency, dtype=float)
-    return _step(x, a, a.sum(axis=-1), alpha_k, c_k, model,
-                 np.swapaxes(np.asarray(xi, dtype=float), -3, -2),
-                 np.asarray(d_plus_zeta, dtype=float))[0]
-
-
-def delta_recursion_check(states, adjacency, schedule, model, objective, k,
-                          xi, zeta):
-    """Discrepancy between the direct and recursive consensus-error updates.
-
-    Computes the next consensus error once by projecting the stepped state and
-    once through the error recursion
-
-        delta(k+1) = ((I - c P L) (x) I) delta(k)
-                     + (P (x) I)(c D Psi xi - alpha zeta)
-                     - alpha (P (x) I) d(k)
-
-    and returns the norm of the difference.  Both sides share the given
-    draws and the kernel's noise term; the discrepancy is pure floating-point
-    error.
-    """
-    x = np.asarray(states, dtype=float)
-    a = np.asarray(adjacency, dtype=float)
-    alpha_k = schedule.alpha(k)
-    c_k = schedule.c(k)
-    row_sums = a.sum(axis=-1)
-    d_stack = objective.subgradient_stack(x)
-    zeta = np.asarray(zeta, dtype=float)
-    x_new, noise, _ = _step(x, a, row_sums, alpha_k, c_k, model,
-                            np.swapaxes(np.asarray(xi, dtype=float), -3, -2),
-                            d_stack + zeta)
-    return float(_recursion_gap(_center(x), a, row_sums, alpha_k, c_k, noise,
-                                zeta, d_stack, x_new))
 
 
 @dataclass(frozen=True)
@@ -309,9 +282,8 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
     span = min(_sub_span(reps, n_nodes, dim, has_zeta), max(horizon, 1))
     graphs = np.empty((reps, span, n_nodes, n_nodes))
     row_sums = np.empty((reps, span, n_nodes))
-    # Channel noise stored receiver-major: xi_in[r, t, i, j] = xi_ji.
-    xi_in = np.empty((reps, span, n_nodes, n_nodes, dim))
-    normals = np.empty((span, n_nodes, n_nodes, dim))
+    # Receiver i's channel draw of step t: z_chan[r, t, i], N(0, I/dim).
+    z_chan = np.empty((reps, span, n_nodes, dim))
     hist = np.empty((span + 1, reps, n_nodes, dim))
     hist[0] = np.stack(states)
     centred = np.empty((span, reps, n_nodes, dim))
@@ -319,11 +291,11 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
     psi_max = np.empty((span, reps))
     ws = _Workspace((reps,), n_nodes, dim)
     if has_zeta:
-        # Raw gradient-noise draws of a whole chunk; the factors are formed
-        # per sub-span from step-major copies, so the slice of step t is
-        # contiguous.
-        z_draws = np.empty((reps, min(_CHUNK, horizon), n_nodes, dim))
-        v_draws = np.empty(z_draws.shape[:3])
+        # Raw gradient-noise draws, each step's z_t then v_t; the factors are
+        # formed from step-major copies, so the slice of step t is contiguous.
+        zv_draws = np.empty((reps, span, n_nodes * dim + n_nodes))
+        z_draws = zv_draws[..., :n_nodes * dim].reshape(reps, span, n_nodes, dim)
+        v_draws = zv_draws[..., n_nodes * dim:]
         z_steps, u, uv = (np.empty_like(centred) for _ in range(3))
         v_steps = np.empty(centred.shape[:3])
 
@@ -360,11 +332,6 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
     k = 0
     while k < horizon:
         chunk = min(_CHUNK, horizon - k)
-        if has_zeta:
-            # One stream per replication: the chunk's z, then its v.
-            for r, g in enumerate(grad_gen):
-                g.standard_normal(out=z_draws[r, :chunk])
-                g.standard_normal(out=v_draws[r, :chunk])
         chunk_ks = np.arange(k, k + chunk)
         alphas = schedule.alpha(chunk_ks).tolist()
         cs = schedule.c(chunk_ks).tolist()
@@ -374,12 +341,13 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
                                                   out=graphs[:, :s])
             graphs[:, :s].sum(axis=3, out=row_sums[:, :s])
             for r, g in enumerate(comm_gen):
-                g.standard_normal(out=normals[:s])
-                np.multiply(normals[:s], 1.0 / np.sqrt(dim),
-                            out=np.swapaxes(xi_in[r, :s], 1, 2))
+                g.standard_normal(out=z_chan[r, :s])
+            np.multiply(z_chan[:, :s], 1.0 / np.sqrt(dim), out=z_chan[:, :s])
             if has_zeta:
-                np.copyto(z_steps[:s], z_draws[:, t0:t0 + s].swapaxes(0, 1))
-                np.copyto(v_steps[:s], v_draws[:, t0:t0 + s].swapaxes(0, 1))
+                for r, g in enumerate(grad_gen):
+                    g.standard_normal(out=zv_draws[r, :s])
+                np.copyto(z_steps[:s], z_draws[:, :s].swapaxes(0, 1))
+                np.copyto(v_steps[:s], v_draws[:, :s].swapaxes(0, 1))
                 objective.noise_factors(z_steps[:s], v_steps[:s], out=(u[:s], uv[:s]))
 
             def advance(t):
@@ -394,7 +362,7 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
                     zeta = None
                     d_stack = step_src = objective.subgradient_stack(x, out=d_hist[t])
                 x_new, noise, psi = _step(x, a, row_sums[:, t], alpha_k, c_k, model,
-                                          xi_in[:, t], step_src, ws, hist[t + 1])
+                                          z_chan[:, t], step_src, ws, hist[t + 1])
                 np.maximum.reduce(psi, axis=(1, 2), out=psi_max[t])
                 if check_stride and (k0 + t) % check_stride == 0:
                     disc = _recursion_gap(_center(x), a, row_sums[:, t], alpha_k, c_k,

@@ -6,7 +6,9 @@ intensity is the norm form ``sigma * ||x_j - x_i|| + b`` (optionally capped),
 which attains the admissible growth bound with equality: ``sigma`` scales the
 multiplicative part and ``b`` the additive floor.  Channel noises are drawn
 from their own RNG stream so they are independent of the graph draw by
-construction.
+construction.  Being Gaussian, they enter the update only through each
+receiver's weighted sum, N(0, ||w_i||^2 I/dim), which the engine draws
+directly as ``||w_i|| z_i`` with one N(0, I/dim) vector per receiver.
 """
 
 from dataclasses import dataclass

@@ -4,7 +4,8 @@ Deliberately separate from the library implementations: eigenvalues by cyclic
 Jacobi rotations, cubic characteristic-polynomial roots in closed form, plain
 finite differences, a callback objective, the scalar channel-noise model, the
 per-node and stacked compact forms of the step, the broadcast-and-einsum form
-of the batched step kernel, the consensus projection, the sequential loops
+of the batched step kernel, the per-channel entry points to the kernel and to
+the consensus-error recursion check, the consensus projection, the sequential loops
 that the library's vectorised routines replaced, the per-key graph draws that
 its stacked ``sample_block`` replaced, the per-sample connectivity report
 that the library's stacked one replaced, and the
@@ -21,6 +22,7 @@ import numpy as np
 from subgradnet import (DeterministicCycle, DivergenceDetected, IndependentEdges,
                         LaplacianStats, MarkovSwitching, NonConvergenceError,
                         lambda2, laplacian)
+from subgradnet import engine
 from subgradnet import stepsize as ss
 from subgradnet.graphs import CHUNK, _walk_chain
 
@@ -366,10 +368,61 @@ def draw_channel_noise(model, adjacency, rng):
 
 
 def psi_matrix(model, states):
-    """Intensities psi(x_j - x_i) for all ordered pairs; entry [j, i]."""
+    """Intensities psi(x_j - x_i) for all ordered pairs; entry [..., j, i]."""
     x = np.asarray(states, dtype=float)
-    diff = x[:, None, :] - x[None, :, :]
-    return model.psi_values(np.sqrt((diff * diff).sum(axis=2)))
+    diff = x[..., :, None, :] - x[..., None, :, :]
+    return model.psi_values(np.sqrt((diff * diff).sum(axis=-1)))
+
+
+def receiver_draws(model, states, adjacency, xi):
+    """The kernel's per-receiver channel input that per-channel noises map
+    onto: z_i = sum_j w_ij xi_ji / ||w_i|| with w_ij = a_ij psi_ji, and
+    z_i = 0 where ||w_i|| = 0, so that ||w_i|| z_i is the noise sum.
+
+    ``xi[..., j, i, :]`` is the noise on channel (j -> i); broadcasts over
+    leading batch axes.
+    """
+    w = np.asarray(adjacency, dtype=float) * np.swapaxes(psi_matrix(model, states), -1, -2)
+    sums = (w[..., None, :] @ np.swapaxes(np.asarray(xi, dtype=float), -3, -2))[..., 0, :]
+    norms = np.sqrt((w * w).sum(axis=-1))[..., None]
+    return np.divide(sums, norms, out=np.zeros_like(sums), where=norms > 0.0)
+
+
+def apply_step(states, adjacency, alpha_k, c_k, model, xi, d_plus_zeta):
+    """One kernel step from per-channel noises ``xi[..., j, i, :]`` mapped by
+    :func:`receiver_draws`; broadcasts over leading batch axes."""
+    x = np.asarray(states, dtype=float)
+    a = np.asarray(adjacency, dtype=float)
+    return engine._step(x, a, a.sum(axis=-1), alpha_k, c_k, model,
+                        receiver_draws(model, x, a, xi),
+                        np.asarray(d_plus_zeta, dtype=float))[0]
+
+
+def delta_recursion_check(states, adjacency, schedule, model, objective, k,
+                          xi, zeta):
+    """Discrepancy between the direct and recursive consensus-error updates.
+
+    Computes the next consensus error once by projecting the kernel's stepped
+    state and once through the library's error recursion
+
+        delta(k+1) = ((I - c P L) (x) I) delta(k)
+                     + (P (x) I)(c D Psi xi - alpha zeta)
+                     - alpha (P (x) I) d(k)
+
+    and returns the norm of the difference.  Both sides share the kernel's
+    noise sum of the per-channel draws ``xi``; the discrepancy is pure
+    floating-point error.
+    """
+    x = np.asarray(states, dtype=float)
+    a = np.asarray(adjacency, dtype=float)
+    alpha_k, c_k = schedule.alpha(k), schedule.c(k)
+    row_sums = a.sum(axis=-1)
+    d_stack = objective.subgradient_stack(x)
+    zeta = np.asarray(zeta, dtype=float)
+    x_new, noise, _ = engine._step(x, a, row_sums, alpha_k, c_k, model,
+                                   receiver_draws(model, x, a, xi), d_stack + zeta)
+    return float(engine._recursion_gap(engine._center(x), a, row_sums, alpha_k, c_k,
+                                       noise, zeta, d_stack, x_new))
 
 
 def stacked_noise_matrices(model, states, adjacency, rng, xi=None):
@@ -465,16 +518,17 @@ def step_compact(states, adjacency, schedule, objective, k,
     return new.reshape(n_nodes, dim)
 
 
-def step_einsum(x, a, row_sums, alpha_k, c_k, model, xi_in, d_plus_zeta):
+def step_einsum(x, a, row_sums, alpha_k, c_k, model, z, d_plus_zeta):
     """The batched step kernel with allocated temporaries: node-major
     broadcast differences and pair norms by ``einsum``.
 
-    Takes the library kernel's operands (``xi_in`` receiver-major) and
-    returns its next state, channel-noise sum and intensities.
+    Takes the library kernel's operands (``z`` one channel draw per
+    receiver) and returns its next state, channel-noise sum and intensities.
     """
     diff = x[..., :, None, :] - x[..., None, :, :]
     psi_all = model.psi_values(np.sqrt(np.einsum("...ijd,...ijd->...ij", diff, diff)))
-    noise = ((a * psi_all)[..., None, :] @ xi_in)[..., 0, :]
+    w = a * psi_all
+    noise = np.sqrt(np.einsum("...ij,...ij->...i", w, w))[..., None] * z
     consensus = a @ x - row_sums[..., None] * x
     return x + c_k * (consensus + noise) - alpha_k * d_plus_zeta, noise, psi_all
 

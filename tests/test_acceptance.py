@@ -17,11 +17,10 @@ import numpy as np
 import pytest
 
 from conftest import record_acceptance_line
-from oracles import (draw_channel_noise, jacobi_eigenvalues, psi_matrix,
-                     stacked_noise_matrices, step_compact, step_per_node)
+from oracles import (delta_recursion_check, draw_channel_noise, jacobi_eigenvalues,
+                     psi_matrix, stacked_noise_matrices, step_compact, step_per_node)
 from subgradnet import (CommNoiseModel, DeterministicCycle, LassoProblem,
-                        QuadraticObjective, StepSchedule,
-                        delta_recursion_check, lambda2, laplacian, load_config,
+                        QuadraticObjective, StepSchedule, lambda2, laplacian, load_config,
                         run_experiment, symmetrized_laplacian,
                         verify_conditions, joint_connectivity_report)
 

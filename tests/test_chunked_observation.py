@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 import yaml
 
-from oracles import CustomObjective, quadratic_record_loop
+from oracles import CustomObjective, apply_step, quadratic_record_loop
 from subgradnet import (CommNoiseModel, DeterministicCycle,
                         DivergenceDetected, IndependentEdges, InitialStates,
                         LassoProblem, QuadraticObjective, StepSchedule,
-                        apply_step, cli, config, engine, global_optimum)
+                        cli, config, engine, global_optimum)
 from subgradnet.engine import (_check_divergence, _run_batch, default_record_ks,
                                replication_stream)
 

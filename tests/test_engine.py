@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 import yaml
 
-from oracles import (CustomObjective, consensus_projection, draw_channel_noise,
-                     psi, stacked_noise_matrices, step_compact, step_einsum,
+from oracles import (CustomObjective, apply_step, consensus_projection,
+                     delta_recursion_check, draw_channel_noise, psi,
+                     stacked_noise_matrices, step_compact, step_einsum,
                      step_per_node)
 from subgradnet import (CommNoiseModel, DeterministicCycle,
                         DivergenceDetected, IndependentEdges, InitialStates,
                         QuadraticObjective, StepSchedule, SubgradNetError,
-                        WorkerLost, apply_step, cli, config,
-                        default_record_ks, delta_recursion_check, laplacian,
+                        WorkerLost, cli, config, default_record_ks, laplacian,
                         monte_carlo, run_trajectory)
 from subgradnet.engine import _step, _Workspace, replication_stream
 
@@ -151,14 +151,14 @@ class TestStepEquivalence:
 
 def kernel_operands(rng, reps, n, dim, cap=None):
     """Operands of one batched kernel call: states, signed adjacency, row
-    sums, gains, model, receiver-major channel noise and subgradients."""
+    sums, gains, model, per-receiver channel draws and subgradients."""
     x = rng.normal(size=(reps, n, dim)) * 3.0
     a = rng.normal(size=(reps, n, n)) * (rng.random((reps, n, n)) < 0.7)
     a[:, np.arange(n), np.arange(n)] = 0.0
     model = CommNoiseModel(sigma=float(rng.random()), b=float(rng.random()),
                            noise_dim=dim, cap=cap)
-    xi_in = rng.standard_normal((reps, n, n, dim)) / np.sqrt(dim)
-    return (x, a, a.sum(axis=-1), 0.3, 0.7, model, xi_in,
+    z = rng.standard_normal((reps, n, dim)) / np.sqrt(dim)
+    return (x, a, a.sum(axis=-1), 0.3, 0.7, model, z,
             rng.normal(size=(reps, n, dim)))
 
 
@@ -335,10 +335,11 @@ class TestRunTrajectory:
                               record_ks=np.array([0, 1]), rep_index=rep)
         init_ss, _, comm_ss, _ = replication_stream(seed, rep).spawn(4)
         x0 = InitialStates().draw(np.random.default_rng(init_ss), n, dim)
-        xi = np.random.default_rng(comm_ss).standard_normal(
-            (1, n, n, dim))[0] / np.sqrt(dim)
+        # The channel stream's first step: one draw per receiver.
+        z = np.random.default_rng(comm_ss).standard_normal(
+            (1, n, dim))[0] / np.sqrt(dim)
         d = obj.subgradient_stack(x0)
-        x1 = apply_step(x0, a, sched.alpha(0), sched.c(0), model, xi, d)
+        x1 = _step(x0, a, a.sum(axis=-1), sched.alpha(0), sched.c(0), model, z, d)[0]
         assert np.max(np.abs(recs[1].mean_state - x1.mean(axis=0))) < 1e-12
         assert recs[1].state_sq_norm == pytest.approx(float((x1 ** 2).sum()), rel=1e-12)
         centered = x1 - x1.mean(axis=0)

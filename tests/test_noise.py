@@ -6,6 +6,7 @@ import pytest
 from oracles import (draw_channel_noise, draw_xi, measure_state, psi, psi_matrix,
                      stacked_noise_matrices)
 from subgradnet import CommNoiseModel
+from subgradnet.engine import _step
 
 
 def model(sigma=0.5, b=0.1, dim=2, cap=None):
@@ -158,3 +159,53 @@ class TestMartingaleProperty:
         rng = np.random.default_rng(11)
         draws = np.stack([draw_xi(m, rng) for _ in range(200_00)])
         assert (draws ** 2).sum(axis=1).mean() == pytest.approx(1.0, rel=0.05)
+
+
+class TestPerReceiverLaw:
+    """The kernel's noise sum ||w_i|| z_i against the per-channel sum
+    sum_j w_ij xi_ji, w = a * psi: both are N(0, sum_j w_ij^2 I/dim) per
+    receiver and independent across receivers, checked from the closed forms
+    at 4 standard errors over M draws."""
+
+    M = 100_000
+
+    def _setup(self):
+        dim = 2
+        # psi(x_j - x_i) = 0.5 ||x_j - x_i|| + 0.1, capped at 2 on three of
+        # the six pairs; receiver 2 has no in-neighbours.
+        m = model(sigma=0.5, b=0.1, dim=dim, cap=2.0)
+        x = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 3.0], [4.0, 4.0]])
+        a = np.array([[0.0, 0.5, 0.3, 0.0],
+                      [0.4, 0.0, 0.0, 0.7],
+                      [0.0, 0.0, 0.0, 0.0],
+                      [0.2, -0.3, 0.6, 0.0]])
+        psi_all = psi_matrix(m, x)
+        assert 0 < np.sum(psi_all == 2.0) < psi_all.size - 4
+        return m, x, a, a * psi_all.T, dim
+
+    def _check_law(self, noise, w, dim):
+        var = (w * w).sum(axis=1) / dim  # per receiver, per coordinate
+        flat = noise.reshape(self.M, -1)
+        sd = np.sqrt(np.repeat(var, dim))
+        live = np.flatnonzero(sd > 0.0)
+        assert np.all(flat[:, sd == 0.0] == 0.0)
+        second = (flat[:, live] ** 2).mean(axis=0)
+        assert np.all(np.abs(second - sd[live] ** 2)
+                      <= 4.0 * sd[live] ** 2 * np.sqrt(2.0 / self.M))
+        for p, q in ((p, q) for p in live for q in live if p < q):
+            cross = float((flat[:, p] * flat[:, q]).mean())
+            assert abs(cross) <= 4.0 * sd[p] * sd[q] / np.sqrt(self.M), (p, q)
+
+    def test_per_channel_sum_has_the_closed_form_law(self):
+        m, x, a, w, dim = self._setup()
+        rng = np.random.default_rng(31)
+        xi = rng.standard_normal((self.M, 4, 4, dim)) / np.sqrt(dim)  # [.., j, i]
+        self._check_law(np.einsum("ij,mjid->mid", w, xi), w, dim)
+
+    def test_kernel_noise_sum_has_the_closed_form_law(self):
+        m, x, a, w, dim = self._setup()
+        rng = np.random.default_rng(32)
+        z = rng.standard_normal((self.M, 4, dim)) / np.sqrt(dim)
+        d = np.zeros((4, dim))
+        _, noise, _ = _step(x, a, a.sum(axis=1), 0.1, 0.3, m, z, d)
+        self._check_law(noise, w, dim)

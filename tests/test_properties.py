@@ -10,12 +10,12 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from oracles import (connectivity_report_loop, draw_channel_noise,
-                     lasso_measurement_loop, sample_block_per_key, step_per_node)
+from oracles import (apply_step, connectivity_report_loop, draw_channel_noise,
+                     lasso_measurement_loop, receiver_draws, sample_block_per_key,
+                     step_per_node)
 from subgradnet import (CommNoiseModel, DeterministicCycle, IndependentEdges,
                         InitialStates, LassoProblem, MarkovSwitching,
-                        QuadraticObjective, StepSchedule, apply_step,
-                        joint_connectivity_report)
+                        QuadraticObjective, StepSchedule, joint_connectivity_report)
 from subgradnet import engine
 from subgradnet.engine import _run_batch, default_record_ks
 from subgradnet.graphs import _stream_key
@@ -143,6 +143,34 @@ def test_kernel_matches_per_node_oracle_and_is_stack_independent(case):
     stacked = apply_step(x, a, sched.alpha(k), sched.c(k), model, np.stack(xis),
                          objective.subgradient_stack(x))
     assert np.array_equal(stacked, np.stack(singles))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_nodes=st.integers(1, 6), dim=st.integers(1, 4),
+       cap=st.sampled_from([None, 0.05, 0.5]),
+       zero_rows=st.integers(0, 2 ** 6 - 1), seed=st.integers(0, 2 ** 32 - 1))
+def test_kernel_on_mapped_receiver_draws_matches_per_node_oracle(n_nodes, dim, cap,
+                                                                 zero_rows, seed):
+    """Per-channel noises mapped to one draw per receiver give the per-node
+    step on the same noises; receivers with no in-neighbours get zero."""
+    rng = np.random.default_rng(seed)
+    sched, k = StepSchedule(), int(rng.integers(0, 10_000))
+    model = CommNoiseModel(sigma=float(rng.random()), b=float(rng.random()),
+                           noise_dim=dim, cap=cap)
+    objective = QuadraticObjective(rng.normal(size=(n_nodes, dim)))
+    x = rng.normal(size=(n_nodes, dim)) * 3.0
+    a = rng.normal(size=(n_nodes, n_nodes)) * (rng.random((n_nodes, n_nodes)) < 0.7)
+    np.fill_diagonal(a, 0.0)
+    a[[(zero_rows >> i) & 1 == 1 for i in range(n_nodes)]] = 0.0
+    draw_seed = int(rng.integers(2 ** 32))
+    via_node = step_per_node(x, a, sched, model, objective,
+                             np.random.default_rng(draw_seed), k)
+    xi = draw_channel_noise(model, a, np.random.default_rng(draw_seed))
+    z = receiver_draws(model, x, a, xi)
+    assert np.all(z[~a.any(axis=1)] == 0.0)
+    got = engine._step(x, a, a.sum(axis=1), sched.alpha(k), sched.c(k), model, z,
+                       objective.subgradient_stack(x))[0]
+    assert np.max(np.abs(got - via_node)) < 1e-12 * max(1.0, np.max(np.abs(via_node)))
 
 
 @settings(max_examples=40, deadline=None)

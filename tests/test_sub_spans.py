@@ -100,8 +100,8 @@ def test_peak_memory_does_not_grow_with_node_count():
     # Bound from arithmetic: the interpreter with numpy and the package takes
     # about 31 MiB, the step buffers 4 MiB, and one step's kernel temporaries
     # a few arrays of 8 x 40 x 40 x 2 doubles (0.2 MiB each).  Buffers of
-    # whole 1024-step chunks would hold 210 MB of channel noise and a 105 MB
-    # graph block at this size.
+    # whole 1024-step chunks would hold a 105 MB graph block at this size,
+    # and per-channel noise draws another 210 MB.
     bound_mb = 100.0
     inner = ("import resource\n"
              "import numpy as np\n"
