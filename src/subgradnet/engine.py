@@ -83,9 +83,22 @@ def _sub_span(reps, n_nodes, dim, has_zeta):
 
 
 def _center(states, out=None):
-    """Deviation of each node from the node average, over axis -2."""
-    return np.subtract(states, states.sum(axis=-2, keepdims=True) / states.shape[-2],
-                       out=out)
+    """Deviation of each node from the node average, over axis -2.
+
+    The nodes are summed by sequential adds of ``[..., i:i+1, :]`` slices, the
+    order of numpy's axis -2 sum when the last axis holds more than one value,
+    at half the cost of that strided reduction.  With one value per node numpy
+    sums the nodes pairwise, so that case keeps its ``sum``.
+    """
+    n = states.shape[-2]
+    if states.shape[-1] == 1:
+        total = states.sum(axis=-2, keepdims=True)
+    else:
+        total = states[..., :1, :].copy()
+        for i in range(1, n):
+            np.add(total, states[..., i:i + 1, :], out=total)
+    total /= n
+    return np.subtract(states, total, out=out)
 
 
 def _check_divergence(hist, k0, rep_indices):

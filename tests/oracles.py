@@ -8,9 +8,10 @@ of the batched step kernel, the per-channel entry points to the kernel and to
 the consensus-error recursion check, the consensus projection, the sequential loops
 that the library's vectorised routines replaced, the per-key graph draws that
 its stacked ``sample_block`` replaced, the per-sample connectivity report
-that the library's stacked one replaced, and the
+that the library's stacked one replaced, the
 whole-array step-size condition check that the library's block-streamed one
-replaced.
+replaced, the expression forms of the step-size gains that the library now
+forms in place, and the node-axis sum that the library's centring replaced.
 These provide the second route of every dual-route check.
 """
 
@@ -578,6 +579,25 @@ def quadratic_record_loop(state, targets, x_star, f_star):
         "mean_state": mean,
         "opt_gap": sum(0.5 * sq_dist(mean, t) for t in targets) - f_star,
     }
+
+
+def schedule_alpha_expr(schedule, k):
+    """alpha(k) of a ``StepSchedule`` as one expression on new arrays."""
+    k = np.asarray(k, dtype=float)
+    val = schedule.alpha1 / ((k + 3.0) * np.log(k + 3.0) ** schedule.tau1)
+    return float(val) if val.ndim == 0 else val
+
+
+def schedule_c_expr(schedule, k):
+    """c(k) of a ``StepSchedule`` as one expression on new arrays."""
+    k = np.asarray(k, dtype=float)
+    val = schedule.alpha2 / ((k + 3.0) ** schedule.tau2 * np.log(k + 3.0) ** schedule.tau3)
+    return float(val) if val.ndim == 0 else val
+
+
+def center_by_sum(states):
+    """Deviation of each node from the node average by numpy's axis -2 sum."""
+    return states - states.sum(axis=-2, keepdims=True) / states.shape[-2]
 
 
 def verify_conditions_full(alpha_fn, c_fn, C, horizon):

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+import yaml
 
 from subgradnet import (IndependentEdges, MarkovSwitching, ParseError,
                         QuadraticObjective, ValidationError, load_config,
                         save_config)
-from subgradnet.config import (build_init, build_objective, build_process,
+from subgradnet.config import (_Loader, build_init, build_objective, build_process,
                                build_schedule, config_from_dict)
 
 MINIMAL_QUADRATIC = {
@@ -77,6 +78,27 @@ graph:
         path = write_yaml(tmp_path, "problem: [unclosed")
         with pytest.raises(ParseError):
             load_config(path)
+
+    @pytest.mark.parametrize("text", [
+        "problem: {kind: 'quadratic", "a: 1\n\tb: 2",
+        "graph:\n  n_nodes: 2\n n_nodes: 3", "- a\nb: 1", "key: @value"])
+    def test_parse_error_on_malformed_yaml(self, tmp_path, text):
+        path = write_yaml(tmp_path, text)
+        with pytest.raises(ParseError):
+            load_config(path)
+
+    def test_loader_in_use_parses_like_safe_loader(self, tmp_path, config_dir):
+        data = dict(MINIMAL_QUADRATIC)
+        data["run"] = {"horizon": 5000, "reps": 3, "seed": 9}
+        data["noise"] = {"sigma": 0.25, "b": 0.1}
+        save_config(config_from_dict(data), str(tmp_path / "saved.yaml"))
+        paths = [config_dir / "a1_quadratic.yaml", config_dir / "a2_lasso.yaml",
+                 tmp_path / "saved.yaml"]
+        for path in paths:
+            text = path.read_text(encoding="utf-8")
+            want = yaml.load(text, Loader=yaml.SafeLoader)
+            got = yaml.load(text, Loader=_Loader)
+            assert got == want and repr(got) == repr(want)
 
     def test_parse_error_on_missing_file(self, tmp_path):
         with pytest.raises(ParseError):

@@ -7,16 +7,16 @@ import numpy as np
 import pytest
 import yaml
 
-from oracles import (CustomObjective, apply_step, consensus_projection,
-                     delta_recursion_check, draw_channel_noise, psi,
-                     stacked_noise_matrices, step_compact, step_einsum,
-                     step_per_node)
+from oracles import (CustomObjective, apply_step, center_by_sum,
+                     consensus_projection, delta_recursion_check,
+                     draw_channel_noise, psi, stacked_noise_matrices,
+                     step_compact, step_einsum, step_per_node)
 from subgradnet import (CommNoiseModel, DeterministicCycle,
                         DivergenceDetected, IndependentEdges, InitialStates,
                         QuadraticObjective, StepSchedule, SubgradNetError,
                         WorkerLost, cli, config, default_record_ks, laplacian,
                         monte_carlo, run_trajectory)
-from subgradnet.engine import _step, _Workspace, replication_stream
+from subgradnet.engine import _center, _step, _Workspace, replication_stream
 
 
 def zero_objective(n_nodes, dim):
@@ -202,6 +202,22 @@ class TestKernelWorkspace:
         finally:
             tracemalloc.stop()
         assert peak - base < reps * n * n * 8
+
+
+class TestCenter:
+    """Centring by sequential slice adds equals the axis -2 sum bit for bit."""
+
+    @pytest.mark.parametrize("n", (1, 2, 3, 5, 8, 9, 16, 50, 100))
+    @pytest.mark.parametrize("dim", (1, 2, 3, 4))
+    def test_equals_axis_sum_form(self, n, dim):
+        rng = np.random.default_rng(1000 * n + dim)
+        for lead in ((7,), (5, 6)):
+            shape = lead + (n, dim)
+            x = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 6, size=shape)
+            want = center_by_sum(x)
+            assert np.array_equal(_center(x), want)
+            out = np.empty(shape)
+            assert _center(x, out=out) is out and np.array_equal(out, want)
 
 
 class TestDeltaRecursion:

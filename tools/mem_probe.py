@@ -17,7 +17,10 @@ starts it.  Prints one JSON line: the process's peak RSS (`ru_maxrss`, in
 sizes used.  With --run the whole `subgradnet run` of the config is made
 into a temporary directory instead (its report goes to stderr), and the
 faults and seconds are those of its Monte Carlo call; its peak RSS is then
-the one perfbench reports.
+the one perfbench reports.  The line then also holds the minor faults and
+seconds of setup (from the start of the `subgradnet run` call to Monte Carlo
+entry, as perfbench's `setup_s`) and of the C1-C5 check (`verify_conditions`)
+alone.
 """
 
 import argparse
@@ -41,6 +44,7 @@ from subgradnet import cli, experiment  # noqa: E402
 from subgradnet import config as cfgmod  # noqa: E402
 from subgradnet.engine import default_record_ks, monte_carlo  # noqa: E402
 from subgradnet.objectives import global_optimum  # noqa: E402
+from subgradnet.stepsize import verify_conditions  # noqa: E402
 
 
 def make_config(args):
@@ -72,21 +76,38 @@ def main(argv):
     cfgmod.validate_config(cfg)
     measured = {}
 
+    def stamp():
+        return time.perf_counter(), resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+    def record(name, start):
+        now, faults = stamp()
+        measured[f"{name}_s"] = round(now - start[0], 4)
+        measured[f"{name}_minor_faults"] = faults - start[1]
+
     def probed(*call_args, **kwargs):
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        start = time.perf_counter()
+        if args.run:
+            record("setup", run_start)
+        start = stamp()
         result = monte_carlo(*call_args, **kwargs)
-        measured["monte_carlo_s"] = round(time.perf_counter() - start, 3)
-        measured["minor_faults"] = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        measured["monte_carlo_s"] = round(time.perf_counter() - start[0], 3)
+        measured["minor_faults"] = stamp()[1] - start[1]
+        return result
+
+    def probed_verify(*call_args, **kwargs):
+        start = stamp()
+        result = verify_conditions(*call_args, **kwargs)
+        record("verify", start)
         return result
 
     if args.run:
         experiment.monte_carlo = probed
+        experiment.verify_conditions = probed_verify
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "config.yaml")
             with open(path, "w", encoding="utf-8") as fh:
                 yaml.safe_dump(data, fh)
             with contextlib.redirect_stdout(sys.stderr):
+                run_start = stamp()
                 if cli.main(["run", "--config", path, "--out", tmp]) != 0:
                     return 1
     else:
