@@ -64,7 +64,8 @@ def _build_parser():
 
 
 def _cmd_run(args):
-    cfg = cfgmod.load_config(args.config)
+    # run_experiment validates the config once, with the overrides applied.
+    cfg = cfgmod.load_config(args.config, _validate=False)
     if args.seed is not None:
         cfg.run.seed = args.seed
     if args.reps is not None:

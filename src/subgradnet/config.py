@@ -151,6 +151,11 @@ def _build_section(name, cls, data):
 
 
 def config_from_dict(data):
+    """Build and validate an experiment configuration from a nested dict."""
+    return validate_config(_build_config(data))
+
+
+def _build_config(data):
     if not isinstance(data, dict):
         raise ValidationError("top-level config must be a mapping")
     unknown = set(data) - set(_SECTIONS) - {"verify"}
@@ -161,13 +166,15 @@ def config_from_dict(data):
     verify = data.get("verify") or {}
     if not isinstance(verify, dict) or set(verify) - {"horizon"}:
         raise ValidationError("section 'verify' supports only the key 'horizon'")
-    cfg = ExperimentConfig(verify_horizon=verify.get("horizon"), **sections)
-    validate_config(cfg)
-    return cfg
+    return ExperimentConfig(verify_horizon=verify.get("horizon"), **sections)
 
 
-def load_config(path):
-    """Load and validate an experiment configuration from a YAML file."""
+def load_config(path, *, _validate=True):
+    """Load and validate an experiment configuration from a YAML file.
+
+    ``_validate=False`` leaves the validation to the caller, for ``run``,
+    whose overrides must be applied before it.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.load(fh, Loader=_Loader)
@@ -175,7 +182,8 @@ def load_config(path):
         raise ParseError(f"cannot read config file {path}: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ParseError(f"cannot parse config file {path}: {exc}") from exc
-    return config_from_dict(data if data is not None else {})
+    cfg = _build_config(data if data is not None else {})
+    return validate_config(cfg) if _validate else cfg
 
 
 def save_config(cfg, path):

@@ -19,19 +19,26 @@ would need per-channel draws again.
 One batched step kernel computes the step for a whole stack of
 replications; the Monte Carlo loop and the consensus-error recursion check
 call it.  It writes its temporaries into a workspace allocated once per
-batch and sums the squared dim-major pair differences over ``d`` in index
-order, an einsum's order up to dim 2.  The tests keep a per-node loop, the
-stacked compact matrix form and the einsum form as its references, and map
-per-channel draws onto the kernel's per-receiver input.
+batch, with the pair differences dim-leading so that each coordinate's block
+is contiguous, and sums their squares over ``d`` in index order, an einsum's
+order up to dim 2.  The tests keep a per-node loop, the stacked compact
+matrix form and the einsum form as its references, and map per-channel
+draws onto the kernel's per-receiver input.
 The Monte Carlo loop walks each 1024-step chunk in sub-spans sized by a byte
 budget for the step buffers, which are allocated once per batch and hold one
 sub-span (at least one step), not a whole chunk; every stream is read in
 step order, so the draws of a sub-span are the same numbers whatever its
-length.  Per step it makes only the measurement, the kernel call and, on
-check steps, the recursion check; once per sub-span it draws all
-replications' graphs in one in-place call and each replication's channel
-and gradient noise in one call per stream, checks the states for
-divergence, records them and evaluates the psi and d monitors.
+length.  The buffers are step-major: each operand of a step (states, graphs,
+row sums, channel draws, noise factors) is one contiguous block over the
+replications, because numpy takes three to six times longer on a strided or
+broadcast operand of a few hundred values than on a contiguous one.
+Constant operands are broadcast once, the row sums once per sub-span and the
+objective's constants once per batch in its workspace.  Per step the loop
+makes only the measurement, the kernel call, the psi maximum and, on check
+steps, the recursion check; once per sub-span it draws all replications'
+graphs in one in-place call and each replication's channel and gradient
+noise in one call per stream, checks the states for divergence, records
+them and evaluates the psi and d monitors.
 
 Randomness is organized as one stream per replication, split into disjoint
 sub-streams for initial states, graph draws, channel noise and gradient noise,
@@ -62,18 +69,22 @@ _BUDGET_BYTES = 4 << 20
 
 _DIVERGENCE_NORM_SQ = 1e24
 
+# The C routine behind ``np.einsum``, which calls it unchanged when it does
+# not optimize; called directly it saves half of a small einsum's 4 us.
+try:
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # pragma: no cover - numpy without this private module
+    _einsum = np.einsum
+
 
 def _step_bytes(reps, n_nodes, dim, has_zeta):
-    """Bytes one batch holds per step of a sub-span: the graphs and row
-    sums, the per-receiver channel draws, the states, their centred copies
-    and subgradients, the psi maxima, the copy of the recorded states that
-    ``observe`` makes with up to two temporaries of its size and, with
-    gradient noise, the raw draws block and its step-major copies and noise
-    factors."""
-    per_rep = n_nodes * n_nodes + n_nodes + 7 * n_nodes * dim + 1
+    """Bytes one batch holds per step of a sub-span: the buffers of
+    ``_StepBuffers`` and the copy of the recorded states that ``observe``
+    makes with up to two temporaries of its size."""
+    per_rep = n_nodes * n_nodes + n_nodes + 8 * n_nodes * dim + dim + 1
     if has_zeta:
         per_rep += 4 * n_nodes * dim + 2 * n_nodes
-    return 8 * reps * per_rep
+    return 8 * (reps * per_rep + n_nodes * dim)
 
 
 def _sub_span(reps, n_nodes, dim, has_zeta):
@@ -82,8 +93,9 @@ def _sub_span(reps, n_nodes, dim, has_zeta):
                                                            has_zeta)))
 
 
-def _center(states, out=None):
-    """Deviation of each node from the node average, over axis -2.
+def _center(states, out=None, mean=None):
+    """Deviation of each node from the node average, over axis -2; the
+    average goes to ``mean``, shaped like ``states[..., :1, :]``, when given.
 
     The nodes are summed by sequential adds of ``[..., i:i+1, :]`` slices, the
     order of numpy's axis -2 sum when the last axis holds more than one value,
@@ -91,10 +103,11 @@ def _center(states, out=None):
     sums the nodes pairwise, so that case keeps its ``sum``.
     """
     n = states.shape[-2]
+    total = np.empty(states[..., :1, :].shape) if mean is None else mean
     if states.shape[-1] == 1:
-        total = states.sum(axis=-2, keepdims=True)
+        states.sum(axis=-2, keepdims=True, out=total)
     else:
-        total = states[..., :1, :].copy()
+        np.copyto(total, states[..., :1, :])
         for i in range(1, n):
             np.add(total, states[..., i:i + 1, :], out=total)
     total /= n
@@ -118,11 +131,14 @@ def _check_divergence(hist, k0, rep_indices):
 
 class _Workspace:
     """Buffers and views for every temporary of ``_step`` on states shaped
-    ``lead + (N, dim)``; allocated once, reused by every call."""
+    ``lead + (N, dim)``; allocated once, reused by every call.  The pair
+    differences are dim-leading, so each ``diff[d]`` is one contiguous block,
+    and ``axes`` transposes a state stack to ``(dim,) + lead + (N,)``."""
 
     def __init__(self, lead, n_nodes, dim):
-        self.diff = np.empty(lead + (dim, n_nodes, n_nodes))  # dim-major
-        self.diff_d = [self.diff[..., d, :, :] for d in range(dim)]
+        self.axes = (len(lead) + 1,) + tuple(range(len(lead) + 1))
+        self.diff = np.empty((dim,) + lead + (n_nodes, n_nodes))
+        self.diff_d = list(self.diff)
         self.psi = np.empty(lead + (n_nodes, n_nodes))
         self.a_psi = np.empty_like(self.psi)
         self.row_norm = np.empty(lead + (n_nodes,))
@@ -138,20 +154,24 @@ def _step(x, a, row_sums, alpha_k, c_k, model, z, d_plus_zeta, ws=None, out=None
 
     Works on one state ``(N, dim)`` or a stack ``(..., N, dim)``; without
     ``ws`` it makes a fresh workspace and ``out`` for the operands' broadcast
-    leading shape.  ``z[..., i, :]`` is receiver i's N(0, I/dim) channel
-    draw.  The pair norms come from the dim-major differences ``x_i - x_j``,
-    squared in place and summed over ``d`` in index order.  The consensus
-    term is ``a @ x - row_sums * x`` and the noise sum is ``||w_i|| z_i``
-    with ``w = a * psi``, which has the law of ``sum_j w_ij xi_ji``; ``psi``
-    is symmetric, so ``w`` pairs each weight with its channel's intensity.
-    Every contraction is per slice, so the arithmetic of one replication
-    does not depend on how many replications share the stack.
+    leading shape.  ``row_sums`` holds each node's row sum broadcastable
+    against ``x``: ``(..., N, 1)``, or ``x``'s own shape, which spares the
+    multiply a broadcast.  ``z[..., i, :]`` is receiver i's N(0, I/dim)
+    channel draw.  The pair norms come from the dim-leading differences
+    ``x_i - x_j``, squared in place and summed over ``d`` in index order.
+    The consensus term is ``a @ x - row_sums * x`` and the noise sum is
+    ``||w_i|| z_i`` with ``w = a * psi``, which has the law of
+    ``sum_j w_ij xi_ji``; ``psi`` is symmetric, so ``w`` pairs each weight
+    with its channel's intensity.  Every contraction is per slice, so the
+    arithmetic of one replication does not depend on how many replications
+    share the stack.
     """
     if ws is None:
         lead = np.broadcast_shapes(x.shape[:-2], a.shape[:-2], z.shape[:-2],
                                    d_plus_zeta.shape[:-2])
-        ws, out = _Workspace(lead, *x.shape[-2:]), np.empty(lead + x.shape[-2:])
-    xt = x.swapaxes(-1, -2)
+        x = np.broadcast_to(x, lead + x.shape[-2:])
+        ws, out = _Workspace(lead, *x.shape[-2:]), np.empty(x.shape)
+    xt = x.transpose(ws.axes)
     # x_j[d] into row i, then x_i[d] minus it: numpy buffers each broadcast
     # operand of a call, so one per call keeps that buffer to one operand's.
     sq = ws.diff
@@ -163,11 +183,10 @@ def _step(x, a, row_sums, alpha_k, c_k, model, z, d_plus_zeta, ws=None, out=None
         norm_sq = np.add(norm_sq, sq_d, out=ws.psi)
     psi = model.psi_values(np.sqrt(norm_sq, out=ws.psi), out=ws.psi)
     w = np.multiply(a, psi, out=ws.a_psi)
-    np.sqrt(np.einsum("...ij,...ij->...i", w, w, out=ws.row_norm), out=ws.row_norm)
+    np.sqrt(_einsum("...ij,...ij->...i", w, w, out=ws.row_norm), out=ws.row_norm)
     np.multiply(ws.row_norm_col, z, out=ws.noise)
     consensus = np.matmul(a, x, out=ws.consensus)
-    np.subtract(consensus, np.multiply(row_sums[..., None], x, out=ws.term),
-                out=consensus)
+    np.subtract(consensus, np.multiply(row_sums, x, out=ws.term), out=consensus)
     np.add(consensus, ws.noise, out=consensus)
     np.add(x, np.multiply(consensus, c_k, out=consensus), out=out)
     np.subtract(out, np.multiply(d_plus_zeta, alpha_k, out=ws.term), out=out)
@@ -177,10 +196,10 @@ def _step(x, a, row_sums, alpha_k, c_k, model, z, d_plus_zeta, ws=None, out=None
 def _recursion_gap(delta, a, row_sums, alpha_k, c_k, noise, zeta, d_stack, x_new):
     """Norm of the gap between the recursive and the direct consensus error.
 
-    ``delta`` is the centred state before the step, ``noise`` the kernel's
-    channel-noise sum and ``x_new`` the kernel's next state.
+    ``delta`` is the centred state before the step, ``row_sums`` the
+    kernel's, ``noise`` its channel-noise sum and ``x_new`` its next state.
     """
-    lap_delta = row_sums[..., None] * delta - a @ delta
+    lap_delta = row_sums * delta - a @ delta
     noise_in = c_k * noise
     if zeta is not None:
         noise_in = noise_in - alpha_k * zeta
@@ -246,6 +265,36 @@ def replication_stream(seed, rep_index):
     return np.random.SeedSequence(entropy=seed, spawn_key=(int(rep_index),))
 
 
+class _StepBuffers:
+    """The step buffers of one batch, ``span`` steps long and step-major:
+    every operand of step t is the contiguous ``(reps, ...)`` block at
+    index t.  ``hist`` holds a sub-span's states and the state after it."""
+
+    def __init__(self, span, reps, n_nodes, dim, has_zeta):
+        node_steps = (span, reps, n_nodes, dim)
+        self.graphs = np.empty((span, reps, n_nodes, n_nodes))
+        self.row_sums = np.empty((span, reps, n_nodes))
+        # The row sums broadcast to the states' shape once per sub-span, so
+        # that the kernel's multiply takes same-shape operands.
+        self.row_sums_x = np.empty(node_steps)
+        # Receiver i's channel draw of step t: z_chan[t, r, i], N(0, I/dim).
+        self.z_chan = np.empty(node_steps)
+        # One replication's channel draws: standard_normal fills only a
+        # contiguous ``out``.
+        self.z_rep = np.empty((span, n_nodes, dim))
+        self.hist = np.empty((span + 1, reps, n_nodes, dim))
+        self.centred = np.empty(node_steps)
+        self.means = np.empty((span, reps, 1, dim))
+        self.d_hist = np.empty(node_steps)
+        self.psi_max = np.empty((span, reps))
+        if has_zeta:
+            # Raw gradient-noise draws, each step's z_t then v_t, and the
+            # noise factors formed from their step-major copies.
+            self.zv_draws = np.empty((reps, span, n_nodes * dim + n_nodes))
+            self.z_steps, self.u, self.uv = (np.empty(node_steps) for _ in range(3))
+            self.v_steps = np.empty((span, reps, n_nodes))
+
+
 def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
                x_star, f_star, init, record_ks, check_stride):
     """Simulate a batch of replications; per-replication results do not
@@ -288,41 +337,38 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
     cd_sq = float(np.max(objective.c_d)) ** 2
     has_zeta = objective.has_gradient_noise
 
-    # Every step buffer is allocated once per batch, ``span`` steps long, and
-    # each 1024-step chunk is walked in sub-spans of at most ``span`` steps.
-    # ``hist`` holds a sub-span's states and the state after it; the kernel
-    # writes each next state into it and its temporaries into ``ws``.
+    # Each 1024-step chunk is walked in sub-spans of at most ``span`` steps;
+    # the kernel writes each next state into ``hist`` and its temporaries
+    # into ``ws``, and the objective's measurement into its own workspace
+    # where it offers one.
     span = min(_sub_span(reps, n_nodes, dim, has_zeta), max(horizon, 1))
-    graphs = np.empty((reps, span, n_nodes, n_nodes))
-    row_sums = np.empty((reps, span, n_nodes))
-    # Receiver i's channel draw of step t: z_chan[r, t, i], N(0, I/dim).
-    z_chan = np.empty((reps, span, n_nodes, dim))
-    hist = np.empty((span + 1, reps, n_nodes, dim))
+    bufs = _StepBuffers(span, reps, n_nodes, dim, has_zeta)
+    graphs, row_sums, row_sums_x = bufs.graphs, bufs.row_sums, bufs.row_sums_x
+    z_chan, z_rep, hist, d_hist = bufs.z_chan, bufs.z_rep, bufs.hist, bufs.d_hist
+    centred, means, psi_max = bufs.centred, bufs.means, bufs.psi_max
     hist[0] = np.stack(states)
-    centred = np.empty((span, reps, n_nodes, dim))
-    d_hist = np.empty_like(centred)
-    psi_max = np.empty((span, reps))
     ws = _Workspace((reps,), n_nodes, dim)
+    make_ws = getattr(objective, "workspace", None)
+    obj_kw = {"ws": make_ws((reps,))} if make_ws is not None else {}
+    z_scale = 1.0 / np.sqrt(dim)
     if has_zeta:
-        # Raw gradient-noise draws, each step's z_t then v_t; the factors are
-        # formed from step-major copies, so the slice of step t is contiguous.
-        zv_draws = np.empty((reps, span, n_nodes * dim + n_nodes))
-        z_draws = zv_draws[..., :n_nodes * dim].reshape(reps, span, n_nodes, dim)
-        v_draws = zv_draws[..., n_nodes * dim:]
-        z_steps, u, uv = (np.empty_like(centred) for _ in range(3))
-        v_steps = np.empty(centred.shape[:3])
+        u, uv = bufs.u, bufs.uv
+        z_draws = bufs.zv_draws[..., :n_nodes * dim].reshape(reps, span, n_nodes, dim)
+        v_draws = bufs.zv_draws[..., n_nodes * dim:]
+        d_plus_zeta = np.empty((reps, n_nodes, dim))
 
     def observe(k0, hist, d_hist=None, psi_max=None):
         """Check and record the states ``hist`` before steps k0, k0+1, ...
         and monitor the bounds on the same steps' subgradients ``d_hist`` and
         largest intensities ``psi_max``."""
+        count = hist.shape[0]
         s_sq = _check_divergence(hist, k0, rep_indices)
-        xc = _center(hist, out=centred[:hist.shape[0]])
+        xc = _center(hist, out=centred[:count], mean=means[:count])
         v = np.einsum("trnd,trnd->tr", xc, xc)
-        rows = np.flatnonzero(record_mask[k0:k0 + hist.shape[0]])
+        rows = np.flatnonzero(record_mask[k0:k0 + count])
         slots = rec_slot[k0 + rows]
         x_rec = hist[rows]
-        xbar = x_rec.mean(axis=2)
+        xbar = means[rows][:, :, 0]
         dist_sq = np.square(x_rec - np.asarray(x_star, dtype=float)).sum(axis=3)
         out["V"][:, slots] = v[rows].T
         out["state_sq"][:, slots] = s_sq[rows].T
@@ -339,6 +385,25 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
             out["d_violation"] = np.maximum(out["d_violation"],
                                             (d_sq - d_bound).max(axis=0))
 
+    def advance(t, k, alpha_k, c_k):
+        """Step k, the t-th of its sub-span: the measurement, the kernel, the
+        psi maximum and, on check steps, the recursion check."""
+        x = hist[t]
+        if has_zeta:
+            d_stack, zeta = objective.subgradient_stack(x, (u[t], uv[t]), out=d_hist[t],
+                                                        **obj_kw)
+            step_src = np.add(d_stack, zeta, out=d_plus_zeta)
+        else:
+            zeta = None
+            d_stack = step_src = objective.subgradient_stack(x, out=d_hist[t], **obj_kw)
+        x_new, noise, psi = _step(x, graphs[t], row_sums_x[t], alpha_k, c_k, model,
+                                  z_chan[t], step_src, ws, hist[t + 1])
+        np.maximum.reduce(psi, axis=(1, 2), out=psi_max[t])
+        if check_stride and k % check_stride == 0:
+            disc = _recursion_gap(_center(x), graphs[t], row_sums_x[t], alpha_k, c_k,
+                                  noise, zeta, d_stack, x_new)
+            np.maximum(out["recursion_max"], disc, out=out["recursion_max"])
+
     # A floating-point error interrupts a step; unless a state has diverged by
     # then, the step is redone under the caller's error handling and warns.
     fp_modes = np.geterr()
@@ -351,45 +416,27 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
         for t0 in range(0, chunk, span):
             k0, s = k + t0, min(span, chunk - t0)
             _, graph_state = process.sample_block(graph_keys, k0, s, state=graph_state,
-                                                  out=graphs[:, :s])
-            graphs[:, :s].sum(axis=3, out=row_sums[:, :s])
+                                                  out=graphs[:s].swapaxes(0, 1))
+            graphs[:s].sum(axis=3, out=row_sums[:s])
+            np.copyto(row_sums_x[:s], row_sums[:s, ..., None])
             for r, g in enumerate(comm_gen):
-                g.standard_normal(out=z_chan[r, :s])
-            np.multiply(z_chan[:, :s], 1.0 / np.sqrt(dim), out=z_chan[:, :s])
+                g.standard_normal(out=z_rep[:s])
+                np.multiply(z_rep[:s], z_scale, out=z_chan[:s, r])
             if has_zeta:
                 for r, g in enumerate(grad_gen):
-                    g.standard_normal(out=zv_draws[r, :s])
-                np.copyto(z_steps[:s], z_draws[:, :s].swapaxes(0, 1))
-                np.copyto(v_steps[:s], v_draws[:, :s].swapaxes(0, 1))
-                objective.noise_factors(z_steps[:s], v_steps[:s], out=(u[:s], uv[:s]))
-
-            def advance(t):
-                x = hist[t]
-                a = graphs[:, t]
-                alpha_k, c_k = alphas[t0 + t], cs[t0 + t]
-                if has_zeta:
-                    d_stack, zeta = objective.subgradient_stack(x, (u[t], uv[t]),
-                                                                out=d_hist[t])
-                    step_src = d_stack + zeta
-                else:
-                    zeta = None
-                    d_stack = step_src = objective.subgradient_stack(x, out=d_hist[t])
-                x_new, noise, psi = _step(x, a, row_sums[:, t], alpha_k, c_k, model,
-                                          z_chan[:, t], step_src, ws, hist[t + 1])
-                np.maximum.reduce(psi, axis=(1, 2), out=psi_max[t])
-                if check_stride and (k0 + t) % check_stride == 0:
-                    disc = _recursion_gap(_center(x), a, row_sums[:, t], alpha_k, c_k,
-                                          noise, zeta, d_stack, x_new)
-                    np.maximum(out["recursion_max"], disc, out=out["recursion_max"])
-
+                    g.standard_normal(out=bufs.zv_draws[r, :s])
+                np.copyto(bufs.z_steps[:s], z_draws[:, :s].swapaxes(0, 1))
+                np.copyto(bufs.v_steps[:s], v_draws[:, :s].swapaxes(0, 1))
+                objective.noise_factors(bufs.z_steps[:s], bufs.v_steps[:s],
+                                        out=(u[:s], uv[:s]))
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 for t in range(s):
                     try:
-                        advance(t)
+                        advance(t, k0 + t, alphas[t0 + t], cs[t0 + t])
                     except FloatingPointError:
                         _check_divergence(hist[:t + 1], k0, rep_indices)
                         with np.errstate(**fp_modes):
-                            advance(t)
+                            advance(t, k0 + t, alphas[t0 + t], cs[t0 + t])
             observe(k0, hist[:s], d_hist[:s], psi_max[:s])
             hist[0] = hist[s]
         k += chunk

@@ -37,14 +37,18 @@ class CommNoiseModel:
             raise ValueError("noise_dim must be at least 1")
         if self.cap is not None and self.cap < 0:
             raise ValueError("cap must be nonnegative")
+        # 0-d arrays: a ufunc converts a Python float operand on every call,
+        # which costs a third of the psi_values call at the shipped shapes.
+        object.__setattr__(self, "_sigma", np.array(float(self.sigma)))
+        object.__setattr__(self, "_b", np.array(float(self.b)))
 
     def psi_values(self, delta_norms, out=None):
         """Vectorized intensity from precomputed relative-state norms, written
         into ``out`` when given (which may be ``delta_norms`` itself)."""
         if out is None:
             out = np.empty(np.shape(delta_norms))
-        np.multiply(delta_norms, self.sigma, out=out)
-        np.add(out, self.b, out=out)
+        np.multiply(delta_norms, self._sigma, out=out)
+        np.add(out, self._b, out=out)
         if self.cap is not None:
             np.minimum(out, self.cap, out=out)
         return out

@@ -12,6 +12,7 @@ global optimum independently of any simulation.
 
 import warnings
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -77,10 +78,17 @@ class QuadraticObjective:
     def subgradient(self, i, x):
         return np.asarray(x, dtype=float) - self.targets[i]
 
-    def subgradient_stack(self, states, out=None):
+    def workspace(self, lead):
+        """Per-batch operands of ``subgradient_stack`` for states shaped
+        ``lead + (N, n)``: the targets tiled to that shape."""
+        return SimpleNamespace(targets=np.broadcast_to(
+            self.targets, tuple(lead) + self.targets.shape).copy())
+
+    def subgradient_stack(self, states, out=None, ws=None):
         """Per-node gradients for stacked states of shape (..., N, n),
-        written into ``out`` when given."""
-        return np.subtract(states, self.targets, out=out)
+        written into ``out`` when given; with the ``workspace`` of the
+        states' leading shape, the targets are not broadcast."""
+        return np.subtract(states, self.targets if ws is None else ws.targets, out=out)
 
     def noisy_subgradient(self, i, x, rng):
         d = self.subgradient(i, x)
@@ -118,23 +126,30 @@ def _noise_factors(sqrt_cov, sigma_v, z, v, out=None):
                           out=uv_out)
 
 
-def _measure(cov, x0, kappa, states, factors=None, out=None):
+# A measurement workspace whose buffers are all fresh allocations.
+_ALLOCATE = SimpleNamespace(w=None, rw=None, sign=None, s=None, zeta=None)
+
+
+def _measure(cov, x0, kappa, states, factors=None, out=None, ws=_ALLOCATE):
     """Subgradient ``d = R w + kappa sign(x)`` with ``w = x - x0``, written
     into ``out`` when given, and with noise factors ``(u, u sigma_v v)`` also
     the noise ``u (u.w) - R w - u sigma_v v``.
 
-    Every product is a per-slice matmul, so the arithmetic of one state does
-    not depend on how many states share the stack.
+    The temporaries go to the buffers of ``ws`` (``rw`` shaped
+    ``(..., n, 1)``); ``zeta`` is one of them.  Every product is a per-slice
+    matmul, so the arithmetic of one state does not depend on how many
+    states share the stack.
     """
     x = np.asarray(states, dtype=float)
-    w = x - x0
-    rw = (cov @ w[..., None])[..., 0]
-    d = np.add(rw, kappa * np.sign(x), out=out)
+    w = np.subtract(x, x0, out=ws.w)
+    rw = np.matmul(cov, w[..., None], out=ws.rw)[..., 0]
+    d = np.add(rw, np.multiply(np.sign(x, out=ws.sign), kappa, out=ws.sign), out=out)
     if factors is None:
         return d
     u, uv = factors
-    s = (u * w).sum(axis=-1)
-    return d, u * s[..., None] - rw - uv
+    s = np.multiply(u, w, out=ws.zeta).sum(axis=-1, out=ws.s)
+    zeta = np.multiply(u, s[..., None], out=ws.zeta)
+    return d, np.subtract(np.subtract(zeta, rw, out=zeta), uv, out=zeta)
 
 
 @dataclass(frozen=True)
@@ -234,15 +249,28 @@ class LassoProblem:
         """Exact subgradient; the L1 part selects 0 at kinks (minimum norm)."""
         return _measure(self.covariances[i], self.x0, self.kappa, x)
 
-    def subgradient_stack(self, states, factors=None, out=None):
+    def workspace(self, lead):
+        """Per-batch buffers of ``subgradient_stack`` for states shaped
+        ``lead + (N, n)``: x0 tiled to that shape, and one buffer for each
+        of w = x - x0, R w, kappa sign(x), the projections u.w and zeta."""
+        shape = tuple(lead) + (self.n_nodes, self.dim)
+        return SimpleNamespace(x0=np.broadcast_to(self.x0, shape).copy(),
+                               w=np.empty(shape), rw=np.empty(shape + (1,)),
+                               sign=np.empty(shape), s=np.empty(shape[:-1]),
+                               zeta=np.empty(shape))
+
+    def subgradient_stack(self, states, factors=None, out=None, ws=None):
         """Per-node subgradients d for stacked states (..., N, n), written
         into ``out`` when given.
 
         Given the noise factors of the same step (``noise_factors``, sliced
         to the states' leading shape), returns the measurement ``(d, zeta)``
-        instead; both share one ``R_i (x - x0)`` product.
+        instead; both share one ``R_i (x - x0)`` product.  With the
+        ``workspace`` of the states' leading shape, the temporaries and zeta
+        are its buffers, overwritten by the next call.
         """
-        return _measure(self.covariances, self.x0, self.kappa, states, factors, out)
+        return _measure(self.covariances, self.x0 if ws is None else ws.x0, self.kappa,
+                        states, factors, out, ws or _ALLOCATE)
 
     def noise_factors(self, z, v, out=None):
         """State-free noise factors ``(u, u sigma_v v)`` with ``u = R_i^{1/2} z``

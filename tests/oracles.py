@@ -394,7 +394,7 @@ def apply_step(states, adjacency, alpha_k, c_k, model, xi, d_plus_zeta):
     :func:`receiver_draws`; broadcasts over leading batch axes."""
     x = np.asarray(states, dtype=float)
     a = np.asarray(adjacency, dtype=float)
-    return engine._step(x, a, a.sum(axis=-1), alpha_k, c_k, model,
+    return engine._step(x, a, a.sum(axis=-1)[..., None], alpha_k, c_k, model,
                         receiver_draws(model, x, a, xi),
                         np.asarray(d_plus_zeta, dtype=float))[0]
 
@@ -417,7 +417,7 @@ def delta_recursion_check(states, adjacency, schedule, model, objective, k,
     x = np.asarray(states, dtype=float)
     a = np.asarray(adjacency, dtype=float)
     alpha_k, c_k = schedule.alpha(k), schedule.c(k)
-    row_sums = a.sum(axis=-1)
+    row_sums = a.sum(axis=-1)[..., None]
     d_stack = objective.subgradient_stack(x)
     zeta = np.asarray(zeta, dtype=float)
     x_new, noise, _ = engine._step(x, a, row_sums, alpha_k, c_k, model,
@@ -530,7 +530,7 @@ def step_einsum(x, a, row_sums, alpha_k, c_k, model, z, d_plus_zeta):
     psi_all = model.psi_values(np.sqrt(np.einsum("...ijd,...ijd->...ij", diff, diff)))
     w = a * psi_all
     noise = np.sqrt(np.einsum("...ij,...ij->...i", w, w))[..., None] * z
-    consensus = a @ x - row_sums[..., None] * x
+    consensus = a @ x - row_sums * x
     return x + c_k * (consensus + noise) - alpha_k * d_plus_zeta, noise, psi_all
 
 

@@ -174,7 +174,7 @@ class NaNObjective(QuadraticObjective):
     """Its subgradient is NaN at every state, so every state after the first
     step is NaN; quiet NaNs raise no floating-point error."""
 
-    def subgradient_stack(self, states, out=None):
+    def subgradient_stack(self, states, out=None, ws=None):
         d = np.empty(np.shape(states)) if out is None else out
         d.fill(np.nan)
         return d

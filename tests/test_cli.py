@@ -112,6 +112,22 @@ class TestRun:
         assert "cfg.run.seed = 7" in summary
         assert "cfg.run.reps = 1" in summary
 
+    def test_config_is_validated_once_with_the_overrides_applied(self, tmp_path, monkeypatch,
+                                                                 capsys):
+        from subgradnet import config
+        checked = []
+        original = config.validate_config
+        monkeypatch.setattr(config, "validate_config",
+                            lambda cfg: checked.append(cfg.run.reps) or original(cfg))
+        # Three passing replications cannot be asked of the file's two.
+        path = write_cfg(tmp_path, dict(SMALL, thresholds={"min_pass_reps": 3}))
+        assert main(["run", "--config", path, "--reps", "3",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert checked == [3]
+        assert main(["run", "--config", path, "--out", str(tmp_path / "p")]) == 1
+        assert "min_pass_reps" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
     def test_env_var_output_override(self, tmp_path, monkeypatch):
         path = write_cfg(tmp_path)
         env_dir = tmp_path / "env_out"

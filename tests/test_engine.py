@@ -158,7 +158,7 @@ def kernel_operands(rng, reps, n, dim, cap=None):
     model = CommNoiseModel(sigma=float(rng.random()), b=float(rng.random()),
                            noise_dim=dim, cap=cap)
     z = rng.standard_normal((reps, n, dim)) / np.sqrt(dim)
-    return (x, a, a.sum(axis=-1), 0.3, 0.7, model, z,
+    return (x, a, a.sum(axis=-1)[..., None], 0.3, 0.7, model, z,
             rng.normal(size=(reps, n, dim)))
 
 
@@ -186,6 +186,27 @@ class TestKernelWorkspace:
             got, ref = self._both(seed, reps, n, dim, cap)
             for g, r in zip(got, ref):
                 assert np.max(np.abs(g - r)) <= 1e-14 * np.max(np.abs(r))
+
+    @pytest.mark.parametrize("dim", (1, 2))
+    @pytest.mark.parametrize("lead", ((), (3,), (2, 3)))
+    def test_dim_leading_workspace_matches_einsum_form_for_any_stack(self, dim, lead):
+        rng = np.random.default_rng(7 * dim + len(lead))
+        n = 5
+        x = rng.normal(size=lead + (n, dim)) * 3.0
+        a = rng.normal(size=lead + (n, n)) * (rng.random(lead + (n, n)) < 0.7)
+        model = CommNoiseModel(sigma=0.4, b=0.2, noise_dim=dim)
+        z = rng.standard_normal(x.shape) / np.sqrt(dim)
+        d = rng.normal(size=x.shape)
+        row_sums = a.sum(axis=-1)[..., None]
+        ref = step_einsum(x, a, row_sums, 0.3, 0.7, model, z, d)
+        # The engine's row sums come expanded to the states' shape.
+        for rs in (row_sums, np.broadcast_to(row_sums, x.shape).copy()):
+            ws, out = _Workspace(lead, n, dim), np.empty(x.shape)
+            got = _step(x, a, rs, 0.3, 0.7, model, z, d, ws, out)
+            assert ws.diff.shape == (dim,) + lead + (n, n)
+            assert all(diff_d.flags.c_contiguous for diff_d in ws.diff_d)
+            for g, r in zip(got, ref):
+                assert np.array_equal(g, r)
 
     def test_calls_with_a_workspace_allocate_no_pair_array(self):
         reps, n, dim = 4, 60, 2
@@ -216,8 +237,10 @@ class TestCenter:
             x = rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 6, size=shape)
             want = center_by_sum(x)
             assert np.array_equal(_center(x), want)
-            out = np.empty(shape)
-            assert _center(x, out=out) is out and np.array_equal(out, want)
+            out, mean = np.empty(shape), np.empty(lead + (1, dim))
+            assert _center(x, out=out, mean=mean) is out and np.array_equal(out, want)
+            # The node average that observe records, as numpy's mean gives it.
+            assert np.array_equal(mean, x.mean(axis=-2, keepdims=True))
 
 
 class TestDeltaRecursion:
@@ -355,7 +378,7 @@ class TestRunTrajectory:
         z = np.random.default_rng(comm_ss).standard_normal(
             (1, n, dim))[0] / np.sqrt(dim)
         d = obj.subgradient_stack(x0)
-        x1 = _step(x0, a, a.sum(axis=-1), sched.alpha(0), sched.c(0), model, z, d)[0]
+        x1 = _step(x0, a, a.sum(axis=-1)[:, None], sched.alpha(0), sched.c(0), model, z, d)[0]
         assert np.max(np.abs(recs[1].mean_state - x1.mean(axis=0))) < 1e-12
         assert recs[1].state_sq_norm == pytest.approx(float((x1 ** 2).sum()), rel=1e-12)
         centered = x1 - x1.mean(axis=0)
@@ -444,7 +467,7 @@ class TestCappedIntensity:
 class ExitingObjective(QuadraticObjective):
     """Ends the process that measures it, as a killed worker would."""
 
-    def subgradient_stack(self, states, out=None):
+    def subgradient_stack(self, states, out=None, ws=None):
         os._exit(1)
 
 

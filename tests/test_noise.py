@@ -207,5 +207,5 @@ class TestPerReceiverLaw:
         rng = np.random.default_rng(32)
         z = rng.standard_normal((self.M, 4, dim)) / np.sqrt(dim)
         d = np.zeros((4, dim))
-        _, noise, _ = _step(x, a, a.sum(axis=1), 0.1, 0.3, m, z, d)
+        _, noise, _ = _step(x, a, a.sum(axis=1)[:, None], 0.1, 0.3, m, z, d)
         self._check_law(noise, w, dim)

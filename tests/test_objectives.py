@@ -211,6 +211,16 @@ class TestQuadraticObjective:
             d = obj.subgradient_stack(states)
             assert (d ** 2).sum() <= 2 * sd * (states ** 2).sum() + 2 * 5 * cd + 1e-9
 
+    @pytest.mark.parametrize("lead", ((), (7,), (2, 3)))
+    def test_workspace_gradients_equal_broadcast_ones(self, lead):
+        rng = np.random.default_rng(23)
+        obj = QuadraticObjective(rng.normal(size=(5, 2)))
+        states = rng.normal(size=lead + (5, 2))
+        ws, out = obj.workspace(lead), np.empty(states.shape)
+        assert ws.targets.shape == states.shape
+        assert obj.subgradient_stack(states, out=out, ws=ws) is out
+        assert np.array_equal(out, obj.subgradient_stack(states))
+
 
 class TestGlobalOptimumOracle:
     def test_scalar_soft_threshold_closed_form(self):

@@ -101,6 +101,41 @@ def test_batch_grouping_invariance_holds_across_chunk_edges(case, horizon):
         dict(case, horizon=horizon))
 
 
+def _budget(span, reps, objective):
+    """A byte budget that walks a batch of ``reps`` replications of
+    ``objective`` in sub-spans of ``span`` steps."""
+    shape = (reps, objective.n_nodes, objective.dim, objective.has_gradient_noise)
+    budget = span * engine._step_bytes(*shape)
+    with mock.patch.object(engine, "_BUDGET_BYTES", budget):
+        assert engine._sub_span(*shape) == span
+    return budget
+
+
+@settings(max_examples=25, deadline=None)
+@given(n_nodes=st.integers(2, 9), dim=st.integers(1, 4), reps=st.integers(2, 4),
+       span=st.sampled_from([1, 7, 300]), objective=st.sampled_from(["quadratic", "lasso"]),
+       process=st.sampled_from(["independent", "markov", "cycle"]),
+       horizon=st.integers(1, 320), seed=st.integers(0, 2 ** 32 - 1))
+def test_each_replication_of_a_batch_equals_its_run_alone(n_nodes, dim, reps, span, objective,
+                                                          process, horizon, seed):
+    # The batch walks its steps in forced sub-spans of its step-major buffers;
+    # each replication alone walks one step per sub-span, where no step or
+    # replication of a buffer can stand in for another.
+    rng = np.random.default_rng(seed)
+    objective = _objective(objective, n_nodes, dim, rng)
+    model = CommNoiseModel(sigma=0.3, b=0.2, noise_dim=dim)
+    args = (objective, _process(process, n_nodes, rng), model, StepSchedule(), horizon, seed)
+    tail = (np.zeros(dim), 0.0, InitialStates.uniform(-2.0, 2.0),
+            default_record_ks(horizon, dense_until=50, stride=25), 13)
+    with mock.patch.object(engine, "_BUDGET_BYTES", _budget(span, reps, objective)):
+        batch = _run_batch(*args, list(range(reps)), *tail)
+    with mock.patch.object(engine, "_BUDGET_BYTES", _budget(1, 1, objective)):
+        for r in range(reps):
+            alone = _run_batch(*args, [r], *tail)
+            for key in PER_REP_KEYS:
+                assert np.array_equal(batch[key][r], alone[key][0]), (r, key)
+
+
 @st.composite
 def step_cases(draw):
     return dict(
@@ -168,7 +203,7 @@ def test_kernel_on_mapped_receiver_draws_matches_per_node_oracle(n_nodes, dim, c
     xi = draw_channel_noise(model, a, np.random.default_rng(draw_seed))
     z = receiver_draws(model, x, a, xi)
     assert np.all(z[~a.any(axis=1)] == 0.0)
-    got = engine._step(x, a, a.sum(axis=1), sched.alpha(k), sched.c(k), model, z,
+    got = engine._step(x, a, a.sum(axis=1)[:, None], sched.alpha(k), sched.c(k), model, z,
                        objective.subgradient_stack(x))[0]
     assert np.max(np.abs(got - via_node)) < 1e-12 * max(1.0, np.max(np.abs(via_node)))
 
@@ -273,6 +308,12 @@ def test_fused_lasso_measurement_matches_separate_calls_and_slices(case):
     d, zeta = problem.subgradient_stack(x, factors)
     assert np.array_equal(d, problem.subgradient_stack(x))
     assert np.array_equal(zeta, problem.zeta_from_draws(x, z, v))
+    # The engine's per-batch workspace: x0 tiled, every temporary in place.
+    ws = problem.workspace(lead)
+    d_ws, zeta_ws = problem.subgradient_stack(x, factors, out=np.empty_like(x), ws=ws)
+    assert zeta_ws is ws.zeta
+    assert np.array_equal(d_ws, d) and np.array_equal(zeta_ws, zeta)
+    assert np.array_equal(problem.subgradient_stack(x, ws=ws), d)
 
     d_ref, zeta_ref = lasso_measurement_loop(problem, x, z, v)
     scale = 1.0 + np.abs(x).max() * (1.0 + np.abs(z).max()) ** 2

@@ -96,6 +96,52 @@ def test_one_graph_draw_per_sub_span_for_all_replications(build, monkeypatch):
         assert np.array_equal(outs[0][key], outs[1][key]), key
 
 
+@pytest.mark.parametrize("build", (_quadratic, _lasso), ids=("quadratic", "lasso"))
+def test_one_measurement_per_step_and_one_graph_draw_per_sub_span(build, monkeypatch):
+    # The benchmark's per-layer metrics wrap these methods by name on the
+    # classes and read the draw's start step and length as positional
+    # arguments 2 and 3.
+    objective, process = build(np.random.default_rng(4))
+    calls = {"subgradient_stack": 0, "psi_values": 0, "sample_block": []}
+
+    def counted(cls, name):
+        original = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            if name == "sample_block":
+                calls[name].append((int(args[2]), int(args[3])))
+            else:
+                calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(type(objective), "subgradient_stack")
+    counted(type(process), "sample_block")
+    counted(CommNoiseModel, "psi_values")
+    horizon, span = 700, 300
+    force_span(monkeypatch, span, objective)
+    _run_batch(objective, process, CommNoiseModel(sigma=0.3, b=0.2, noise_dim=objective.dim),
+               StepSchedule(), horizon, 5, list(range(REPS)), np.zeros(objective.dim), 0.0,
+               InitialStates.uniform(-2.0, 2.0), default_record_ks(horizon), 97)
+    assert calls["subgradient_stack"] == calls["psi_values"] == horizon
+    assert calls["sample_block"] == [(0, 300), (300, 300), (600, 100)]
+
+
+@pytest.mark.parametrize("reps,n_nodes,dim", ((1, 2, 1), (20, 5, 2), (3, 9, 4)))
+@pytest.mark.parametrize("has_zeta", (False, True))
+def test_step_bytes_counts_every_per_step_buffer(reps, n_nodes, dim, has_zeta):
+    def held(span):
+        bufs = engine._StepBuffers(span, reps, n_nodes, dim, has_zeta)
+        arrays = [a for a in vars(bufs).values() if isinstance(a, np.ndarray)]
+        assert all(a.base is None for a in arrays)  # no view counted twice
+        return sum(a.nbytes for a in arrays)
+
+    # observe's copy of the recorded states and up to two temporaries of it.
+    observe_bytes = 3 * 8 * reps * n_nodes * dim
+    assert held(8) - held(7) + observe_bytes == engine._step_bytes(reps, n_nodes, dim,
+                                                                   has_zeta)
+
+
 def test_peak_memory_does_not_grow_with_node_count():
     # Bound from arithmetic: the interpreter with numpy and the package takes
     # about 31 MiB, the step buffers 4 MiB, and one step's kernel temporaries

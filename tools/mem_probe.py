@@ -3,12 +3,14 @@
 Usage (from the repository root):
 
     python3 tools/mem_probe.py a1-indep-quadratic [--horizon H] [--seed S]
-    python3 tools/mem_probe.py --nodes 100 --reps 20 --horizon 1024
+    python3 tools/mem_probe.py --nodes 100 --reps 20 --horizon 1024 [--lasso]
 
 With a workload name of perfbench/workloads.py the call is that workload's
 Monte Carlo (its config, reps and horizon; --horizon overrides the horizon).
 With --nodes it is the wide-n50-indep workload resized to that node count
-and --reps replications, with node targets drawn from the seed.  Only the
+and --reps replications, with node targets drawn from the seed; --lasso
+puts a2-markov-lasso's problem (dim 3, gradient noise) and initial box on
+those nodes in place of the quadratic targets.  Only the
 objects the call needs are built: no connectivity report, condition check or
 output file.  Run this script as its own process, started from a small one
 such as a shell, since a process takes over the peak RSS of the one that
@@ -51,8 +53,13 @@ def make_config(args):
     if args.workload is not None:
         return workloads.make_config(args.workload, args.seed, ROOT, args.horizon)
     cfg = workloads.make_config("wide-n50-indep", args.seed, ROOT, args.horizon)
-    rng = np.random.default_rng(args.seed)
-    cfg["problem"]["targets"] = (4.0 * rng.random((args.nodes, 2))).tolist()
+    if args.lasso:
+        a2 = workloads.make_config("a2-markov-lasso", args.seed, ROOT)
+        cfg["problem"] = dict(a2["problem"], n_nodes=args.nodes)
+        cfg["init"] = a2["init"]
+    else:
+        rng = np.random.default_rng(args.seed)
+        cfg["problem"]["targets"] = (4.0 * rng.random((args.nodes, 2))).tolist()
     cfg["graph"]["n_nodes"] = args.nodes
     cfg["run"]["reps"] = args.reps
     return cfg
@@ -65,11 +72,15 @@ def main(argv):
     parser.add_argument("--reps", type=int, default=workloads.WIDE_REPS)
     parser.add_argument("--horizon", type=int)
     parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--lasso", action="store_true",
+                        help="with --nodes, the lasso problem in place of the quadratic one")
     parser.add_argument("--run", action="store_true",
                         help="make the whole run, not only its Monte Carlo call")
     args = parser.parse_args(argv)
     if (args.workload is None) == (args.nodes is None):
         parser.error("give either a workload name or --nodes")
+    if args.lasso and args.nodes is None:
+        parser.error("--lasso goes with --nodes")
 
     data = make_config(args)
     cfg = cfgmod.config_from_dict(data)
@@ -120,7 +131,7 @@ def main(argv):
                                            cfg.run.record_stride),
                check_stride=cfg.run.check_stride, workers=1)
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6  # KiB
-    print(json.dumps({"workload": args.workload, "nodes": args.nodes,
+    print(json.dumps({"workload": args.workload, "nodes": args.nodes, "lasso": args.lasso,
                       "reps": cfg.run.reps, "horizon": cfg.run.horizon, "run": args.run,
                       "peak_rss_mb": round(peak, 2), **measured}))
     return 0
