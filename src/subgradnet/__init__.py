@@ -9,15 +9,14 @@ and descent step sizes.
 from .config import (ExperimentConfig, build_init, build_noise, build_objective,
                      build_process, build_schedule, config_from_dict,
                      load_config, save_config, validate_config)
-from .engine import (InitialStates, MonteCarloResult, StepRecord,
-                     default_record_ks, monte_carlo, run_trajectory)
+from .engine import (InitialStates, MonteCarloResult, default_record_ks,
+                     monte_carlo)
 from .errors import (ConfigError, DivergenceDetected, FactorizationError,
                      NoStationaryDistributionError, NonConvergenceError,
                      NonSymmetricError, ParseError, SubgradNetError,
                      ValidationError, WorkerLost)
 from .experiment import (ExperimentConstants, ExperimentResult,
-                         estimate_constants, run_experiment,
-                         run_trajectory_from_config)
+                         estimate_constants, run_experiment)
 from .graphs import (DeterministicCycle, IndependentEdges, LaplacianStats,
                      MarkovSwitching, is_balanced, joint_connectivity_report,
                      lambda2, laplacian, mean_graph_spanning_check,

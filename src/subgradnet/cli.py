@@ -97,7 +97,8 @@ def _cmd_verify_schedule(args):
 
 
 def _cmd_graph_report(args):
-    cfg = cfgmod.load_config(args.config)
+    # Validated once, with the overrides applied.
+    cfg = cfgmod.load_config(args.config, _validate=False)
     if args.h is not None:
         cfg.connectivity.h = args.h
     if args.windows is not None:

@@ -120,9 +120,6 @@ class ExperimentConfig:
     thresholds: ThresholdsConfig = field(default_factory=ThresholdsConfig)
     verify_horizon: int = None
 
-    def to_dict(self):
-        return asdict(self)
-
 
 _SECTIONS = {
     "problem": ProblemConfig,
@@ -172,8 +169,8 @@ def _build_config(data):
 def load_config(path, *, _validate=True):
     """Load and validate an experiment configuration from a YAML file.
 
-    ``_validate=False`` leaves the validation to the caller, for ``run``,
-    whose overrides must be applied before it.
+    ``_validate=False`` leaves the validation to the caller, for ``run`` and
+    ``graph-report``, whose overrides must be applied before it.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -188,7 +185,7 @@ def load_config(path, *, _validate=True):
 
 def save_config(cfg, path):
     """Write a configuration back to YAML; load_config inverts this exactly."""
-    data = cfg.to_dict()
+    data = asdict(cfg)
     verify = {"horizon": data.pop("verify_horizon")}
     if verify["horizon"] is not None:
         data["verify"] = verify

@@ -148,17 +148,17 @@ class _Workspace:
         self.term = np.empty_like(self.consensus)
 
 
-def _step(x, a, row_sums, alpha_k, c_k, model, z, d_plus_zeta, ws=None, out=None):
+def _step(x, a, row_sums, alpha_k, c_k, model, z, d_plus_zeta, ws, out):
     """The step kernel: writes the next state into ``out`` and returns it
     with the channel-noise sum and the intensities, both views of ``ws``.
 
-    Works on one state ``(N, dim)`` or a stack ``(..., N, dim)``; without
-    ``ws`` it makes a fresh workspace and ``out`` for the operands' broadcast
-    leading shape.  ``row_sums`` holds each node's row sum broadcastable
-    against ``x``: ``(..., N, 1)``, or ``x``'s own shape, which spares the
-    multiply a broadcast.  ``z[..., i, :]`` is receiver i's N(0, I/dim)
-    channel draw.  The pair norms come from the dim-leading differences
-    ``x_i - x_j``, squared in place and summed over ``d`` in index order.
+    Works on one state ``(N, dim)`` or a stack ``(..., N, dim)``, with the
+    ``_Workspace`` of its leading shape and ``out`` of its shape.  ``row_sums``
+    holds each node's row sum broadcastable against ``x``: ``(..., N, 1)``,
+    or ``x``'s own shape, which spares the multiply a broadcast.
+    ``z[..., i, :]`` is receiver i's N(0, I/dim) channel draw.  The pair
+    norms come from the dim-leading differences ``x_i - x_j``, squared in
+    place and summed over ``d`` in index order.
     The consensus term is ``a @ x - row_sums * x`` and the noise sum is
     ``||w_i|| z_i`` with ``w = a * psi``, which has the law of
     ``sum_j w_ij xi_ji``; ``psi`` is symmetric, so ``w`` pairs each weight
@@ -166,11 +166,6 @@ def _step(x, a, row_sums, alpha_k, c_k, model, z, d_plus_zeta, ws=None, out=None
     arithmetic of one replication does not depend on how many replications
     share the stack.
     """
-    if ws is None:
-        lead = np.broadcast_shapes(x.shape[:-2], a.shape[:-2], z.shape[:-2],
-                                   d_plus_zeta.shape[:-2])
-        x = np.broadcast_to(x, lead + x.shape[-2:])
-        ws, out = _Workspace(lead, *x.shape[-2:]), np.empty(x.shape)
     xt = x.transpose(ws.axes)
     # x_j[d] into row i, then x_i[d] minus it: numpy buffers each broadcast
     # operand of a call, so one per call keeps that buffer to one operand's.
@@ -206,19 +201,6 @@ def _recursion_gap(delta, a, row_sums, alpha_k, c_k, noise, zeta, d_stack, x_new
     gap = (delta - c_k * _center(lap_delta) + _center(noise_in)
            - alpha_k * _center(d_stack) - _center(x_new))
     return np.sqrt((gap * gap).sum(axis=(-2, -1)))
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """Metrics of one recorded step of a single replication."""
-
-    k: int
-    lyapunov: float
-    mean_state: np.ndarray
-    opt_gap: float
-    state_sq_norm: float
-    dist_to_opt: float
-    stack_sq_dist: float
 
 
 @dataclass(frozen=True)
@@ -339,8 +321,8 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
 
     # Each 1024-step chunk is walked in sub-spans of at most ``span`` steps;
     # the kernel writes each next state into ``hist`` and its temporaries
-    # into ``ws``, and the objective's measurement into its own workspace
-    # where it offers one.
+    # into ``ws``, and the objective writes its measurement into the
+    # workspace that its ``workspace(lead)`` returns.
     span = min(_sub_span(reps, n_nodes, dim, has_zeta), max(horizon, 1))
     bufs = _StepBuffers(span, reps, n_nodes, dim, has_zeta)
     graphs, row_sums, row_sums_x = bufs.graphs, bufs.row_sums, bufs.row_sums_x
@@ -348,8 +330,7 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
     centred, means, psi_max = bufs.centred, bufs.means, bufs.psi_max
     hist[0] = np.stack(states)
     ws = _Workspace((reps,), n_nodes, dim)
-    make_ws = getattr(objective, "workspace", None)
-    obj_kw = {"ws": make_ws((reps,))} if make_ws is not None else {}
+    obj_ws = objective.workspace((reps,))
     z_scale = 1.0 / np.sqrt(dim)
     if has_zeta:
         u, uv = bufs.u, bufs.uv
@@ -391,11 +372,11 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
         x = hist[t]
         if has_zeta:
             d_stack, zeta = objective.subgradient_stack(x, (u[t], uv[t]), out=d_hist[t],
-                                                        **obj_kw)
+                                                        ws=obj_ws)
             step_src = np.add(d_stack, zeta, out=d_plus_zeta)
         else:
             zeta = None
-            d_stack = step_src = objective.subgradient_stack(x, out=d_hist[t], **obj_kw)
+            d_stack = step_src = objective.subgradient_stack(x, out=d_hist[t], ws=obj_ws)
         x_new, noise, psi = _step(x, graphs[t], row_sums_x[t], alpha_k, c_k, model,
                                   z_chan[t], step_src, ws, hist[t + 1])
         np.maximum.reduce(psi, axis=(1, 2), out=psi_max[t])
@@ -443,36 +424,6 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
 
     observe(horizon, hist[:1])
     return out
-
-
-def run_trajectory(objective, process, model, schedule, horizon, seed,
-                   x_star, f_star, init=None, record_ks=None, check_stride=0,
-                   rep_index=0):
-    """Simulate one replication and return its recorded step metrics.
-
-    Deterministic per (seed, rep_index); the optimum pair (x_star, f_star)
-    must come from the objective's oracle, never from a simulation.
-    """
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
-    if init is None:
-        init = InitialStates()
-    if record_ks is None:
-        record_ks = default_record_ks(horizon)
-    res = _run_batch(objective, process, model, schedule, horizon, seed,
-                     [rep_index], x_star, f_star, init, record_ks, check_stride)
-    records = []
-    for slot, k in enumerate(res["ks"]):
-        records.append(StepRecord(
-            k=int(k),
-            lyapunov=float(res["V"][0, slot]),
-            mean_state=res["mean_state"][0, slot].copy(),
-            opt_gap=float(res["opt_gap"][0, slot]),
-            state_sq_norm=float(res["state_sq"][0, slot]),
-            dist_to_opt=float(res["dist"][0, slot]),
-            stack_sq_dist=float(res["stack_dsq"][0, slot]),
-        ))
-    return records
 
 
 @dataclass(frozen=True)
@@ -535,8 +486,7 @@ def monte_carlo(objective, process, model, schedule, horizon, seed, reps,
             raise WorkerLost("a Monte Carlo worker process ended abruptly") from exc
 
     per_rep = {key: np.concatenate([p[key] for p in parts], axis=0)
-               for key in ("V", "opt_gap", "state_sq", "dist", "stack_dsq",
-                           "psi_violation", "d_violation", "recursion_max")}
+               for key in parts[0] if key != "ks"}
 
     std_v = (per_rep["V"].std(axis=0, ddof=1) if reps > 1
              else np.zeros(record_ks.shape[0]))

@@ -244,20 +244,3 @@ def run_experiment(cfg, out_dir=None):
     return ExperimentResult(config=cfg, constants=constants, report=report,
                             conditions=conditions, mc=mc, passes=passes,
                             trace_path=trace_path, summary_path=summary_path)
-
-
-def run_trajectory_from_config(cfg, rep_index=0):
-    """Single-replication run driven by a config object."""
-    from .engine import run_trajectory
-    objective = cfgmod.build_objective(cfg)
-    process = cfgmod.build_process(cfg)
-    model = cfgmod.build_noise(cfg, objective.dim)
-    schedule = cfgmod.build_schedule(cfg)
-    init = cfgmod.build_init(cfg)
-    x_star, f_star = global_optimum(objective)
-    record_ks = default_record_ks(cfg.run.horizon, cfg.run.dense_until,
-                                  cfg.run.record_stride)
-    return run_trajectory(objective, process, model, schedule, cfg.run.horizon,
-                          cfg.run.seed, x_star, f_star, init=init,
-                          record_ks=record_ks, check_stride=cfg.run.check_stride,
-                          rep_index=rep_index)

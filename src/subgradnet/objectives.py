@@ -63,10 +63,6 @@ class QuadraticObjective:
     def sigma_zeta(self):
         return 0.0
 
-    @property
-    def c_zeta(self):
-        return 0.0
-
     def cost(self, i, x):
         diff = np.asarray(x, dtype=float) - self.targets[i]
         return 0.5 * float(diff @ diff)
@@ -288,13 +284,6 @@ class LassoProblem:
                                  rng.standard_normal(self.dim), rng.standard_normal())
         d, zeta = _measure(self.covariances[i], self.x0, self.kappa, x, factors)
         return d + zeta, zeta
-
-    def zeta_samples(self, i, x, rng, count):
-        """Vectorized draws of the gradient noise at a frozen state."""
-        factors = _noise_factors(self._sqrt_cov[i], self.sigma_v[i],
-                                 rng.standard_normal((count, self.dim)),
-                                 rng.standard_normal(count))
-        return _measure(self.covariances[i], self.x0, self.kappa, x, factors)[1]
 
     def optimum(self, tol=1e-10, max_iter=1_000_000):
         """Deterministic proximal-gradient solve of the exact summed risk.

@@ -4,8 +4,10 @@ Deliberately separate from the library implementations: eigenvalues by cyclic
 Jacobi rotations, cubic characteristic-polynomial roots in closed form, plain
 finite differences, a callback objective, the scalar channel-noise model, the
 per-node and stacked compact forms of the step, the broadcast-and-einsum form
-of the batched step kernel, the per-channel entry points to the kernel and to
-the consensus-error recursion check, the consensus projection, the sequential loops
+of the batched step kernel, an entry point to the kernel that makes its
+workspace, the per-channel entry points to the kernel and to the
+consensus-error recursion check, one node's gradient-noise draws, the
+consensus projection, the sequential loops
 that the library's vectorised routines replaced, the per-key graph draws that
 its stacked ``sample_block`` replaced, the per-sample connectivity report
 that the library's stacked one replaced, the
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from subgradnet import (DeterministicCycle, DivergenceDetected, IndependentEdges,
-                        LaplacianStats, MarkovSwitching, NonConvergenceError,
-                        lambda2, laplacian)
+                        LaplacianStats, LassoProblem, MarkovSwitching,
+                        NonConvergenceError, lambda2, laplacian)
 from subgradnet import engine
 from subgradnet import stepsize as ss
 from subgradnet.graphs import CHUNK, _walk_chain
@@ -296,10 +298,6 @@ class CustomObjective:
     def sigma_zeta(self):
         return 0.0
 
-    @property
-    def c_zeta(self):
-        return 0.0
-
     def cost(self, i, x):
         return float(self.cost_fns[i](np.asarray(x, dtype=float)))
 
@@ -314,7 +312,10 @@ class CustomObjective:
     def subgradient(self, i, x):
         return np.asarray(self.subgradient_fns[i](np.asarray(x, dtype=float)), dtype=float)
 
-    def subgradient_stack(self, states, out=None):
+    def workspace(self, lead):
+        return None
+
+    def subgradient_stack(self, states, out=None, ws=None):
         x = np.asarray(states, dtype=float)
         d = np.empty(x.shape) if out is None else out
         for idx in np.ndindex(x.shape[:-1]):
@@ -389,14 +390,26 @@ def receiver_draws(model, states, adjacency, xi):
     return np.divide(sums, norms, out=np.zeros_like(sums), where=norms > 0.0)
 
 
+def kernel(x, a, row_sums, alpha_k, c_k, model, z, d_plus_zeta):
+    """The library's step kernel on operands whose leading shapes broadcast:
+    the states are broadcast to the common leading shape, for which a fresh
+    workspace and ``out`` are made.  Returns the kernel's next state,
+    channel-noise sum and intensities."""
+    lead = np.broadcast_shapes(x.shape[:-2], a.shape[:-2], z.shape[:-2],
+                               d_plus_zeta.shape[:-2])
+    x = np.broadcast_to(x, lead + x.shape[-2:])
+    return engine._step(x, a, row_sums, alpha_k, c_k, model, z, d_plus_zeta,
+                        engine._Workspace(lead, *x.shape[-2:]), np.empty(x.shape))
+
+
 def apply_step(states, adjacency, alpha_k, c_k, model, xi, d_plus_zeta):
     """One kernel step from per-channel noises ``xi[..., j, i, :]`` mapped by
     :func:`receiver_draws`; broadcasts over leading batch axes."""
     x = np.asarray(states, dtype=float)
     a = np.asarray(adjacency, dtype=float)
-    return engine._step(x, a, a.sum(axis=-1)[..., None], alpha_k, c_k, model,
-                        receiver_draws(model, x, a, xi),
-                        np.asarray(d_plus_zeta, dtype=float))[0]
+    return kernel(x, a, a.sum(axis=-1)[..., None], alpha_k, c_k, model,
+                  receiver_draws(model, x, a, xi),
+                  np.asarray(d_plus_zeta, dtype=float))[0]
 
 
 def delta_recursion_check(states, adjacency, schedule, model, objective, k,
@@ -420,8 +433,8 @@ def delta_recursion_check(states, adjacency, schedule, model, objective, k,
     row_sums = a.sum(axis=-1)[..., None]
     d_stack = objective.subgradient_stack(x)
     zeta = np.asarray(zeta, dtype=float)
-    x_new, noise, _ = engine._step(x, a, row_sums, alpha_k, c_k, model,
-                                   receiver_draws(model, x, a, xi), d_stack + zeta)
+    x_new, noise, _ = kernel(x, a, row_sums, alpha_k, c_k, model,
+                             receiver_draws(model, x, a, xi), d_stack + zeta)
     return float(engine._recursion_gap(engine._center(x), a, row_sums, alpha_k, c_k,
                                        noise, zeta, d_stack, x_new))
 
@@ -532,6 +545,18 @@ def step_einsum(x, a, row_sums, alpha_k, c_k, model, z, d_plus_zeta):
     noise = np.sqrt(np.einsum("...ij,...ij->...i", w, w))[..., None] * z
     consensus = a @ x - row_sums * x
     return x + c_k * (consensus + noise) - alpha_k * d_plus_zeta, noise, psi_all
+
+
+def node_zeta_samples(problem, i, x, rng, count):
+    """``count`` draws of node i's lasso gradient noise at the frozen state
+    ``x``: z drawn as ``(count, dim)``, then v as ``(count,)``, through the
+    library's ``zeta_from_draws`` on node i's one-node problem."""
+    node = LassoProblem(x0=problem.x0, covariances=problem.covariances[i:i + 1],
+                        sigma_v=problem.sigma_v[i:i + 1], kappa=problem.kappa)
+    z = rng.standard_normal((count, problem.dim))
+    v = rng.standard_normal(count)
+    x = np.asarray(x, dtype=float)[None, :]
+    return node.zeta_from_draws(x, z[:, None, :], v[:, None])[:, 0]
 
 
 def lasso_measurement_loop(problem, states, z, v):

@@ -18,7 +18,8 @@ import pytest
 
 from conftest import record_acceptance_line
 from oracles import (delta_recursion_check, draw_channel_noise, jacobi_eigenvalues,
-                     psi_matrix, stacked_noise_matrices, step_compact, step_per_node)
+                     node_zeta_samples, psi_matrix, stacked_noise_matrices,
+                     step_compact, step_per_node)
 from subgradnet import (CommNoiseModel, DeterministicCycle, LassoProblem,
                         QuadraticObjective, StepSchedule, lambda2, laplacian, load_config,
                         run_experiment, symmetrized_laplacian,
@@ -173,7 +174,7 @@ class TestCriterion5NoiseStatistics:
 
         lasso = LassoProblem(x0=[0.0], covariances=np.ones((1, 1, 1)),
                              sigma_v=[1.0], kappa=0.0)
-        zetas = lasso.zeta_samples(0, np.array([1.0]), rng, 1_000_000)
+        zetas = node_zeta_samples(lasso, 0, np.array([1.0]), rng, 1_000_000)
         second = float((zetas ** 2).mean())
         moment_ok = abs(second - 3.0) <= 0.05 * 3.0
         wall = time.perf_counter() - start

@@ -93,6 +93,26 @@ class TestGraphReport:
         assert "rho0_hat" in out
         assert "lambda2_per_window" in out
 
+    def test_config_is_validated_once_with_the_overrides_applied(self, tmp_path,
+                                                                 monkeypatch):
+        from subgradnet import config
+        checked = []
+        original = config.validate_config
+        monkeypatch.setattr(config, "validate_config", lambda cfg: checked.append(
+            (cfg.connectivity.h, cfg.connectivity.windows, cfg.connectivity.reps))
+            or original(cfg))
+        path = write_cfg(tmp_path)
+        assert main(["graph-report", "--config", path, "--h", "2",
+                     "--windows", "3", "--reps", "16"]) == 0
+        assert checked == [(2, 3, 16)]
+
+    def test_zero_window_override_exits_one(self, tmp_path, capsys):
+        path = write_cfg(tmp_path)
+        assert main(["graph-report", "--config", path, "--h", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "connectivity.h must be a positive integer" in captured.err
+
 
 class TestRun:
     def test_run_writes_outputs_and_reports_passes(self, tmp_path, capsys):

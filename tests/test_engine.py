@@ -9,13 +9,13 @@ import yaml
 
 from oracles import (CustomObjective, apply_step, center_by_sum,
                      consensus_projection, delta_recursion_check,
-                     draw_channel_noise, psi, stacked_noise_matrices,
+                     draw_channel_noise, kernel, psi, stacked_noise_matrices,
                      step_compact, step_einsum, step_per_node)
 from subgradnet import (CommNoiseModel, DeterministicCycle,
                         DivergenceDetected, IndependentEdges, InitialStates,
                         QuadraticObjective, StepSchedule, SubgradNetError,
                         WorkerLost, cli, config, default_record_ks, laplacian,
-                        monte_carlo, run_trajectory)
+                        monte_carlo)
 from subgradnet.engine import _center, _step, _Workspace, replication_stream
 
 
@@ -286,29 +286,33 @@ class TestDeltaRecursion:
 
 
 class TestRunTrajectory:
+    """One replication's recorded metrics, read from ``monte_carlo`` at one
+    replication: ``per_rep[key][0]`` holds replication 0's trajectory."""
+
     def test_zero_horizon_single_record_of_initial_state(self):
         obj = QuadraticObjective(np.zeros((3, 2)))
         proc = DeterministicCycle([np.ones((3, 3)) - np.eye(3)])
         model = CommNoiseModel(sigma=0.1, b=0.1, noise_dim=2)
-        recs = run_trajectory(obj, proc, model, StepSchedule(), 0, 7,
-                              x_star=np.zeros(2), f_star=0.0)
-        assert len(recs) == 1
-        assert recs[0].k == 0
+        mc = monte_carlo(obj, proc, model, StepSchedule(), 0, 7, 1,
+                         x_star=np.zeros(2), f_star=0.0)
+        assert mc.per_rep["V"].shape == (1, 1)
+        assert mc.record_ks.tolist() == [0]
 
     def test_same_seed_bit_identical_records(self):
         obj = QuadraticObjective(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
         proc = IndependentEdges(base=np.ones((3, 3)) - np.eye(3), prob=0.7)
         model = CommNoiseModel(sigma=0.2, b=0.1, noise_dim=2)
         x_star, f_star = obj.optimum()
-        args = (obj, proc, model, StepSchedule(), 500, 99)
-        recs1 = run_trajectory(*args, x_star=x_star, f_star=f_star)
-        recs2 = run_trajectory(*args, x_star=x_star, f_star=f_star)
-        for r1, r2 in zip(recs1, recs2):
-            assert r1.k == r2.k
-            assert r1.lyapunov == r2.lyapunov
-            assert r1.opt_gap == r2.opt_gap
-            assert r1.dist_to_opt == r2.dist_to_opt
-            assert np.array_equal(r1.mean_state, r2.mean_state)
+        args = (obj, proc, model, StepSchedule(), 500, 99, 1)
+        mc1 = monte_carlo(*args, x_star=x_star, f_star=f_star)
+        mc2 = monte_carlo(*args, x_star=x_star, f_star=f_star)
+        assert np.array_equal(mc1.record_ks, mc2.record_ks)
+        for key in ("V", "opt_gap", "dist", "mean_state"):
+            assert np.array_equal(mc1.per_rep[key], mc2.per_rep[key])
+        # One replication's aggregates are its own trajectory, with no spread.
+        assert np.array_equal(mc1.mean_v, mc1.per_rep["V"][0])
+        assert np.array_equal(mc1.mean_dist_to_opt, mc1.per_rep["dist"][0])
+        assert np.all(mc1.std_v == 0.0)
 
     def test_noise_free_quadratic_reaches_optimum(self):
         # identical targets remove gradient heterogeneity; alpha1 = 5 gives
@@ -319,34 +323,34 @@ class TestRunTrajectory:
         proc = DeterministicCycle([path])
         model = CommNoiseModel(sigma=0.0, b=0.0, noise_dim=2)
         x_star, f_star = obj.optimum()
-        recs = run_trajectory(obj, proc, model, schedule_with(alpha1=5.0), 10_000,
-                              42, x_star=x_star, f_star=f_star,
-                              init=InitialStates.uniform(-5.0, 5.0))
-        assert recs[-1].k == 10_000
-        assert recs[-1].dist_to_opt < 1e-2
-        assert recs[-1].opt_gap >= -1e-9
+        mc = monte_carlo(obj, proc, model, schedule_with(alpha1=5.0), 10_000, 42, 1,
+                         x_star=x_star, f_star=f_star,
+                         init=InitialStates.uniform(-5.0, 5.0))
+        assert mc.record_ks[-1] == 10_000
+        assert mc.per_rep["dist"][0, -1] < 1e-2
+        assert mc.per_rep["opt_gap"][0, -1] >= -1e-9
 
     def test_average_invariance_on_balanced_graph_without_noise(self):
         a = np.array([[0.0, 1, 0], [0, 0, 1], [1, 0, 0]])  # directed cycle
         proc = DeterministicCycle([a])
         model = CommNoiseModel(sigma=0.0, b=0.0, noise_dim=2)
         obj = zero_objective(3, 2)
-        recs = run_trajectory(obj, proc, model, StepSchedule(), 200, 5,
-                              x_star=np.zeros(2), f_star=0.0,
-                              record_ks=np.arange(201))
-        first = recs[0].mean_state
-        for rec in recs:
-            assert np.max(np.abs(rec.mean_state - first)) < 1e-12
+        mc = monte_carlo(obj, proc, model, StepSchedule(), 200, 5, 1,
+                         x_star=np.zeros(2), f_star=0.0,
+                         record_ks=np.arange(201))
+        means = mc.per_rep["mean_state"][0]
+        assert means.shape == (201, 2)
+        for mean in means:
+            assert np.max(np.abs(mean - means[0])) < 1e-12
 
     def test_lyapunov_below_state_norm(self):
         obj = QuadraticObjective(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
         proc = IndependentEdges(base=np.ones((3, 3)) - np.eye(3), prob=0.8)
         model = CommNoiseModel(sigma=0.2, b=0.1, noise_dim=2)
         x_star, f_star = obj.optimum()
-        recs = run_trajectory(obj, proc, model, StepSchedule(), 300, 11,
-                              x_star=x_star, f_star=f_star)
-        for rec in recs:
-            assert rec.lyapunov <= rec.state_sq_norm + 1e-12
+        mc = monte_carlo(obj, proc, model, StepSchedule(), 300, 11, 1,
+                         x_star=x_star, f_star=f_star)
+        assert np.all(mc.per_rep["V"][0] <= mc.per_rep["state_sq"][0] + 1e-12)
 
     def test_divergence_detected_with_runaway_gain(self):
         obj = QuadraticObjective(np.zeros((2, 1)))
@@ -354,9 +358,9 @@ class TestRunTrajectory:
         model = CommNoiseModel(sigma=0.0, b=0.0, noise_dim=1)
         sched = StepSchedule(alpha1=1e9)
         with pytest.raises(DivergenceDetected) as info:
-            run_trajectory(obj, proc, model, sched, 200, 3,
-                           x_star=np.zeros(1), f_star=0.0,
-                           init=InitialStates.explicit([[1.0], [2.0]]))
+            monte_carlo(obj, proc, model, sched, 200, 3, 1,
+                        x_star=np.zeros(1), f_star=0.0,
+                        init=InitialStates.explicit([[1.0], [2.0]]))
         assert info.value.step is not None
         assert info.value.replication == 0
 
@@ -369,20 +373,20 @@ class TestRunTrajectory:
         sched = StepSchedule()
         x_star, f_star = obj.optimum()
         seed, rep = 1234, 0
-        recs = run_trajectory(obj, proc, model, sched, 1, seed,
-                              x_star=x_star, f_star=f_star,
-                              record_ks=np.array([0, 1]), rep_index=rep)
+        mc = monte_carlo(obj, proc, model, sched, 1, seed, 1,
+                         x_star=x_star, f_star=f_star, record_ks=np.array([0, 1]))
         init_ss, _, comm_ss, _ = replication_stream(seed, rep).spawn(4)
         x0 = InitialStates().draw(np.random.default_rng(init_ss), n, dim)
         # The channel stream's first step: one draw per receiver.
         z = np.random.default_rng(comm_ss).standard_normal(
             (1, n, dim))[0] / np.sqrt(dim)
         d = obj.subgradient_stack(x0)
-        x1 = _step(x0, a, a.sum(axis=-1)[:, None], sched.alpha(0), sched.c(0), model, z, d)[0]
-        assert np.max(np.abs(recs[1].mean_state - x1.mean(axis=0))) < 1e-12
-        assert recs[1].state_sq_norm == pytest.approx(float((x1 ** 2).sum()), rel=1e-12)
+        x1 = kernel(x0, a, a.sum(axis=-1)[:, None], sched.alpha(0), sched.c(0), model, z, d)[0]
+        rec = {key: mc.per_rep[key][rep, 1] for key in ("mean_state", "state_sq", "V")}
+        assert np.max(np.abs(rec["mean_state"] - x1.mean(axis=0))) < 1e-12
+        assert rec["state_sq"] == pytest.approx(float((x1 ** 2).sum()), rel=1e-12)
         centered = x1 - x1.mean(axis=0)
-        assert recs[1].lyapunov == pytest.approx(float((centered ** 2).sum()), rel=1e-12)
+        assert rec["V"] == pytest.approx(float((centered ** 2).sum()), rel=1e-12)
 
 
 class TestMonteCarlo:
@@ -392,16 +396,6 @@ class TestMonteCarlo:
         model = CommNoiseModel(sigma=0.1, b=0.1, noise_dim=2)
         x_star, f_star = obj.optimum()
         return obj, proc, model, x_star, f_star
-
-    def test_single_rep_equals_trajectory(self):
-        obj, proc, model, x_star, f_star = self._setup()
-        sched = StepSchedule()
-        mc = monte_carlo(obj, proc, model, sched, 400, 17, 1, x_star, f_star)
-        recs = run_trajectory(obj, proc, model, sched, 400, 17,
-                              x_star=x_star, f_star=f_star)
-        assert np.array_equal(mc.mean_v, [r.lyapunov for r in recs])
-        assert np.array_equal(mc.mean_dist_to_opt, [r.dist_to_opt for r in recs])
-        assert np.all(mc.std_v == 0.0)
 
     def test_deterministic_noise_free_runs_have_zero_variance(self):
         obj = QuadraticObjective(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))

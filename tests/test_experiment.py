@@ -5,8 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from subgradnet import (DivergenceDetected, run_experiment,
-                        run_trajectory_from_config)
+from subgradnet import DivergenceDetected, run_experiment
 from subgradnet.config import config_from_dict
 from subgradnet.experiment import TRACE_HEADER, estimate_constants
 from subgradnet import config as cfgmod
@@ -144,13 +143,15 @@ class TestConstants:
 
 
 class TestRunTrajectoryFromConfig:
-    def test_records_cover_horizon(self):
-        cfg = small_cfg(horizon=120, reps=1)
-        recs = run_trajectory_from_config(cfg)
-        assert recs[0].k == 0
-        assert recs[-1].k == 120
-        assert all(r.lyapunov >= 0 for r in recs)
-        assert all(r.opt_gap >= -1e-9 for r in recs)
+    """A one-replication run's trajectory, read from the result's
+    ``mc.per_rep``."""
+
+    def test_records_cover_horizon(self, tmp_path):
+        mc = run_experiment(small_cfg(horizon=120, reps=1), out_dir=tmp_path).mc
+        assert mc.record_ks[0] == 0
+        assert mc.record_ks[-1] == 120
+        assert np.all(mc.per_rep["V"][0] >= 0)
+        assert np.all(mc.per_rep["opt_gap"][0] >= -1e-9)
 
 
 class TestThresholdEdgeCases:

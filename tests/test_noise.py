@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from oracles import (draw_channel_noise, draw_xi, measure_state, psi, psi_matrix,
-                     stacked_noise_matrices)
+from oracles import (draw_channel_noise, draw_xi, kernel, measure_state, psi,
+                     psi_matrix, stacked_noise_matrices)
 from subgradnet import CommNoiseModel
-from subgradnet.engine import _step
 
 
 def model(sigma=0.5, b=0.1, dim=2, cap=None):
@@ -207,5 +206,5 @@ class TestPerReceiverLaw:
         rng = np.random.default_rng(32)
         z = rng.standard_normal((self.M, 4, dim)) / np.sqrt(dim)
         d = np.zeros((4, dim))
-        _, noise, _ = _step(x, a, a.sum(axis=1)[:, None], 0.1, 0.3, m, z, d)
+        _, noise, _ = kernel(x, a, a.sum(axis=1)[:, None], 0.1, 0.3, m, z, d)
         self._check_law(noise, w, dim)

