@@ -313,6 +313,9 @@ def build_objective(cfg):
                      "problem.n_nodes is required with a single shared covariance")
             covs = np.stack([arr] * int(prob.n_nodes))
         else:
+            _require(prob.n_nodes is None or arr.ndim != 3 or prob.n_nodes == arr.shape[0],
+                     f"problem.n_nodes {prob.n_nodes} must match the {arr.shape[0]} "
+                     "per-node covariances")
             covs = arr
     return LassoProblem(x0=x0, covariances=covs, sigma_v=prob.sigma_v,
                         kappa=float(prob.kappa))

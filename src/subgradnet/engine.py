@@ -37,7 +37,8 @@ objective's constants once per batch in its workspace.  Per step the loop
 makes only the measurement, the kernel call, the psi maximum and, on check
 steps, the recursion check; once per sub-span it draws all replications'
 graphs in one in-place call and each replication's channel and gradient
-noise in one call per stream, checks the states for divergence, records
+noise in one call per stream, forms the noise factors from step-major views
+of the rep-major gradient draws, checks the states for divergence, records
 them and evaluates the psi and d monitors.
 
 Randomness is organized as one stream per replication, split into disjoint
@@ -83,7 +84,7 @@ def _step_bytes(reps, n_nodes, dim, has_zeta):
     makes with up to two temporaries of its size."""
     per_rep = n_nodes * n_nodes + n_nodes + 8 * n_nodes * dim + dim + 1
     if has_zeta:
-        per_rep += 4 * n_nodes * dim + 2 * n_nodes
+        per_rep += 3 * n_nodes * dim + n_nodes
     return 8 * (reps * per_rep + n_nodes * dim)
 
 
@@ -270,11 +271,10 @@ class _StepBuffers:
         self.d_hist = np.empty(node_steps)
         self.psi_max = np.empty((span, reps))
         if has_zeta:
-            # Raw gradient-noise draws, each step's z_t then v_t, and the
-            # noise factors formed from their step-major copies.
+            # Raw gradient-noise draws, rep-major, each step's z_t then v_t,
+            # and the step-major noise factors formed from them.
             self.zv_draws = np.empty((reps, span, n_nodes * dim + n_nodes))
-            self.z_steps, self.u, self.uv = (np.empty(node_steps) for _ in range(3))
-            self.v_steps = np.empty((span, reps, n_nodes))
+            self.u, self.uv = np.empty(node_steps), np.empty(node_steps)
 
 
 def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
@@ -334,8 +334,10 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
     z_scale = 1.0 / np.sqrt(dim)
     if has_zeta:
         u, uv = bufs.u, bufs.uv
-        z_draws = bufs.zv_draws[..., :n_nodes * dim].reshape(reps, span, n_nodes, dim)
-        v_draws = bufs.zv_draws[..., n_nodes * dim:]
+        # Step-major views of the draws, which noise_factors reads in place.
+        z_draws = bufs.zv_draws[..., :n_nodes * dim].reshape(
+            reps, span, n_nodes, dim).swapaxes(0, 1)
+        v_draws = bufs.zv_draws[..., n_nodes * dim:].swapaxes(0, 1)
         d_plus_zeta = np.empty((reps, n_nodes, dim))
 
     def observe(k0, hist, d_hist=None, psi_max=None):
@@ -406,10 +408,7 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
             if has_zeta:
                 for r, g in enumerate(grad_gen):
                     g.standard_normal(out=bufs.zv_draws[r, :s])
-                np.copyto(bufs.z_steps[:s], z_draws[:, :s].swapaxes(0, 1))
-                np.copyto(bufs.v_steps[:s], v_draws[:, :s].swapaxes(0, 1))
-                objective.noise_factors(bufs.z_steps[:s], bufs.v_steps[:s],
-                                        out=(u[:s], uv[:s]))
+                objective.noise_factors(z_draws[:s], v_draws[:s], out=(u[:s], uv[:s]))
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 for t in range(s):
                     try:

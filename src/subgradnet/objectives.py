@@ -5,9 +5,12 @@ gradients) and the population-risk L1-regularized regression problem, whose
 noisy subgradient reproduces the statistical structure of streaming
 regression data: the noise is a martingale difference whose conditional
 second moment grows with the squared state.  Its state-free factors are
-computed once per block of draws and each step's subgradient and noise share
-one covariance product.  A deterministic proximal-gradient oracle computes the
-global optimum independently of any simulation.
+computed once per block of draws, read in whatever layout the draws have, and
+each step's subgradient and noise share one covariance product.  A diagonal
+covariance or root stack makes its product one elementwise call, with the
+bits of the per-block product that a dense stack keeps.  A deterministic
+proximal-gradient oracle computes the global optimum independently of any
+simulation.
 """
 
 import warnings
@@ -108,7 +111,35 @@ def _check_psd(matrix, tol=1e-10):
     return (m + m.T) / 2.0, v @ np.diag(np.sqrt(np.clip(w, 0.0, None))) @ v.T
 
 
-def _noise_factors(sqrt_cov, sigma_v, z, v, out=None):
+def _diagonals(stack):
+    """The diagonals ``(K, n)`` of a ``(K, n, n)`` stack whose off-diagonal
+    entries are all exactly zero, or None when one is not."""
+    off = ~np.eye(stack.shape[-1], dtype=bool)
+    return None if np.any(stack[:, off]) else np.diagonal(stack, axis1=1, axis2=2).copy()
+
+
+# Added to an elementwise product, turns each -0 into the +0 that the sum of
+# a block product gives, and leaves every other value as it is.
+_PLUS_ZERO = np.zeros(())
+
+
+def _node_product(stack, diag, vec, out=None):
+    """``stack[i] @ vec[..., i, :]`` for each node i, into ``out`` when given.
+
+    With the stack's diagonals ``diag`` (from ``_diagonals``, or tiled to
+    ``vec``'s shape) it is an elementwise product: every other term of the
+    block product is an exact zero, so the bits, the sign of a zero included,
+    are the block product's.  Without, it is a per-slice matmul, so the
+    arithmetic of one state does not depend on how many share the stack.
+    """
+    if diag is not None:
+        prod = np.multiply(diag, vec, out=out)
+        return np.add(prod, _PLUS_ZERO, out=prod)
+    return np.matmul(stack, vec[..., None],
+                     out=None if out is None else out[..., None])[..., 0]
+
+
+def _noise_factors(sqrt_cov, root_diag, sigma_v, z, v, out=None):
     """Noise factors ``u = sqrt_cov @ z`` and ``u * sigma_v * v``.
 
     With stacked per-node factors, z is (..., N, n) and v (..., N); with one
@@ -116,8 +147,7 @@ def _noise_factors(sqrt_cov, sigma_v, z, v, out=None):
     ``out``, a pair of arrays shaped like z, receives the two factors.
     """
     u_out, uv_out = (None, None) if out is None else out
-    u = np.matmul(sqrt_cov, np.asarray(z, dtype=float)[..., None],
-                  out=None if u_out is None else u_out[..., None])[..., 0]
+    u = _node_product(sqrt_cov, root_diag, np.asarray(z, dtype=float), out=u_out)
     return u, np.multiply(u, (sigma_v * np.asarray(v, dtype=float))[..., None],
                           out=uv_out)
 
@@ -126,24 +156,22 @@ def _noise_factors(sqrt_cov, sigma_v, z, v, out=None):
 _ALLOCATE = SimpleNamespace(w=None, rw=None, sign=None, s=None, zeta=None)
 
 
-def _measure(cov, x0, kappa, states, factors=None, out=None, ws=_ALLOCATE):
+def _measure(cov, cov_diag, x0, kappa, states, factors=None, out=None, ws=_ALLOCATE):
     """Subgradient ``d = R w + kappa sign(x)`` with ``w = x - x0``, written
     into ``out`` when given, and with noise factors ``(u, u sigma_v v)`` also
     the noise ``u (u.w) - R w - u sigma_v v``.
 
-    The temporaries go to the buffers of ``ws`` (``rw`` shaped
-    ``(..., n, 1)``); ``zeta`` is one of them.  Every product is a per-slice
-    matmul, so the arithmetic of one state does not depend on how many
-    states share the stack.
+    ``R w`` is ``_node_product`` of ``cov`` and its diagonals ``cov_diag``.
+    The temporaries go to the buffers of ``ws``; ``zeta`` is one of them.
     """
     x = np.asarray(states, dtype=float)
     w = np.subtract(x, x0, out=ws.w)
-    rw = np.matmul(cov, w[..., None], out=ws.rw)[..., 0]
+    rw = _node_product(cov, cov_diag, w, out=ws.rw)
     d = np.add(rw, np.multiply(np.sign(x, out=ws.sign), kappa, out=ws.sign), out=out)
     if factors is None:
         return d
     u, uv = factors
-    s = np.multiply(u, w, out=ws.zeta).sum(axis=-1, out=ws.s)
+    s = np.add.reduce(np.multiply(u, w, out=ws.zeta), axis=-1, out=ws.s)
     zeta = np.multiply(u, s[..., None], out=ws.zeta)
     return d, np.subtract(np.subtract(zeta, rw, out=zeta), uv, out=zeta)
 
@@ -165,6 +193,10 @@ class LassoProblem:
     sigma_v: np.ndarray
     kappa: float
     _sqrt_cov: np.ndarray = field(default=None, repr=False, compare=False)
+    # The diagonals of the covariance and root stacks when each is diagonal,
+    # else None: the per-step products then take one elementwise call.
+    _cov_diag: np.ndarray = field(default=None, repr=False, compare=False)
+    _root_diag: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         x0 = np.asarray(self.x0, dtype=float).ravel()
@@ -192,6 +224,8 @@ class LassoProblem:
         object.__setattr__(self, "sigma_v", sig)
         object.__setattr__(self, "kappa", float(self.kappa))
         object.__setattr__(self, "_sqrt_cov", np.stack(roots))
+        object.__setattr__(self, "_cov_diag", _diagonals(self.covariances))
+        object.__setattr__(self, "_root_diag", _diagonals(self._sqrt_cov))
 
     @property
     def n_nodes(self):
@@ -243,15 +277,19 @@ class LassoProblem:
 
     def subgradient(self, i, x):
         """Exact subgradient; the L1 part selects 0 at kinks (minimum norm)."""
-        return _measure(self.covariances[i], self.x0, self.kappa, x)
+        return _measure(self.covariances[i], None, self.x0, self.kappa, x)
 
     def workspace(self, lead):
         """Per-batch buffers of ``subgradient_stack`` for states shaped
-        ``lead + (N, n)``: x0 tiled to that shape, and one buffer for each
-        of w = x - x0, R w, kappa sign(x), the projections u.w and zeta."""
+        ``lead + (N, n)``: x0 and the covariance diagonals (None for a dense
+        stack) tiled to that shape, and one buffer for each of w = x - x0,
+        R w, kappa sign(x), the projections u.w and zeta."""
         shape = tuple(lead) + (self.n_nodes, self.dim)
+        diag = self._cov_diag
         return SimpleNamespace(x0=np.broadcast_to(self.x0, shape).copy(),
-                               w=np.empty(shape), rw=np.empty(shape + (1,)),
+                               cov_diag=None if diag is None
+                               else np.broadcast_to(diag, shape).copy(),
+                               w=np.empty(shape), rw=np.empty(shape),
                                sign=np.empty(shape), s=np.empty(shape[:-1]),
                                zeta=np.empty(shape))
 
@@ -265,14 +303,17 @@ class LassoProblem:
         ``workspace`` of the states' leading shape, the temporaries and zeta
         are its buffers, overwritten by the next call.
         """
-        return _measure(self.covariances, self.x0 if ws is None else ws.x0, self.kappa,
-                        states, factors, out, ws or _ALLOCATE)
+        if ws is None:
+            return _measure(self.covariances, self._cov_diag, self.x0, self.kappa,
+                            states, factors, out)
+        return _measure(self.covariances, ws.cov_diag, ws.x0, self.kappa,
+                        states, factors, out, ws)
 
     def noise_factors(self, z, v, out=None):
         """State-free noise factors ``(u, u sigma_v v)`` with ``u = R_i^{1/2} z``
         from standard-normal draws z (..., N, n) and v (..., N); written to
         the pair ``out`` when given."""
-        return _noise_factors(self._sqrt_cov, self.sigma_v, z, v, out)
+        return _noise_factors(self._sqrt_cov, self._root_diag, self.sigma_v, z, v, out)
 
     def zeta_from_draws(self, states, z, v):
         """Gradient noise from standard-normal draws z (..., N, n), v (..., N)."""
@@ -280,9 +321,9 @@ class LassoProblem:
 
     def noisy_subgradient(self, i, x, rng):
         """Subgradient measurement (d + zeta, zeta) from one fresh sample."""
-        factors = _noise_factors(self._sqrt_cov[i], self.sigma_v[i],
+        factors = _noise_factors(self._sqrt_cov[i], None, self.sigma_v[i],
                                  rng.standard_normal(self.dim), rng.standard_normal())
-        d, zeta = _measure(self.covariances[i], self.x0, self.kappa, x, factors)
+        d, zeta = _measure(self.covariances[i], None, self.x0, self.kappa, x, factors)
         return d + zeta, zeta
 
     def optimum(self, tol=1e-10, max_iter=1_000_000):

@@ -580,6 +580,26 @@ def lasso_measurement_loop(problem, states, z, v):
     return d, zeta
 
 
+def lasso_noise_factors_matmul(problem, z, v):
+    """The lasso's noise factors ``u = R_i^{1/2} z`` and ``u sigma_v v``, with
+    ``u`` by a per-block ``matmul`` over every node's root, dense or not."""
+    u = np.matmul(problem._sqrt_cov, np.asarray(z, dtype=float)[..., None])[..., 0]
+    return u, u * (problem.sigma_v * np.asarray(v, dtype=float))[..., None]
+
+
+def lasso_measurement_matmul(problem, states, factors):
+    """The lasso measurement ``(d, zeta)`` in the library's operation order,
+    with ``R_i (x - x0)`` by a per-block ``matmul`` over every node's
+    covariance, dense or not."""
+    x = np.asarray(states, dtype=float)
+    w = x - problem.x0
+    rw = np.matmul(problem.covariances, w[..., None])[..., 0]
+    d = rw + np.sign(x) * problem.kappa
+    u, uv = factors
+    s = (u * w).sum(axis=-1)
+    return d, (u * s[..., None] - rw) - uv
+
+
 def quadratic_record_loop(state, targets, x_star, f_star):
     """Recorded metrics of one ``(N, dim)`` state of the quadratic objective
     sum_i 0.5 ||x - target_i||^2, node by node in plain Python floats.

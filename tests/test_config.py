@@ -112,6 +112,19 @@ graph:
         with pytest.raises(ValidationError, match="match"):
             config_from_dict(data)
 
+    def test_per_node_covariance_count_must_match_problem_n_nodes(self):
+        data = {
+            "problem": {"kind": "lasso", "x0": [1.0, 0.0], "sigma_v": 0.5, "kappa": 0.2,
+                        "covariances": [np.eye(2).tolist()] * 4, "n_nodes": 7},
+            "graph": {"kind": "independent", "base": "complete", "n_nodes": 4},
+        }
+        with pytest.raises(ValidationError, match=r"n_nodes 7 .* 4 per-node"):
+            config_from_dict(data)
+        data["problem"]["n_nodes"] = 4
+        assert build_objective(config_from_dict(data)).n_nodes == 4
+        del data["problem"]["n_nodes"]
+        assert build_objective(config_from_dict(data)).n_nodes == 4
+
     def test_non_monotone_consensus_gain_rejected(self):
         data = dict(MINIMAL_QUADRATIC)
         data["schedule"] = {"tau3": -3.0}

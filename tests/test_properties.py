@@ -11,12 +11,14 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from oracles import (apply_step, connectivity_report_loop, draw_channel_noise, kernel,
-                     lasso_measurement_loop, receiver_draws, sample_block_per_key,
+                     lasso_measurement_loop, lasso_measurement_matmul,
+                     lasso_noise_factors_matmul, receiver_draws, sample_block_per_key,
                      step_per_node)
 from subgradnet import (CommNoiseModel, DeterministicCycle, IndependentEdges,
                         InitialStates, LassoProblem, MarkovSwitching,
                         QuadraticObjective, StepSchedule, joint_connectivity_report)
 from subgradnet import engine
+from subgradnet.config import build_objective, load_config
 from subgradnet.engine import _run_batch, default_record_ks
 from subgradnet.graphs import _stream_key
 
@@ -27,10 +29,16 @@ PER_REP_KEYS = ("V", "opt_gap", "state_sq", "dist", "stack_dsq", "mean_state",
 def _objective(kind, n_nodes, dim, rng):
     if kind == "quadratic":
         return QuadraticObjective(rng.normal(size=(n_nodes, dim)))
-    covs = []
-    for _ in range(n_nodes):
-        m = rng.normal(size=(dim, dim))
-        covs.append(m @ m.T / dim + 0.5 * np.eye(dim))
+    if kind == "lasso-diagonal":
+        # Diagonal covariances, one entry zero: the elementwise products.
+        diags = rng.random((n_nodes, dim)) + 0.5
+        diags[0, 0] = 0.0
+        covs = [np.diag(d) for d in diags]
+    else:
+        covs = []
+        for _ in range(n_nodes):
+            m = rng.normal(size=(dim, dim))
+            covs.append(m @ m.T / dim + 0.5 * np.eye(dim))
     return LassoProblem(x0=rng.normal(size=dim), covariances=np.stack(covs),
                         sigma_v=0.3, kappa=0.1)
 
@@ -59,7 +67,7 @@ def cases(draw):
         n_reps=n_reps,
         batches=[[r for r in range(n_reps) if groups[r] == g]
                  for g in sorted(set(groups))],
-        objective=draw(st.sampled_from(["quadratic", "lasso"])),
+        objective=draw(st.sampled_from(["quadratic", "lasso", "lasso-diagonal"])),
         process=draw(st.sampled_from(["independent", "markov"])),
         cap=draw(st.sampled_from([None, 0.3])),
         n_nodes=draw(st.integers(2, 5)),
@@ -113,7 +121,8 @@ def _budget(span, reps, objective):
 
 @settings(max_examples=25, deadline=None)
 @given(n_nodes=st.integers(2, 9), dim=st.integers(1, 4), reps=st.integers(2, 4),
-       span=st.sampled_from([1, 7, 300]), objective=st.sampled_from(["quadratic", "lasso"]),
+       span=st.sampled_from([1, 7, 300]),
+       objective=st.sampled_from(["quadratic", "lasso", "lasso-diagonal"]),
        process=st.sampled_from(["independent", "markov", "cycle"]),
        horizon=st.integers(1, 320), seed=st.integers(0, 2 ** 32 - 1))
 def test_each_replication_of_a_batch_equals_its_run_alone(n_nodes, dim, reps, span, objective,
@@ -330,3 +339,73 @@ def test_fused_lasso_measurement_matches_separate_calls_and_slices(case):
             d_t, zeta_t = problem.subgradient_stack(x[at], (u_t, uv_t))
             assert np.array_equal(d_t, d[at])
             assert np.array_equal(zeta_t, zeta[at])
+
+
+@st.composite
+def diagonal_lasso_cases(draw):
+    dim = draw(st.integers(1, 4))
+    n_nodes = draw(st.integers(1, 4))
+    return dict(
+        dim=dim,
+        n_nodes=n_nodes,
+        identity=draw(st.booleans()),
+        # Diagonal entries set to zero: a singular covariance and root.
+        zeros=draw(st.lists(st.booleans(), min_size=n_nodes * dim,
+                            max_size=n_nodes * dim)),
+        lead=draw(st.sampled_from([(), (3,), (2, 3)])),
+        seed=draw(st.integers(0, 2 ** 32 - 1)),
+    )
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(diagonal_lasso_cases())
+def test_diagonal_lasso_products_have_the_block_products_bits(case):
+    rng = np.random.default_rng(case["seed"])
+    dim, n, lead = case["dim"], case["n_nodes"], case["lead"]
+    if case["identity"]:
+        diags = np.ones((n, dim))
+    else:
+        diags = 10.0 ** rng.uniform(-5.0, 5.0, size=(n, dim))
+        diags[np.reshape(case["zeros"], (n, dim))] = 0.0
+    problem = LassoProblem(x0=rng.normal(size=dim),
+                           covariances=np.stack([np.diag(d) for d in diags]),
+                           sigma_v=rng.random(n), kappa=float(rng.random()))
+    assert problem._cov_diag is not None and problem._root_diag is not None
+    x = rng.normal(size=lead + (n, dim)) * 3.0
+    # Zeros of both signs: w = +0 on the first coordinate, z = -0 on the last.
+    x[..., 0] = problem.x0[0]
+    z = rng.normal(size=lead + (n, dim))
+    z[..., -1] = -0.0
+    v = rng.normal(size=lead + (n,))
+
+    u_ref, uv_ref = lasso_noise_factors_matmul(problem, z, v)
+    d_ref, zeta_ref = lasso_measurement_matmul(problem, x, (u_ref, uv_ref))
+    u, uv = problem.noise_factors(z, v)
+    assert _same_bits(u, u_ref) and _same_bits(uv, uv_ref)
+    d, zeta = problem.subgradient_stack(x, (u, uv))
+    assert _same_bits(d, d_ref) and _same_bits(zeta, zeta_ref)
+    # The engine's path: the diagonals tiled in the workspace, every
+    # product written in place.
+    ws = problem.workspace(lead)
+    out = (np.empty_like(z), np.empty_like(z))
+    u_ws, uv_ws = problem.noise_factors(z, v, out=out)
+    d_ws, zeta_ws = problem.subgradient_stack(x, (u_ws, uv_ws), out=np.empty_like(x), ws=ws)
+    assert _same_bits(u_ws, u_ref) and _same_bits(uv_ws, uv_ref)
+    assert _same_bits(d_ws, d_ref) and _same_bits(zeta_ws, zeta_ref)
+
+
+def test_shipped_a2_takes_the_elementwise_path_and_a_dense_stack_does_not(config_dir):
+    a2 = build_objective(load_config(str(config_dir / "a2_lasso.yaml")))
+    assert a2._cov_diag is not None and a2._root_diag is not None
+    assert np.array_equal(a2._cov_diag, np.ones((a2.n_nodes, a2.dim)))
+    dense = _objective("lasso", 3, 2, np.random.default_rng(0))
+    assert dense._cov_diag is None and dense._root_diag is None
+    # One nonzero off-diagonal entry, however small, keeps the block product.
+    cov = np.eye(2)
+    cov[0, 1] = cov[1, 0] = 1e-300
+    assert LassoProblem(x0=np.zeros(2), covariances=cov, sigma_v=0.1,
+                        kappa=0.0)._cov_diag is None

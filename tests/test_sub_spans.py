@@ -34,9 +34,12 @@ def _quadratic(rng):
             IndependentEdges(base=0.4 * base, prob=0.7, perturb=0.6))
 
 
-def _lasso(rng):
+def _lasso(rng, diagonal=False):
     dim = 3
-    covs = [m @ m.T / dim + 0.5 * np.eye(dim) for m in rng.normal(size=(N_NODES, dim, dim))]
+    if diagonal:
+        covs = [np.diag(d) for d in rng.random((N_NODES, dim)) + 0.5]
+    else:
+        covs = [m @ m.T / dim + 0.5 * np.eye(dim) for m in rng.normal(size=(N_NODES, dim, dim))]
     base = np.ones((N_NODES, N_NODES)) - np.eye(N_NODES)
     states = [rng.normal(scale=0.3, size=base.shape) * base + 0.2 * base for _ in range(3)]
     trans = rng.random((3, 3)) + 0.1
@@ -45,8 +48,13 @@ def _lasso(rng):
             MarkovSwitching(states, trans / trans.sum(axis=1, keepdims=True)))
 
 
+def _lasso_diagonal(rng):
+    return _lasso(rng, diagonal=True)
+
+
 @pytest.mark.parametrize("horizon", (1023, 1025, 2049))
-@pytest.mark.parametrize("build", (_quadratic, _lasso), ids=("quadratic", "lasso"))
+@pytest.mark.parametrize("build", (_quadratic, _lasso, _lasso_diagonal),
+                         ids=("quadratic", "lasso", "lasso-diagonal"))
 def test_outputs_do_not_depend_on_the_sub_span(build, horizon, monkeypatch):
     objective, process = build(np.random.default_rng(horizon))
     model = CommNoiseModel(sigma=0.3, b=0.2, noise_dim=objective.dim, cap=0.3)
