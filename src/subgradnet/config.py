@@ -2,11 +2,21 @@
 
 The config file is a nested key/value document (YAML).  Top-level sections:
 ``problem``, ``graph``, ``noise``, ``schedule``, ``run``, ``init``,
-``connectivity``, ``verify``, ``output``, ``thresholds``.  Loading validates
-every range constraint and names the violated field and bound in the error.
-Configs round-trip losslessly through :func:`save_config` / :func:`load_config`.
+``connectivity``, ``verify``, ``output``, ``thresholds``.  Configs round-trip
+losslessly through :func:`save_config` / :func:`load_config`.
+
+Each rule has one home.  A constructor owns the ranges of what it builds:
+``StepSchedule`` the step-size family, ``CommNoiseModel`` the nonnegative
+sigma, b and cap, ``LassoProblem`` the nonnegative kappa and sigma_v, the
+graph processes their matrices.  :func:`validate_config` builds each of them
+and reports a rejection as a ``ValidationError`` prefixed with the section.
+It checks itself only what no constructor sees: that the schedule, noise and
+lasso kappa fields are numbers and the count fields integers, the problem's
+required fields, the node counts across sections, the initial states' shape,
+and that c(k) decreases over the simulated horizon.
 """
 
+import contextlib
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -198,102 +208,95 @@ def _require(cond, message):
         raise ValidationError(message)
 
 
-def _is_pos_int(v):
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= 1
+def _int_at_least(section, name, value, low):
+    """Reject a value that is not an integer (a bool included) or is below ``low``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(
+            low, f"an integer of at least {low}")
+        raise ValidationError(f"{section}.{name} must be {kind}, got {value!r}")
+
+
+def _number(section, name, value):
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{section}.{name} must be a number, got {value!r}") from None
+
+
+@contextlib.contextmanager
+def _section(name):
+    """Report a constructor's rejection as a ValidationError naming the section."""
+    try:
+        yield
+    except (ValueError, TypeError, FactorizationError) as exc:
+        raise ValidationError(f"{name}: {exc}") from exc
 
 
 def validate_config(cfg):
-    """Check every documented constraint; names the field and bound on failure."""
-    sch = cfg.schedule
-    _require(sch.alpha1 > 0, f"schedule.alpha1 must be positive, got {sch.alpha1}")
-    _require(0 < sch.tau1 <= 1, f"schedule.tau1 must lie in (0, 1], got {sch.tau1}")
-    _require(sch.alpha2 > 0, f"schedule.alpha2 must be positive, got {sch.alpha2}")
-    _require(0.5 < sch.tau2 < 1, f"schedule.tau2 must lie in (0.5, 1), got {sch.tau2}")
-    _require(sch.tau3 <= 1, f"schedule.tau3 must be at most 1, got {sch.tau3}")
-
+    """Check the rules only the config can state, then build the objects whose
+    constructors check the rest; every failure names its section."""
     run = cfg.run
-    _require(_is_pos_int(run.horizon), f"run.horizon must be a positive integer, got {run.horizon}")
-    _require(_is_pos_int(run.reps), f"run.reps must be a positive integer, got {run.reps}")
-    _require(_is_pos_int(run.workers), f"run.workers must be a positive integer, got {run.workers}")
-    _require(isinstance(run.seed, (int, np.integer)) and run.seed >= 0,
-             f"run.seed must be a nonnegative integer, got {run.seed}")
-    _require(run.dense_until >= 0, "run.dense_until must be nonnegative")
-    _require(run.record_stride >= 1, "run.record_stride must be at least 1")
-    _require(run.check_stride >= 0, "run.check_stride must be nonnegative")
-
-    noi = cfg.noise
-    _require(noi.sigma >= 0, f"noise.sigma must be nonnegative, got {noi.sigma}")
-    _require(noi.b >= 0, f"noise.b must be nonnegative, got {noi.b}")
-    _require(noi.cap is None or noi.cap >= 0, "noise.cap must be nonnegative when set")
-
-    conn = cfg.connectivity
-    _require(_is_pos_int(conn.h), f"connectivity.h must be a positive integer, got {conn.h}")
-    _require(_is_pos_int(conn.windows), "connectivity.windows must be a positive integer")
-    _require(_is_pos_int(conn.reps), "connectivity.reps must be a positive integer")
+    for name, low in (("horizon", 1), ("reps", 1), ("workers", 1), ("seed", 0),
+                      ("dense_until", 0), ("record_stride", 1), ("check_stride", 0)):
+        _int_at_least("run", name, getattr(run, name), low)
+    for name in ("h", "windows", "reps"):
+        _int_at_least("connectivity", name, getattr(cfg.connectivity, name), 1)
     if cfg.verify_horizon is not None:
-        _require(cfg.verify_horizon >= 1000,
-                 f"verify.horizon must be at least 1000, got {cfg.verify_horizon}")
+        _int_at_least("verify", "horizon", cfg.verify_horizon, 1000)
+    thr = cfg.thresholds
+    if thr.min_pass_reps is not None:
+        _int_at_least("thresholds", "min_pass_reps", thr.min_pass_reps, 0)
+        _require(thr.min_pass_reps <= run.reps,
+                 f"thresholds.min_pass_reps must not exceed run.reps = {run.reps}, "
+                 f"got {thr.min_pass_reps}")
 
+    # A missing target or lasso field would reach the constructors as NaN.
     prob = cfg.problem
     _require(prob.kind in ("quadratic", "lasso"),
              f"problem.kind must be 'quadratic' or 'lasso', got {prob.kind!r}")
     if prob.kind == "quadratic":
-        _require(prob.targets, "problem.targets is required for quadratic problems")
-        lens = {len(t) for t in prob.targets}
-        _require(len(lens) == 1, "problem.targets rows must share one dimension")
+        rows = prob.targets
+        _require(isinstance(rows, list) and rows and all(isinstance(r, list) for r in rows)
+                 and len({len(r) for r in rows}) == 1,
+                 f"problem.targets must be a nonempty list of equal-length rows, got {rows!r}")
     else:
-        _require(prob.x0 is not None, "problem.x0 is required for lasso problems")
-        _require(prob.kappa is not None and prob.kappa >= 0,
-                 f"problem.kappa must be nonnegative, got {prob.kappa}")
-        _require(prob.sigma_v is not None, "problem.sigma_v is required for lasso problems")
-        sig = np.atleast_1d(np.asarray(prob.sigma_v, dtype=float))
-        _require(bool(np.all(sig >= 0)), "problem.sigma_v entries must be nonnegative")
-        if prob.covariances in (None, "identity"):
-            _require(_is_pos_int(prob.n_nodes),
-                     "problem.n_nodes is required when covariances is 'identity'")
-
-    # Build the heavyweight objects once; their constructors enforce the rest.
-    try:
+        for name in ("x0", "kappa", "sigma_v"):
+            _require(getattr(prob, name) is not None,
+                     f"problem.{name} is required for lasso problems")
+    with _section("problem"):
         objective = build_objective(cfg)
-    except (ValueError, FactorizationError) as exc:
-        raise ValidationError(f"problem: {exc}") from exc
-    try:
+    with _section("graph"):
         process = build_process(cfg)
-    except ValueError as exc:
-        raise ValidationError(f"graph: {exc}") from exc
     _require(process.n_nodes == objective.n_nodes,
              f"graph.n_nodes {process.n_nodes} must match the problem's "
              f"{objective.n_nodes} nodes")
+    with _section("noise"):
+        build_noise(cfg, objective.dim)
 
     ini = cfg.init
     _require(ini.kind in ("uniform", "explicit"),
              f"init.kind must be 'uniform' or 'explicit', got {ini.kind!r}")
-    if ini.kind == "uniform":
-        low = np.broadcast_to(np.asarray(ini.low, dtype=float), (objective.dim,))
-        high = np.broadcast_to(np.asarray(ini.high, dtype=float), (objective.dim,))
-        _require(bool(np.all(low <= high)), "init.low must not exceed init.high")
-    else:
-        _require(ini.states is not None, "init.states is required for explicit init")
-        st = np.asarray(ini.states, dtype=float)
-        _require(st.shape == (objective.n_nodes, objective.dim),
-                 f"init.states must have shape ({objective.n_nodes}, {objective.dim})")
+    with _section("init"):
+        if ini.kind == "uniform":
+            low = np.broadcast_to(np.asarray(ini.low, dtype=float), (objective.dim,))
+            high = np.broadcast_to(np.asarray(ini.high, dtype=float), (objective.dim,))
+            _require(bool(np.all(low <= high)), "init.low must not exceed init.high")
+        else:
+            _require(ini.states is not None, "init.states is required for explicit init")
+            st = np.asarray(ini.states, dtype=float)
+            _require(st.shape == (objective.n_nodes, objective.dim),
+                     f"init.states must have shape ({objective.n_nodes}, {objective.dim})")
 
     # The schedule pair must decay monotonically over the simulated horizon.
-    try:
+    with _section("schedule"):
         schedule = build_schedule(cfg)
-    except ValueError as exc:
-        raise ValidationError(f"schedule: {exc}") from exc
     ks = np.arange(min(run.horizon, 1_000_000) + 1)
     c_vals = schedule.c(ks)
     if not np.all(np.diff(c_vals) < 0):
         bad = int(np.argmax(np.diff(c_vals) >= 0))
         raise ValidationError(
-            f"schedule.tau3={sch.tau3} makes c(k) non-decreasing at k={bad}; "
+            f"schedule.tau3={cfg.schedule.tau3} makes c(k) non-decreasing at k={bad}; "
             "c must decrease over the simulated horizon")
-    thr = cfg.thresholds
-    if thr.min_pass_reps is not None:
-        _require(0 <= thr.min_pass_reps <= run.reps,
-                 "thresholds.min_pass_reps must lie in [0, run.reps]")
     return cfg
 
 
@@ -302,23 +305,17 @@ def build_objective(cfg):
     if prob.kind == "quadratic":
         return QuadraticObjective(np.asarray(prob.targets, dtype=float))
     x0 = np.asarray(prob.x0, dtype=float)
-    dim = x0.size
     cov = prob.covariances
-    if cov in (None, "identity"):
-        covs = np.stack([np.eye(dim)] * int(prob.n_nodes))
+    cov = np.eye(x0.size) if cov in (None, "identity") else np.asarray(cov, dtype=float)
+    if cov.ndim == 2:
+        _int_at_least("problem", "n_nodes", prob.n_nodes, 1)
+        cov = np.stack([cov] * prob.n_nodes)
     else:
-        arr = np.asarray(cov, dtype=float)
-        if arr.ndim == 2:
-            _require(_is_pos_int(prob.n_nodes),
-                     "problem.n_nodes is required with a single shared covariance")
-            covs = np.stack([arr] * int(prob.n_nodes))
-        else:
-            _require(prob.n_nodes is None or arr.ndim != 3 or prob.n_nodes == arr.shape[0],
-                     f"problem.n_nodes {prob.n_nodes} must match the {arr.shape[0]} "
-                     "per-node covariances")
-            covs = arr
-    return LassoProblem(x0=x0, covariances=covs, sigma_v=prob.sigma_v,
-                        kappa=float(prob.kappa))
+        _require(prob.n_nodes is None or cov.ndim != 3 or prob.n_nodes == cov.shape[0],
+                 f"problem.n_nodes {prob.n_nodes} must match the {cov.shape[0]} "
+                 "per-node covariances")
+    return LassoProblem(x0=x0, covariances=cov, sigma_v=prob.sigma_v,
+                        kappa=_number("problem", "kappa", prob.kappa))
 
 
 def build_process(cfg):
@@ -327,10 +324,8 @@ def build_process(cfg):
         if isinstance(g.base, str):
             _require(g.base == "complete",
                      f"graph.base must be 'complete' or a matrix, got {g.base!r}")
-            _require(_is_pos_int(g.n_nodes),
-                     "graph.n_nodes is required with base 'complete'")
-            n = int(g.n_nodes)
-            base = g.weight * (np.ones((n, n)) - np.eye(n))
+            _int_at_least("graph", "n_nodes", g.n_nodes, 1)
+            base = g.weight * (np.ones((g.n_nodes, g.n_nodes)) - np.eye(g.n_nodes))
         else:
             base = np.asarray(g.base, dtype=float)
         return IndependentEdges(base=base, prob=g.activation_prob, perturb=g.perturb)
@@ -349,15 +344,15 @@ def build_process(cfg):
 
 
 def build_noise(cfg, dim):
-    return CommNoiseModel(sigma=float(cfg.noise.sigma), b=float(cfg.noise.b),
-                          noise_dim=int(dim), cap=cfg.noise.cap)
+    noi = cfg.noise
+    cap = None if noi.cap is None else _number("noise", "cap", noi.cap)
+    return CommNoiseModel(sigma=_number("noise", "sigma", noi.sigma),
+                          b=_number("noise", "b", noi.b), noise_dim=int(dim), cap=cap)
 
 
 def build_schedule(cfg):
-    s = cfg.schedule
-    return StepSchedule(alpha1=float(s.alpha1), tau1=float(s.tau1),
-                        alpha2=float(s.alpha2), tau2=float(s.tau2),
-                        tau3=float(s.tau3))
+    return StepSchedule(**{name: _number("schedule", name, value)
+                           for name, value in asdict(cfg.schedule).items()})
 
 
 def build_init(cfg):

@@ -72,12 +72,9 @@ class ExperimentResult:
     conditions: object
     mc: object
     passes: dict
+    all_pass: bool
     trace_path: str
     summary_path: str
-
-    @property
-    def all_pass(self):
-        return all(v for k, v in self.passes.items() if not k.startswith("_"))
 
 
 def _fmt(x):
@@ -86,12 +83,11 @@ def _fmt(x):
 
 def _write_trace(path, mc):
     lines = [TRACE_HEADER]
-    beta_log = mc.beta_log if mc.beta_log is not None else np.zeros(len(mc.record_ks))
     for slot, k in enumerate(mc.record_ks):
         lines.append(",".join([
             str(int(k)), _fmt(mc.mean_v[slot]), _fmt(mc.std_v[slot]),
             _fmt(mc.mean_opt_gap[slot]), _fmt(mc.mean_dist_to_opt[slot]),
-            _fmt(mc.mean_state_sq[slot]), _fmt(beta_log[slot]),
+            _fmt(mc.mean_state_sq[slot]), _fmt(mc.beta_log[slot]),
         ]))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -122,16 +118,16 @@ def evaluate_thresholds(cfg, mc, x_star):
     passes["d_bound"] = mc.d_violation_max <= 1e-9
     if cfg.run.check_stride:
         passes["recursion_identity"] = mc.recursion_max < 1e-10
-    if mc.c1_hat is not None:
-        log_ratio = np.log(np.maximum(mc.mean_state_sq, 1e-300)) - mc.beta_log
-        sup_early = mc.c1_hat_at <= 1000
-        later = log_ratio[np.asarray(ks) > 1000]
-        no_growth = bool(later.size == 0 or np.max(later) <= log_ratio.max() + 1e-12)
-        passes["c1_sup_early"] = bool(sup_early and no_growth)
+    log_ratio = np.log(np.maximum(mc.mean_state_sq, 1e-300)) - mc.beta_log
+    sup_early = mc.c1_hat_at <= 1000
+    later = log_ratio[np.asarray(ks) > 1000]
+    no_growth = bool(later.size == 0 or np.max(later) <= log_ratio.max() + 1e-12)
+    passes["c1_sup_early"] = bool(sup_early and no_growth)
     return passes
 
 
-def _write_summary(path, cfg, constants, report, conditions, mc, passes, x_star, f_star):
+def _write_summary(path, cfg, constants, report, conditions, mc, passes, all_pass,
+                   x_star, f_star):
     lines = []
     add = lines.append
     add("subgradnet experiment summary")
@@ -153,9 +149,8 @@ def _write_summary(path, cfg, constants, report, conditions, mc, passes, x_star,
     add(f"C0 = {_fmt(constants.C0)}")
     for line in conditions.lines():
         add(f"conditions.{line}")
-    if mc.c1_hat is not None:
-        add(f"C1_hat = {_fmt(mc.c1_hat)} (sup mean||X||^2 / beta, estimate)")
-        add(f"C1_hat_at_k = {mc.c1_hat_at}")
+    add(f"C1_hat = {_fmt(mc.c1_hat)} (sup mean||X||^2 / beta, estimate)")
+    add(f"C1_hat_at_k = {mc.c1_hat_at}")
     add(f"final.mean_dist_to_opt = {_fmt(mc.mean_dist_to_opt[-1])}")
     add(f"final.mean_V = {_fmt(mc.mean_v[-1])}")
     add(f"final.dists = [{', '.join(_fmt(v) for v in mc.final_dists)}]")
@@ -167,7 +162,7 @@ def _write_summary(path, cfg, constants, report, conditions, mc, passes, x_star,
             add(f"measured.{name[1:]} = {passes[name]}")
         else:
             add(f"pass.{name} = {str(bool(passes[name])).lower()}")
-    add(f"all_pass = {str(all(v for k, v in passes.items() if not k.startswith('_'))).lower()}")
+    add(f"all_pass = {str(all_pass).lower()}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -237,10 +232,12 @@ def run_experiment(cfg, out_dir=None):
         passes = evaluate_thresholds(cfg, mc, x_star)
         for name, chk in conditions.checks.items():
             passes[f"condition_{name}"] = chk.holds
+        all_pass = all(v for k, v in passes.items() if not k.startswith("_"))
 
         _write_trace(trace_tmp, mc)
         _write_summary(summary_tmp, cfg, constants, report, conditions, mc,
-                       passes, x_star, f_star)
+                       passes, all_pass, x_star, f_star)
     return ExperimentResult(config=cfg, constants=constants, report=report,
                             conditions=conditions, mc=mc, passes=passes,
-                            trace_path=trace_path, summary_path=summary_path)
+                            all_pass=all_pass, trace_path=trace_path,
+                            summary_path=summary_path)

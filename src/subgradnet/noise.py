@@ -31,12 +31,14 @@ class CommNoiseModel:
     cap: float = None
 
     def __post_init__(self):
-        if self.sigma < 0 or self.b < 0:
-            raise ValueError("noise intensity coefficients must be nonnegative")
+        if not self.sigma >= 0:
+            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
+        if not self.b >= 0:
+            raise ValueError(f"b must be nonnegative, got {self.b}")
         if self.noise_dim < 1:
             raise ValueError("noise_dim must be at least 1")
-        if self.cap is not None and self.cap < 0:
-            raise ValueError("cap must be nonnegative")
+        if self.cap is not None and not self.cap >= 0:
+            raise ValueError(f"cap must be nonnegative, got {self.cap}")
         # 0-d arrays: a ufunc converts a Python float operand on every call,
         # which costs a third of the psi_values call at the shipped shapes.
         object.__setattr__(self, "_sigma", np.array(float(self.sigma)))

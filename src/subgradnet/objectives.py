@@ -206,10 +206,10 @@ class LassoProblem:
         sig = np.atleast_1d(np.asarray(self.sigma_v, dtype=float))
         if sig.size == 1:
             sig = np.full(covs.shape[0], float(sig[0]))
-        if self.kappa < 0:
-            raise ValueError("kappa must be nonnegative")
-        if np.any(sig < 0):
-            raise ValueError("sigma_v entries must be nonnegative")
+        if not self.kappa >= 0:
+            raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
+        if not np.all(sig >= 0):
+            raise ValueError(f"sigma_v entries must be nonnegative, got {self.sigma_v}")
         if covs.shape[0] != sig.size:
             raise ValueError("one covariance and one sigma_v per node")
         if covs.shape[1] != x0.size or covs.shape[2] != x0.size:

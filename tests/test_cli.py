@@ -52,6 +52,31 @@ class TestUsageAndErrors:
         assert needle in captured.err
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("section,values", [
+        ("schedule", {"alpha1": "abc"}), ("schedule", {"tau2": None}),
+        ("noise", {"sigma": "abc"}), ("noise", {"cap": "x"}),
+        ("run", {"dense_until": "x"}), ("verify", {"horizon": "x"}),
+        ("thresholds", {"min_pass_reps": "x"}),
+        ("problem", {"kind": "quadratic", "targets": 3}),
+        ("problem", {"kind": "lasso", "x0": [1.0, 0.0], "covariances": "identity",
+                     "sigma_v": 0.5, "kappa": "x", "n_nodes": 2}),
+        ("init", {"low": [1.0, 2.0, 3.0]}),
+        ("init", {"kind": "explicit", "states": [[0.0, 0.0], [1.0]]}),
+        ("run", {"seed": True}), ("run", {"check_stride": 2.5}),
+        ("run", {"record_stride": 7.9}), ("run", {"dense_until": 10.7}),
+    ])
+    def test_malformed_value_exits_one_with_one_error_line(self, tmp_path, capsys,
+                                                           section, values):
+        data = dict(SMALL)
+        data[section] = values if section == "problem" else {**SMALL.get(section, {}),
+                                                             **values}
+        path = write_cfg(tmp_path, data)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: {section}")
+
     def test_divergence_exits_two(self, tmp_path, capsys):
         diverging = dict(SMALL)
         diverging["schedule"] = {"alpha1": 1e9}

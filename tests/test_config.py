@@ -15,6 +15,8 @@ MINIMAL_QUADRATIC = {
     "graph": {"kind": "independent", "base": "complete", "n_nodes": 2,
               "activation_prob": 0.9},
 }
+LASSO = {"kind": "lasso", "x0": [1.0, 0.0], "covariances": "identity", "sigma_v": 0.5,
+         "kappa": 0.2, "n_nodes": 2}
 
 
 def write_yaml(tmp_path, text, name="cfg.yaml"):
@@ -44,6 +46,23 @@ graph:
         data = dict(MINIMAL_QUADRATIC)
         data["schedule"] = {"tau2": 0.4}
         with pytest.raises(ValidationError, match=r"tau2 must lie in \(0.5, 1\)"):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize("section,values,name", [
+        ("schedule", {"tau1": 0.0}, "tau1"), ("schedule", {"tau1": 1.5}, "tau1"),
+        ("schedule", {"tau2": 0.5}, "tau2"), ("schedule", {"tau2": 1.0}, "tau2"),
+        ("schedule", {"tau3": 1.5}, "tau3"), ("schedule", {"alpha1": 0.0}, "alpha1"),
+        ("schedule", {"alpha2": -1.0}, "alpha2"),
+        ("noise", {"sigma": -1.0}, "sigma"), ("noise", {"sigma": float("nan")}, "sigma"),
+        ("noise", {"b": -0.1}, "b"), ("noise", {"cap": -1.0}, "cap"),
+        ("problem", dict(LASSO, kappa=-0.1), "kappa"),
+        ("problem", dict(LASSO, kappa=float("nan")), "kappa"),
+        ("problem", dict(LASSO, sigma_v=-0.5), "sigma_v"),
+        ("problem", dict(LASSO, n_nodes=None), "n_nodes"),
+    ])
+    def test_rule_owned_by_a_constructor_still_rejected(self, section, values, name):
+        data = dict(MINIMAL_QUADRATIC, **{section: values})
+        with pytest.raises(ValidationError, match=rf"^{section}(\.|: ){name} "):
             config_from_dict(data)
 
     def test_round_trip_is_identity(self, tmp_path):
