@@ -10,13 +10,15 @@ Each rule has one home.  A constructor owns the ranges of what it builds:
 sigma, b and cap, ``LassoProblem`` the nonnegative kappa and sigma_v, the
 graph processes their matrices.  :func:`validate_config` builds each of them
 and reports a rejection as a ``ValidationError`` prefixed with the section.
-It checks itself only what no constructor sees: that the schedule, noise and
-lasso kappa fields are numbers and the count fields integers, the problem's
+It checks itself only what no constructor sees: that the schedule, noise,
+lasso kappa and threshold fields are numbers and the count fields integers,
+that the output names are nonempty strings and name two files, the problem's
 required fields, the node counts across sections, the initial states' shape,
 and that c(k) decreases over the simulated horizon.
 """
 
 import contextlib
+import os
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -244,11 +246,24 @@ def validate_config(cfg):
     if cfg.verify_horizon is not None:
         _int_at_least("verify", "horizon", cfg.verify_horizon, 1000)
     thr = cfg.thresholds
+    for name in ("v_ratio_k_early", "v_ratio_k_late", "min_pass_reps"):
+        if getattr(thr, name) is not None:
+            _int_at_least("thresholds", name, getattr(thr, name), 0)
+    for name in ("v_ratio_max", "final_dist_max"):
+        if getattr(thr, name) is not None:
+            _number("thresholds", name, getattr(thr, name))
     if thr.min_pass_reps is not None:
-        _int_at_least("thresholds", "min_pass_reps", thr.min_pass_reps, 0)
         _require(thr.min_pass_reps <= run.reps,
                  f"thresholds.min_pass_reps must not exceed run.reps = {run.reps}, "
                  f"got {thr.min_pass_reps}")
+    out = cfg.output
+    for name in ("directory", "trace", "summary"):
+        value = getattr(out, name)
+        _require(isinstance(value, str) and value,
+                 f"output.{name} must be a nonempty string, got {value!r}")
+    _require(os.path.normpath(out.trace) != os.path.normpath(out.summary),
+             "output.trace and output.summary must name different files, "
+             f"got {out.trace!r} and {out.summary!r}")
 
     # A missing target or lasso field would reach the constructors as NaN.
     prob = cfg.problem

@@ -24,22 +24,22 @@ is contiguous, and sums their squares over ``d`` in index order, an einsum's
 order up to dim 2.  The tests keep a per-node loop, the stacked compact
 matrix form and the einsum form as its references, and map per-channel
 draws onto the kernel's per-receiver input.
-The Monte Carlo loop walks each 1024-step chunk in sub-spans sized by a byte
-budget for the step buffers, which are allocated once per batch and hold one
-sub-span (at least one step), not a whole chunk; every stream is read in
-step order, so the draws of a sub-span are the same numbers whatever its
-length.  The buffers are step-major: each operand of a step (states, graphs,
-row sums, channel draws, noise factors) is one contiguous block over the
-replications, because numpy takes three to six times longer on a strided or
-broadcast operand of a few hundred values than on a contiguous one.
-Constant operands are broadcast once, the row sums once per sub-span and the
-objective's constants once per batch in its workspace.  Per step the loop
-makes only the measurement, the kernel call, the psi maximum and, on check
-steps, the recursion check; once per sub-span it draws all replications'
-graphs in one in-place call and each replication's channel and gradient
-noise in one call per stream, forms the noise factors from step-major views
-of the rep-major gradient draws, checks the states for divergence, records
-them and evaluates the psi and d monitors.
+The Monte Carlo loop walks the horizon in sub-spans sized by a byte budget
+for the step buffers, which are allocated once per batch and hold one
+sub-span (1 to 1024 steps); every stream is read in step order, so the draws
+of a sub-span are the same numbers whatever its length.  The buffers are
+step-major: each operand of a step (states, graphs, row sums, channel draws,
+noise factors) is one contiguous block over the replications, because numpy
+takes three to six times longer on a strided or broadcast operand of a few
+hundred values than on a contiguous one.  Constant operands are broadcast
+once, the row sums once per sub-span and the objective's constants once per
+batch in its workspace.  Per step the loop makes only the measurement, the
+kernel call, the psi maximum and, on check steps, the recursion check; once
+per sub-span it evaluates the gains, draws all replications' graphs in one
+in-place call and each replication's channel and gradient noise in one call
+per stream, forms the noise factors from step-major views of the rep-major
+gradient draws, checks the states for divergence, records them and
+evaluates the psi and d monitors.
 
 Randomness is organized as one stream per replication, split into disjoint
 sub-streams for initial states, graph draws, channel noise and gradient noise,
@@ -56,13 +56,13 @@ import numpy as np
 from .errors import DivergenceDetected, WorkerLost
 from .graphs import _stream_key
 
-# Steps per chunk, the unit the schedule's gains are evaluated in.  Every
-# stream is read in step order, so outputs do not depend on it.
+# Most steps per sub-span.  Every stream is read in step order, so outputs
+# do not depend on it.
 _CHUNK = 1024
 
 # Bytes one batch holds for a sub-span: its step buffers, the draws of every
-# stream included, and the temporaries of ``observe``; sets the sub-span a
-# chunk is walked in.  Outputs do not depend on it.  Each sub-span pays a
+# stream included, and the temporaries of ``observe``; sets the sub-span the
+# horizon is walked in.  Outputs do not depend on it.  Each sub-span pays a
 # fixed cost per replication for its graph and noise draws: at 2 MiB that
 # cost took 5-7% of the shipped configs' Monte Carlo time, at 4 MiB about
 # half that.
@@ -319,8 +319,8 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
     cd_sq = float(np.max(objective.c_d)) ** 2
     has_zeta = objective.has_gradient_noise
 
-    # Each 1024-step chunk is walked in sub-spans of at most ``span`` steps;
-    # the kernel writes each next state into ``hist`` and its temporaries
+    # The horizon is walked in sub-spans of at most ``span`` steps; the
+    # kernel writes each next state into ``hist`` and its temporaries
     # into ``ws``, and the objective writes its measurement into the
     # workspace that its ``workspace(lead)`` returns.
     span = min(_sub_span(reps, n_nodes, dim, has_zeta), max(horizon, 1))
@@ -390,36 +390,31 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
     # A floating-point error interrupts a step; unless a state has diverged by
     # then, the step is redone under the caller's error handling and warns.
     fp_modes = np.geterr()
-    k = 0
-    while k < horizon:
-        chunk = min(_CHUNK, horizon - k)
-        chunk_ks = np.arange(k, k + chunk)
-        alphas = schedule.alpha(chunk_ks).tolist()
-        cs = schedule.c(chunk_ks).tolist()
-        for t0 in range(0, chunk, span):
-            k0, s = k + t0, min(span, chunk - t0)
-            _, graph_state = process.sample_block(graph_keys, k0, s, state=graph_state,
-                                                  out=graphs[:s].swapaxes(0, 1))
-            graphs[:s].sum(axis=3, out=row_sums[:s])
-            np.copyto(row_sums_x[:s], row_sums[:s, ..., None])
-            for r, g in enumerate(comm_gen):
-                g.standard_normal(out=z_rep[:s])
-                np.multiply(z_rep[:s], z_scale, out=z_chan[:s, r])
-            if has_zeta:
-                for r, g in enumerate(grad_gen):
-                    g.standard_normal(out=bufs.zv_draws[r, :s])
-                objective.noise_factors(z_draws[:s], v_draws[:s], out=(u[:s], uv[:s]))
-            with np.errstate(divide="raise", over="raise", invalid="raise"):
-                for t in range(s):
-                    try:
-                        advance(t, k0 + t, alphas[t0 + t], cs[t0 + t])
-                    except FloatingPointError:
-                        _check_divergence(hist[:t + 1], k0, rep_indices)
-                        with np.errstate(**fp_modes):
-                            advance(t, k0 + t, alphas[t0 + t], cs[t0 + t])
-            observe(k0, hist[:s], d_hist[:s], psi_max[:s])
-            hist[0] = hist[s]
-        k += chunk
+    for k0 in range(0, horizon, span):
+        s = min(span, horizon - k0)
+        step_ks = np.arange(k0, k0 + s)
+        alphas, cs = schedule.alpha(step_ks).tolist(), schedule.c(step_ks).tolist()
+        _, graph_state = process.sample_block(graph_keys, k0, s, state=graph_state,
+                                              out=graphs[:s].swapaxes(0, 1))
+        graphs[:s].sum(axis=3, out=row_sums[:s])
+        np.copyto(row_sums_x[:s], row_sums[:s, ..., None])
+        for r, g in enumerate(comm_gen):
+            g.standard_normal(out=z_rep[:s])
+            np.multiply(z_rep[:s], z_scale, out=z_chan[:s, r])
+        if has_zeta:
+            for r, g in enumerate(grad_gen):
+                g.standard_normal(out=bufs.zv_draws[r, :s])
+            objective.noise_factors(z_draws[:s], v_draws[:s], out=(u[:s], uv[:s]))
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            for t in range(s):
+                try:
+                    advance(t, k0 + t, alphas[t], cs[t])
+                except FloatingPointError:
+                    _check_divergence(hist[:t + 1], k0, rep_indices)
+                    with np.errstate(**fp_modes):
+                        advance(t, k0 + t, alphas[t], cs[t])
+        observe(k0, hist[:s], d_hist[:s], psi_max[:s])
+        hist[0] = hist[s]
 
     observe(horizon, hist[:1])
     return out
@@ -441,23 +436,18 @@ class MonteCarloResult:
     psi_violation_max: float
     d_violation_max: float
     recursion_max: float
-    beta_log: np.ndarray = None
-    c1_hat: float = None
-    c1_hat_at: int = None
     per_rep: dict = field(default=None, repr=False)
 
 
 def monte_carlo(objective, process, model, schedule, horizon, seed, reps,
                 x_star, f_star, init=None, record_ks=None, check_stride=0,
-                workers=1, C0=None):
+                workers=1):
     """Aggregate recorded metrics over independent replications.
 
     Replications are deterministic per (seed, index) and may be fanned out to
     a process pool; per-replication trajectories are identical for any worker
     count, and the reduction runs over the replication axis in index order, so
-    aggregates match across worker counts.  With ``C0`` given, also reports
-    the supremum of mean squared state norm over the growth envelope
-    exp(C0 * sum alpha) in log space.
+    aggregates match across worker counts.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
@@ -489,15 +479,6 @@ def monte_carlo(objective, process, model, schedule, horizon, seed, reps,
 
     std_v = (per_rep["V"].std(axis=0, ddof=1) if reps > 1
              else np.zeros(record_ks.shape[0]))
-    mean_state_sq = per_rep["state_sq"].mean(axis=0)
-
-    beta_log = c1_hat = c1_at = None
-    if C0 is not None:
-        beta_log = np.asarray(schedule.log_beta(record_ks, C0), dtype=float)
-        log_ratio = np.log(np.maximum(mean_state_sq, 1e-300)) - beta_log
-        best = int(np.argmax(log_ratio))
-        c1_hat = float(np.exp(log_ratio[best]))
-        c1_at = int(record_ks[best])
 
     return MonteCarloResult(
         record_ks=record_ks,
@@ -506,14 +487,11 @@ def monte_carlo(objective, process, model, schedule, horizon, seed, reps,
         std_v=std_v,
         mean_opt_gap=per_rep["opt_gap"].mean(axis=0),
         mean_dist_to_opt=per_rep["dist"].mean(axis=0),
-        mean_state_sq=mean_state_sq,
+        mean_state_sq=per_rep["state_sq"].mean(axis=0),
         mean_stack_dsq=per_rep["stack_dsq"].mean(axis=0),
         final_dists=per_rep["dist"][:, -1].copy(),
         psi_violation_max=float(per_rep["psi_violation"].max()),
         d_violation_max=float(per_rep["d_violation"].max()),
         recursion_max=float(per_rep["recursion_max"].max()),
-        beta_log=beta_log,
-        c1_hat=c1_hat,
-        c1_hat_at=c1_at,
         per_rep=per_rep,
     )

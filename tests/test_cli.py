@@ -56,7 +56,12 @@ class TestUsageAndErrors:
         ("schedule", {"alpha1": "abc"}), ("schedule", {"tau2": None}),
         ("noise", {"sigma": "abc"}), ("noise", {"cap": "x"}),
         ("run", {"dense_until": "x"}), ("verify", {"horizon": "x"}),
-        ("thresholds", {"min_pass_reps": "x"}),
+        ("thresholds", {"min_pass_reps": "x"}), ("thresholds", {"v_ratio_max": "abc"}),
+        ("thresholds", {"final_dist_max": [0.05]}), ("thresholds", {"v_ratio_k_early": 1.5}),
+        ("thresholds", {"v_ratio_k_late": -1}),
+        ("output", {"trace": 3}), ("output", {"summary": ""}), ("output", {"directory": None}),
+        ("output", {"trace": "same.txt", "summary": "same.txt"}),
+        ("output", {"trace": "same.txt", "summary": "./same.txt"}),
         ("problem", {"kind": "quadratic", "targets": 3}),
         ("problem", {"kind": "lasso", "x0": [1.0, 0.0], "covariances": "identity",
                      "sigma_v": 0.5, "kappa": "x", "n_nodes": 2}),
@@ -76,6 +81,7 @@ class TestUsageAndErrors:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith(f"error: {section}")
+        assert not (tmp_path / "o").exists()
 
     def test_divergence_exits_two(self, tmp_path, capsys):
         diverging = dict(SMALL)

@@ -116,6 +116,40 @@ class TestRunExperiment:
         assert res.passes["final_dist"]
         assert res.passes["_final_dist_pass_count"] == 3
 
+    def test_numeric_strings_count_as_threshold_numbers(self, tmp_path):
+        # YAML reads a float written without a dot, such as 1e-2, as a string.
+        as_text = small_cfg(extra={"thresholds": {"v_ratio_max": "1e0",
+                                                  "final_dist_max": "1e2"}})
+        as_float = small_cfg(extra={"thresholds": {"v_ratio_max": 1.0,
+                                                   "final_dist_max": 100.0}})
+        text = run_experiment(as_text, out_dir=str(tmp_path / "text")).passes
+        assert text == run_experiment(as_float, out_dir=str(tmp_path / "float")).passes
+        assert text["v_ratio"] and text["final_dist"]
+
+    def test_envelope_and_c1_come_from_one_log_ratio(self, tmp_path):
+        # Zero initial states put the sup of mean||X||^2 / beta after k = 0,
+        # and the horizon reaches past the k = 1000 of pass.c1_sup_early.
+        cfg = small_cfg({"init": {"kind": "explicit", "states": [[0.0, 0.0]] * 3}},
+                        horizon=1500, reps=2)
+        res = run_experiment(cfg, out_dir=str(tmp_path / "out"))
+        rows = [line.split(",") for line in open(res.trace_path).read().splitlines()[1:]]
+        ks = np.array([int(row[0]) for row in rows])
+        state_sq, beta_log = (np.array([float(row[col]) for row in rows]) for col in (5, 6))
+        expected = cfgmod.build_schedule(cfg).log_beta(res.mc.record_ks, res.constants.C0)
+        assert np.array_equal(ks, res.mc.record_ks)
+        assert np.array_equal(beta_log, expected)
+        assert np.array_equal(res.beta_log, expected)
+
+        log_ratio = np.log(np.maximum(state_sq, 1e-300)) - beta_log
+        best = int(np.argmax(log_ratio))
+        summary = dict(line.split(" = ", 1) for line in open(res.summary_path)
+                       if " = " in line)
+        assert ks[best] > 0
+        assert summary["C1_hat_at_k"].strip() == str(ks[best])
+        assert summary["C1_hat"].split()[0] == repr(float(np.exp(log_ratio[best])))
+        assert summary["pass.c1_sup_early"].strip() == str(bool(ks[best] <= 1000)).lower()
+        assert res.passes["c1_sup_early"] == (ks[best] <= 1000)
+
     def test_worker_pool_aggregates_match(self, tmp_path):
         cfg1 = small_cfg(reps=6)
         res1 = run_experiment(cfg1, out_dir=str(tmp_path / "w1"))

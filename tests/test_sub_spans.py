@@ -1,6 +1,6 @@
-"""Sub-spans of the byte budget: walking each 1024-step chunk in pieces of any
-length gives the same per-replication outputs, and the Monte Carlo working
-set stays bounded as N grows."""
+"""Sub-spans of the byte budget: walking the horizon in pieces of any length
+gives the same per-replication outputs, and the Monte Carlo working set stays
+bounded as N grows."""
 
 import os
 import subprocess
@@ -22,7 +22,7 @@ REPS, N_NODES = 3, 4
 
 def force_span(monkeypatch, span, objective):
     """Sets the budget so that a batch of REPS replications of ``objective``
-    walks its chunks in sub-spans of ``span`` steps."""
+    walks its horizon in sub-spans of ``span`` steps."""
     shape = (REPS, objective.n_nodes, objective.dim, objective.has_gradient_noise)
     monkeypatch.setattr(engine, "_BUDGET_BYTES", span * engine._step_bytes(*shape))
     assert engine._sub_span(*shape) == span
@@ -65,7 +65,7 @@ def test_outputs_do_not_depend_on_the_sub_span(build, horizon, monkeypatch):
                           InitialStates.uniform(-2.0, 2.0),
                           default_record_ks(horizon, dense_until=50, stride=25), 97)
 
-    natural = run()  # a whole chunk per sub-span at this size
+    natural = run()  # sub-spans of the longest length, 1024 steps, at this size
     for span in FORCED_SPANS:
         force_span(monkeypatch, span, objective)
         out = run()
@@ -95,11 +95,7 @@ def test_one_graph_draw_per_sub_span_for_all_replications(build, monkeypatch):
                        np.zeros(objective.dim), 0.0, InitialStates.uniform(-2.0, 2.0),
                        default_record_ks(horizon, dense_until=50, stride=25), 97)
             for p in (process, counting)]
-    sub_spans = []
-    for chunk in range(0, horizon, 1024):
-        end = min(chunk + 1024, horizon)
-        sub_spans += [(k, min(span, end - k)) for k in range(chunk, end, span)]
-    assert counting.calls == sub_spans
+    assert counting.calls == [(k, min(span, horizon - k)) for k in range(0, horizon, span)]
     for key in PER_REP_KEYS:
         assert np.array_equal(outs[0][key], outs[1][key]), key
 
@@ -154,8 +150,8 @@ def test_peak_memory_does_not_grow_with_node_count():
     # Bound from arithmetic: the interpreter with numpy and the package takes
     # about 31 MiB, the step buffers 4 MiB, and one step's kernel temporaries
     # a few arrays of 8 x 40 x 40 x 2 doubles (0.2 MiB each).  Buffers of
-    # whole 1024-step chunks would hold a 105 MB graph block at this size,
-    # and per-channel noise draws another 210 MB.
+    # 1024 steps would hold a 105 MB graph block at this size, and
+    # per-channel noise draws another 210 MB.
     bound_mb = 100.0
     inner = ("import resource\n"
              "import numpy as np\n"

@@ -84,7 +84,6 @@ def main(argv):
 
     data = make_config(args)
     cfg = cfgmod.config_from_dict(data)
-    cfgmod.validate_config(cfg)
     measured = {}
 
     def stamp():
