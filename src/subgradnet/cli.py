@@ -148,7 +148,7 @@ def main(argv=None):
         print(parser.format_usage(), file=sys.stderr, end="")
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DivergenceDetected as exc:

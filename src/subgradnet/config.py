@@ -104,6 +104,11 @@ class ConnectivityConfig:
 
 
 @dataclass
+class VerifyConfig:
+    horizon: int = 1_000_000
+
+
+@dataclass
 class OutputConfig:
     directory: str = "out"
     trace: str = "trace.csv"
@@ -128,9 +133,9 @@ class ExperimentConfig:
     run: RunConfig = field(default_factory=RunConfig)
     init: InitConfig = field(default_factory=InitConfig)
     connectivity: ConnectivityConfig = field(default_factory=ConnectivityConfig)
+    verify: VerifyConfig = field(default_factory=VerifyConfig)
     output: OutputConfig = field(default_factory=OutputConfig)
     thresholds: ThresholdsConfig = field(default_factory=ThresholdsConfig)
-    verify_horizon: int = None
 
 
 _SECTIONS = {
@@ -141,6 +146,7 @@ _SECTIONS = {
     "run": RunConfig,
     "init": InitConfig,
     "connectivity": ConnectivityConfig,
+    "verify": VerifyConfig,
     "output": OutputConfig,
     "thresholds": ThresholdsConfig,
 }
@@ -167,15 +173,11 @@ def config_from_dict(data):
 def _build_config(data):
     if not isinstance(data, dict):
         raise ValidationError("top-level config must be a mapping")
-    unknown = set(data) - set(_SECTIONS) - {"verify"}
+    unknown = set(data) - set(_SECTIONS)
     if unknown:
         raise ValidationError(f"unknown top-level sections: {sorted(unknown)}")
-    sections = {name: _build_section(name, cls, data.get(name))
-                for name, cls in _SECTIONS.items()}
-    verify = data.get("verify") or {}
-    if not isinstance(verify, dict) or set(verify) - {"horizon"}:
-        raise ValidationError("section 'verify' supports only the key 'horizon'")
-    return ExperimentConfig(verify_horizon=verify.get("horizon"), **sections)
+    return ExperimentConfig(**{name: _build_section(name, cls, data.get(name))
+                               for name, cls in _SECTIONS.items()})
 
 
 def load_config(path, *, _validate=True):
@@ -198,9 +200,6 @@ def load_config(path, *, _validate=True):
 def save_config(cfg, path):
     """Write a configuration back to YAML; load_config inverts this exactly."""
     data = asdict(cfg)
-    verify = {"horizon": data.pop("verify_horizon")}
-    if verify["horizon"] is not None:
-        data["verify"] = verify
     with open(path, "w", encoding="utf-8") as fh:
         yaml.safe_dump(data, fh, sort_keys=True)
 
@@ -243,8 +242,7 @@ def validate_config(cfg):
         _int_at_least("run", name, getattr(run, name), low)
     for name in ("h", "windows", "reps"):
         _int_at_least("connectivity", name, getattr(cfg.connectivity, name), 1)
-    if cfg.verify_horizon is not None:
-        _int_at_least("verify", "horizon", cfg.verify_horizon, 1000)
+    _int_at_least("verify", "horizon", cfg.verify.horizon, 1000)
     thr = cfg.thresholds
     for name in ("v_ratio_k_early", "v_ratio_k_late", "min_pass_reps"):
         if getattr(thr, name) is not None:

@@ -216,9 +216,8 @@ def run_experiment(cfg, out_dir=None):
         report, constants = estimate_constants(cfg, objective, process, model)
         # The condition thresholds are calibrated at horizon 1e6 (notably C2's
         # required drop); shorter horizons can flag a valid schedule.
-        verify_horizon = cfg.verify_horizon if cfg.verify_horizon is not None else 1_000_000
         conditions = verify_conditions(schedule.alpha, schedule.c, constants.C0,
-                                       verify_horizon)
+                                       cfg.verify.horizon)
 
         record_ks = default_record_ks(cfg.run.horizon, cfg.run.dense_until,
                                       cfg.run.record_stride)

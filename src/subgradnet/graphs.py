@@ -2,10 +2,12 @@
 
 Adjacency matrices follow the receiver-row convention: entry ``A[i, j]`` is
 the weight a node ``i`` places on what it hears from node ``j`` (the channel
-``j -> i``).  Weights may be negative; diagonals are always zero.  Three
-process variants generate adjacency sequences: a deterministic cycle, an
-independent per-step edge-activation model, and a finite-state Markov
-switching model.
+``j -> i``).  Weights may be negative; diagonals are always zero.  Two
+process families generate adjacency sequences: an independent per-step
+edge-activation model and a finite-state Markov switching model.  A
+deterministic cycle is the Markov chain that starts at its first matrix and
+moves one matrix on at every step, so it samples, reports and is checked
+along the Markov path.
 
 Sampling is counter-addressed: the matrix drawn at step ``k`` depends only on
 the process, the stream seed and ``k``, so blocks can be regenerated from any
@@ -147,31 +149,6 @@ def _counter_uniforms(key, k_start, count, shape, slabs=1, out=None):
                             2.0 ** -53, out=rows[s][j, pos:pos + take])
         pos += take
     return out
-
-
-class DeterministicCycle:
-    """Adjacency sequence that cycles through a fixed list of matrices."""
-
-    def __init__(self, matrices):
-        mats = [validate_adjacency(m) for m in matrices]
-        if not mats:
-            raise ValueError("need at least one matrix")
-        n = mats[0].shape[0]
-        if any(m.shape[0] != n for m in mats):
-            raise ValueError("all matrices must have the same node count")
-        self.matrices = np.stack(mats)
-        self.n_nodes = n
-
-    def sample_block(self, stream, k_start, count, state=None, out=None):
-        """The one ``(count, N, N)`` block (the stream is unused), or ``out`` filled with it."""
-        block = self.matrices[np.arange(k_start, k_start + count) % len(self.matrices)]
-        if out is not None:
-            out[...] = block
-        return block if out is None else out, None
-
-    def expected_active_channels(self):
-        offdiag = ~np.eye(self.n_nodes, dtype=bool)
-        return float(max((m != 0)[offdiag].sum() for m in self.matrices))
 
 
 class IndependentEdges:
@@ -352,6 +329,24 @@ class MarkovSwitching:
         return float(np.max(self.transition @ counts))
 
 
+class DeterministicCycle(MarkovSwitching):
+    """Adjacency sequence that cycles through a fixed list of matrices: the
+    Markov chain that starts at the first matrix and moves one on each step.
+
+    Its one-hot transition rows ignore the uniforms drawn from the stream, so
+    every stream gives step k the matrix ``k % len(matrices)``.
+    """
+
+    def __init__(self, matrices):
+        m = len(matrices)
+        super().__init__(matrices, np.roll(np.eye(m), 1, axis=1), initial=np.eye(1, m)[0])
+
+    # Its own attribute, not an inherited one: code that patches both classes'
+    # ``sample_block`` and then restores them (perfbench's tracer) would
+    # otherwise leave MarkovSwitching's wrapper stored on this class.
+    sample_block = MarkovSwitching.sample_block
+
+
 @dataclass(frozen=True)
 class LaplacianStats:
     """Windowed joint-connectivity estimates for a graph process.
@@ -377,11 +372,6 @@ class LaplacianStats:
 def _window_samples(process, stream, h, windows, reps):
     """Yield per-window stacks of sampled adjacency matrices, shape (reps, h, N, N)."""
     ss = _as_seed_sequence(stream)
-    if isinstance(process, DeterministicCycle):
-        for m in range(windows):
-            mats, _ = process.sample_block(None, m * h, h)
-            yield np.stack([mats])
-        return
     # The children ss.spawn gives while ss has spawned none; ss stays unchanged.
     children = [np.random.SeedSequence(ss.entropy, spawn_key=ss.spawn_key + (i,),
                                        pool_size=ss.pool_size) for i in range(windows * reps + 1)]
@@ -447,9 +437,10 @@ def joint_connectivity_report(process, h, windows, reps, stream):
 def mean_graph_spanning_check(process, tol=1e-12):
     """True when the mean digraph lets some node reach every other node.
 
-    Uses the exact stationary distribution for Markov processes and the
-    exact per-step mean matrix for independent processes; edges count when
-    their mean weight is positive.
+    Uses the exact stationary distribution for Markov processes (uniform for
+    a cycle, whose mean is the average of its matrices) and the exact
+    per-step mean matrix for independent processes; edges count when their
+    mean weight is positive.
     """
     if not isinstance(process, (MarkovSwitching, IndependentEdges)):
         raise TypeError("spanning check needs a Markov or Independent process")

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from subgradnet import (DeterministicCycle, DivergenceDetected, IndependentEdges,
-                        LaplacianStats, LassoProblem, MarkovSwitching,
-                        NonConvergenceError, lambda2, laplacian)
+from subgradnet import (DivergenceDetected, IndependentEdges, LaplacianStats, LassoProblem,
+                        MarkovSwitching, NonConvergenceError, lambda2, laplacian)
 from subgradnet import engine
 from subgradnet import stepsize as ss
 from subgradnet.graphs import CHUNK, _walk_chain
@@ -166,9 +165,6 @@ def sample_block_per_key(process, key, k_start, count, state=None):
     a time: whole-block Philox draws, a ``np.where`` weight selection and a
     ``searchsorted`` chain walk.  Returns the block and the last state."""
     n = process.n_nodes
-    if isinstance(process, DeterministicCycle):
-        steps = np.arange(k_start, k_start + count)
-        return process.matrices[steps % len(process.matrices)].copy(), None
     if isinstance(process, IndependentEdges):
         slabs = 2 if np.any(process.perturb > 0) else 1
         draws = philox_block_draws_loop(key, k_start, count, n * n, slabs=slabs)
@@ -207,10 +203,7 @@ def _window_samples_loop(process, stream, h, windows, reps):
     """Per-window (reps, h, N, N) samples, one replication at a time."""
     ss_root = (stream if isinstance(stream, np.random.SeedSequence)
                else np.random.SeedSequence(stream))
-    if isinstance(process, DeterministicCycle):
-        for m in range(windows):
-            yield np.stack([process.sample_block(None, m * h, h)[0]])
-    elif isinstance(process, IndependentEdges):
+    if isinstance(process, IndependentEdges):
         children = ss_root.spawn(windows * reps)
         for m in range(windows):
             yield np.stack([process.sample_block(children[m * reps + r], m * h, h)[0]

@@ -83,6 +83,19 @@ class TestUsageAndErrors:
         assert captured.err.startswith(f"error: {section}")
         assert not (tmp_path / "o").exists()
 
+    def test_unwritable_output_exits_one_with_one_error_line(self, tmp_path, capsys):
+        # The trace names a subdirectory of the output directory that does not exist.
+        data = {**SMALL, "output": {"trace": "nodir/trace.csv"}}
+        path = write_cfg(tmp_path, data)
+        out = tmp_path / "o"
+        assert main(["run", "--config", path, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert [p for p in out.rglob("*") if p.is_file()] == []
+
     def test_divergence_exits_two(self, tmp_path, capsys):
         diverging = dict(SMALL)
         diverging["schedule"] = {"alpha1": 1e9}

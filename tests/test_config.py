@@ -41,6 +41,7 @@ graph:
         assert cfg.noise.sigma == 0.0
         assert cfg.schedule.tau2 == 0.75
         assert cfg.init.kind == "uniform"
+        assert cfg.verify.horizon == 1_000_000
 
     def test_tau2_out_of_range_names_field_and_bound(self):
         data = dict(MINIMAL_QUADRATIC)
@@ -91,6 +92,12 @@ graph:
         data = dict(MINIMAL_QUADRATIC)
         data["noise"] = {"sgima": 0.1}
         with pytest.raises(ValidationError, match="sgima"):
+            config_from_dict(data)
+
+    def test_unknown_verify_key_gets_the_generic_message(self):
+        data = dict(MINIMAL_QUADRATIC, verify={"horizon": 1000, "horzion": 2000})
+        with pytest.raises(ValidationError,
+                           match=r"^unknown keys in section 'verify': \['horzion'\]$"):
             config_from_dict(data)
 
     def test_parse_error_on_bad_yaml(self, tmp_path):

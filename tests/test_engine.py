@@ -13,7 +13,7 @@ from oracles import (CustomObjective, apply_step, center_by_sum,
                      step_compact, step_einsum, step_per_node)
 from subgradnet import (CommNoiseModel, DeterministicCycle,
                         DivergenceDetected, IndependentEdges, InitialStates,
-                        QuadraticObjective, StepSchedule, SubgradNetError,
+                        MarkovSwitching, QuadraticObjective, StepSchedule, SubgradNetError,
                         WorkerLost, cli, config, default_record_ks, laplacian,
                         monte_carlo)
 from subgradnet.engine import _center, _step, _Workspace, replication_stream
@@ -408,6 +408,19 @@ class TestMonteCarlo:
         for row in mc.per_rep["V"]:
             assert np.array_equal(row, mc.per_rep["V"][0])
         assert np.max(mc.std_v) <= 1e-15
+
+    def test_cycle_runs_as_the_same_chain_built_explicitly(self):
+        # The one-hot transition ignores the graph stream's draws, so the two
+        # processes give the same graphs and every other stream is shared.
+        obj, _, model, x_star, f_star = self._setup()
+        rng = np.random.default_rng(8)
+        mats = [random_adjacency(rng, 3, allow_negative=False) for _ in range(3)]
+        chain = MarkovSwitching(mats, np.roll(np.eye(3), 1, axis=1), initial=[1.0, 0.0, 0.0])
+        runs = [monte_carlo(obj, proc, model, StepSchedule(), 1200, 17, 8, x_star, f_star,
+                            check_stride=50) for proc in (DeterministicCycle(mats), chain)]
+        assert runs[0].per_rep.keys() == runs[1].per_rep.keys()
+        for key, value in runs[0].per_rep.items():
+            assert np.array_equal(value, runs[1].per_rep[key]), key
 
     def test_monitors(self):
         obj, proc, model, x_star, f_star = self._setup()

@@ -198,15 +198,16 @@ class TestSampleSequence:
     @pytest.mark.parametrize("k_start", [0, 1, 1023, 1024, 2049])
     def test_zero_steps_give_an_empty_block_and_keep_the_state(self, k_start):
         markov = MarkovSwitching([K3, cycle3()], [[0.3, 0.7], [0.6, 0.4]])
-        procs = [DeterministicCycle([K3, cycle3()]),
-                 IndependentEdges(base=K3, prob=0.5, perturb=0.3), markov]
+        independent = IndependentEdges(base=K3, prob=0.5, perturb=0.3)
+        procs = [DeterministicCycle([K3, cycle3()]), independent, markov]
         ss = np.random.SeedSequence(5)
         states = [None] + ([1] if k_start >= 1 else [])
         for proc in procs:
             for state in states:
                 mats, after = proc.sample_block(ss, k_start, 0, state=state)
                 assert mats.shape == (0, 3, 3)
-                assert after == (state if proc is markov else None)
+                # A cycle is a Markov chain: it hands back the state it was given.
+                assert after == (None if proc is independent else state)
         for state in states:
             path = markov.sample_state_path(ss, 0, k_start=k_start, state=state)
             assert path.shape == (0,) and path.dtype == np.int64
@@ -516,9 +517,17 @@ class TestMeanGraphSpanningCheck:
         proc = IndependentEdges(base=base, prob=1.0)
         assert not mean_graph_spanning_check(proc)
 
-    def test_deterministic_unsupported(self):
-        with pytest.raises(TypeError):
-            mean_graph_spanning_check(DeterministicCycle([K3]))
+    def test_cycle_whose_union_spans(self):
+        # 0 -> 1 in one step and 1 -> 2 in the next: node 0 reaches every node.
+        proc = DeterministicCycle([edge(3, 0, 1), edge(3, 1, 2)])
+        assert mean_graph_spanning_check(proc)
+        assert reaches_all_brute(proc.mean_adjacency())
+
+    def test_cycle_whose_union_does_not_span(self):
+        # Nodes 0 and 1 talk in both steps; nothing ever reaches node 2.
+        proc = DeterministicCycle([edge(3, 0, 1), edge(3, 1, 0)])
+        assert not mean_graph_spanning_check(proc)
+        assert not reaches_all_brute(proc.mean_adjacency())
 
 
 class TestProcessBookkeeping:

@@ -232,6 +232,28 @@ def test_sample_block_from_any_start_matches_replay_from_zero(kind, n_nodes, k0,
     assert part_state == full_state
 
 
+@settings(max_examples=40, deadline=None)
+@given(n_nodes=st.integers(2, 4), m=st.integers(1, 4), k0=st.integers(0, 2100),
+       count=st.integers(0, 1100), reps=st.sampled_from([None, 1, 3]),
+       with_state=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_cycle_block_holds_the_matrix_of_each_step_modulo_the_cycle(n_nodes, m, k0, count,
+                                                                    reps, with_state, seed):
+    rng = np.random.default_rng(seed)
+    mats = np.stack([rng.normal(size=(n_nodes, n_nodes)) * (1.0 - np.eye(n_nodes))
+                     for _ in range(m)])
+    stream = (seed if reps is None else
+              np.stack([_stream_key(c) for c in np.random.SeedSequence(seed).spawn(reps)]))
+    # The state before step k0 is the cycle's own, (k0 - 1) % m.
+    state = None
+    if with_state and k0 >= 1:
+        state = (k0 - 1) % m if reps is None else np.full(reps, (k0 - 1) % m)
+    got, _ = DeterministicCycle(mats).sample_block(stream, k0, count, state=state)
+    want = mats[np.arange(k0, k0 + count) % m]
+    lead = () if reps is None else (reps,)
+    assert got.shape == lead + want.shape
+    assert np.array_equal(got, np.broadcast_to(want, got.shape))
+
+
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(["cycle", "independent", "independent-unperturbed",
                              "markov"]),
@@ -257,11 +279,8 @@ def test_stacked_sample_block_equals_per_key_draws(kind, n_nodes, reps, k0, coun
     want = np.stack([block for block, _ in per_key])
     if with_out:
         assert got.base is buf
-    if kind == "cycle" and not with_out:
-        # The cycle ignores its stream and returns its one block for any K.
-        got = np.broadcast_to(got, want.shape)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    if kind == "markov":
+    if not kind.startswith("independent"):
         want_last = [s for _, s in per_key]
         assert (last is None) == (want_last[0] is None)
         if last is not None:

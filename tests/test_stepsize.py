@@ -346,16 +346,25 @@ class TestStreamedVerifier:
     def test_setup_checks_do_not_import_numpy_ma(self):
         # np.unique imports numpy.ma on first use, about 15 ms of every run's
         # setup.  A fresh interpreter, so no earlier test has imported it; it
-        # does not import the test oracles, which still call np.unique.
+        # does not import the test oracles, which still call np.unique.  A
+        # 1-worker Monte Carlo run does not load multiprocessing either: only
+        # the process pool needs it.
         code = ("import sys\n"
                 "import numpy as np\n"
-                "from subgradnet import (IndependentEdges, StepSchedule,\n"
-                "                        joint_connectivity_report, verify_conditions)\n"
+                "from subgradnet import (CommNoiseModel, IndependentEdges,\n"
+                "                        QuadraticObjective, StepSchedule,\n"
+                "                        joint_connectivity_report, monte_carlo,\n"
+                "                        verify_conditions)\n"
                 "s = StepSchedule()\n"
                 "verify_conditions(s.alpha, s.c, 1.0, 1000)\n"
                 "k3 = np.ones((3, 3)) - np.eye(3)\n"
                 "joint_connectivity_report(IndependentEdges(k3, 0.5), 2, 2, 3, 0)\n"
-                "print('numpy.ma' in sys.modules)\n")
+                "print('numpy.ma' in sys.modules)\n"
+                "obj = QuadraticObjective(np.eye(3)[:, :2])\n"
+                "monte_carlo(obj, IndependentEdges(k3, 0.8),\n"
+                "            CommNoiseModel(sigma=0.1, b=0.1, noise_dim=2), s, 50, 1, 2,\n"
+                "            *obj.optimum(), workers=1)\n"
+                "print('multiprocessing' in sys.modules)\n")
         done = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                               capture_output=True, text=True, timeout=120, check=True)
-        assert done.stdout.split()[-1] == "False"
+        assert done.stdout.split() == ["False", "False"]

@@ -21,3 +21,7 @@ def test_trace_layers_installs_every_hook_and_uninstall_restores_it(monkeypatch)
         tracer.uninstall()
     for owner, attr, original in hooks:
         assert getattr(owner, attr) is original, (owner, attr)
+    # The cycle's sampler is its own attribute, so restoring MarkovSwitching's
+    # cannot leave a wrapper behind on the subclass.
+    from subgradnet.graphs import DeterministicCycle, MarkovSwitching
+    assert DeterministicCycle.__dict__["sample_block"] is MarkovSwitching.sample_block
