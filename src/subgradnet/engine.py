@@ -33,13 +33,17 @@ noise factors) is one contiguous block over the replications, because numpy
 takes three to six times longer on a strided or broadcast operand of a few
 hundred values than on a contiguous one.  Constant operands are broadcast
 once, the row sums once per sub-span and the objective's constants once per
-batch in its workspace.  Per step the loop makes only the measurement, the
-kernel call, the psi maximum and, on check steps, the recursion check; once
-per sub-span it evaluates the gains, draws all replications' graphs in one
-in-place call and each replication's channel and gradient noise in one call
-per stream, forms the noise factors from step-major views of the rep-major
-gradient draws, checks the states for divergence, records them and
-evaluates the psi and d monitors.
+batch in its workspace, and the views of each step's slots once per batch.
+Per step the loop makes only the measurement, the kernel call, from 8 nodes
+the psi maximum and, on check steps, the recursion check.  Once per sub-span
+it evaluates the gains, draws all replications' graphs in one in-place call
+and each replication's channel and gradient noise in one call per stream,
+sums the graphs' rows, scales the channel draws, forms the noise factors
+from step-major views of the rep-major gradient draws, below 8 nodes takes
+each step's psi maximum from the kernel's kept intensities, checks the
+states for divergence, records them and evaluates the psi and d monitors.
+No reduction over an axis of a few values runs per step: numpy pays such a
+reduction per output row, not per value.
 
 Randomness is organized as one stream per replication, split into disjoint
 sub-streams for initial states, graph draws, channel noise and gradient noise,
@@ -69,6 +73,14 @@ _BUDGET_BYTES = 4 << 20
 
 _DIVERGENCE_NORM_SQ = 1e24
 
+# Below this many nodes the kernel's intensities are kept for one maximum
+# per sub-span: a per-step maximum over fewer than 64 values per replication
+# costs mostly numpy's fixed price per row.  From about 10 nodes the
+# per-step maximum costs less than streaming the intensities through a
+# sub-span buffer that also halves the sub-span (at 50 nodes, 4 reps: 126
+# against 131 us per step); at 8 nodes the two cost about the same.
+_PSI_KEPT_BELOW = 8
+
 # The C routine behind ``np.einsum``, which calls it unchanged when it does
 # not optimize; called directly it saves half of a small einsum's 4 us.
 try:
@@ -81,10 +93,12 @@ def _step_bytes(reps, n_nodes, dim, has_zeta):
     """Bytes one batch holds per step of a sub-span: the buffers of
     ``_StepBuffers`` and the copy of the recorded states that ``observe``
     makes with up to two temporaries of its size."""
-    per_rep = n_nodes * n_nodes + n_nodes + 8 * n_nodes * dim + dim + 1
+    per_rep = n_nodes * n_nodes + n_nodes + 9 * n_nodes * dim + dim + 1
+    if n_nodes < _PSI_KEPT_BELOW:
+        per_rep += n_nodes * n_nodes
     if has_zeta:
         per_rep += 3 * n_nodes * dim + n_nodes
-    return 8 * (reps * per_rep + n_nodes * dim)
+    return 8 * reps * per_rep
 
 
 def _sub_span(reps, n_nodes, dim, has_zeta):
@@ -97,21 +111,37 @@ def _center(states, out=None, mean=None):
     """Deviation of each node from the node average, over axis -2; the
     average goes to ``mean``, shaped like ``states[..., :1, :]``, when given.
 
-    The nodes are summed by sequential adds of ``[..., i:i+1, :]`` slices, the
-    order of numpy's axis -2 sum when the last axis holds more than one value,
-    at half the cost of that strided reduction.  With one value per node numpy
-    sums the nodes pairwise, so that case keeps its ``sum``.
+    With more than one value per node, numpy's axis -2 sum and the einsum
+    ``...nd->...d`` both start from 0.0 and add the nodes in index order, so
+    they agree bit for bit, and the einsum costs one call where the strided
+    reduction pays per output row.  With one value per node numpy sums the
+    nodes pairwise, so that case keeps its ``sum``.
     """
     n = states.shape[-2]
     total = np.empty(states[..., :1, :].shape) if mean is None else mean
     if states.shape[-1] == 1:
         states.sum(axis=-2, keepdims=True, out=total)
     else:
-        np.copyto(total, states[..., :1, :])
-        for i in range(1, n):
-            np.add(total, states[..., i:i + 1, :], out=total)
+        _einsum("...nd->...d", states, out=total[..., 0, :])
     total /= n
     return np.subtract(states, total, out=out)
+
+
+def _row_sums(a, out):
+    """``a.sum(axis=-1, out=out)``, bit for bit.
+
+    Below 8 values numpy sums a last axis in index order from 0.0 (so a row
+    of -0.0 sums to +0.0), which N - 1 column adds after ``0.0 + a[..., 0]``
+    repeat at a quarter or less of the cost of the reduction, whose price is
+    per row.  From 8 values numpy sums pairwise, so those keep the ``sum``.
+    """
+    n = a.shape[-1]
+    if n >= 8:
+        return a.sum(axis=-1, out=out)
+    np.add(a[..., 0], 0.0, out=out)
+    for j in range(1, n):
+        np.add(out, a[..., j], out=out)
+    return out
 
 
 def _check_divergence(hist, k0, rep_indices):
@@ -125,7 +155,8 @@ def _check_divergence(hist, k0, rep_indices):
         nan = np.isnan(s_sq[t])
         bad = int(nan.argmax() if nan.any() else s_sq[t].argmax())
         raise DivergenceDetected(f"state norm blew up at step {k0 + t}",
-                                 replication=int(rep_indices[bad]), step=k0 + t)
+                                 replication=int(rep_indices[bad]), step=k0 + t,
+                                 norm_sq=float(s_sq[t, bad]))
     return s_sq
 
 
@@ -148,9 +179,10 @@ class _Workspace:
         self.term = np.empty_like(self.consensus)
 
 
-def _step(x, a, row_sums, alpha_k, c_k, model, z, d_plus_zeta, ws, out):
-    """The step kernel: writes the next state into ``out`` and returns it
-    with the channel-noise sum and the intensities, both views of ``ws``.
+def _step(x, a, row_sums, alpha_k, c_k, model, z, d_plus_zeta, ws, out, psi=None):
+    """The step kernel: writes the next state into ``out`` and the
+    intensities into ``psi`` (``ws.psi`` when not given), and returns the
+    next state, the channel-noise sum (a view of ``ws``) and the intensities.
 
     Works on one state ``(N, dim)`` or a stack ``(..., N, dim)``, with the
     ``_Workspace`` of its leading shape and ``out`` of its shape.  ``row_sums``
@@ -173,10 +205,12 @@ def _step(x, a, row_sums, alpha_k, c_k, model, z, d_plus_zeta, ws, out):
     np.copyto(sq, xt[..., None, :])
     np.subtract(xt[..., :, None], sq, out=sq)
     np.multiply(sq, sq, out=sq)
+    if psi is None:
+        psi = ws.psi
     norm_sq = ws.diff_d[0]
     for sq_d in ws.diff_d[1:]:
-        norm_sq = np.add(norm_sq, sq_d, out=ws.psi)
-    psi = model.psi_values(np.sqrt(norm_sq, out=ws.psi), out=ws.psi)
+        norm_sq = np.add(norm_sq, sq_d, out=psi)
+    psi = model.psi_values(np.sqrt(norm_sq, out=psi), out=psi)
     w = np.multiply(a, psi, out=ws.a_psi)
     np.sqrt(_einsum("...ij,...ij->...i", w, w, out=ws.row_norm), out=ws.row_norm)
     np.multiply(ws.row_norm_col, z, out=ws.noise)
@@ -261,14 +295,18 @@ class _StepBuffers:
         self.row_sums_x = np.empty(node_steps)
         # Receiver i's channel draw of step t: z_chan[t, r, i], N(0, I/dim).
         self.z_chan = np.empty(node_steps)
-        # One replication's channel draws: standard_normal fills only a
-        # contiguous ``out``.
-        self.z_rep = np.empty((span, n_nodes, dim))
+        # The standard normals, rep-major: standard_normal fills only a
+        # contiguous ``out``, and a replication's leading steps are one.
+        self.z_rep = np.empty((reps, span, n_nodes, dim))
         self.hist = np.empty((span + 1, reps, n_nodes, dim))
         self.centred = np.empty(node_steps)
         self.means = np.empty((span, reps, 1, dim))
         self.d_hist = np.empty(node_steps)
+        # Each step's largest intensity per replication and, below
+        # _PSI_KEPT_BELOW nodes, the intensities it is taken from.
         self.psi_max = np.empty((span, reps))
+        if n_nodes < _PSI_KEPT_BELOW:
+            self.psi = np.empty((span, reps, n_nodes, n_nodes))
         if has_zeta:
             # Raw gradient-noise draws, rep-major, each step's z_t then v_t,
             # and the step-major noise factors formed from them.
@@ -327,12 +365,18 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
     graphs, row_sums, row_sums_x = bufs.graphs, bufs.row_sums, bufs.row_sums_x
     z_chan, z_rep, hist, d_hist = bufs.z_chan, bufs.z_rep, bufs.hist, bufs.d_hist
     centred, means, psi_max = bufs.centred, bufs.means, bufs.psi_max
+    keep_psi = n_nodes < _PSI_KEPT_BELOW
     hist[0] = np.stack(states)
     ws = _Workspace((reps,), n_nodes, dim)
     obj_ws = objective.workspace((reps,))
     z_scale = 1.0 / np.sqrt(dim)
+    # Each step's slot of every step buffer, as a view made once: indexing
+    # the buffer would make a new view per step.
+    hist_t, graphs_t, rows_t = list(hist), list(graphs), list(row_sums_x)
+    z_t, d_t, psi_max_t = list(z_chan), list(d_hist), list(psi_max)
+    psi_t = list(bufs.psi) if keep_psi else [None] * span
     if has_zeta:
-        u, uv = bufs.u, bufs.uv
+        u_t, uv_t = list(bufs.u), list(bufs.uv)
         # Step-major views of the draws, which noise_factors reads in place.
         z_draws = bufs.zv_draws[..., :n_nodes * dim].reshape(
             reps, span, n_nodes, dim).swapaxes(0, 1)
@@ -368,21 +412,23 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
                                             (d_sq - d_bound).max(axis=0))
 
     def advance(t, k, alpha_k, c_k):
-        """Step k, the t-th of its sub-span: the measurement, the kernel, the
-        psi maximum and, on check steps, the recursion check."""
-        x = hist[t]
+        """Step k, the t-th of its sub-span: the measurement, the kernel, from
+        _PSI_KEPT_BELOW nodes the psi maximum and, on check steps, the
+        recursion check."""
+        x = hist_t[t]
         if has_zeta:
-            d_stack, zeta = objective.subgradient_stack(x, (u[t], uv[t]), out=d_hist[t],
+            d_stack, zeta = objective.subgradient_stack(x, (u_t[t], uv_t[t]), out=d_t[t],
                                                         ws=obj_ws)
             step_src = np.add(d_stack, zeta, out=d_plus_zeta)
         else:
             zeta = None
-            d_stack = step_src = objective.subgradient_stack(x, out=d_hist[t], ws=obj_ws)
-        x_new, noise, psi = _step(x, graphs[t], row_sums_x[t], alpha_k, c_k, model,
-                                  z_chan[t], step_src, ws, hist[t + 1])
-        np.maximum.reduce(psi, axis=(1, 2), out=psi_max[t])
+            d_stack = step_src = objective.subgradient_stack(x, out=d_t[t], ws=obj_ws)
+        x_new, noise, psi = _step(x, graphs_t[t], rows_t[t], alpha_k, c_k, model, z_t[t],
+                                  step_src, ws, hist_t[t + 1], psi_t[t])
+        if not keep_psi:
+            np.maximum.reduce(psi, axis=(1, 2), out=psi_max_t[t])
         if check_stride and k % check_stride == 0:
-            disc = _recursion_gap(_center(x), graphs[t], row_sums_x[t], alpha_k, c_k,
+            disc = _recursion_gap(_center(x), graphs_t[t], rows_t[t], alpha_k, c_k,
                                   noise, zeta, d_stack, x_new)
             np.maximum(out["recursion_max"], disc, out=out["recursion_max"])
 
@@ -395,15 +441,15 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
         alphas, cs = schedule.alpha(step_ks).tolist(), schedule.c(step_ks).tolist()
         _, graph_state = process.sample_block(graph_keys, k0, s, state=graph_state,
                                               out=graphs[:s].swapaxes(0, 1))
-        graphs[:s].sum(axis=3, out=row_sums[:s])
+        _row_sums(graphs[:s], row_sums[:s])
         np.copyto(row_sums_x[:s], row_sums[:s, ..., None])
         for r, g in enumerate(comm_gen):
-            g.standard_normal(out=z_rep[:s])
-            np.multiply(z_rep[:s], z_scale, out=z_chan[:s, r])
+            g.standard_normal(out=z_rep[r, :s])
+        np.multiply(z_rep[:, :s].swapaxes(0, 1), z_scale, out=z_chan[:s])
         if has_zeta:
             for r, g in enumerate(grad_gen):
                 g.standard_normal(out=bufs.zv_draws[r, :s])
-            objective.noise_factors(z_draws[:s], v_draws[:s], out=(u[:s], uv[:s]))
+            objective.noise_factors(z_draws[:s], v_draws[:s], out=(bufs.u[:s], bufs.uv[:s]))
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             for t in range(s):
                 try:
@@ -412,11 +458,24 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
                     _check_divergence(hist[:t + 1], k0, rep_indices)
                     with np.errstate(**fp_modes):
                         advance(t, k0 + t, alphas[t], cs[t])
+        if keep_psi:
+            bufs.psi[:s].reshape(s, reps, -1).max(axis=2, out=psi_max[:s])
         observe(k0, hist[:s], d_hist[:s], psi_max[:s])
         hist[0] = hist[s]
 
     observe(horizon, hist[:1])
     return out
+
+
+def _first_divergence(errors):
+    """Of the batches' divergences, the one a single batch of all their
+    replications raises: the earliest step and, at that step, the
+    replication ``_check_divergence`` names, NaN first, then the largest
+    squared norm, then the lowest index."""
+    def rank(exc):
+        nan = np.isnan(exc.norm_sq)
+        return exc.step, not nan, 0.0 if nan else -exc.norm_sq, exc.replication
+    return min(errors, key=rank)
 
 
 @dataclass(frozen=True)
@@ -470,9 +529,16 @@ def monte_carlo(objective, process, model, schedule, horizon, seed, reps,
             with ProcessPoolExecutor(len(jobs),
                                      mp_context=multiprocessing.get_context()) as pool:
                 futures = [pool.submit(_run_batch, *job) for job in jobs]
-                parts = [f.result() for f in futures]
+                parts, diverged = [], []
+                for f in futures:
+                    try:
+                        parts.append(f.result())
+                    except DivergenceDetected as exc:
+                        diverged.append(exc)
         except BrokenProcessPool as exc:
             raise WorkerLost("a Monte Carlo worker process ended abruptly") from exc
+        if diverged:
+            raise _first_divergence(diverged)
 
     per_rep = {key: np.concatenate([p[key] for p in parts], axis=0)
                for key in parts[0] if key != "ks"}

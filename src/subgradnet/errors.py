@@ -22,12 +22,16 @@ class NonConvergenceError(SubgradNetError):
 
 
 class DivergenceDetected(SubgradNetError):
-    """A simulated trajectory produced non-finite or runaway states."""
+    """A simulated trajectory produced non-finite or runaway states.
 
-    def __init__(self, message, replication=None, step=None):
+    ``norm_sq`` is the squared state norm that crossed the limit (NaN for a
+    NaN state); it decides which of several replications is named."""
+
+    def __init__(self, message, replication=None, step=None, norm_sq=None):
         super().__init__(message)
         self.replication = replication
         self.step = step
+        self.norm_sq = norm_sq
 
 
 class WorkerLost(SubgradNetError):

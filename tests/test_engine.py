@@ -16,7 +16,8 @@ from subgradnet import (CommNoiseModel, DeterministicCycle,
                         MarkovSwitching, QuadraticObjective, StepSchedule, SubgradNetError,
                         WorkerLost, cli, config, default_record_ks, laplacian,
                         monte_carlo)
-from subgradnet.engine import _center, _step, _Workspace, replication_stream
+from subgradnet.engine import (_center, _first_divergence, _step, _Workspace,
+                               replication_stream)
 
 
 def zero_objective(n_nodes, dim):
@@ -166,16 +167,21 @@ class TestKernelWorkspace:
     """The in-place kernel against the broadcast-and-einsum form: the pair
     norms sum over d in index order, which is einsum's order up to dim 2."""
 
-    def _both(self, seed, reps, n, dim, cap):
+    def _both(self, seed, reps, n, dim, cap, given_psi=False):
         ops = kernel_operands(np.random.default_rng(seed), reps, n, dim, cap)
-        got = _step(*ops, _Workspace((reps,), n, dim), np.empty((reps, n, dim)))
+        # The engine passes a slot of its sub-span's intensity buffer.
+        psi_buf = np.full((reps, n, n), np.nan) if given_psi else None
+        got = _step(*ops, _Workspace((reps,), n, dim), np.empty((reps, n, dim)), psi_buf)
+        if given_psi:
+            assert got[2] is psi_buf
         return got, step_einsum(*ops)
 
     @pytest.mark.parametrize("dim", (1, 2))
     @pytest.mark.parametrize("cap", (None, 1.5))
-    def test_bit_identical_to_einsum_form_up_to_dim_two(self, dim, cap):
+    @pytest.mark.parametrize("given_psi", (False, True))
+    def test_bit_identical_to_einsum_form_up_to_dim_two(self, dim, cap, given_psi):
         for seed, (reps, n) in enumerate([(1, 2), (3, 5), (20, 5), (2, 9)]):
-            got, ref = self._both(seed, reps, n, dim, cap)
+            got, ref = self._both(seed, reps, n, dim, cap, given_psi)
             for g, r in zip(got, ref):
                 assert np.array_equal(g, r)
 
@@ -442,6 +448,40 @@ class TestMonteCarlo:
                      "mean_state_sq", "final_dists"):
             a, b = getattr(one, name), getattr(four, name)
             assert np.max(np.abs(a - b)) <= 1e-12
+
+    def test_divergence_report_does_not_depend_on_worker_count(self, config_dir):
+        # A1 at sigma 16: the replications diverge at different steps, and
+        # the earliest, replication 6 at step 40, is in neither a 3-way nor
+        # an 8-way split's first batch.
+        raw = yaml.safe_load((config_dir / "a1_quadratic.yaml").read_text())
+        raw["noise"]["sigma"] = 16
+        raw["run"].update(horizon=2000, reps=8)
+        raw["thresholds"]["min_pass_reps"] = 8
+        cfg = config.config_from_dict(raw)
+        obj = config.build_objective(cfg)
+        x_star, f_star = obj.optimum()
+        found = []
+        for workers in (1, 3, 8):
+            with pytest.raises(DivergenceDetected) as info:
+                monte_carlo(obj, config.build_process(cfg), config.build_noise(cfg, obj.dim),
+                            config.build_schedule(cfg), cfg.run.horizon, cfg.run.seed,
+                            cfg.run.reps, x_star, f_star, init=config.build_init(cfg),
+                            workers=workers)
+            found.append((info.value.replication, info.value.step))
+        assert found == [(6, 40)] * 3
+
+    def test_first_divergence_takes_nan_then_the_largest_norm_then_the_lowest_index(self):
+        def exc(rep, step, norm_sq):
+            return DivergenceDetected("", replication=rep, step=step, norm_sq=norm_sq)
+
+        def first(*errors):
+            got = _first_divergence(errors)
+            return got.replication, got.step
+
+        assert first(exc(0, 9, np.inf), exc(5, 8, 2e24)) == (5, 8)
+        assert first(exc(0, 8, np.inf), exc(5, 8, np.nan)) == (5, 8)
+        assert first(exc(1, 8, np.nan), exc(5, 8, np.nan)) == (1, 8)
+        assert first(exc(4, 8, 3e24), exc(2, 8, 3e24), exc(3, 8, 2e24)) == (2, 8)
 
     def test_record_stride_bookkeeping(self):
         ks = default_record_ks(10, dense_until=1000, stride=100)

@@ -1,5 +1,6 @@
 """Property tests of the batched step kernel, the engine around it, the lasso
-measurement, the counter-addressed graph draws and the connectivity report.
+measurement, the counter-addressed graph draws, the connectivity report and
+the numpy summation orders the engine's cheaper sums repeat.
 
 Criterion 8 compares 1-worker and 8-worker aggregates exactly, which holds
 only if a replication's arithmetic is the same in every batch it lands in.
@@ -9,6 +10,7 @@ from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oracles import (apply_step, connectivity_report_loop, draw_channel_noise, kernel,
                      lasso_measurement_loop, lasso_measurement_matmul,
@@ -19,7 +21,7 @@ from subgradnet import (CommNoiseModel, DeterministicCycle, IndependentEdges,
                         QuadraticObjective, StepSchedule, joint_connectivity_report)
 from subgradnet import engine
 from subgradnet.config import build_objective, load_config
-from subgradnet.engine import _run_batch, default_record_ks
+from subgradnet.engine import _center, _row_sums, _run_batch, default_record_ks
 from subgradnet.graphs import _stream_key
 
 PER_REP_KEYS = ("V", "opt_gap", "state_sq", "dist", "stack_dsq", "mean_state",
@@ -428,3 +430,49 @@ def test_shipped_a2_takes_the_elementwise_path_and_a_dense_stack_does_not(config
     cov[0, 1] = cov[1, 0] = 1e-300
     assert LassoProblem(x0=np.zeros(2), covariances=cov, sigma_v=0.1,
                         kappa=0.0)._cov_diag is None
+
+
+# Finite doubles of either sign and any magnitude, -0.0 included: sums may
+# overflow, and a row of -0.0 tells numpy's start from 0.0 apart.  Arrays
+# are often mostly zeros of one sign, as sparse graphs are.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+FILL = st.sampled_from([0.0, -0.0]) | FINITE
+
+
+def finite_arrays(shape):
+    return hnp.arrays(np.float64, shape, elements=FINITE, fill=FILL)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 7),
+       lead=st.lists(st.integers(1, 4), max_size=3))
+def test_row_sums_repeat_numpys_index_order_below_eight_values(data, n, lead):
+    # Pins numpy's sum over a last axis of fewer than 8 values: 0.0 plus the
+    # values in index order.  From 8 values numpy sums pairwise, and the
+    # helper calls ``sum`` itself.
+    a = data.draw(finite_arrays(tuple(lead) + (n,)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = a.sum(axis=-1)
+        got = _row_sums(a, np.empty(want.shape))
+    assert same_bits(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 60), dim=st.integers(2, 8),
+       lead=st.lists(st.integers(1, 4), max_size=2))
+def test_center_mean_repeats_numpys_axis_sum_from_two_values_per_node(data, n, dim, lead):
+    # Pins numpy's sum over axis -2 with more than one value per node, which
+    # adds the nodes in index order from 0.0 as the einsum ``...nd->...d``
+    # does.  With one value per node numpy sums pairwise, and _center calls
+    # ``sum`` itself.
+    shape = tuple(lead) + (n, dim)
+    x = data.draw(finite_arrays(shape))
+    mean = np.empty(tuple(lead) + (1, dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = x.sum(axis=-2, keepdims=True) / n
+        _center(x, mean=mean)
+    assert same_bits(mean, want)

@@ -73,6 +73,24 @@ def test_outputs_do_not_depend_on_the_sub_span(build, horizon, monkeypatch):
             assert np.array_equal(out[key], natural[key]), (span, key)
 
 
+@pytest.mark.parametrize("build", (_quadratic, _lasso), ids=("quadratic", "lasso"))
+def test_psi_maxima_of_kept_intensities_equal_the_per_step_ones(build, monkeypatch):
+    # Below _PSI_KEPT_BELOW nodes the engine keeps each sub-span's
+    # intensities for one maximum; from there on it takes each step's
+    # maximum in the step loop.  Both give the same outputs.
+    objective, process = build(np.random.default_rng(8))
+    model = CommNoiseModel(sigma=0.3, b=0.2, noise_dim=objective.dim)
+    outs = []
+    for kept_below in (objective.n_nodes + 1, objective.n_nodes):
+        monkeypatch.setattr(engine, "_PSI_KEPT_BELOW", kept_below)
+        outs.append(_run_batch(objective, process, model, StepSchedule(), 700, 5,
+                               list(range(REPS)), np.zeros(objective.dim), 0.0,
+                               InitialStates.uniform(-2.0, 2.0),
+                               default_record_ks(700, dense_until=50, stride=25), 97))
+    for key in PER_REP_KEYS:
+        assert np.array_equal(outs[0][key], outs[1][key]), key
+
+
 class _CountingProcess:
     """A graph process that records the (k_start, count) of every draw."""
 
