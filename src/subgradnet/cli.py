@@ -13,6 +13,7 @@ config's output.directory.
 
 import argparse
 import os
+import shlex
 import sys
 
 import numpy as np
@@ -73,7 +74,16 @@ def _cmd_run(args):
     if args.workers is not None:
         cfg.run.workers = args.workers
     out_dir = args.out or os.environ.get(ENV_OUT) or cfg.output.directory
-    result = run_experiment(cfg, out_dir=out_dir)
+    try:
+        result = run_experiment(cfg, out_dir=out_dir)
+    except DivergenceDetected as exc:
+        # Any run that includes replication r reproduces its divergence;
+        # validation asks for at least min_pass_reps replications.
+        reps = max(exc.replication + 1, cfg.thresholds.min_pass_reps or 1)
+        print(f"divergence: {exc} (replication={exc.replication}, step={exc.step})\n"
+              f"rerun: subgradnet run --config {shlex.quote(args.config)} "
+              f"--seed {cfg.run.seed} --reps {reps}", file=sys.stderr)
+        return 2
     print(f"trace: {result.trace_path}")
     print(f"summary: {result.summary_path}")
     for name, value in sorted(result.passes.items()):
@@ -151,10 +161,6 @@ def main(argv=None):
     except (ConfigError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except DivergenceDetected as exc:
-        print(f"divergence: {exc} (replication={exc.replication}, step={exc.step})",
-              file=sys.stderr)
-        return 2
     except SubgradNetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -18,32 +18,27 @@ would need per-channel draws again.
 
 One batched step kernel computes the step for a whole stack of
 replications; the Monte Carlo loop and the consensus-error recursion check
-call it.  It writes its temporaries into a workspace allocated once per
-batch, with the pair differences dim-leading so that each coordinate's block
-is contiguous, and sums their squares over ``d`` in index order, an einsum's
-order up to dim 2.  The tests keep a per-node loop, the stacked compact
-matrix form and the einsum form as its references, and map per-channel
-draws onto the kernel's per-receiver input.
+call it, and the tests keep a per-node loop, the stacked compact matrix form
+and the einsum form as its references.  A step's numpy calls each take a few
+hundred values, where the fixed price of a call and the interpreter's lookups
+cost more than the arithmetic, so the kernel and the objective's measurement
+are bound once per batch: closures over buffers allocated once, views,
+ufuncs and constants, with every ``out`` positional where numpy allows.
 The Monte Carlo loop walks the horizon in sub-spans sized by a byte budget
-for the step buffers, which are allocated once per batch and hold one
-sub-span (1 to 1024 steps); every stream is read in step order, so the draws
-of a sub-span are the same numbers whatever its length.  The buffers are
-step-major: each operand of a step (states, graphs, row sums, channel draws,
-noise factors) is one contiguous block over the replications, because numpy
-takes three to six times longer on a strided or broadcast operand of a few
-hundred values than on a contiguous one.  Constant operands are broadcast
-once, the row sums once per sub-span and the objective's constants once per
-batch in its workspace, and the views of each step's slots once per batch.
-Per step the loop makes only the measurement, the kernel call, from 8 nodes
-the psi maximum and, on check steps, the recursion check.  Once per sub-span
-it evaluates the gains, draws all replications' graphs in one in-place call
+for the step buffers (1 to 1024 steps); every stream is read in step order,
+so the draws of a sub-span are the same numbers whatever its length.  The
+buffers are step-major: each operand of a step is one contiguous block over
+the replications, because numpy takes three to six times longer on a
+strided or broadcast operand of a few hundred values than on a contiguous
+one.  Per step the loop makes only the measurement, the kernel call, from 8
+nodes the psi maximum and, on check steps, the recursion check.  Once per
+sub-span it evaluates the gains, draws all replications' graphs in one call
 and each replication's channel and gradient noise in one call per stream,
-sums the graphs' rows, scales the channel draws, forms the noise factors
-from step-major views of the rep-major gradient draws, below 8 nodes takes
-each step's psi maximum from the kernel's kept intensities, checks the
-states for divergence, records them and evaluates the psi and d monitors.
-No reduction over an axis of a few values runs per step: numpy pays such a
-reduction per output row, not per value.
+sums the graphs' rows, scales the channel draws, forms the noise factors,
+below 8 nodes takes each step's psi maximum from the kernel's kept
+intensities, checks the states for divergence, records them and evaluates
+the psi and d monitors.  No reduction over an axis of a few values runs per
+step: numpy pays such a reduction per output row, not per value.
 
 Randomness is organized as one stream per replication, split into disjoint
 sub-streams for initial states, graph draws, channel noise and gradient noise,
@@ -144,6 +139,16 @@ def _row_sums(a, out):
     return out
 
 
+def _row_max(a, out):
+    """``a.max(axis=1, out=out)`` of a 2-D ``a``, bit for bit, by one
+    elementwise maximum per column: the reduction's price is per row."""
+    cols = a.T
+    np.copyto(out, cols[0])
+    for col in cols[1:]:
+        np.maximum(out, col, out=out)
+    return out
+
+
 def _check_divergence(hist, k0, rep_indices):
     """Squared norms of the states ``hist`` before steps k0, k0+1, ...; raises
     at the first step where one is not below the limit, naming the
@@ -160,66 +165,64 @@ def _check_divergence(hist, k0, rep_indices):
     return s_sq
 
 
-class _Workspace:
-    """Buffers and views for every temporary of ``_step`` on states shaped
-    ``lead + (N, dim)``; allocated once, reused by every call.  The pair
-    differences are dim-leading, so each ``diff[d]`` is one contiguous block,
-    and ``axes`` transposes a state stack to ``(dim,) + lead + (N,)``."""
+def _kernel(lead, n_nodes, dim, model):
+    """The step kernel for states shaped ``lead + (N, dim)``, with its
+    workspace: ``step(x, a, row_sums, alpha_k, c_k, z, d_plus_zeta, out,
+    psi=None)`` writes the next state into ``out`` and the intensities of
+    ``model`` into ``psi`` (its own buffer when not given), and returns the
+    next state, the channel-noise sum (overwritten by the next call) and the
+    intensities.
 
-    def __init__(self, lead, n_nodes, dim):
-        self.axes = (len(lead) + 1,) + tuple(range(len(lead) + 1))
-        self.diff = np.empty((dim,) + lead + (n_nodes, n_nodes))
-        self.diff_d = list(self.diff)
-        self.psi = np.empty(lead + (n_nodes, n_nodes))
-        self.a_psi = np.empty_like(self.psi)
-        self.row_norm = np.empty(lead + (n_nodes,))
-        self.row_norm_col = self.row_norm[..., None]
-        self.noise = np.empty(lead + (n_nodes, dim))
-        self.consensus = np.empty(lead + (n_nodes, dim))
-        self.term = np.empty_like(self.consensus)
-
-
-def _step(x, a, row_sums, alpha_k, c_k, model, z, d_plus_zeta, ws, out, psi=None):
-    """The step kernel: writes the next state into ``out`` and the
-    intensities into ``psi`` (``ws.psi`` when not given), and returns the
-    next state, the channel-noise sum (a view of ``ws``) and the intensities.
-
-    Works on one state ``(N, dim)`` or a stack ``(..., N, dim)``, with the
-    ``_Workspace`` of its leading shape and ``out`` of its shape.  ``row_sums``
-    holds each node's row sum broadcastable against ``x``: ``(..., N, 1)``,
-    or ``x``'s own shape, which spares the multiply a broadcast.
-    ``z[..., i, :]`` is receiver i's N(0, I/dim) channel draw.  The pair
-    norms come from the dim-leading differences ``x_i - x_j``, squared in
-    place and summed over ``d`` in index order.
-    The consensus term is ``a @ x - row_sums * x`` and the noise sum is
-    ``||w_i|| z_i`` with ``w = a * psi``, which has the law of
-    ``sum_j w_ij xi_ji``; ``psi`` is symmetric, so ``w`` pairs each weight
-    with its channel's intensity.  Every contraction is per slice, so the
-    arithmetic of one replication does not depend on how many replications
-    share the stack.
+    ``row_sums`` is broadcastable against ``x``: ``(..., N, 1)``, or ``x``'s
+    shape, which spares the multiply a broadcast.  ``z[..., i, :]`` is
+    receiver i's N(0, I/dim) channel draw.  The pair differences
+    ``x_i - x_j`` are dim-leading, so each coordinate's block is contiguous,
+    and their squares are summed over ``d`` in index order.  The consensus
+    term is ``a @ x - row_sums * x`` and the noise sum is ``||w_i|| z_i``
+    with ``w = a * psi``, which has the law of ``sum_j w_ij xi_ji``: ``psi``
+    is symmetric, so ``w`` pairs each weight with its channel's intensity.
+    Every contraction is per slice, so one replication's arithmetic does not
+    depend on how many share the stack.
     """
-    xt = x.transpose(ws.axes)
-    # x_j[d] into row i, then x_i[d] minus it: numpy buffers each broadcast
-    # operand of a call, so one per call keeps that buffer to one operand's.
-    sq = ws.diff
-    np.copyto(sq, xt[..., None, :])
-    np.subtract(xt[..., :, None], sq, out=sq)
-    np.multiply(sq, sq, out=sq)
-    if psi is None:
-        psi = ws.psi
-    norm_sq = ws.diff_d[0]
-    for sq_d in ws.diff_d[1:]:
-        norm_sq = np.add(norm_sq, sq_d, out=psi)
-    psi = model.psi_values(np.sqrt(norm_sq, out=psi), out=psi)
-    w = np.multiply(a, psi, out=ws.a_psi)
-    np.sqrt(_einsum("...ij,...ij->...i", w, w, out=ws.row_norm), out=ws.row_norm)
-    np.multiply(ws.row_norm_col, z, out=ws.noise)
-    consensus = np.matmul(a, x, out=ws.consensus)
-    np.subtract(consensus, np.multiply(row_sums, x, out=ws.term), out=consensus)
-    np.add(consensus, ws.noise, out=consensus)
-    np.add(x, np.multiply(consensus, c_k, out=consensus), out=out)
-    np.subtract(out, np.multiply(d_plus_zeta, alpha_k, out=ws.term), out=out)
-    return out, ws.noise, psi
+    axes = (len(lead) + 1,) + tuple(range(len(lead) + 1))
+    diff = np.empty((dim,) + lead + (n_nodes, n_nodes))
+    diff_0, diff_rest = diff[0], list(diff[1:])
+    own_psi = np.empty(lead + (n_nodes, n_nodes))
+    a_psi = np.empty_like(own_psi)
+    row_norm = np.empty(lead + (n_nodes,))
+    row_norm_col = row_norm[..., None]
+    noise = np.empty(lead + (n_nodes, dim))
+    consensus = np.empty(lead + (n_nodes, dim))
+    term = np.empty_like(consensus)
+    psi_values = model.psi_values
+    add, subtract, multiply, sqrt = np.add, np.subtract, np.multiply, np.sqrt
+    copyto, matmul, einsum = np.copyto, np.matmul, _einsum
+
+    def step(x, a, row_sums, alpha_k, c_k, z, d_plus_zeta, out, psi=None):
+        xt = x.transpose(axes)
+        # x_j[d] into row i, then x_i[d] minus it: numpy buffers each
+        # broadcast operand of a call, so one per call keeps that buffer to
+        # one operand's.
+        copyto(diff, xt[..., None, :])
+        subtract(xt[..., :, None], diff, diff)
+        multiply(diff, diff, diff)
+        if psi is None:
+            psi = own_psi
+        norm_sq = diff_0
+        for sq_d in diff_rest:
+            norm_sq = add(norm_sq, sq_d, psi)
+        psi = psi_values(sqrt(norm_sq, psi), psi)
+        multiply(a, psi, a_psi)
+        sqrt(einsum("...ij,...ij->...i", a_psi, a_psi, out=row_norm), row_norm)
+        multiply(row_norm_col, z, noise)
+        matmul(a, x, consensus)
+        subtract(consensus, multiply(row_sums, x, term), consensus)
+        add(consensus, noise, consensus)
+        add(x, multiply(consensus, c_k, consensus), out)
+        subtract(out, multiply(d_plus_zeta, alpha_k, term), out)
+        return out, noise, psi
+
+    return step
 
 
 def _recursion_gap(delta, a, row_sums, alpha_k, c_k, noise, zeta, d_stack, x_new):
@@ -357,9 +360,7 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
     has_zeta = objective.has_gradient_noise
 
     # The horizon is walked in sub-spans of at most ``span`` steps; the
-    # kernel writes each next state into ``hist`` and its temporaries
-    # into ``ws``, and the objective writes its measurement into the
-    # workspace that its ``workspace(lead)`` returns.
+    # kernel writes each next state into ``hist``.
     span = min(_sub_span(reps, n_nodes, dim, has_zeta), max(horizon, 1))
     bufs = _StepBuffers(span, reps, n_nodes, dim, has_zeta)
     graphs, row_sums, row_sums_x = bufs.graphs, bufs.row_sums, bufs.row_sums_x
@@ -367,8 +368,8 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
     centred, means, psi_max = bufs.centred, bufs.means, bufs.psi_max
     keep_psi = n_nodes < _PSI_KEPT_BELOW
     hist[0] = np.stack(states)
-    ws = _Workspace((reps,), n_nodes, dim)
-    obj_ws = objective.workspace((reps,))
+    step = _kernel((reps,), n_nodes, dim, model)
+    measure, obj_ws = objective.subgradient_stack, objective.workspace((reps,))
     z_scale = 1.0 / np.sqrt(dim)
     # Each step's slot of every step buffer, as a view made once: indexing
     # the buffer would make a new view per step.
@@ -376,7 +377,7 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
     z_t, d_t, psi_max_t = list(z_chan), list(d_hist), list(psi_max)
     psi_t = list(bufs.psi) if keep_psi else [None] * span
     if has_zeta:
-        u_t, uv_t = list(bufs.u), list(bufs.uv)
+        factors_t = list(zip(bufs.u, bufs.uv))
         # Step-major views of the draws, which noise_factors reads in place.
         z_draws = bufs.zv_draws[..., :n_nodes * dim].reshape(
             reps, span, n_nodes, dim).swapaxes(0, 1)
@@ -417,14 +418,13 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
         recursion check."""
         x = hist_t[t]
         if has_zeta:
-            d_stack, zeta = objective.subgradient_stack(x, (u_t[t], uv_t[t]), out=d_t[t],
-                                                        ws=obj_ws)
-            step_src = np.add(d_stack, zeta, out=d_plus_zeta)
+            d_stack, zeta = measure(x, factors_t[t], d_t[t], obj_ws)
+            step_src = np.add(d_stack, zeta, d_plus_zeta)
         else:
             zeta = None
-            d_stack = step_src = objective.subgradient_stack(x, out=d_t[t], ws=obj_ws)
-        x_new, noise, psi = _step(x, graphs_t[t], rows_t[t], alpha_k, c_k, model, z_t[t],
-                                  step_src, ws, hist_t[t + 1], psi_t[t])
+            d_stack = step_src = measure(x, d_t[t], obj_ws)
+        x_new, noise, psi = step(x, graphs_t[t], rows_t[t], alpha_k, c_k, z_t[t], step_src,
+                                 hist_t[t + 1], psi_t[t])
         if not keep_psi:
             np.maximum.reduce(psi, axis=(1, 2), out=psi_max_t[t])
         if check_stride and k % check_stride == 0:
@@ -459,7 +459,7 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
                     with np.errstate(**fp_modes):
                         advance(t, k0 + t, alphas[t], cs[t])
         if keep_psi:
-            bufs.psi[:s].reshape(s, reps, -1).max(axis=2, out=psi_max[:s])
+            _row_max(bufs.psi[:s].reshape(s * reps, -1), psi_max[:s].reshape(-1))
         observe(k0, hist[:s], d_hist[:s], psi_max[:s])
         hist[0] = hist[s]
 

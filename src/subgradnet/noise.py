@@ -49,8 +49,8 @@ class CommNoiseModel:
         into ``out`` when given (which may be ``delta_norms`` itself)."""
         if out is None:
             out = np.empty(np.shape(delta_norms))
-        np.multiply(delta_norms, self._sigma, out=out)
-        np.add(out, self._b, out=out)
+        np.multiply(delta_norms, self._sigma, out)
+        np.add(out, self._b, out)
         if self.cap is not None:
             np.minimum(out, self.cap, out=out)
         return out

@@ -87,7 +87,7 @@ class QuadraticObjective:
         """Per-node gradients for stacked states of shape (..., N, n),
         written into ``out`` when given; with the ``workspace`` of the
         states' leading shape, the targets are not broadcast."""
-        return np.subtract(states, self.targets if ws is None else ws.targets, out=out)
+        return np.subtract(states, self.targets if ws is None else ws.targets, out)
 
     def noisy_subgradient(self, i, x, rng):
         d = self.subgradient(i, x)
@@ -152,28 +152,37 @@ def _noise_factors(sqrt_cov, root_diag, sigma_v, z, v, out=None):
                           out=uv_out)
 
 
-# A measurement workspace whose buffers are all fresh allocations.
-_ALLOCATE = SimpleNamespace(w=None, rw=None, sign=None, s=None, zeta=None)
+def _measurement(cov, cov_diag, x0, kappa, shape, zeta):
+    """``measure(x, factors=None, out=None)`` of float states of shape
+    ``shape``: the subgradient ``d = R w + kappa sign(x)`` with
+    ``w = x - x0``, into ``out`` when given, and with noise factors
+    ``(u, u sigma_v v)`` also the noise ``u (u.w) - R w - u sigma_v v``, into
+    ``zeta`` (shaped as the states and factors broadcast).  ``R w`` is the
+    ``_node_product`` of ``cov`` and its diagonals ``cov_diag`` (None for a
+    dense stack).  As the engine's kernel, it binds its buffers once."""
+    w, rw, sign_x = np.empty(shape), np.empty(shape), np.empty(shape)
+    w_col, rw_col = w[..., None], rw[..., None]
+    s = np.empty(zeta.shape[:-1])
+    s_col = s[..., None]
+    kappa = np.array(float(kappa))
+    add, subtract, multiply, sign = np.add, np.subtract, np.multiply, np.sign
+    add_reduce, matmul = np.add.reduce, np.matmul
 
+    def measure(x, factors=None, out=None):
+        subtract(x, x0, w)
+        if cov_diag is None:
+            matmul(cov, w_col, rw_col)
+        else:
+            add(multiply(cov_diag, w, rw), _PLUS_ZERO, rw)
+        d = add(rw, multiply(sign(x, sign_x), kappa, sign_x), out)
+        if factors is None:
+            return d
+        u, uv = factors
+        add_reduce(multiply(u, w, zeta), -1, None, s)
+        multiply(u, s_col, zeta)
+        return d, subtract(subtract(zeta, rw, zeta), uv, zeta)
 
-def _measure(cov, cov_diag, x0, kappa, states, factors=None, out=None, ws=_ALLOCATE):
-    """Subgradient ``d = R w + kappa sign(x)`` with ``w = x - x0``, written
-    into ``out`` when given, and with noise factors ``(u, u sigma_v v)`` also
-    the noise ``u (u.w) - R w - u sigma_v v``.
-
-    ``R w`` is ``_node_product`` of ``cov`` and its diagonals ``cov_diag``.
-    The temporaries go to the buffers of ``ws``; ``zeta`` is one of them.
-    """
-    x = np.asarray(states, dtype=float)
-    w = np.subtract(x, x0, out=ws.w)
-    rw = _node_product(cov, cov_diag, w, out=ws.rw)
-    d = np.add(rw, np.multiply(np.sign(x, out=ws.sign), kappa, out=ws.sign), out=out)
-    if factors is None:
-        return d
-    u, uv = factors
-    s = np.add.reduce(np.multiply(u, w, out=ws.zeta), axis=-1, out=ws.s)
-    zeta = np.multiply(u, s[..., None], out=ws.zeta)
-    return d, np.subtract(np.subtract(zeta, rw, out=zeta), uv, out=zeta)
+    return measure
 
 
 @dataclass(frozen=True)
@@ -277,21 +286,26 @@ class LassoProblem:
 
     def subgradient(self, i, x):
         """Exact subgradient; the L1 part selects 0 at kinks (minimum norm)."""
-        return _measure(self.covariances[i], None, self.x0, self.kappa, x)
+        return self._measure_once(self.covariances[i], None, x)
+
+    def _measure_once(self, cov, cov_diag, states, factors=None, out=None):
+        """The measurement of ``states`` by a ``_measurement`` of its own."""
+        x = np.asarray(states, dtype=float)
+        zeta = np.empty(x.shape if factors is None
+                        else np.broadcast_shapes(x.shape, np.shape(factors[0])))
+        return _measurement(cov, cov_diag, self.x0, self.kappa, x.shape, zeta)(x, factors, out)
 
     def workspace(self, lead):
-        """Per-batch buffers of ``subgradient_stack`` for states shaped
-        ``lead + (N, n)``: x0 and the covariance diagonals (None for a dense
-        stack) tiled to that shape, and one buffer for each of w = x - x0,
-        R w, kappa sign(x), the projections u.w and zeta."""
+        """Per-batch binding of ``subgradient_stack`` for states shaped
+        ``lead + (N, n)``: ``measure``, the measurement bound to x0 and the
+        covariance diagonals (None for a dense stack) tiled to that shape and
+        to its buffers, and ``zeta``, the buffer of its noise."""
         shape = tuple(lead) + (self.n_nodes, self.dim)
-        diag = self._cov_diag
-        return SimpleNamespace(x0=np.broadcast_to(self.x0, shape).copy(),
-                               cov_diag=None if diag is None
-                               else np.broadcast_to(diag, shape).copy(),
-                               w=np.empty(shape), rw=np.empty(shape),
-                               sign=np.empty(shape), s=np.empty(shape[:-1]),
-                               zeta=np.empty(shape))
+        diag, zeta = self._cov_diag, np.empty(shape)
+        tiled_diag = None if diag is None else np.broadcast_to(diag, shape).copy()
+        return SimpleNamespace(zeta=zeta, measure=_measurement(
+            self.covariances, tiled_diag, np.broadcast_to(self.x0, shape).copy(),
+            self.kappa, shape, zeta))
 
     def subgradient_stack(self, states, factors=None, out=None, ws=None):
         """Per-node subgradients d for stacked states (..., N, n), written
@@ -300,14 +314,13 @@ class LassoProblem:
         Given the noise factors of the same step (``noise_factors``, sliced
         to the states' leading shape), returns the measurement ``(d, zeta)``
         instead; both share one ``R_i (x - x0)`` product.  With the
-        ``workspace`` of the states' leading shape, the temporaries and zeta
-        are its buffers, overwritten by the next call.
+        ``workspace`` of the states' leading shape, its bound measurement
+        takes float states and writes zeta and the temporaries into its
+        buffers, overwritten by the next call.
         """
         if ws is None:
-            return _measure(self.covariances, self._cov_diag, self.x0, self.kappa,
-                            states, factors, out)
-        return _measure(self.covariances, ws.cov_diag, ws.x0, self.kappa,
-                        states, factors, out, ws)
+            return self._measure_once(self.covariances, self._cov_diag, states, factors, out)
+        return ws.measure(states, factors, out)
 
     def noise_factors(self, z, v, out=None):
         """State-free noise factors ``(u, u sigma_v v)`` with ``u = R_i^{1/2} z``
@@ -323,7 +336,7 @@ class LassoProblem:
         """Subgradient measurement (d + zeta, zeta) from one fresh sample."""
         factors = _noise_factors(self._sqrt_cov[i], None, self.sigma_v[i],
                                  rng.standard_normal(self.dim), rng.standard_normal())
-        d, zeta = _measure(self.covariances[i], None, self.x0, self.kappa, x, factors)
+        d, zeta = self._measure_once(self.covariances[i], None, x, factors)
         return d + zeta, zeta
 
     def optimum(self, tol=1e-10, max_iter=1_000_000):

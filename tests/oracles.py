@@ -386,13 +386,13 @@ def receiver_draws(model, states, adjacency, xi):
 def kernel(x, a, row_sums, alpha_k, c_k, model, z, d_plus_zeta):
     """The library's step kernel on operands whose leading shapes broadcast:
     the states are broadcast to the common leading shape, for which a fresh
-    workspace and ``out`` are made.  Returns the kernel's next state,
+    kernel and ``out`` are made.  Returns the kernel's next state,
     channel-noise sum and intensities."""
     lead = np.broadcast_shapes(x.shape[:-2], a.shape[:-2], z.shape[:-2],
                                d_plus_zeta.shape[:-2])
     x = np.broadcast_to(x, lead + x.shape[-2:])
-    return engine._step(x, a, row_sums, alpha_k, c_k, model, z, d_plus_zeta,
-                        engine._Workspace(lead, *x.shape[-2:]), np.empty(x.shape))
+    return engine._kernel(lead, *x.shape[-2:], model)(x, a, row_sums, alpha_k, c_k, z,
+                                                      d_plus_zeta, np.empty(x.shape))
 
 
 def apply_step(states, adjacency, alpha_k, c_k, model, xi, d_plus_zeta):

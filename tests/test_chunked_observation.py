@@ -215,8 +215,10 @@ class TestNaNStates:
         }), encoding="utf-8")
         out_dir = tmp_path / "out"
         assert cli.main(["run", "--config", str(path), "--out", str(out_dir)]) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "replication=0, step=1)" in err
+        # The divergence and its rerun line, and no warning.
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0].endswith("(replication=0, step=1)")
+        assert err[1].startswith("rerun: subgradnet run ")
         assert not (out_dir / "trace.csv").exists()
 
 

@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, exit codes, output overrides."""
 
+import shlex
+
 import pytest
 import yaml
 
@@ -104,6 +106,30 @@ class TestUsageAndErrors:
         code = main(["run", "--config", path, "--out", str(tmp_path / "out")])
         assert code == 2
         assert "divergence" in capsys.readouterr().err
+
+    @staticmethod
+    def _a1_at_sigma_16(config_dir, tmp_path, min_pass_reps):
+        # Of 8 replications, replication 6 diverges first, at step 40.
+        raw = yaml.safe_load((config_dir / "a1_quadratic.yaml").read_text())
+        raw["noise"]["sigma"] = 16
+        raw["run"].update(horizon=2000, reps=8)
+        raw["thresholds"]["min_pass_reps"] = min_pass_reps
+        return write_cfg(tmp_path, raw, name="a1 sigma16.yaml")
+
+    def test_divergence_prints_a_rerun_that_reproduces_it(self, config_dir, tmp_path, capsys):
+        path = self._a1_at_sigma_16(config_dir, tmp_path, 4)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "a")]) == 2
+        divergence, rerun = capsys.readouterr().err.splitlines()
+        assert divergence.endswith("(replication=6, step=40)")
+        assert rerun == f"rerun: subgradnet run --config {shlex.quote(path)} --seed 42 --reps 7"
+        argv = shlex.split(rerun.split(": ", 1)[1])[1:]
+        assert main(argv + ["--out", str(tmp_path / "b")]) == 2
+        assert capsys.readouterr().err.splitlines()[0] == divergence
+
+    def test_rerun_asks_for_at_least_min_pass_reps(self, config_dir, tmp_path, capsys):
+        path = self._a1_at_sigma_16(config_dir, tmp_path, 8)
+        assert main(["run", "--config", path, "--out", str(tmp_path / "a")]) == 2
+        assert capsys.readouterr().err.splitlines()[1].endswith(" --seed 42 --reps 8")
 
 
 class TestOptimum:

@@ -1,5 +1,6 @@
 """Step equivalence, consensus-error recursion, trajectories, Monte Carlo."""
 
+import inspect
 import os
 import tracemalloc
 
@@ -16,8 +17,7 @@ from subgradnet import (CommNoiseModel, DeterministicCycle,
                         MarkovSwitching, QuadraticObjective, StepSchedule, SubgradNetError,
                         WorkerLost, cli, config, default_record_ks, laplacian,
                         monte_carlo)
-from subgradnet.engine import (_center, _first_divergence, _step, _Workspace,
-                               replication_stream)
+from subgradnet.engine import _center, _first_divergence, _kernel, replication_stream
 
 
 def zero_objective(n_nodes, dim):
@@ -171,7 +171,9 @@ class TestKernelWorkspace:
         ops = kernel_operands(np.random.default_rng(seed), reps, n, dim, cap)
         # The engine passes a slot of its sub-span's intensity buffer.
         psi_buf = np.full((reps, n, n), np.nan) if given_psi else None
-        got = _step(*ops, _Workspace((reps,), n, dim), np.empty((reps, n, dim)), psi_buf)
+        x, a, rs, alpha_k, c_k, model, z, d = ops
+        got = _kernel((reps,), n, dim, model)(x, a, rs, alpha_k, c_k, z, d,
+                                              np.empty((reps, n, dim)), psi_buf)
         if given_psi:
             assert got[2] is psi_buf
         return got, step_einsum(*ops)
@@ -207,24 +209,26 @@ class TestKernelWorkspace:
         ref = step_einsum(x, a, row_sums, 0.3, 0.7, model, z, d)
         # The engine's row sums come expanded to the states' shape.
         for rs in (row_sums, np.broadcast_to(row_sums, x.shape).copy()):
-            ws, out = _Workspace(lead, n, dim), np.empty(x.shape)
-            got = _step(x, a, rs, 0.3, 0.7, model, z, d, ws, out)
-            assert ws.diff.shape == (dim,) + lead + (n, n)
-            assert all(diff_d.flags.c_contiguous for diff_d in ws.diff_d)
+            step, out = _kernel(lead, n, dim, model), np.empty(x.shape)
+            got = step(x, a, rs, 0.3, 0.7, z, d, out)
+            diff = inspect.getclosurevars(step).nonlocals["diff"]
+            assert diff.shape == (dim,) + lead + (n, n)
+            assert all(diff_d.flags.c_contiguous for diff_d in diff)
             for g, r in zip(got, ref):
                 assert np.array_equal(g, r)
 
     def test_calls_with_a_workspace_allocate_no_pair_array(self):
         reps, n, dim = 4, 60, 2
         ops = kernel_operands(np.random.default_rng(0), reps, n, dim)
-        ws, out = _Workspace((reps,), n, dim), np.empty((reps, n, dim))
+        step, out = _kernel((reps,), n, dim, ops[5]), np.empty((reps, n, dim))
+        args = ops[:5] + ops[6:]
         tracemalloc.start()
         try:
-            _step(*ops, ws, out)
+            step(*args, out)
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             for _ in range(10):
-                _step(*ops, ws, out)
+                step(*args, out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -476,3 +476,19 @@ def test_center_mean_repeats_numpys_axis_sum_from_two_values_per_node(data, n, d
         want = x.sum(axis=-2, keepdims=True) / n
         _center(x, mean=mean)
     assert same_bits(mean, want)
+
+
+# Non-negative doubles, infinity included, zeros of both signs and NaN: the
+# kernel's intensities are non-negative, and NaN where a state is not finite.
+NON_NEGATIVE = st.floats(min_value=0.0) | st.sampled_from([0.0, -0.0, np.nan])
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), m=st.integers(1, 30), k=st.integers(1, 64))
+def test_column_maxima_repeat_numpys_row_maximum(data, m, k):
+    # Pins the per-sub-span psi maxima below _PSI_KEPT_BELOW nodes: one
+    # elementwise maximum per column gives each row's ``max`` bit for bit,
+    # the sign of a zero and NaN included.
+    a = data.draw(hnp.arrays(np.float64, (m, k), elements=NON_NEGATIVE,
+                             fill=st.sampled_from([0.0, -0.0])))
+    assert same_bits(engine._row_max(a, np.empty(m)), a.max(axis=1))
