@@ -19,8 +19,8 @@ import sys
 import numpy as np
 
 from . import config as cfgmod
-from .errors import ConfigError, DivergenceDetected, SubgradNetError
-from .experiment import estimate_constants, run_experiment
+from .errors import DivergenceDetected, SubgradNetError
+from .experiment import estimate_constants, run_experiment, verdict_line
 from .objectives import global_optimum
 from .stepsize import verify_conditions
 
@@ -64,15 +64,17 @@ def _build_parser():
     return parser
 
 
-def _cmd_run(args):
-    # run_experiment validates the config once, with the overrides applied.
+def _load_with_overrides(args, section, names):
+    """The unvalidated ``--config``, with each given flag of ``names`` set in ``cfg.<section>``."""
     cfg = cfgmod.load_config(args.config, _validate=False)
-    if args.seed is not None:
-        cfg.run.seed = args.seed
-    if args.reps is not None:
-        cfg.run.reps = args.reps
-    if args.workers is not None:
-        cfg.run.workers = args.workers
+    for name in names:
+        if getattr(args, name) is not None:
+            setattr(getattr(cfg, section), name, getattr(args, name))
+    return cfg
+
+
+def _cmd_run(args):
+    cfg = _load_with_overrides(args, "run", ("seed", "reps", "workers"))
     out_dir = args.out or os.environ.get(ENV_OUT) or cfg.output.directory
     try:
         result = run_experiment(cfg, out_dir=out_dir)
@@ -86,10 +88,10 @@ def _cmd_run(args):
         return 2
     print(f"trace: {result.trace_path}")
     print(f"summary: {result.summary_path}")
-    for name, value in sorted(result.passes.items()):
-        if not name.startswith("_"):
-            print(f"pass.{name} = {str(bool(value)).lower()}")
-    print(f"all_pass = {str(result.all_pass).lower()}")
+    for key, value, graded in result.verdicts:
+        if graded:
+            print(verdict_line(key, value, graded))
+    print(verdict_line("all_pass", result.all_pass, True))
     return 0
 
 
@@ -107,15 +109,8 @@ def _cmd_verify_schedule(args):
 
 
 def _cmd_graph_report(args):
-    # Validated once, with the overrides applied.
-    cfg = cfgmod.load_config(args.config, _validate=False)
-    if args.h is not None:
-        cfg.connectivity.h = args.h
-    if args.windows is not None:
-        cfg.connectivity.windows = args.windows
-    if args.reps is not None:
-        cfg.connectivity.reps = args.reps
-    cfgmod.validate_config(cfg)
+    cfg = cfgmod.validate_config(
+        _load_with_overrides(args, "connectivity", ("h", "windows", "reps")))
     objective = cfgmod.build_objective(cfg)
     process = cfgmod.build_process(cfg)
     model = cfgmod.build_noise(cfg, objective.dim)
@@ -158,10 +153,7 @@ def main(argv=None):
         print(parser.format_usage(), file=sys.stderr, end="")
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, OSError) as exc:  # OSError: an output path that cannot be written
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SubgradNetError as exc:
+    except (SubgradNetError, OSError) as exc:  # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

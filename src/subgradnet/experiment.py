@@ -4,6 +4,14 @@ Carlo runs, and persistence of the aggregate trace and summary.
 Outputs are byte-deterministic for a fixed config and seed: floats are
 formatted with shortest round-trip ``repr`` and every random quantity hangs
 off the experiment seed through named sub-streams.
+
+The run's verdicts are one sorted list of ``(key, value, graded)`` rows that
+summary.txt and the CLI print alike.  ``all_pass`` is the conjunction of the
+graded ``pass.*`` rows; ``measured.*`` rows are informational.  The pass rows
+catch: code identities (``psi_bound``, ``d_bound``, ``recursion_identity``),
+numeric verdicts on the paper's step-size conditions (``condition_C1``-``C5``),
+Monte Carlo statistics (``v_ratio``, ``final_dist``) and the envelope check
+(``c1_sup_early``).
 """
 
 import contextlib
@@ -72,7 +80,7 @@ class ExperimentResult:
     conditions: object
     mc: object
     beta_log: np.ndarray
-    passes: dict
+    verdicts: list
     all_pass: bool
     trace_path: str
     summary_path: str
@@ -94,38 +102,43 @@ def _write_trace(path, mc, beta_log):
         fh.write("\n".join(lines) + "\n")
 
 
-def evaluate_thresholds(cfg, mc, c1_at):
-    """Pass/fail verdicts against the configured acceptance thresholds;
-    ``c1_at`` is the recorded step where mean||X||^2 / beta peaks."""
+def verdict_rows(cfg, mc, c1_at, conditions):
+    """The run's verdict rows ``(key, value, graded)`` sorted by key, their print
+    order; ``c1_at`` is the recorded step where mean||X||^2 / beta peaks."""
     thr = cfg.thresholds
-    passes = {}
-    ks = mc.record_ks.tolist()
+    rows = [("pass.psi_bound", bool(mc.psi_violation_max <= 1e-9), True),
+            ("pass.d_bound", bool(mc.d_violation_max <= 1e-9), True),
+            ("pass.c1_sup_early", c1_at <= 1000, True)]
+    rows += [(f"pass.condition_{name}", chk.holds, True)
+             for name, chk in conditions.checks.items()]
+    if cfg.run.check_stride:
+        rows.append(("pass.recursion_identity", bool(mc.recursion_max < 1e-10), True))
     if thr.v_ratio_max is not None:
+        ks = mc.record_ks.tolist()
         k_early = thr.v_ratio_k_early if thr.v_ratio_k_early is not None else 100
         k_late = thr.v_ratio_k_late if thr.v_ratio_k_late is not None else cfg.run.horizon
+        holds, ratio = False, float("nan")
         if k_early in ks and k_late in ks:
             v_early = float(mc.mean_v[ks.index(k_early)])
             v_late = float(mc.mean_v[ks.index(k_late)])
-            passes["v_ratio"] = v_late < float(thr.v_ratio_max) * v_early
-            passes["_v_ratio_value"] = v_late / v_early if v_early else float("inf")
-        else:
-            passes["v_ratio"] = False
-            passes["_v_ratio_value"] = float("nan")
+            holds = v_late < float(thr.v_ratio_max) * v_early
+            ratio = v_late / v_early if v_early else float("inf")
+        rows += [("pass.v_ratio", holds, True), ("measured.v_ratio_value", ratio, False)]
     if thr.final_dist_max is not None:
         count = int(np.sum(mc.final_dists < float(thr.final_dist_max)))
-        passes["_final_dist_pass_count"] = count
         need = thr.min_pass_reps if thr.min_pass_reps is not None else mc.reps
-        passes["final_dist"] = count >= need
-    passes["psi_bound"] = mc.psi_violation_max <= 1e-9
-    passes["d_bound"] = mc.d_violation_max <= 1e-9
-    if cfg.run.check_stride:
-        passes["recursion_identity"] = mc.recursion_max < 1e-10
-    passes["c1_sup_early"] = c1_at <= 1000
-    return passes
+        rows += [("pass.final_dist", count >= need, True),
+                 ("measured.final_dist_pass_count", count, False)]
+    return sorted(rows)
+
+
+def verdict_line(key, value, graded):
+    """A verdict row, or ``all_pass``, as summary.txt and the CLI print it."""
+    return f"{key} = {str(value).lower() if graded else value}"
 
 
 def _write_summary(path, cfg, constants, report, conditions, mc, c1_hat, c1_at,
-                   passes, all_pass, x_star, f_star):
+                   verdicts, all_pass, x_star, f_star):
     lines = []
     add = lines.append
     add("subgradnet experiment summary")
@@ -155,12 +168,8 @@ def _write_summary(path, cfg, constants, report, conditions, mc, c1_hat, c1_at,
     add(f"monitor.psi_violation_max = {_fmt(mc.psi_violation_max)}")
     add(f"monitor.d_violation_max = {_fmt(mc.d_violation_max)}")
     add(f"monitor.recursion_max = {_fmt(mc.recursion_max)}")
-    for name in sorted(passes):
-        if name.startswith("_"):
-            add(f"measured.{name[1:]} = {passes[name]}")
-        else:
-            add(f"pass.{name} = {str(bool(passes[name])).lower()}")
-    add(f"all_pass = {str(all_pass).lower()}")
+    lines += [verdict_line(*row) for row in verdicts]
+    add(verdict_line("all_pass", all_pass, True))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -233,15 +242,13 @@ def run_experiment(cfg, out_dir=None):
         sup = int(np.argmax(log_ratio))
         c1_hat, c1_at = float(np.exp(log_ratio[sup])), int(mc.record_ks[sup])
 
-        passes = evaluate_thresholds(cfg, mc, c1_at)
-        for name, chk in conditions.checks.items():
-            passes[f"condition_{name}"] = chk.holds
-        all_pass = all(v for k, v in passes.items() if not k.startswith("_"))
+        verdicts = verdict_rows(cfg, mc, c1_at, conditions)
+        all_pass = all(value for _, value, graded in verdicts if graded)
 
         _write_trace(trace_tmp, mc, beta_log)
         _write_summary(summary_tmp, cfg, constants, report, conditions, mc, c1_hat,
-                       c1_at, passes, all_pass, x_star, f_star)
+                       c1_at, verdicts, all_pass, x_star, f_star)
     return ExperimentResult(config=cfg, constants=constants, report=report,
                             conditions=conditions, mc=mc, beta_log=beta_log,
-                            passes=passes, all_pass=all_pass, trace_path=trace_path,
+                            verdicts=verdicts, all_pass=all_pass, trace_path=trace_path,
                             summary_path=summary_path)

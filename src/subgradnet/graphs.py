@@ -169,12 +169,12 @@ class IndependentEdges:
         self.n_nodes = n
         self.prob = np.broadcast_to(np.asarray(prob, dtype=float), (n, n)).copy()
         np.fill_diagonal(self.prob, 0.0)
-        if np.any(self.prob < 0) or np.any(self.prob > 1):
+        if not np.all((self.prob >= 0) & (self.prob <= 1)):
             raise ValueError("activation probabilities must lie in [0, 1]")
         self.perturb = np.broadcast_to(np.asarray(perturb, dtype=float), (n, n)).copy()
         np.fill_diagonal(self.perturb, 0.0)
-        if np.any(self.perturb < 0):
-            raise ValueError("perturbation half-widths must be nonnegative")
+        if not np.all((self.perturb >= 0) & np.isfinite(self.perturb)):
+            raise ValueError("perturbation half-widths must be finite and nonnegative")
         self._has_perturb = bool(np.any(self.perturb > 0))
         # No sign bit or perturbation: active * base gives np.where's bits, no temporary.
         self._mask_product = not (self._has_perturb or np.signbit(self.base).any())
@@ -259,14 +259,14 @@ class MarkovSwitching:
         m = len(mats)
         if t.shape != (m, m):
             raise ValueError(f"transition matrix must be {m}x{m}, got {t.shape}")
-        if np.any(t < 0) or np.max(np.abs(t.sum(axis=1) - 1.0)) > _BALANCE_TOL:
+        if not (np.all(t >= 0) and np.max(np.abs(t.sum(axis=1) - 1.0)) <= _BALANCE_TOL):
             raise ValueError("transition matrix rows must be nonnegative and sum to 1")
         self.transition = t
         if initial is None:
             initial = np.full(m, 1.0 / m)
         self.initial = np.asarray(initial, dtype=float)
-        if self.initial.shape != (m,) or np.any(self.initial < 0) or \
-                abs(self.initial.sum() - 1.0) > _BALANCE_TOL:
+        if self.initial.shape != (m,) or not (np.all(self.initial >= 0) and
+                                                abs(self.initial.sum() - 1.0) <= _BALANCE_TOL):
             raise ValueError("initial distribution must be a probability vector")
         # Row m is the initial distribution: a walk from state m draws the start.
         self._cum_rows = _cumulative(np.vstack([t, self.initial]))

@@ -31,10 +31,10 @@ class CommNoiseModel:
     cap: float = None
 
     def __post_init__(self):
-        if not self.sigma >= 0:
-            raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
-        if not self.b >= 0:
-            raise ValueError(f"b must be nonnegative, got {self.b}")
+        if not 0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
+        if not 0 <= self.b < np.inf:
+            raise ValueError(f"b must be nonnegative and finite, got {self.b}")
         if self.noise_dim < 1:
             raise ValueError("noise_dim must be at least 1")
         if self.cap is not None and not self.cap >= 0:

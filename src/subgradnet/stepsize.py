@@ -131,12 +131,12 @@ class StepSchedule:
     tau3: float = 1.0
 
     def __post_init__(self):
-        if not self.alpha1 > 0:
-            raise ValueError(f"alpha1 must be positive, got {self.alpha1}")
+        if not 0 < self.alpha1 < math.inf:
+            raise ValueError(f"alpha1 must be positive and finite, got {self.alpha1}")
         if not 0 < self.tau1 <= 1:
             raise ValueError(f"tau1 must lie in (0, 1], got {self.tau1}")
-        if not self.alpha2 > 0:
-            raise ValueError(f"alpha2 must be positive, got {self.alpha2}")
+        if not 0 < self.alpha2 < math.inf:
+            raise ValueError(f"alpha2 must be positive and finite, got {self.alpha2}")
         if not 0.5 < self.tau2 < 1:
             raise ValueError(f"tau2 must lie in (0.5, 1), got {self.tau2}")
         if not self.tau3 <= 1:
@@ -239,8 +239,8 @@ def verify_conditions(alpha_fn, c_fn, C, horizon):
     horizon = int(horizon)
     if horizon < 1000:
         raise ValueError("condition verification needs horizon >= 1000")
-    if C <= 0:
-        raise ValueError("C must be positive")
+    if not 0 < C < math.inf:
+        raise ValueError(f"C must be positive and finite, got {C}")
 
     h10 = horizon // 10
     last_decade = _sorted_distinct(np.geomspace(max(h10, 1), horizon, 65).astype(int))

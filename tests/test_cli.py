@@ -43,7 +43,9 @@ class TestUsageAndErrors:
         assert "tau2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value,needle", [("--horizon", "500", "horizon"),
-                                                   ("--C", "0", "C must be positive")])
+                                                   ("--C", "0", "C must be positive"),
+                                                   ("--C", "nan", "C must be positive"),
+                                                   ("--C", "inf", "C must be positive")])
     def test_bad_verify_argument_exits_one_with_one_line(self, tmp_path, capsys,
                                                          flag, value, needle):
         path = write_cfg(tmp_path)
@@ -71,6 +73,11 @@ class TestUsageAndErrors:
         ("init", {"kind": "explicit", "states": [[0.0, 0.0], [1.0]]}),
         ("run", {"seed": True}), ("run", {"check_stride": 2.5}),
         ("run", {"record_stride": 7.9}), ("run", {"dense_until": 10.7}),
+        ("schedule", {"alpha1": float("inf")}), ("schedule", {"alpha2": float("inf")}),
+        ("graph", {"perturb": float("inf")}), ("graph", {"activation_prob": float("nan")}),
+        ("graph", {"kind": "markov", "states": [[[0.0, 1.0], [1.0, 0.0]]],
+                   "transition": [[float("nan")]]}),
+        ("noise", {"sigma": float("inf")}), ("noise", {"b": float("inf")}),
     ])
     def test_malformed_value_exits_one_with_one_error_line(self, tmp_path, capsys,
                                                            section, values):
@@ -83,6 +90,8 @@ class TestUsageAndErrors:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith(f"error: {section}")
+        # The line names a rejected field, or the section whose constructor rejected it.
+        assert any(name in captured.err for name in values) or f"error: {section}: " in captured.err
         assert not (tmp_path / "o").exists()
 
     def test_unwritable_output_exits_one_with_one_error_line(self, tmp_path, capsys):
@@ -97,6 +106,19 @@ class TestUsageAndErrors:
         assert captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
         assert [p for p in out.rglob("*") if p.is_file()] == []
+
+    def test_package_error_exits_one_with_one_error_line(self, tmp_path, monkeypatch, capsys):
+        from subgradnet import cli
+        from subgradnet.errors import WorkerLost
+
+        def lose_a_worker(cfg, out_dir):
+            raise WorkerLost("worker 1 ended before returning its replications")
+
+        monkeypatch.setattr(cli, "run_experiment", lose_a_worker)
+        assert main(["run", "--config", write_cfg(tmp_path), "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: worker 1 ended before returning its replications\n"
 
     def test_divergence_exits_two(self, tmp_path, capsys):
         diverging = dict(SMALL)
@@ -193,6 +215,21 @@ class TestRun:
         assert (out_dir / "trace.csv").exists()
         assert (out_dir / "summary.txt").exists()
         assert "pass.psi_bound = true" in out
+
+    def test_printed_verdicts_equal_the_summary_lines(self, tmp_path, capsys):
+        # No replication ends within 1e-300 of the optimum, and none need to:
+        # the measured count is 0 while every graded row holds.
+        thresholds = {"v_ratio_max": 1.0, "final_dist_max": 1e-300, "min_pass_reps": 0}
+        path = write_cfg(tmp_path, dict(SMALL, verify={"horizon": 1_000_000},
+                                        thresholds=thresholds))
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 0
+        printed = capsys.readouterr().out.splitlines()[2:]
+        summary = (tmp_path / "o" / "summary.txt").read_text().splitlines()
+        assert printed == [line for line in summary
+                           if line.startswith(("pass.", "all_pass = "))]
+        assert "measured.final_dist_pass_count = 0" in summary
+        assert len(printed) == 11
+        assert all(line.endswith(" = true") for line in printed)
 
     def test_seed_and_reps_overrides(self, tmp_path):
         path = write_cfg(tmp_path)

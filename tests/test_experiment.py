@@ -29,6 +29,10 @@ def small_cfg(extra=None, horizon=300, reps=3):
     return config_from_dict(data)
 
 
+def verdicts(res):
+    return {key: value for key, value, _ in res.verdicts}
+
+
 class TestRunExperiment:
     def test_writes_trace_and_summary(self, tmp_path):
         cfg = small_cfg()
@@ -101,10 +105,10 @@ class TestRunExperiment:
     def test_monitors_hold_on_small_run(self, tmp_path):
         cfg = small_cfg()
         res = run_experiment(cfg, out_dir=str(tmp_path / "out"))
-        assert res.passes["psi_bound"]
-        assert res.passes["d_bound"]
-        assert res.passes["recursion_identity"]
-        assert res.passes["c1_sup_early"]
+        assert verdicts(res)["pass.psi_bound"]
+        assert verdicts(res)["pass.d_bound"]
+        assert verdicts(res)["pass.recursion_identity"]
+        assert verdicts(res)["pass.c1_sup_early"]
         assert res.mc.recursion_max < 1e-10
 
     def test_threshold_verdicts_appear(self, tmp_path):
@@ -112,9 +116,22 @@ class TestRunExperiment:
             "v_ratio_k_early": 100, "v_ratio_k_late": 300, "v_ratio_max": 1.0,
             "final_dist_max": 100.0, "min_pass_reps": 3}})
         res = run_experiment(cfg, out_dir=str(tmp_path / "out"))
-        assert res.passes["v_ratio"]
-        assert res.passes["final_dist"]
-        assert res.passes["_final_dist_pass_count"] == 3
+        assert verdicts(res)["pass.v_ratio"]
+        assert verdicts(res)["pass.final_dist"]
+        assert verdicts(res)["measured.final_dist_pass_count"] == 3
+
+    def test_all_pass_is_the_conjunction_of_the_graded_rows(self, tmp_path):
+        # V cannot drop by a factor of 1e-300, so pass.v_ratio fails.
+        cfg = small_cfg(extra={"thresholds": {"v_ratio_max": 1e-300, "final_dist_max": 100.0}})
+        res = run_experiment(cfg, out_dir=str(tmp_path / "out"))
+        keys = [key for key, _, _ in res.verdicts]
+        assert keys == sorted(keys)
+        assert all(graded == key.startswith("pass.") for key, _, graded in res.verdicts)
+        assert {key for key, _, graded in res.verdicts if not graded} == {
+            "measured.final_dist_pass_count", "measured.v_ratio_value"}
+        assert verdicts(res)["pass.v_ratio"] is False
+        assert res.all_pass is False
+        assert res.all_pass is all(value for _, value, graded in res.verdicts if graded)
 
     def test_numeric_strings_count_as_threshold_numbers(self, tmp_path):
         # YAML reads a float written without a dot, such as 1e-2, as a string.
@@ -122,9 +139,9 @@ class TestRunExperiment:
                                                   "final_dist_max": "1e2"}})
         as_float = small_cfg(extra={"thresholds": {"v_ratio_max": 1.0,
                                                    "final_dist_max": 100.0}})
-        text = run_experiment(as_text, out_dir=str(tmp_path / "text")).passes
-        assert text == run_experiment(as_float, out_dir=str(tmp_path / "float")).passes
-        assert text["v_ratio"] and text["final_dist"]
+        text = run_experiment(as_text, out_dir=str(tmp_path / "text"))
+        assert text.verdicts == run_experiment(as_float, out_dir=str(tmp_path / "float")).verdicts
+        assert verdicts(text)["pass.v_ratio"] and verdicts(text)["pass.final_dist"]
 
     def test_envelope_and_c1_come_from_one_log_ratio(self, tmp_path):
         # Zero initial states put the sup of mean||X||^2 / beta after k = 0,
@@ -148,7 +165,7 @@ class TestRunExperiment:
         assert summary["C1_hat_at_k"].strip() == str(ks[best])
         assert summary["C1_hat"].split()[0] == repr(float(np.exp(log_ratio[best])))
         assert summary["pass.c1_sup_early"].strip() == str(bool(ks[best] <= 1000)).lower()
-        assert res.passes["c1_sup_early"] == (ks[best] <= 1000)
+        assert verdicts(res)["pass.c1_sup_early"] == (ks[best] <= 1000)
 
     def test_worker_pool_aggregates_match(self, tmp_path):
         cfg1 = small_cfg(reps=6)
@@ -195,7 +212,7 @@ class TestThresholdEdgeCases:
         cfg.run.dense_until = 5
         cfg.run.record_stride = 100
         res = run_experiment(cfg, out_dir=str(tmp_path / "out"))
-        assert res.passes["v_ratio"] is False
+        assert verdicts(res)["pass.v_ratio"] is False
 
 
 class TestDeterministicGraphExperiment:
@@ -215,4 +232,4 @@ class TestDeterministicGraphExperiment:
         res = run_experiment(cfg, out_dir=str(tmp_path / "out"))
         # union of the two cycle steps is strongly connected
         assert res.constants.theta_hat > 0.0
-        assert res.passes["psi_bound"] and res.passes["d_bound"]
+        assert verdicts(res)["pass.psi_bound"] and verdicts(res)["pass.d_bound"]
