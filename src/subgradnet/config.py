@@ -7,17 +7,20 @@ losslessly through :func:`save_config` / :func:`load_config`.
 
 Each rule has one home.  A constructor owns the ranges of what it builds:
 ``StepSchedule`` the step-size family, ``CommNoiseModel`` the nonnegative
-sigma, b and cap, ``LassoProblem`` the nonnegative kappa and sigma_v, the
-graph processes their matrices.  :func:`validate_config` builds each of them
-and reports a rejection as a ``ValidationError`` prefixed with the section.
-It checks itself only what no constructor sees: that the schedule, noise,
-lasso kappa and threshold fields are numbers and the count fields integers,
-that the output names are nonempty strings and name two files, the problem's
-required fields, the node counts across sections, the initial states' shape,
+sigma, b and cap, ``QuadraticObjective`` its finite targets, ``LassoProblem``
+its finite data with nonnegative kappa and sigma_v, the graph processes their
+matrices.  :func:`validate_config` builds each of them and reports a
+rejection as a ``ValidationError`` prefixed with the section.  It checks
+itself only what no constructor sees: that the schedule, noise and lasso
+kappa fields are numbers, the graph weight and thresholds finite numbers and
+the count fields integers, that the output names are nonempty strings and
+name two files, the problem's required fields, the node counts across
+sections, that the initial states are finite numbers of the problem's shape,
 and that c(k) decreases over the simulated horizon.
 """
 
 import contextlib
+import math
 import os
 from dataclasses import dataclass, field, asdict
 
@@ -217,11 +220,32 @@ def _int_at_least(section, name, value, low):
         raise ValidationError(f"{section}.{name} must be {kind}, got {value!r}")
 
 
-def _number(section, name, value):
+def _number(section, name, value, finite=False):
+    """``value`` as a float; with ``finite``, an infinite or NaN one is rejected too."""
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
-        raise ValidationError(f"{section}.{name} must be a number, got {value!r}") from None
+        number = None
+    if number is None or finite and not math.isfinite(number):
+        kind = "a finite number" if finite else "a number"
+        raise ValidationError(f"{section}.{name} must be {kind}, got {value!r}")
+    return number
+
+
+def _finite_array(section, name, value, shape, broadcast=False):
+    """``value`` as finite floats of ``shape``, or broadcast to it with
+    ``broadcast``; anything else is reported with the shape it must have."""
+    try:
+        array = np.asarray(value, dtype=float)
+        if broadcast:
+            array = np.broadcast_to(array, shape)
+    except (TypeError, ValueError):
+        array = None
+    if array is None or array.shape != shape or not np.all(np.isfinite(array)):
+        must = "broadcast to" if broadcast else "be"
+        raise ValidationError(
+            f"{section}.{name} must {must} finite numbers of shape {shape}, got {value!r}")
+    return array
 
 
 @contextlib.contextmanager
@@ -249,7 +273,7 @@ def validate_config(cfg):
             _int_at_least("thresholds", name, getattr(thr, name), 0)
     for name in ("v_ratio_max", "final_dist_max"):
         if getattr(thr, name) is not None:
-            _number("thresholds", name, getattr(thr, name))
+            _number("thresholds", name, getattr(thr, name), finite=True)
     if thr.min_pass_reps is not None:
         _require(thr.min_pass_reps <= run.reps,
                  f"thresholds.min_pass_reps must not exceed run.reps = {run.reps}, "
@@ -289,16 +313,13 @@ def validate_config(cfg):
     ini = cfg.init
     _require(ini.kind in ("uniform", "explicit"),
              f"init.kind must be 'uniform' or 'explicit', got {ini.kind!r}")
-    with _section("init"):
-        if ini.kind == "uniform":
-            low = np.broadcast_to(np.asarray(ini.low, dtype=float), (objective.dim,))
-            high = np.broadcast_to(np.asarray(ini.high, dtype=float), (objective.dim,))
-            _require(bool(np.all(low <= high)), "init.low must not exceed init.high")
-        else:
-            _require(ini.states is not None, "init.states is required for explicit init")
-            st = np.asarray(ini.states, dtype=float)
-            _require(st.shape == (objective.n_nodes, objective.dim),
-                     f"init.states must have shape ({objective.n_nodes}, {objective.dim})")
+    if ini.kind == "uniform":
+        low = _finite_array("init", "low", ini.low, (objective.dim,), broadcast=True)
+        high = _finite_array("init", "high", ini.high, (objective.dim,), broadcast=True)
+        _require(bool(np.all(low <= high)), "init.low must not exceed init.high")
+    else:
+        _require(ini.states is not None, "init.states is required for explicit init")
+        _finite_array("init", "states", ini.states, (objective.n_nodes, objective.dim))
 
     # The schedule pair must decay monotonically over the simulated horizon.
     with _section("schedule"):
@@ -338,7 +359,8 @@ def build_process(cfg):
             _require(g.base == "complete",
                      f"graph.base must be 'complete' or a matrix, got {g.base!r}")
             _int_at_least("graph", "n_nodes", g.n_nodes, 1)
-            base = g.weight * (np.ones((g.n_nodes, g.n_nodes)) - np.eye(g.n_nodes))
+            weight = _number("graph", "weight", g.weight, finite=True)
+            base = weight * (np.ones((g.n_nodes, g.n_nodes)) - np.eye(g.n_nodes))
         else:
             base = np.asarray(g.base, dtype=float)
         return IndependentEdges(base=base, prob=g.activation_prob, perturb=g.perturb)

@@ -1,4 +1,8 @@
-"""Per-node convex costs with exact and noisy subgradient oracles.
+"""Convex costs of N nodes, measured for all nodes in one stacked call.
+
+A node's cost, subgradient and noisy measurement are those of its one-node
+problem, built from ``targets[i:i+1]`` or from ``covariances[i:i+1]`` with
+``sigma_v[i:i+1]``: row i of the stacked call, bit for bit.
 
 Two built-in families: separable quadratics (closed-form optimum, exact
 gradients) and the population-risk L1-regularized regression problem, whose
@@ -40,6 +44,8 @@ class QuadraticObjective:
         t = np.atleast_2d(np.asarray(self.targets, dtype=float))
         if t.ndim != 2:
             raise ValueError("targets must be an (N, n) array")
+        if not np.all(np.isfinite(t)):
+            raise ValueError("targets entries must be finite")
         object.__setattr__(self, "targets", t)
 
     @property
@@ -66,16 +72,9 @@ class QuadraticObjective:
     def sigma_zeta(self):
         return 0.0
 
-    def cost(self, i, x):
-        diff = np.asarray(x, dtype=float) - self.targets[i]
-        return 0.5 * float(diff @ diff)
-
     def total_cost(self, x):
         diff = np.asarray(x, dtype=float)[..., None, :] - self.targets
         return 0.5 * (diff * diff).sum(axis=(-2, -1))
-
-    def subgradient(self, i, x):
-        return np.asarray(x, dtype=float) - self.targets[i]
 
     def workspace(self, lead):
         """Per-batch operands of ``subgradient_stack`` for states shaped
@@ -88,10 +87,6 @@ class QuadraticObjective:
         written into ``out`` when given; with the ``workspace`` of the
         states' leading shape, the targets are not broadcast."""
         return np.subtract(states, self.targets if ws is None else ws.targets, out)
-
-    def noisy_subgradient(self, i, x, rng):
-        d = self.subgradient(i, x)
-        return d, np.zeros_like(d)
 
     def optimum(self):
         x_star = self.targets.mean(axis=0)
@@ -137,19 +132,6 @@ def _node_product(stack, diag, vec, out=None):
         return np.add(prod, _PLUS_ZERO, out=prod)
     return np.matmul(stack, vec[..., None],
                      out=None if out is None else out[..., None])[..., 0]
-
-
-def _noise_factors(sqrt_cov, root_diag, sigma_v, z, v, out=None):
-    """Noise factors ``u = sqrt_cov @ z`` and ``u * sigma_v * v``.
-
-    With stacked per-node factors, z is (..., N, n) and v (..., N); with one
-    node's, z is (..., n) and v (...).  Neither factor depends on the state.
-    ``out``, a pair of arrays shaped like z, receives the two factors.
-    """
-    u_out, uv_out = (None, None) if out is None else out
-    u = _node_product(sqrt_cov, root_diag, np.asarray(z, dtype=float), out=u_out)
-    return u, np.multiply(u, (sigma_v * np.asarray(v, dtype=float))[..., None],
-                          out=uv_out)
 
 
 def _measurement(cov, cov_diag, x0, kappa, shape, zeta):
@@ -215,10 +197,14 @@ class LassoProblem:
         sig = np.atleast_1d(np.asarray(self.sigma_v, dtype=float))
         if sig.size == 1:
             sig = np.full(covs.shape[0], float(sig[0]))
-        if not self.kappa >= 0:
-            raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
-        if not np.all(sig >= 0):
-            raise ValueError(f"sigma_v entries must be nonnegative, got {self.sigma_v}")
+        if not 0 <= self.kappa < np.inf:
+            raise ValueError(f"kappa must be nonnegative and finite, got {self.kappa}")
+        if not np.all((sig >= 0) & (sig < np.inf)):
+            raise ValueError(f"sigma_v entries must be nonnegative and finite, got {self.sigma_v}")
+        if not np.all(np.isfinite(x0)):
+            raise ValueError(f"x0 entries must be finite, got {x0.tolist()}")
+        if not np.all(np.isfinite(covs)):
+            raise ValueError("covariances entries must be finite")
         if covs.shape[0] != sig.size:
             raise ValueError("one covariance and one sigma_v per node")
         if covs.shape[1] != x0.size or covs.shape[2] != x0.size:
@@ -272,28 +258,12 @@ class LassoProblem:
         per_node = 2.0 * (tr ** 2 + fro) * x0_sq + self.sigma_v ** 2 * np.abs(tr)
         return float(self.n_nodes * np.max(per_node))
 
-    def risk(self, i, x):
-        diff = np.asarray(x, dtype=float) - self.x0
-        quad = float(diff @ self.covariances[i] @ diff)
-        return 0.5 * (quad + self.sigma_v[i] ** 2) + self.kappa * float(np.abs(x).sum())
-
     def total_cost(self, x):
         x = np.asarray(x, dtype=float)
         diff = x[..., None, :] - self.x0
         quad = np.einsum("...ni,nij,...nj->...", diff, self.covariances, diff)
         l1 = np.abs(x).sum(axis=-1)
         return 0.5 * (quad + (self.sigma_v ** 2).sum()) + self.n_nodes * self.kappa * l1
-
-    def subgradient(self, i, x):
-        """Exact subgradient; the L1 part selects 0 at kinks (minimum norm)."""
-        return self._measure_once(self.covariances[i], None, x)
-
-    def _measure_once(self, cov, cov_diag, states, factors=None, out=None):
-        """The measurement of ``states`` by a ``_measurement`` of its own."""
-        x = np.asarray(states, dtype=float)
-        zeta = np.empty(x.shape if factors is None
-                        else np.broadcast_shapes(x.shape, np.shape(factors[0])))
-        return _measurement(cov, cov_diag, self.x0, self.kappa, x.shape, zeta)(x, factors, out)
 
     def workspace(self, lead):
         """Per-batch binding of ``subgradient_stack`` for states shaped
@@ -318,26 +288,27 @@ class LassoProblem:
         takes float states and writes zeta and the temporaries into its
         buffers, overwritten by the next call.
         """
-        if ws is None:
-            return self._measure_once(self.covariances, self._cov_diag, states, factors, out)
-        return ws.measure(states, factors, out)
+        if ws is not None:
+            return ws.measure(states, factors, out)
+        x = np.asarray(states, dtype=float)
+        zeta = np.empty(x.shape if factors is None
+                        else np.broadcast_shapes(x.shape, np.shape(factors[0])))
+        return _measurement(self.covariances, self._cov_diag, self.x0, self.kappa,
+                            x.shape, zeta)(x, factors, out)
 
     def noise_factors(self, z, v, out=None):
         """State-free noise factors ``(u, u sigma_v v)`` with ``u = R_i^{1/2} z``
         from standard-normal draws z (..., N, n) and v (..., N); written to
         the pair ``out`` when given."""
-        return _noise_factors(self._sqrt_cov, self._root_diag, self.sigma_v, z, v, out)
+        u_out, uv_out = (None, None) if out is None else out
+        u = _node_product(self._sqrt_cov, self._root_diag, np.asarray(z, dtype=float),
+                          out=u_out)
+        return u, np.multiply(u, (self.sigma_v * np.asarray(v, dtype=float))[..., None],
+                              out=uv_out)
 
     def zeta_from_draws(self, states, z, v):
         """Gradient noise from standard-normal draws z (..., N, n), v (..., N)."""
         return self.subgradient_stack(states, self.noise_factors(z, v))[1]
-
-    def noisy_subgradient(self, i, x, rng):
-        """Subgradient measurement (d + zeta, zeta) from one fresh sample."""
-        factors = _noise_factors(self._sqrt_cov[i], None, self.sigma_v[i],
-                                 rng.standard_normal(self.dim), rng.standard_normal())
-        d, zeta = self._measure_once(self.covariances[i], None, x, factors)
-        return d + zeta, zeta
 
     def optimum(self, tol=1e-10, max_iter=1_000_000):
         """Deterministic proximal-gradient solve of the exact summed risk.

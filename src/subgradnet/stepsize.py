@@ -139,8 +139,8 @@ class StepSchedule:
             raise ValueError(f"alpha2 must be positive and finite, got {self.alpha2}")
         if not 0.5 < self.tau2 < 1:
             raise ValueError(f"tau2 must lie in (0.5, 1), got {self.tau2}")
-        if not self.tau3 <= 1:
-            raise ValueError(f"tau3 must be at most 1, got {self.tau3}")
+        if not -math.inf < self.tau3 <= 1:
+            raise ValueError(f"tau3 must be finite and at most 1, got {self.tau3}")
 
     def alpha(self, k):
         t, val = _shifted_log(k)

@@ -6,7 +6,8 @@ finite differences, a callback objective, the scalar channel-noise model, the
 per-node and stacked compact forms of the step, the broadcast-and-einsum form
 of the batched step kernel, an entry point to the kernel that makes its
 workspace, the per-channel entry points to the kernel and to the
-consensus-error recursion check, one node's gradient-noise draws, the
+consensus-error recursion check, a node's one-node problem, its
+subgradient and its gradient-noise draws, the
 consensus projection, the sequential loops
 that the library's vectorised routines replaced, the per-key graph draws that
 its stacked ``sample_block`` replaced, the per-sample connectivity report
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from subgradnet import (DivergenceDetected, IndependentEdges, LaplacianStats, LassoProblem,
-                        MarkovSwitching, NonConvergenceError, lambda2, laplacian)
+                        MarkovSwitching, NonConvergenceError, QuadraticObjective, lambda2,
+                        laplacian)
 from subgradnet import engine
 from subgradnet import stepsize as ss
 from subgradnet.graphs import CHUNK, _walk_chain
@@ -315,10 +317,6 @@ class CustomObjective:
             d[idx] = self.subgradient(idx[-1], x[idx])
         return d
 
-    def noisy_subgradient(self, i, x, rng):
-        d = self.subgradient(i, x)
-        return d, np.zeros_like(d)
-
     def optimum(self):
         raise NonConvergenceError("custom objectives carry no optimum oracle")
 
@@ -475,10 +473,12 @@ def consensus_projection(stacked, n_nodes, dim):
 def step_per_node(states, adjacency, schedule, model, objective, rng, k):
     """Reference per-node update drawing its own noises from ``rng``.
 
-    Draw order is fixed: channel noises in lexicographic (j, i) order over
-    active channels, then gradient noises node by node, so any consumer
-    seeding an identical generator reproduces the same randomness.
+    Channel noises are drawn in lexicographic (j, i) order over active
+    channels, so any consumer seeding an identical generator reproduces the
+    same randomness.  The objective carries no gradient noise: node i
+    descends along row i of its ``subgradient_stack``.
     """
+    assert not objective.has_gradient_noise
     x = np.asarray(states, dtype=float)
     n_nodes, dim = x.shape
     xi = draw_channel_noise(model, adjacency, rng)
@@ -493,9 +493,9 @@ def step_per_node(states, adjacency, schedule, model, objective, rng, k):
                 y_ji = x[j] + psi(model, x[j] - x[i]) * xi[j, i]
                 coupling += a_ij * (y_ji - x[i])
         new[i] = x[i] + c_k * coupling
+    d_stack = objective.subgradient_stack(x)
     for i in range(n_nodes):
-        d_tilde, _ = objective.noisy_subgradient(i, x[i], rng)
-        new[i] -= alpha_k * d_tilde
+        new[i] -= alpha_k * d_stack[i]
     if not np.all(np.isfinite(new)):
         raise DivergenceDetected("non-finite state after per-node step", step=k)
     return new
@@ -517,7 +517,7 @@ def step_compact(states, adjacency, schedule, objective, k,
     c_k = schedule.c(k)
     lin = np.kron(np.eye(n_nodes) - c_k * lap, np.eye(dim)) @ x.reshape(-1)
     noise_term = c_k * (d_mat @ (psi_big @ xi_stacked))
-    d_stack = np.stack([objective.subgradient(i, x[i]) for i in range(n_nodes)])
+    d_stack = objective.subgradient_stack(x)
     grad_term = alpha_k * (d_stack + np.asarray(zeta, dtype=float)).reshape(-1)
     new = lin + noise_term - grad_term
     if not np.all(np.isfinite(new)):
@@ -540,16 +540,28 @@ def step_einsum(x, a, row_sums, alpha_k, c_k, model, z, d_plus_zeta):
     return x + c_k * (consensus + noise) - alpha_k * d_plus_zeta, noise, psi_all
 
 
+def one_node(objective, i):
+    """Node i's one-node problem: its cost is node i's, and its stacked
+    measurement is row i of the objective's."""
+    if isinstance(objective, QuadraticObjective):
+        return QuadraticObjective(objective.targets[i:i + 1])
+    return LassoProblem(x0=objective.x0, covariances=objective.covariances[i:i + 1],
+                        sigma_v=objective.sigma_v[i:i + 1], kappa=objective.kappa)
+
+
+def node_subgradient(objective, i, x):
+    """Node i's subgradient at the one state ``x`` (n,), from its one-node problem."""
+    return one_node(objective, i).subgradient_stack(np.asarray(x, dtype=float)[None, :])[0]
+
+
 def node_zeta_samples(problem, i, x, rng, count):
     """``count`` draws of node i's lasso gradient noise at the frozen state
     ``x``: z drawn as ``(count, dim)``, then v as ``(count,)``, through the
     library's ``zeta_from_draws`` on node i's one-node problem."""
-    node = LassoProblem(x0=problem.x0, covariances=problem.covariances[i:i + 1],
-                        sigma_v=problem.sigma_v[i:i + 1], kappa=problem.kappa)
     z = rng.standard_normal((count, problem.dim))
     v = rng.standard_normal(count)
     x = np.asarray(x, dtype=float)[None, :]
-    return node.zeta_from_draws(x, z[:, None, :], v[:, None])[:, 0]
+    return one_node(problem, i).zeta_from_draws(x, z[:, None, :], v[:, None])[:, 0]
 
 
 def lasso_measurement_loop(problem, states, z, v):

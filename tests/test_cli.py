@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, output overrides."""
 
 import shlex
+import warnings
 
 import pytest
 import yaml
@@ -78,6 +79,21 @@ class TestUsageAndErrors:
         ("graph", {"kind": "markov", "states": [[[0.0, 1.0], [1.0, 0.0]]],
                    "transition": [[float("nan")]]}),
         ("noise", {"sigma": float("inf")}), ("noise", {"b": float("inf")}),
+        ("problem", {"kind": "quadratic", "targets": [[float("inf"), 0.0], [2.0, 0.0]]}),
+        ("problem", {"kind": "quadratic", "targets": [[float("nan"), 0.0], [2.0, 0.0]]}),
+        ("problem", {"kind": "lasso", "x0": [1.0, 0.0], "covariances": "identity",
+                     "sigma_v": float("inf"), "kappa": 0.5, "n_nodes": 2}),
+        ("problem", {"kind": "lasso", "x0": [1.0, 0.0], "covariances": "identity",
+                     "sigma_v": 0.5, "kappa": float("inf"), "n_nodes": 2}),
+        ("problem", {"kind": "lasso", "x0": [float("inf"), 0.0], "covariances": "identity",
+                     "sigma_v": 0.5, "kappa": 0.5, "n_nodes": 2}),
+        ("problem", {"kind": "lasso", "x0": [1.0, 0.0],
+                     "covariances": [[float("inf"), 0.0], [0.0, 1.0]],
+                     "sigma_v": 0.5, "kappa": 0.5, "n_nodes": 2}),
+        ("schedule", {"tau3": float("-inf")}),
+        ("graph", {"weight": float("inf")}), ("graph", {"weight": "abc"}),
+        ("thresholds", {"v_ratio_max": float("nan")}),
+        ("thresholds", {"final_dist_max": float("nan")}),
     ])
     def test_malformed_value_exits_one_with_one_error_line(self, tmp_path, capsys,
                                                            section, values):
@@ -85,14 +101,43 @@ class TestUsageAndErrors:
         data[section] = values if section == "problem" else {**SMALL.get(section, {}),
                                                              **values}
         path = write_cfg(tmp_path, data)
-        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        # A warning would print a line of its own before the error line.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        assert [str(w.message) for w in caught] == []
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith(f"error: {section}")
         # The line names a rejected field, or the section whose constructor rejected it.
         assert any(name in captured.err for name in values) or f"error: {section}: " in captured.err
+        if section == "init":
+            # A malformed init field is named as such.
+            assert any(captured.err.startswith(f"error: init.{name} must") for name in values)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("section,values,needle", [
+        ("init", {"low": [1.0, 2.0, 3.0]},
+         "init.low must broadcast to finite numbers of shape (2,)"),
+        ("init", {"high": [[1.0], [2.0]]},
+         "init.high must broadcast to finite numbers of shape (2,)"),
+        ("init", {"low": "abc"}, "init.low must broadcast to finite numbers of shape (2,)"),
+        ("init", {"kind": "explicit", "states": [[0.0, 0.0], [1.0]]},
+         "init.states must be finite numbers of shape (2, 2)"),
+        ("init", {"kind": "explicit", "states": [[0.0, 0.0]]},
+         "init.states must be finite numbers of shape (2, 2)"),
+        ("init", {"kind": "explicit", "states": [[0.0, 0.0], [1.0, float("inf")]]},
+         "init.states must be finite numbers of shape (2, 2)"),
+        # A weight that is not a number is named, not reported in numpy's words.
+        ("graph", {"weight": "abc"}, "graph.weight must be a finite number"),
+    ])
+    def test_field_the_config_checks_is_named(self, tmp_path, capsys, section, values, needle):
+        path = write_cfg(tmp_path, {**SMALL, section: {**SMALL.get(section, {}), **values}})
+        assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {needle}, got ")
+        assert len(err.splitlines()) == 1
 
     def test_unwritable_output_exits_one_with_one_error_line(self, tmp_path, capsys):
         # The trace names a subdirectory of the output directory that does not exist.

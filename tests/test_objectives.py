@@ -1,9 +1,13 @@
-"""Objective families: costs, subgradient oracles, noise moments, optima."""
+"""Objective families: costs, subgradient oracles, noise moments, optima.
+
+A node's cost, subgradient and noisy measurement are read from its one-node
+problem, as the engine's stacked call measures them."""
 
 import numpy as np
 import pytest
 
-from oracles import CustomObjective, central_difference, node_zeta_samples
+from oracles import (CustomObjective, central_difference, node_subgradient, node_zeta_samples,
+                     one_node)
 from subgradnet import (FactorizationError, LassoProblem, NonConvergenceError,
                         QuadraticObjective, global_optimum, soft_threshold)
 
@@ -17,24 +21,25 @@ class TestLassoRisk:
     def test_at_truth_with_no_penalty(self):
         p = LassoProblem(x0=[1.0, -2.0], covariances=np.stack([np.eye(2)]),
                         sigma_v=[0.7], kappa=0.0)
-        assert p.risk(0, np.array([1.0, -2.0])) == pytest.approx(0.5 * 0.49)
+        assert one_node(p, 0).total_cost(np.array([1.0, -2.0])) == pytest.approx(0.5 * 0.49)
 
     def test_pure_quadratic_value(self):
         p = LassoProblem(x0=[0.0, 0.0], covariances=np.stack([np.eye(2)]),
                         sigma_v=[0.0], kappa=0.0)
-        assert p.risk(0, np.array([3.0, 4.0])) == pytest.approx(12.5)
+        assert one_node(p, 0).total_cost(np.array([3.0, 4.0])) == pytest.approx(12.5)
 
     def test_with_l1_term_direct_formula(self):
         p = LassoProblem(x0=[0.0, 0.0], covariances=np.stack([np.eye(2)]),
                         sigma_v=[0.0], kappa=1.0)
         # oracle: 0.5*(1+1) + 1*(|1|+|-1|) = 3.0
-        assert p.risk(0, np.array([1.0, -1.0])) == pytest.approx(3.0)
+        assert one_node(p, 0).total_cost(np.array([1.0, -1.0])) == pytest.approx(3.0)
 
     def test_total_cost_sums_nodes(self):
         p = LassoProblem(x0=[1.0, 0.0], covariances=np.stack([np.eye(2), 2 * np.eye(2)]),
                         sigma_v=[0.5, 0.25], kappa=0.3)
         x = np.array([0.5, -1.0])
-        assert p.total_cost(x) == pytest.approx(p.risk(0, x) + p.risk(1, x))
+        assert p.total_cost(x) == pytest.approx(one_node(p, 0).total_cost(x)
+                                                + one_node(p, 1).total_cost(x))
 
 
 class TestLassoSubgradient:
@@ -42,7 +47,7 @@ class TestLassoSubgradient:
         x0 = np.array([1.0, -2.0, 0.5])
         p = LassoProblem(x0=x0, covariances=np.stack([np.eye(3)]),
                         sigma_v=[0.0], kappa=0.4)
-        d = p.subgradient(0, x0)
+        d = node_subgradient(p, 0, x0)
         assert np.allclose(d, 0.4 * np.sign(x0))
         assert np.linalg.norm(d) == pytest.approx(0.4 * np.sqrt(3))
 
@@ -50,12 +55,12 @@ class TestLassoSubgradient:
         x0 = np.array([1.0, -2.0])
         p = LassoProblem(x0=x0, covariances=np.stack([np.eye(2)]),
                         sigma_v=[0.0], kappa=0.9)
-        assert np.allclose(p.subgradient(0, np.zeros(2)), -x0)
+        assert np.allclose(node_subgradient(p, 0, np.zeros(2)), -x0)
 
     def test_direct_formula_example(self):
         p = LassoProblem(x0=[1.0, 0.0], covariances=np.stack([np.diag([2.0, 1.0])]),
                         sigma_v=[0.0], kappa=0.5)
-        d = p.subgradient(0, np.array([2.0, -1.0]))
+        d = node_subgradient(p, 0, np.array([2.0, -1.0]))
         # oracle: (2*(2-1) + 0.5, 1*(-1-0) - 0.5)
         assert np.allclose(d, [2.5, -1.5])
 
@@ -64,12 +69,13 @@ class TestLassoSubgradient:
         p = LassoProblem(x0=[1.0, -0.5, 0.0],
                         covariances=np.stack([np.eye(3), np.diag([2.0, 1.0, 0.5])]),
                         sigma_v=[0.2, 0.4], kappa=0.7)
+        nodes = [one_node(p, i) for i in range(2)]
         for _ in range(10_000):
-            i = int(rng.integers(2))
+            node = nodes[int(rng.integers(2))]
             x_bar = rng.normal(size=3) * 3.0
             x = rng.normal(size=3) * 3.0
-            lhs = p.risk(i, x_bar) + p.subgradient(i, x_bar) @ (x - x_bar)
-            assert lhs <= p.risk(i, x) + 1e-9
+            lhs = node.total_cost(x_bar) + node.subgradient_stack(x_bar[None])[0] @ (x - x_bar)
+            assert lhs <= node.total_cost(x) + 1e-9
 
     def test_linear_growth_bound(self):
         rng = np.random.default_rng(11)
@@ -78,7 +84,8 @@ class TestLassoSubgradient:
         sig, cd = p.sigma_d[0], p.c_d[0]
         for _ in range(10_000):
             x = rng.normal(size=2) * rng.uniform(0.0, 1000.0)
-            assert np.linalg.norm(p.subgradient(0, x)) <= sig * np.linalg.norm(x) + cd + 1e-9
+            assert np.linalg.norm(p.subgradient_stack(x[None])[0]) <= (
+                sig * np.linalg.norm(x) + cd + 1e-9)
 
     def test_smooth_part_matches_central_differences(self):
         rng = np.random.default_rng(12)
@@ -89,7 +96,7 @@ class TestLassoSubgradient:
         for _ in range(20):
             x = rng.normal(size=3) * 2.0
             x[np.abs(x) < 0.1] = 0.35  # stay away from kinks
-            grad = p.subgradient(0, x) - p.kappa * np.sign(x)
+            grad = node_subgradient(p, 0, x) - p.kappa * np.sign(x)
             fd = central_difference(smooth, x)
             assert np.linalg.norm(grad - fd) <= 1e-6 * (1.0 + np.linalg.norm(x))
 
@@ -100,7 +107,8 @@ class TestNoisySubgradient:
                         sigma_v=[0.0], kappa=0.2)
         rng = np.random.default_rng(0)
         for _ in range(10):
-            d_tilde, zeta = p.noisy_subgradient(0, rng.normal(size=2), rng)
+            factors = p.noise_factors(rng.standard_normal((1, 2)), rng.standard_normal(1))
+            d, zeta = p.subgradient_stack(rng.normal(size=(1, 2)), factors)
             assert np.all(zeta == 0.0)
 
     def test_mean_at_truth_within_mc_band(self):
@@ -151,19 +159,6 @@ class TestNoisySubgradient:
             LassoProblem(x0=[0.0, 0.0], covariances=np.stack([np.diag([1.0, -0.5])]),
                         sigma_v=[0.0], kappa=0.0)
 
-    def test_single_draw_matches_batched_construction(self):
-        cov = np.array([[1.2, 0.2], [0.2, 0.9]])
-        p = LassoProblem(x0=[0.3, -0.6], covariances=np.stack([cov]),
-                        sigma_v=[0.4], kappa=0.2)
-        x = np.array([1.0, 2.0])
-        d_tilde, zeta = p.noisy_subgradient(0, x, np.random.default_rng(7))
-        rng = np.random.default_rng(7)
-        z = rng.standard_normal(2)
-        v = rng.standard_normal()
-        again = p.zeta_from_draws(x[None, :], z[None, :], np.array([v]))
-        assert np.allclose(d_tilde - p.subgradient(0, x), zeta)
-        assert np.allclose(zeta, again[0], atol=1e-12)
-
 
 class TestQuadraticObjective:
     def test_two_point_midpoint(self):
@@ -194,11 +189,12 @@ class TestQuadraticObjective:
     def test_subgradient_inequality_randomized(self):
         rng = np.random.default_rng(21)
         obj = QuadraticObjective(rng.normal(size=(4, 3)))
+        nodes = [one_node(obj, i) for i in range(4)]
         for _ in range(10_000):
-            i = int(rng.integers(4))
+            node = nodes[int(rng.integers(4))]
             x_bar, x = rng.normal(size=3) * 5, rng.normal(size=3) * 5
-            lhs = obj.cost(i, x_bar) + obj.subgradient(i, x_bar) @ (x - x_bar)
-            assert lhs <= obj.cost(i, x) + 1e-9
+            lhs = node.total_cost(x_bar) + node.subgradient_stack(x_bar[None])[0] @ (x - x_bar)
+            assert lhs <= node.total_cost(x) + 1e-9
 
     def test_stacked_gradient_bound(self):
         # ||d||^2 <= 2 sigma_d^2 ||X||^2 + 2 N C_d^2 at stacked level
@@ -290,9 +286,10 @@ class TestGrowthConstantsInvariant:
             sigma_v=[0.2, 0.1, 0.5], kappa=0.4)
         for obj in (quad, lasso):
             sig, cd = obj.sigma_d, obj.c_d
+            nodes = [one_node(obj, i) for i in range(obj.n_nodes)]
             for _ in range(10_000):
                 i = int(rng.integers(obj.n_nodes))
                 x = rng.normal(size=obj.dim)
                 x *= rng.uniform(0.0, 1000.0) / max(np.linalg.norm(x), 1e-9)
-                d = obj.subgradient(i, x)
+                d = nodes[i].subgradient_stack(x[None])[0]
                 assert np.linalg.norm(d) <= sig[i] * np.linalg.norm(x) + cd[i] + 1e-9

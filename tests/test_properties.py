@@ -1,6 +1,7 @@
 """Property tests of the batched step kernel, the engine around it, the lasso
-measurement, the counter-addressed graph draws, the connectivity report and
-the numpy summation orders the engine's cheaper sums repeat.
+measurement, a node's one-node problem, the counter-addressed graph draws, the
+connectivity report and the numpy summation orders the engine's cheaper sums
+repeat.
 
 Criterion 8 compares 1-worker and 8-worker aggregates exactly, which holds
 only if a replication's arithmetic is the same in every batch it lands in.
@@ -14,8 +15,8 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import (apply_step, connectivity_report_loop, draw_channel_noise, kernel,
                      lasso_measurement_loop, lasso_measurement_matmul,
-                     lasso_noise_factors_matmul, receiver_draws, sample_block_per_key,
-                     step_per_node)
+                     lasso_noise_factors_matmul, one_node, receiver_draws,
+                     sample_block_per_key, step_per_node)
 from subgradnet import (CommNoiseModel, DeterministicCycle, IndependentEdges,
                         InitialStates, LassoProblem, MarkovSwitching,
                         QuadraticObjective, StepSchedule, joint_connectivity_report)
@@ -417,6 +418,83 @@ def test_diagonal_lasso_products_have_the_block_products_bits(case):
     d_ws, zeta_ws = problem.subgradient_stack(x, (u_ws, uv_ws), out=np.empty_like(x), ws=ws)
     assert _same_bits(u_ws, u_ref) and _same_bits(uv_ws, uv_ref)
     assert _same_bits(d_ws, d_ref) and _same_bits(zeta_ws, zeta_ref)
+
+
+@st.composite
+def node_slice_cases(draw):
+    dim = draw(st.integers(1, 4))
+    n_nodes = draw(st.integers(1, 4))
+    return dict(
+        dim=dim,
+        n_nodes=n_nodes,
+        quadratic=draw(st.booleans()),
+        # A dense node makes the whole stack dense; the others' one-node
+        # problems stay identity or diagonal and take the elementwise path.
+        kinds=draw(st.lists(st.sampled_from(["identity", "diagonal", "dense"]),
+                            min_size=n_nodes, max_size=n_nodes)),
+        lead=draw(st.sampled_from([(), (3,), (2, 3)])),
+        seed=draw(st.integers(0, 2 ** 32 - 1)),
+    )
+
+
+def _measure(objective, x, z, v, ws=None):
+    """``(d,)`` of a quadratic or ``(d, zeta)`` of a lasso for the states
+    ``x`` and draws ``z``, ``v``; with a workspace, as the engine calls it."""
+    out = np.empty_like(x)
+    if isinstance(objective, QuadraticObjective):
+        return (objective.subgradient_stack(x, out=out, ws=ws),)
+    into = None if ws is None else (np.empty_like(z), np.empty_like(z))
+    factors = objective.noise_factors(z, v, out=into)
+    return objective.subgradient_stack(x, factors, out=out, ws=ws)
+
+
+@settings(max_examples=100, deadline=None)
+@given(node_slice_cases())
+def test_one_node_problem_measures_its_row_of_the_stacked_call(case):
+    rng = np.random.default_rng(case["seed"])
+    dim, n, lead = case["dim"], case["n_nodes"], case["lead"]
+    if case["quadratic"]:
+        objective = QuadraticObjective(rng.normal(size=(n, dim)))
+    else:
+        covs = []
+        for kind in case["kinds"]:
+            if kind == "identity":
+                covs.append(np.eye(dim))
+            elif kind == "diagonal":
+                diag = rng.random(dim) + 0.5
+                diag[rng.random(dim) < 0.3] = 0.0
+                covs.append(np.diag(diag))
+            else:
+                m = rng.normal(size=(dim, dim))
+                covs.append(m @ m.T)
+        x0 = rng.normal(size=dim)
+        x0[0] = 0.0
+        objective = LassoProblem(x0=x0, covariances=np.stack(covs),
+                                 sigma_v=rng.random(n), kappa=float(rng.random()))
+    x = rng.normal(size=lead + (n, dim)) * 3.0
+    # Kinks of the L1 term at zeros of both signs; with x0[0] = 0 they are
+    # zeros of both signs of x - x0 too.  The draws hold -0 as well.
+    x[..., 0] = rng.choice(np.array([0.0, -0.0]), size=lead + (n,))
+    z = rng.normal(size=lead + (n, dim))
+    z[..., -1] = -0.0
+    v = rng.normal(size=lead + (n,))
+
+    full = _measure(objective, x, z, v)
+    for got, want in zip(_measure(objective, x, z, v, objective.workspace(lead)), full):
+        assert _same_bits(got, want)
+    for i in range(n):
+        node, row = one_node(objective, i), (Ellipsis, slice(i, i + 1), slice(None))
+        x_i, z_i, v_i = x[row], z[row], v[..., i:i + 1]
+        for ws in (None, node.workspace(lead)):
+            for got, want in zip(_measure(node, x_i, z_i, v_i, ws), full):
+                assert _same_bits(got, want[row])
+
+    # The nodes' costs add up to the total cost, node averages shaped lead + (n,).
+    avg = rng.normal(size=lead + (dim,)) * 3.0
+    avg[..., 0] = 0.0
+    total = objective.total_cost(avg)
+    parts = sum(one_node(objective, i).total_cost(avg) for i in range(n))
+    assert np.all(np.abs(parts - total) <= 1e-12 * np.abs(total))
 
 
 def test_shipped_a2_takes_the_elementwise_path_and_a_dense_stack_does_not(config_dir):
