@@ -16,7 +16,9 @@ kappa fields are numbers, the graph weight and thresholds finite numbers and
 the count fields integers, that the output names are nonempty strings and
 name two files, the problem's required fields, the node counts across
 sections, that the initial states are finite numbers of the problem's shape,
-and that c(k) decreases over the simulated horizon.
+that alpha(k) and c(k) and their squares stay positive normal floats up to
+the longer of the run and verification horizons, and that c(k) decreases
+over the simulated horizon.
 """
 
 import contextlib
@@ -321,9 +323,23 @@ def validate_config(cfg):
         _require(ini.states is not None, "init.states is required for explicit init")
         _finite_array("init", "states", ini.states, (objective.n_nodes, objective.dim))
 
-    # The schedule pair must decay monotonically over the simulated horizon.
+    # The gains and their squares, which the condition checks sum, must stay
+    # positive normal floats on every step the run and the checks read: a
+    # subnormal gain loses the precision that makes c(k) decrease, and then
+    # rounds to 0.  alpha decreases and c has at most one interior maximum,
+    # so each is least at an end.
     with _section("schedule"):
         schedule = build_schedule(cfg)
+    last = max(run.horizon, cfg.verify.horizon)
+    least = math.sqrt(np.finfo(float).tiny)
+    for name, gain in (("alpha1", "alpha"), ("alpha2", "c")):
+        if not np.all(getattr(schedule, gain)(np.array([0, last])) >= least):
+            raise ValidationError(
+                f"schedule.{name}={getattr(cfg.schedule, name)} makes {gain}(k) "
+                f"underflow by k={last}; {gain}(k) must stay at least {least}, "
+                "where its square is a normal float, up to "
+                "max(run.horizon, verify.horizon)")
+    # The schedule pair must decay monotonically over the simulated horizon.
     ks = np.arange(min(run.horizon, 1_000_000) + 1)
     c_vals = schedule.c(ks)
     if not np.all(np.diff(c_vals) < 0):

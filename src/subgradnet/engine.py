@@ -165,13 +165,22 @@ def _check_divergence(hist, k0, rep_indices):
     return s_sq
 
 
+def _pair_operands(x):
+    """The views of states ``x`` that the kernel broadcasts into the pair
+    differences, dim-leading: ``x_j[d]`` along each row and ``x_i[d]`` along
+    each column."""
+    xt = x.transpose((x.ndim - 1,) + tuple(range(x.ndim - 1)))
+    return xt[..., None, :], xt[..., :, None]
+
+
 def _kernel(lead, n_nodes, dim, model):
     """The step kernel for states shaped ``lead + (N, dim)``, with its
     workspace: ``step(x, a, row_sums, alpha_k, c_k, z, d_plus_zeta, out,
-    psi=None)`` writes the next state into ``out`` and the intensities of
-    ``model`` into ``psi`` (its own buffer when not given), and returns the
-    next state, the channel-noise sum (overwritten by the next call) and the
-    intensities.
+    psi=None, pairs=None)`` writes the next state into ``out`` and the
+    intensities of ``model`` into ``psi`` (its own buffer when not given),
+    and returns the next state, the channel-noise sum (overwritten by the
+    next call) and the intensities.  ``pairs`` is ``_pair_operands(x)``,
+    which a caller that steps from the same buffers makes once.
 
     ``row_sums`` is broadcastable against ``x``: ``(..., N, 1)``, or ``x``'s
     shape, which spares the multiply a broadcast.  ``z[..., i, :]`` is
@@ -184,7 +193,6 @@ def _kernel(lead, n_nodes, dim, model):
     Every contraction is per slice, so one replication's arithmetic does not
     depend on how many share the stack.
     """
-    axes = (len(lead) + 1,) + tuple(range(len(lead) + 1))
     diff = np.empty((dim,) + lead + (n_nodes, n_nodes))
     diff_0, diff_rest = diff[0], list(diff[1:])
     own_psi = np.empty(lead + (n_nodes, n_nodes))
@@ -198,13 +206,13 @@ def _kernel(lead, n_nodes, dim, model):
     add, subtract, multiply, sqrt = np.add, np.subtract, np.multiply, np.sqrt
     copyto, matmul, einsum = np.copyto, np.matmul, _einsum
 
-    def step(x, a, row_sums, alpha_k, c_k, z, d_plus_zeta, out, psi=None):
-        xt = x.transpose(axes)
+    def step(x, a, row_sums, alpha_k, c_k, z, d_plus_zeta, out, psi=None, pairs=None):
+        x_rows, x_cols = _pair_operands(x) if pairs is None else pairs
         # x_j[d] into row i, then x_i[d] minus it: numpy buffers each
         # broadcast operand of a call, so one per call keeps that buffer to
         # one operand's.
-        copyto(diff, xt[..., None, :])
-        subtract(xt[..., :, None], diff, diff)
+        copyto(diff, x_rows)
+        subtract(x_cols, diff, diff)
         multiply(diff, diff, diff)
         if psi is None:
             psi = own_psi
@@ -375,7 +383,14 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
     # the buffer would make a new view per step.
     hist_t, graphs_t, rows_t = list(hist), list(graphs), list(row_sums_x)
     z_t, d_t, psi_max_t = list(z_chan), list(d_hist), list(psi_max)
+    # The gains alpha(k) and c(k) of each step go to the kernel as 0-d views
+    # of a buffer refilled once per sub-span: numpy converts a Python float
+    # operand anew on every call.  Iterating a row would make copies.
+    gains = np.empty((2, span))
+    alpha_t = [gains[0, t, ...] for t in range(span)]
+    c_t = [gains[1, t, ...] for t in range(span)]
     psi_t = list(bufs.psi) if keep_psi else [None] * span
+    pairs_t = [_pair_operands(x) for x in hist_t[:span]]
     if has_zeta:
         factors_t = list(zip(bufs.u, bufs.uv))
         # Step-major views of the draws, which noise_factors reads in place.
@@ -424,7 +439,7 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
             zeta = None
             d_stack = step_src = measure(x, d_t[t], obj_ws)
         x_new, noise, psi = step(x, graphs_t[t], rows_t[t], alpha_k, c_k, z_t[t], step_src,
-                                 hist_t[t + 1], psi_t[t])
+                                 hist_t[t + 1], psi_t[t], pairs_t[t])
         if not keep_psi:
             np.maximum.reduce(psi, axis=(1, 2), out=psi_max_t[t])
         if check_stride and k % check_stride == 0:
@@ -438,7 +453,7 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
     for k0 in range(0, horizon, span):
         s = min(span, horizon - k0)
         step_ks = np.arange(k0, k0 + s)
-        alphas, cs = schedule.alpha(step_ks).tolist(), schedule.c(step_ks).tolist()
+        gains[0, :s], gains[1, :s] = schedule.alpha(step_ks), schedule.c(step_ks)
         _, graph_state = process.sample_block(graph_keys, k0, s, state=graph_state,
                                               out=graphs[:s].swapaxes(0, 1))
         _row_sums(graphs[:s], row_sums[:s])
@@ -453,11 +468,11 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             for t in range(s):
                 try:
-                    advance(t, k0 + t, alphas[t], cs[t])
+                    advance(t, k0 + t, alpha_t[t], c_t[t])
                 except FloatingPointError:
                     _check_divergence(hist[:t + 1], k0, rep_indices)
                     with np.errstate(**fp_modes):
-                        advance(t, k0 + t, alphas[t], cs[t])
+                        advance(t, k0 + t, alpha_t[t], c_t[t])
         if keep_psi:
             _row_max(bufs.psi[:s].reshape(s * reps, -1), psi_max[:s].reshape(-1))
         observe(k0, hist[:s], d_hist[:s], psi_max[:s])

@@ -12,16 +12,30 @@ catch: code identities (``psi_bound``, ``d_bound``, ``recursion_identity``),
 numeric verdicts on the paper's step-size conditions (``condition_C1``-``C5``),
 Monte Carlo statistics (``v_ratio``, ``final_dist``) and the envelope check
 (``c1_sup_early``).
+
+The Monte Carlo reads neither the connectivity report nor the condition
+verdicts, so on Linux both run in a forked child while it runs, and the
+parent collects them afterwards.  A child that gives no result, having
+raised or died, costs only its head start: the parent then runs the stages
+itself.  An error of the stages takes precedence over a package error of
+the Monte Carlo, as when they ran first; any other exception kills the
+child.
 """
 
 import contextlib
+import functools
 import os
+import pickle
+import signal
+import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import config as cfgmod
 from .engine import default_record_ks, monte_carlo
+from .errors import SubgradNetError
 from .graphs import joint_connectivity_report
 from .objectives import global_optimum
 from .stepsize import verify_conditions
@@ -200,6 +214,115 @@ def _staged_outputs(paths):
                 os.remove(temp)
 
 
+# Whether the connectivity report and the condition checks run in a forked
+# child while the Monte Carlo runs (os.fork and a pipe; multiprocessing
+# would add about 1.6 MB to the run's RSS); elsewhere they run in line
+# before it.
+_FORK_SETUP = sys.platform.startswith("linux")
+
+
+def _setup_stages(cfg, objective, process, model, schedule):
+    """The stages the summary needs and the Monte Carlo does not: the
+    connectivity report, the constants and the C1-C5 verdicts at C0."""
+    report, constants = estimate_constants(cfg, objective, process, model)
+    # The condition thresholds are calibrated at horizon 1e6 (notably C2's
+    # required drop); shorter horizons can flag a valid schedule.
+    conditions = verify_conditions(schedule.alpha, schedule.c, constants.C0,
+                                   cfg.verify.horizon)
+    return report, constants, conditions
+
+
+def _reissue(shown):
+    """Warn with each of a child's recorded warnings, under the module and
+    registry of the code that raised it, as if it had been raised here.  A
+    file that no loaded module has gets warn_explicit's defaults."""
+    for message, category, filename, lineno in shown:
+        mod = next((mod for mod in list(sys.modules.values())
+                    if getattr(mod, "__file__", None) == filename), None)
+        where = {} if mod is None else {
+            "module": mod.__name__,
+            "registry": vars(mod).setdefault("__warningregistry__", {})}
+        warnings.warn_explicit(message, category, filename, lineno, **where)
+
+
+class _ForkedStages:
+    """``stages()`` run in a forked child; :meth:`result` waits for it.
+
+    The child sends its result and the warnings it recorded, pickled, through
+    a pipe and exits 0, or exits 1 if anything fails; it never returns into
+    the caller's code.  The parent's write end is closed at once, so no
+    process started later holds it, and end of file means the child is done.
+    """
+
+    def __init__(self, stages):
+        self._stages = stages
+        read_fd, write_fd = os.pipe()
+        try:
+            self._pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self._pid == 0:
+            code = 1
+            try:
+                os.close(read_fd)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    result = stages()
+                shown = [(w.message, w.category, w.filename, w.lineno) for w in caught]
+                with os.fdopen(write_fd, "wb") as pipe:
+                    pipe.write(pickle.dumps((result, shown), pickle.HIGHEST_PROTOCOL))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_fd)
+        self._read_fd = read_fd
+
+    def result(self):
+        """The child's result, its warnings issued here; when it gave none,
+        having raised or died, the stages run in line."""
+        try:
+            with os.fdopen(self._read_fd, "rb") as pipe:
+                payload = pipe.read()
+        except BaseException:
+            os.kill(self._pid, signal.SIGKILL)
+            raise
+        finally:
+            status = os.waitpid(self._pid, 0)[1]
+        if os.waitstatus_to_exitcode(status) != 0:
+            return self._stages()
+        result, shown = pickle.loads(payload)
+        _reissue(shown)
+        return result
+
+    def kill(self):
+        os.close(self._read_fd)
+        os.kill(self._pid, signal.SIGKILL)
+        os.waitpid(self._pid, 0)
+
+
+class _InlineStages:
+    """``stages()`` run at once, where nothing is or can be forked."""
+
+    def __init__(self, stages):
+        self._result = stages()
+
+    def result(self):
+        return self._result
+
+    def kill(self):
+        pass
+
+
+def _start_stages(stages):
+    """``stages()`` in a forked child, or run now where none can be forked."""
+    if _FORK_SETUP:
+        with contextlib.suppress(OSError):  # no process to be had
+            return _ForkedStages(stages)
+    return _InlineStages(stages)
+
+
 def run_experiment(cfg, out_dir=None):
     """Full pipeline: constants, condition verdicts, Monte Carlo, files.
 
@@ -222,18 +345,26 @@ def run_experiment(cfg, out_dir=None):
         init = cfgmod.build_init(cfg)
         x_star, f_star = global_optimum(objective)
 
-        report, constants = estimate_constants(cfg, objective, process, model)
-        # The condition thresholds are calibrated at horizon 1e6 (notably C2's
-        # required drop); shorter horizons can flag a valid schedule.
-        conditions = verify_conditions(schedule.alpha, schedule.c, constants.C0,
-                                       cfg.verify.horizon)
-
+        # numpy.random loads on first use; loaded before the fork, it loads
+        # once, not in both processes.
+        report_stream(cfg.run.seed)
+        setup = _start_stages(functools.partial(_setup_stages, cfg, objective, process,
+                                                model, schedule))
         record_ks = default_record_ks(cfg.run.horizon, cfg.run.dense_until,
                                       cfg.run.record_stride)
-        mc = monte_carlo(objective, process, model, schedule, cfg.run.horizon,
-                         cfg.run.seed, cfg.run.reps, x_star, f_star, init=init,
-                         record_ks=record_ks, check_stride=cfg.run.check_stride,
-                         workers=cfg.run.workers)
+        try:
+            mc = monte_carlo(objective, process, model, schedule, cfg.run.horizon,
+                             cfg.run.seed, cfg.run.reps, x_star, f_star, init=init,
+                             record_ks=record_ks, check_stride=cfg.run.check_stride,
+                             workers=cfg.run.workers)
+        except SubgradNetError:
+            # A setup error comes first, as if the stages had run before.
+            setup.result()
+            raise
+        except BaseException:
+            setup.kill()
+            raise
+        report, constants, conditions = setup.result()
 
         # The growth envelope beta = exp(C0 * sum alpha) judges the run's
         # mean squared state norm; C1_hat is their largest ratio.

@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, exit codes, output overrides."""
 
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -23,6 +26,23 @@ def write_cfg(tmp_path, data=None, name="cfg.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(data or SMALL), encoding="utf-8")
     return str(path)
+
+
+def test_single_worker_run_imports_no_process_pool(tmp_path):
+    # multiprocessing and concurrent.futures add about 1.6 MB to a run's RSS;
+    # only a process pool needs them.  A fresh interpreter, so no earlier
+    # test has imported them.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys\n"
+            "from subgradnet.cli import main\n"
+            "assert main(['run', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "print([name in sys.modules for name in "
+            "('multiprocessing', 'concurrent.futures')])\n")
+    done = subprocess.run([sys.executable, "-c", code, write_cfg(tmp_path), str(tmp_path / "o")],
+                          env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.splitlines()[-1] == "[False, False]"
 
 
 class TestUsageAndErrors:
@@ -91,6 +111,11 @@ class TestUsageAndErrors:
                      "covariances": [[float("inf"), 0.0], [0.0, 1.0]],
                      "sigma_v": 0.5, "kappa": 0.5, "n_nodes": 2}),
         ("schedule", {"tau3": float("-inf")}),
+        # Subnormal gains: alpha(k) reaches 0 inside verification's horizon,
+        # and c(k) stops decreasing once its values are too few to order.
+        # Gains of 1e-300 are normal, but their squares are 0.
+        ("schedule", {"alpha1": 1e-320}), ("schedule", {"alpha2": 1e-320}),
+        ("schedule", {"alpha1": 1e-300}), ("schedule", {"alpha2": 1e-300}),
         ("graph", {"weight": float("inf")}), ("graph", {"weight": "abc"}),
         ("thresholds", {"v_ratio_max": float("nan")}),
         ("thresholds", {"final_dist_max": float("nan")}),

@@ -2,6 +2,7 @@
 
 import inspect
 import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -512,11 +513,17 @@ class TestCappedIntensity:
         assert psi(model, np.zeros(2)) == 0.5
 
 
+_TEST_PROCESS = os.getpid()
+
+
 class ExitingObjective(QuadraticObjective):
-    """Ends the process that measures it, as a killed worker would."""
+    """Ends any process but the test's that measures it, as a killed worker
+    would."""
 
     def subgradient_stack(self, states, out=None, ws=None):
-        os._exit(1)
+        if os.getpid() != _TEST_PROCESS:
+            os._exit(1)
+        return super().subgradient_stack(states, out, ws)
 
 
 class TestLostWorker:
@@ -526,10 +533,17 @@ class TestLostWorker:
         proc = IndependentEdges(base=np.ones((2, 2)) - np.eye(2), prob=0.9)
         model = CommNoiseModel(sigma=0.1, b=0.1, noise_dim=2)
         x_star, f_star = self.OBJECTIVE.optimum()
+        # In this process the objective measures, so only the pool's workers die.
+        monte_carlo(self.OBJECTIVE, proc, model, StepSchedule(), 20, 0, 2, x_star, f_star)
+        start = time.perf_counter()
         with pytest.raises(WorkerLost) as info:
             monte_carlo(self.OBJECTIVE, proc, model, StepSchedule(), 20, 0, 2,
                         x_star, f_star, workers=2)
+        assert time.perf_counter() - start < 10.0
         assert isinstance(info.value, SubgradNetError)
+        # The pool reaped its workers.
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_cli_run_exits_one_with_one_line(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(config, "build_objective", lambda cfg: self.OBJECTIVE)
