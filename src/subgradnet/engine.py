@@ -176,7 +176,7 @@ def _pair_operands(x):
 def _kernel(lead, n_nodes, dim, model):
     """The step kernel for states shaped ``lead + (N, dim)``, with its
     workspace: ``step(x, a, row_sums, alpha_k, c_k, z, d_plus_zeta, out,
-    psi=None, pairs=None)`` writes the next state into ``out`` and the
+    pairs, psi=None)`` writes the next state into ``out`` and the
     intensities of ``model`` into ``psi`` (its own buffer when not given),
     and returns the next state, the channel-noise sum (overwritten by the
     next call) and the intensities.  ``pairs`` is ``_pair_operands(x)``,
@@ -206,8 +206,8 @@ def _kernel(lead, n_nodes, dim, model):
     add, subtract, multiply, sqrt = np.add, np.subtract, np.multiply, np.sqrt
     copyto, matmul, einsum = np.copyto, np.matmul, _einsum
 
-    def step(x, a, row_sums, alpha_k, c_k, z, d_plus_zeta, out, psi=None, pairs=None):
-        x_rows, x_cols = _pair_operands(x) if pairs is None else pairs
+    def step(x, a, row_sums, alpha_k, c_k, z, d_plus_zeta, out, pairs, psi=None):
+        x_rows, x_cols = pairs
         # x_j[d] into row i, then x_i[d] minus it: numpy buffers each
         # broadcast operand of a call, so one per call keeps that buffer to
         # one operand's.
@@ -439,7 +439,7 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
             zeta = None
             d_stack = step_src = measure(x, d_t[t], obj_ws)
         x_new, noise, psi = step(x, graphs_t[t], rows_t[t], alpha_k, c_k, z_t[t], step_src,
-                                 hist_t[t + 1], psi_t[t], pairs_t[t])
+                                 hist_t[t + 1], pairs_t[t], psi_t[t])
         if not keep_psi:
             np.maximum.reduce(psi, axis=(1, 2), out=psi_max_t[t])
         if check_stride and k % check_stride == 0:

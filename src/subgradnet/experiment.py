@@ -14,20 +14,24 @@ Monte Carlo statistics (``v_ratio``, ``final_dist``) and the envelope check
 (``c1_sup_early``).
 
 The Monte Carlo reads neither the connectivity report nor the condition
-verdicts, so on Linux both run in a forked child while it runs, and the
-parent collects them afterwards.  A child that gives no result, having
-raised or died, costs only its head start: the parent then runs the stages
-itself.  An error of the stages takes precedence over a package error of
-the Monte Carlo, as when they ran first; any other exception kills the
-child.
+verdicts, so on Linux, when the process has one thread and a CPU beyond the
+Monte Carlo's workers, both run in a forked child while it runs, and the
+parent collects them afterwards.  A child that gives no result in time,
+having raised, died or hung, costs only its head start and a bounded wait:
+the parent then runs the stages itself.  An error of the stages takes
+precedence over a package error of the Monte Carlo, as when they ran first;
+any other exception kills the child.
 """
 
 import contextlib
 import functools
 import os
 import pickle
+import select
 import signal
 import sys
+import threading
+import time
 import warnings
 from dataclasses import dataclass
 
@@ -214,11 +218,22 @@ def _staged_outputs(paths):
                 os.remove(temp)
 
 
-# Whether the connectivity report and the condition checks run in a forked
-# child while the Monte Carlo runs (os.fork and a pipe; multiprocessing
-# would add about 1.6 MB to the run's RSS); elsewhere they run in line
-# before it.
+# Whether the connectivity report and the condition checks may run in a
+# forked child while the Monte Carlo runs (os.fork and a pipe;
+# multiprocessing would add about 1.6 MB to the run's RSS); elsewhere they
+# run in line before it.
 _FORK_SETUP = sys.platform.startswith("linux")
+# The least time the parent waits, after the Monte Carlo, for a child that
+# has not answered before it kills it and runs the stages itself.
+_MIN_WAIT_S = 1.0
+
+
+def _fork_pays(workers):
+    """Whether to fork the stages: a child copies no thread but the caller's,
+    so a lock another thread holds would stay held in it for good, and it
+    only gains time on a CPU that the Monte Carlo's ``workers`` leave idle."""
+    return (_FORK_SETUP and threading.active_count() == 1
+            and len(os.sched_getaffinity(0)) > workers)
 
 
 def _setup_stages(cfg, objective, process, model, schedule):
@@ -278,21 +293,34 @@ class _ForkedStages:
                 os._exit(code)
         os.close(write_fd)
         self._read_fd = read_fd
+        self._started = time.monotonic()
 
     def result(self):
-        """The child's result, its warnings issued here; when it gave none,
-        having raised or died, the stages run in line."""
+        """The child's result, its warnings issued here.  The wait lasts at
+        most as long as the child has already had, or ``_MIN_WAIT_S`` if that
+        is longer; a child that gave no result by then, having raised, died or
+        hung, is killed and the stages run in line."""
+        now = time.monotonic()
+        deadline = now + max(now - self._started, _MIN_WAIT_S)
+        poller = select.poll()
+        poller.register(self._read_fd, select.POLLIN)
+        chunks, done = [], False
         try:
-            with os.fdopen(self._read_fd, "rb") as pipe:
-                payload = pipe.read()
-        except BaseException:
-            os.kill(self._pid, signal.SIGKILL)
-            raise
+            while not done:
+                left = deadline - time.monotonic()
+                if left <= 0 or not poller.poll(left * 1000):
+                    break
+                chunk = os.read(self._read_fd, 1 << 16)
+                chunks.append(chunk)
+                done = not chunk
         finally:
+            os.close(self._read_fd)
+            if not done:
+                os.kill(self._pid, signal.SIGKILL)
             status = os.waitpid(self._pid, 0)[1]
         if os.waitstatus_to_exitcode(status) != 0:
             return self._stages()
-        result, shown = pickle.loads(payload)
+        result, shown = pickle.loads(b"".join(chunks))
         _reissue(shown)
         return result
 
@@ -302,25 +330,13 @@ class _ForkedStages:
         os.waitpid(self._pid, 0)
 
 
-class _InlineStages:
-    """``stages()`` run at once, where nothing is or can be forked."""
-
-    def __init__(self, stages):
-        self._result = stages()
-
-    def result(self):
-        return self._result
-
-    def kill(self):
-        pass
-
-
-def _start_stages(stages):
-    """``stages()`` in a forked child, or run now where none can be forked."""
-    if _FORK_SETUP:
+def _start_stages(stages, workers):
+    """``stages()`` started in a forked child, or None where forking does not
+    pay or no process can be had."""
+    if _fork_pays(workers):
         with contextlib.suppress(OSError):  # no process to be had
             return _ForkedStages(stages)
-    return _InlineStages(stages)
+    return None
 
 
 def run_experiment(cfg, out_dir=None):
@@ -348,8 +364,10 @@ def run_experiment(cfg, out_dir=None):
         # numpy.random loads on first use; loaded before the fork, it loads
         # once, not in both processes.
         report_stream(cfg.run.seed)
-        setup = _start_stages(functools.partial(_setup_stages, cfg, objective, process,
-                                                model, schedule))
+        stages = functools.partial(_setup_stages, cfg, objective, process, model,
+                                   schedule)
+        child = _start_stages(stages, cfg.run.workers)
+        setup = stages() if child is None else None
         record_ks = default_record_ks(cfg.run.horizon, cfg.run.dense_until,
                                       cfg.run.record_stride)
         try:
@@ -359,12 +377,14 @@ def run_experiment(cfg, out_dir=None):
                              workers=cfg.run.workers)
         except SubgradNetError:
             # A setup error comes first, as if the stages had run before.
-            setup.result()
+            if child is not None:
+                child.result()
             raise
         except BaseException:
-            setup.kill()
+            if child is not None:
+                child.kill()
             raise
-        report, constants, conditions = setup.result()
+        report, constants, conditions = setup if child is None else child.result()
 
         # The growth envelope beta = exp(C0 * sum alpha) judges the run's
         # mean squared state norm; C1_hat is their largest ratio.

@@ -390,7 +390,8 @@ def kernel(x, a, row_sums, alpha_k, c_k, model, z, d_plus_zeta):
                                d_plus_zeta.shape[:-2])
     x = np.broadcast_to(x, lead + x.shape[-2:])
     return engine._kernel(lead, *x.shape[-2:], model)(x, a, row_sums, alpha_k, c_k, z,
-                                                      d_plus_zeta, np.empty(x.shape))
+                                                      d_plus_zeta, np.empty(x.shape),
+                                                      engine._pair_operands(x))
 
 
 def apply_step(states, adjacency, alpha_k, c_k, model, xi, d_plus_zeta):

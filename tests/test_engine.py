@@ -18,7 +18,8 @@ from subgradnet import (CommNoiseModel, DeterministicCycle,
                         MarkovSwitching, QuadraticObjective, StepSchedule, SubgradNetError,
                         WorkerLost, cli, config, default_record_ks, laplacian,
                         monte_carlo)
-from subgradnet.engine import _center, _first_divergence, _kernel, replication_stream
+from subgradnet.engine import (_center, _first_divergence, _kernel, _pair_operands,
+                               replication_stream)
 
 
 def zero_objective(n_nodes, dim):
@@ -174,7 +175,8 @@ class TestKernelWorkspace:
         psi_buf = np.full((reps, n, n), np.nan) if given_psi else None
         x, a, rs, alpha_k, c_k, model, z, d = ops
         got = _kernel((reps,), n, dim, model)(x, a, rs, alpha_k, c_k, z, d,
-                                              np.empty((reps, n, dim)), psi_buf)
+                                              np.empty((reps, n, dim)),
+                                              _pair_operands(x), psi_buf)
         if given_psi:
             assert got[2] is psi_buf
         return got, step_einsum(*ops)
@@ -211,7 +213,7 @@ class TestKernelWorkspace:
         # The engine's row sums come expanded to the states' shape.
         for rs in (row_sums, np.broadcast_to(row_sums, x.shape).copy()):
             step, out = _kernel(lead, n, dim, model), np.empty(x.shape)
-            got = step(x, a, rs, 0.3, 0.7, z, d, out)
+            got = step(x, a, rs, 0.3, 0.7, z, d, out, _pair_operands(x))
             diff = inspect.getclosurevars(step).nonlocals["diff"]
             assert diff.shape == (dim,) + lead + (n, n)
             assert all(diff_d.flags.c_contiguous for diff_d in diff)
@@ -223,13 +225,14 @@ class TestKernelWorkspace:
         ops = kernel_operands(np.random.default_rng(0), reps, n, dim)
         step, out = _kernel((reps,), n, dim, ops[5]), np.empty((reps, n, dim))
         args = ops[:5] + ops[6:]
+        pairs = _pair_operands(args[0])
         tracemalloc.start()
         try:
-            step(*args, out)
+            step(*args, out, pairs)
             base = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             for _ in range(10):
-                step(*args, out)
+                step(*args, out, pairs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

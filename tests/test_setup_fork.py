@@ -1,6 +1,7 @@
 """The connectivity report and the C1-C5 checks in a forked child: the same
-results as in line, a fallback when the child fails, the run's error
-precedence, no process left behind, and warnings that reach the parent."""
+results as in line, a fallback when the child fails or hangs, no fork where
+another thread runs or no CPU is idle, the run's error precedence, no
+process left behind, and warnings that reach the parent."""
 
 import os
 import pathlib
@@ -8,6 +9,8 @@ import pickle
 import signal
 import subprocess
 import sys
+import threading
+import time
 import warnings
 
 import pytest
@@ -56,6 +59,12 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.fixture(autouse=True)
+def spare_cpu(monkeypatch):
+    """Two CPUs for the one-worker runs here, so the fork pays on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
 @pytest.fixture
 def stage_pids(monkeypatch, tmp_path):
     """Wraps ``verify_conditions`` so that each call appends its process id
@@ -97,6 +106,48 @@ def test_child_killed_mid_stage_gives_the_same_outputs(tmp_path, monkeypatch):
     assert setup_results(res) == setup_results(reference)
     assert outputs(res) == outputs(reference)
     assert_no_child()
+
+
+def test_a_hung_child_is_killed_and_the_stages_run_in_line(tmp_path, monkeypatch,
+                                                           stage_pids):
+    reference = run_experiment(small_cfg(), out_dir=str(tmp_path / "reference"))
+    original = experiment.verify_conditions
+
+    def hangs_in_child(*args, **kwargs):
+        if os.getpid() != PARENT:
+            time.sleep(60.0)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "verify_conditions", hangs_in_child)
+    monkeypatch.setattr(experiment, "_MIN_WAIT_S", 0.2)
+    start = time.monotonic()
+    res = run_experiment(small_cfg(), out_dir=str(tmp_path / "hung"))
+    assert time.monotonic() - start < 10.0
+    assert stage_pids()[-1] == PARENT
+    assert setup_results(res) == setup_results(reference)
+    assert outputs(res) == outputs(reference)
+    assert_no_child()
+
+
+def test_no_fork_while_another_thread_runs(tmp_path, stage_pids):
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        run_experiment(small_cfg(), out_dir=str(tmp_path / "out"))
+    finally:
+        release.set()
+        other.join()
+    assert stage_pids() == [PARENT]
+
+
+@pytest.mark.parametrize("cpus, workers", [(1, 1), (2, 2)])
+def test_no_fork_without_an_idle_cpu(tmp_path, monkeypatch, stage_pids, cpus, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    run_experiment(small_cfg({"run": {"horizon": 200, "reps": 2, "seed": 5,
+                                      "check_stride": 50, "workers": workers}}),
+                   out_dir=str(tmp_path / "out"))
+    assert stage_pids() == [PARENT]
 
 
 def test_setup_error_wins_over_a_divergence(tmp_path, monkeypatch):
