@@ -6,9 +6,8 @@ additive and relative-state multiplicative noise, using diminishing consensus
 and descent step sizes.
 """
 
-from .config import (ExperimentConfig, build_init, build_noise, build_objective,
-                     build_process, build_schedule, config_from_dict,
-                     load_config, save_config, validate_config)
+from .config import (ExperimentConfig, config_from_dict, load_config, save_config,
+                     validate_config)
 from .engine import (InitialStates, MonteCarloResult, default_record_ks,
                      monte_carlo)
 from .errors import (ConfigError, DivergenceDetected, FactorizationError,

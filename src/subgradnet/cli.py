@@ -51,7 +51,7 @@ def _build_parser():
     p_ver = sub.add_parser("verify-schedule", help="check step-size conditions")
     p_ver.add_argument("--config", required=True)
     p_ver.add_argument("--C", dest="C", type=float, default=1.0)
-    p_ver.add_argument("--horizon", type=int, default=1_000_000)
+    p_ver.add_argument("--horizon", type=int, default=None)
 
     p_gr = sub.add_parser("graph-report", help="joint-connectivity report")
     p_gr.add_argument("--config", required=True)
@@ -64,8 +64,9 @@ def _build_parser():
     return parser
 
 
-def _load_with_overrides(args, section, names):
-    """The unvalidated ``--config``, with each given flag of ``names`` set in ``cfg.<section>``."""
+def _load_with_overrides(args, section=None, names=()):
+    """The unvalidated ``--config``, with each given flag of ``names`` set in
+    ``cfg.<section>``; the caller validates it and keeps what that builds."""
     cfg = cfgmod.load_config(args.config, _validate=False)
     for name in names:
         if getattr(args, name) is not None:
@@ -96,10 +97,10 @@ def _cmd_run(args):
 
 
 def _cmd_verify_schedule(args):
-    cfg = cfgmod.load_config(args.config)
-    schedule = cfgmod.build_schedule(cfg)
+    cfg = _load_with_overrides(args, "verify", ("horizon",))
+    schedule = cfgmod.validate_config(cfg).schedule
     try:
-        report = verify_conditions(schedule.alpha, schedule.c, args.C, args.horizon)
+        report = verify_conditions(schedule.alpha, schedule.c, args.C, cfg.verify.horizon)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -109,11 +110,8 @@ def _cmd_verify_schedule(args):
 
 
 def _cmd_graph_report(args):
-    cfg = cfgmod.validate_config(
-        _load_with_overrides(args, "connectivity", ("h", "windows", "reps")))
-    objective = cfgmod.build_objective(cfg)
-    process = cfgmod.build_process(cfg)
-    model = cfgmod.build_noise(cfg, objective.dim)
+    cfg = _load_with_overrides(args, "connectivity", ("h", "windows", "reps"))
+    objective, process, model, _, _ = cfgmod.validate_config(cfg)
     report, constants = estimate_constants(cfg, objective, process, model)
     print(f"h = {report.h}")
     print("lambda2_per_window = ["
@@ -126,8 +124,7 @@ def _cmd_graph_report(args):
 
 
 def _cmd_optimum(args):
-    cfg = cfgmod.load_config(args.config)
-    objective = cfgmod.build_objective(cfg)
+    objective = cfgmod.validate_config(_load_with_overrides(args)).objective
     x_star, f_star = global_optimum(objective)
     print("x_star = [" + ", ".join(repr(float(v)) for v in np.atleast_1d(x_star)) + "]")
     print(f"f_star = {f_star!r}")

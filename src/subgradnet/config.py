@@ -9,8 +9,10 @@ Each rule has one home.  A constructor owns the ranges of what it builds:
 ``StepSchedule`` the step-size family, ``CommNoiseModel`` the nonnegative
 sigma, b and cap, ``QuadraticObjective`` its finite targets, ``LassoProblem``
 its finite data with nonnegative kappa and sigma_v, the graph processes their
-matrices.  :func:`validate_config` builds each of them and reports a
-rejection as a ``ValidationError`` prefixed with the section.  It checks
+matrices.  :func:`validate_config` builds each of them once, reports a
+rejection as a ``ValidationError`` prefixed with the section, and returns
+what it built as a :class:`RunObjects`, from which every caller takes the
+objects of its run.  It checks
 itself only what no constructor sees: that the schedule, noise and lasso
 kappa fields are numbers, the graph weight and thresholds finite numbers and
 the count fields integers, that the output names are nonempty strings and
@@ -24,7 +26,8 @@ over the simulated horizon.
 import contextlib
 import math
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -143,18 +146,7 @@ class ExperimentConfig:
     thresholds: ThresholdsConfig = field(default_factory=ThresholdsConfig)
 
 
-_SECTIONS = {
-    "problem": ProblemConfig,
-    "graph": GraphConfig,
-    "noise": NoiseConfig,
-    "schedule": ScheduleConfig,
-    "run": RunConfig,
-    "init": InitConfig,
-    "connectivity": ConnectivityConfig,
-    "verify": VerifyConfig,
-    "output": OutputConfig,
-    "thresholds": ThresholdsConfig,
-}
+_SECTIONS = {f.name: f.default_factory for f in fields(ExperimentConfig)}
 
 
 def _build_section(name, cls, data):
@@ -172,7 +164,9 @@ def _build_section(name, cls, data):
 
 def config_from_dict(data):
     """Build and validate an experiment configuration from a nested dict."""
-    return validate_config(_build_config(data))
+    cfg = _build_config(data)
+    validate_config(cfg)
+    return cfg
 
 
 def _build_config(data):
@@ -188,8 +182,8 @@ def _build_config(data):
 def load_config(path, *, _validate=True):
     """Load and validate an experiment configuration from a YAML file.
 
-    ``_validate=False`` leaves the validation to the caller, for ``run`` and
-    ``graph-report``, whose overrides must be applied before it.
+    ``_validate=False`` leaves the validation to the caller, which applies
+    its overrides first and keeps the objects :func:`validate_config` builds.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -199,7 +193,9 @@ def load_config(path, *, _validate=True):
     except yaml.YAMLError as exc:
         raise ParseError(f"cannot parse config file {path}: {exc}") from exc
     cfg = _build_config(data if data is not None else {})
-    return validate_config(cfg) if _validate else cfg
+    if _validate:
+        validate_config(cfg)
+    return cfg
 
 
 def save_config(cfg, path):
@@ -259,9 +255,20 @@ def _section(name):
         raise ValidationError(f"{name}: {exc}") from exc
 
 
+class RunObjects(NamedTuple):
+    """The objects :func:`validate_config` built from a config and checked."""
+
+    objective: object
+    process: object
+    noise: CommNoiseModel
+    schedule: StepSchedule
+    init: InitialStates
+
+
 def validate_config(cfg):
     """Check the rules only the config can state, then build the objects whose
-    constructors check the rest; every failure names its section."""
+    constructors check the rest; every failure names its section.  Returns
+    the objects built, so that no caller builds them again."""
     run = cfg.run
     for name, low in (("horizon", 1), ("reps", 1), ("workers", 1), ("seed", 0),
                       ("dense_until", 0), ("record_stride", 1), ("check_stride", 0)):
@@ -310,7 +317,7 @@ def validate_config(cfg):
              f"graph.n_nodes {process.n_nodes} must match the problem's "
              f"{objective.n_nodes} nodes")
     with _section("noise"):
-        build_noise(cfg, objective.dim)
+        noise = build_noise(cfg)
 
     ini = cfg.init
     _require(ini.kind in ("uniform", "explicit"),
@@ -322,32 +329,37 @@ def validate_config(cfg):
     else:
         _require(ini.states is not None, "init.states is required for explicit init")
         _finite_array("init", "states", ini.states, (objective.n_nodes, objective.dim))
+    init = build_init(cfg)
 
     # The gains and their squares, which the condition checks sum, must stay
     # positive normal floats on every step the run and the checks read: a
     # subnormal gain loses the precision that makes c(k) decrease, and then
-    # rounds to 0.  alpha decreases and c has at most one interior maximum,
-    # so each is least at an end.
+    # rounds to 0; an infinite one, or one whose square is, makes the sums
+    # infinite.  alpha decreases, and c, once it decreases at k=0, decreases
+    # for good, so each is largest at k=0 and least at the last step.  The
+    # gains are formed with numpy's warnings off: an overflow is reported
+    # here, in one line.
     with _section("schedule"):
         schedule = build_schedule(cfg)
+    sch = cfg.schedule
     last = max(run.horizon, cfg.verify.horizon)
-    least = math.sqrt(np.finfo(float).tiny)
-    for name, gain in (("alpha1", "alpha"), ("alpha2", "c")):
-        if not np.all(getattr(schedule, gain)(np.array([0, last])) >= least):
-            raise ValidationError(
-                f"schedule.{name}={getattr(cfg.schedule, name)} makes {gain}(k) "
-                f"underflow by k={last}; {gain}(k) must stay at least {least}, "
-                "where its square is a normal float, up to "
-                "max(run.horizon, verify.horizon)")
-    # The schedule pair must decay monotonically over the simulated horizon.
-    ks = np.arange(min(run.horizon, 1_000_000) + 1)
-    c_vals = schedule.c(ks)
-    if not np.all(np.diff(c_vals) < 0):
-        bad = int(np.argmax(np.diff(c_vals) >= 0))
+    least, most = math.sqrt(np.finfo(float).tiny), math.sqrt(np.finfo(float).max)
+    with np.errstate(all="ignore"):
+        for gain, cause in (("alpha", f"schedule.alpha1={sch.alpha1} makes"),
+                            ("c", f"schedule.alpha2={sch.alpha2} and tau3={sch.tau3} make")):
+            for k, value in zip((0, last), getattr(schedule, gain)(np.array([0, last]))):
+                if not least <= value <= most:
+                    raise ValidationError(
+                        f"{cause} {gain}({k}) = {value}; {gain}(k) must stay in "
+                        f"[{least}, {most}], where its square is a normal float, "
+                        "up to max(run.horizon, verify.horizon)")
+        # The schedule pair must decay monotonically over the simulated horizon.
+        steps = np.diff(schedule.c(np.arange(min(run.horizon, 1_000_000) + 1)))
+    if not np.all(steps < 0):
         raise ValidationError(
-            f"schedule.tau3={cfg.schedule.tau3} makes c(k) non-decreasing at k={bad}; "
-            "c must decrease over the simulated horizon")
-    return cfg
+            f"schedule.tau3={sch.tau3} makes c(k) non-decreasing at "
+            f"k={int(np.argmax(steps >= 0))}; c must decrease over the simulated horizon")
+    return RunObjects(objective, process, noise, schedule, init)
 
 
 def build_objective(cfg):
@@ -394,11 +406,11 @@ def build_process(cfg):
         f"graph.kind must be 'deterministic', 'independent' or 'markov', got {g.kind!r}")
 
 
-def build_noise(cfg, dim):
+def build_noise(cfg):
     noi = cfg.noise
     cap = None if noi.cap is None else _number("noise", "cap", noi.cap)
     return CommNoiseModel(sigma=_number("noise", "sigma", noi.sigma),
-                          b=_number("noise", "b", noi.b), noise_dim=int(dim), cap=cap)
+                          b=_number("noise", "b", noi.b), cap=cap)
 
 
 def build_schedule(cfg):

@@ -92,7 +92,6 @@ def estimate_constants(cfg, objective, process, model):
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    config: object
     constants: ExperimentConstants
     report: object
     conditions: object
@@ -348,17 +347,12 @@ def run_experiment(cfg, out_dir=None):
     and they replace the outputs only when the run completes, so a failed
     run leaves an earlier run's files intact.
     """
-    cfgmod.validate_config(cfg)
+    objective, process, model, schedule, init = cfgmod.validate_config(cfg)
     directory = out_dir if out_dir is not None else cfg.output.directory
     os.makedirs(directory, exist_ok=True)
     trace_path = os.path.join(directory, cfg.output.trace)
     summary_path = os.path.join(directory, cfg.output.summary)
     with _staged_outputs((trace_path, summary_path)) as (trace_tmp, summary_tmp):
-        objective = cfgmod.build_objective(cfg)
-        process = cfgmod.build_process(cfg)
-        model = cfgmod.build_noise(cfg, objective.dim)
-        schedule = cfgmod.build_schedule(cfg)
-        init = cfgmod.build_init(cfg)
         x_star, f_star = global_optimum(objective)
 
         # numpy.random loads on first use; loaded before the fork, it loads
@@ -399,7 +393,7 @@ def run_experiment(cfg, out_dir=None):
         _write_trace(trace_tmp, mc, beta_log)
         _write_summary(summary_tmp, cfg, constants, report, conditions, mc, c1_hat,
                        c1_at, verdicts, all_pass, x_star, f_star)
-    return ExperimentResult(config=cfg, constants=constants, report=report,
+    return ExperimentResult(constants=constants, report=report,
                             conditions=conditions, mc=mc, beta_log=beta_log,
                             verdicts=verdicts, all_pass=all_pass, trace_path=trace_path,
                             summary_path=summary_path)

@@ -16,7 +16,7 @@ stack one ``sample_block`` call fills a ``(K, count, N, N)`` ``out`` as K calls 
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -361,8 +361,6 @@ class LaplacianStats:
     moment_estimate: float
     rho0_hat: float
     rho1_hat: float
-    windows: int = field(default=0)
-    reps: int = field(default=0)
 
     @property
     def theta_hat(self):
@@ -429,8 +427,6 @@ def joint_connectivity_report(process, h, windows, reps, stream):
         moment_estimate=norm_moment,
         rho0_hat=norm_moment ** (1.0 / q),
         rho1_hat=edge_moment,
-        windows=windows,
-        reps=reps,
     )
 
 

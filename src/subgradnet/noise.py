@@ -27,7 +27,6 @@ class CommNoiseModel:
 
     sigma: float
     b: float
-    noise_dim: int
     cap: float = None
 
     def __post_init__(self):
@@ -35,8 +34,6 @@ class CommNoiseModel:
             raise ValueError(f"sigma must be nonnegative and finite, got {self.sigma}")
         if not 0 <= self.b < np.inf:
             raise ValueError(f"b must be nonnegative and finite, got {self.b}")
-        if self.noise_dim < 1:
-            raise ValueError("noise_dim must be at least 1")
         if self.cap is not None and not self.cap >= 0:
             raise ValueError(f"cap must be nonnegative, got {self.cap}")
         # 0-d arrays: a ufunc converts a Python float operand on every call,

@@ -259,8 +259,7 @@ def connectivity_report_loop(process, h, windows, reps, stream):
             edge_moment = max(edge_moment, float(edges.mean()))
         lam2.append(lambda2(lap_sum / n_reps, tol=1e-8))
     return LaplacianStats(h=h, lambda2_per_window=lam2, moment_estimate=norm_moment,
-                          rho0_hat=norm_moment ** (1.0 / q), rho1_hat=edge_moment,
-                          windows=windows, reps=reps)
+                          rho0_hat=norm_moment ** (1.0 / q), rho1_hat=edge_moment)
 
 
 @dataclass(frozen=True)
@@ -329,9 +328,9 @@ def psi(model, delta):
     return val
 
 
-def draw_xi(model, rng):
-    """One channel-noise vector with unit second moment."""
-    return rng.standard_normal(model.noise_dim) / np.sqrt(model.noise_dim)
+def draw_xi(dim, rng):
+    """One channel-noise vector of ``dim`` entries with unit second moment."""
+    return rng.standard_normal(dim) / np.sqrt(dim)
 
 
 def measure_state(model, x_j, x_i, rng):
@@ -340,23 +339,24 @@ def measure_state(model, x_j, x_i, rng):
     x_i = np.asarray(x_i, dtype=float)
     if x_j.shape != x_i.shape:
         raise ValueError("state vectors must share a shape")
-    return x_j + psi(model, x_j - x_i) * draw_xi(model, rng)
+    return x_j + psi(model, x_j - x_i) * draw_xi(x_j.size, rng)
 
 
-def draw_channel_noise(model, adjacency, rng):
-    """Channel noises for every active channel of one realized graph.
+def draw_channel_noise(states, adjacency, rng):
+    """Channel noises for every active channel of one realized graph, each of
+    the dimension of the ``(N, dim)`` states.
 
     Returns an (N, N, dim) array with entry [j, i] holding xi_ji; inactive
     channels stay zero.  Draws happen in lexicographic (j, i) order so that
     different consumers of the same stream see identical values.
     """
     a = np.asarray(adjacency, dtype=float)
-    n_nodes = a.shape[0]
-    xi = np.zeros((n_nodes, n_nodes, model.noise_dim))
+    n_nodes, dim = np.shape(states)
+    xi = np.zeros((n_nodes, n_nodes, dim))
     for j in range(n_nodes):
         for i in range(n_nodes):
             if a[i, j] != 0.0:
-                xi[j, i] = draw_xi(model, rng)
+                xi[j, i] = draw_xi(dim, rng)
     return xi
 
 
@@ -445,7 +445,7 @@ def stacked_noise_matrices(model, states, adjacency, rng, xi=None):
     a = np.asarray(adjacency, dtype=float)
     n_nodes, dim = x.shape
     if xi is None:
-        xi = draw_channel_noise(model, a, rng)
+        xi = draw_channel_noise(x, a, rng)
     psi_all = psi_matrix(model, x)
     eye = np.eye(dim)
     big = n_nodes * n_nodes * dim
@@ -482,7 +482,7 @@ def step_per_node(states, adjacency, schedule, model, objective, rng, k):
     assert not objective.has_gradient_noise
     x = np.asarray(states, dtype=float)
     n_nodes, dim = x.shape
-    xi = draw_channel_noise(model, adjacency, rng)
+    xi = draw_channel_noise(x, adjacency, rng)
     alpha_k = schedule.alpha(k)
     c_k = schedule.c(k)
     new = np.empty_like(x)

@@ -64,7 +64,7 @@ class TestCriterion1AlgebraicIdentity:
             n = int(rng.integers(2, 6))
             dim = int(rng.integers(1, 4))
             model = CommNoiseModel(sigma=float(rng.random()),
-                                   b=float(rng.random()), noise_dim=dim)
+                                   b=float(rng.random()))
             objective = QuadraticObjective(rng.normal(size=(n, dim)))
             x = rng.normal(size=(n, dim)) * 3.0
             a = rng.normal(size=(n, n)) * (rng.random((n, n)) < 0.7)
@@ -74,7 +74,7 @@ class TestCriterion1AlgebraicIdentity:
             via_node = step_per_node(x, a, SCHED, model, objective,
                                      np.random.default_rng(seed), k)
             rng2 = np.random.default_rng(seed)
-            xi = draw_channel_noise(model, a, rng2)
+            xi = draw_channel_noise(x, a, rng2)
             factors = stacked_noise_matrices(model, x, a, rng2, xi=xi)
             via_compact = step_compact(x, a, SCHED, objective, k, *factors,
                                        zeta=np.zeros((n, dim)))
@@ -159,7 +159,7 @@ class TestCriterion5NoiseStatistics:
         start = time.perf_counter()
         rng = np.random.default_rng(555)
         n, dim, draws = 5, 2, 100_000
-        model = CommNoiseModel(sigma=0.1, b=0.1, noise_dim=dim)
+        model = CommNoiseModel(sigma=0.1, b=0.1)
         x = rng.normal(size=(n, dim)) * 2.0
         a = (rng.random((n, n)) < 0.8).astype(float)
         np.fill_diagonal(a, 0.0)

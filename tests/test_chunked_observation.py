@@ -55,7 +55,7 @@ class TestChunkEdges:
         process = DeterministicCycle([base * rng.uniform(0.1, 0.5, base.shape)
                                       for _ in range(3)])
         objective = QuadraticObjective(rng.normal(size=(n_nodes, dim)))
-        model = CommNoiseModel(sigma=0.0, b=0.0, noise_dim=dim)
+        model = CommNoiseModel(sigma=0.0, b=0.0)
         return objective, process, model, StepSchedule(), InitialStates.uniform(-3.0, 3.0)
 
     def _run(self, horizon):
@@ -101,7 +101,7 @@ def test_batched_optimality_gap_equals_single_state_calls():
                              sigma_v=0.3, kappa=0.1)
     base = np.ones((n_nodes, n_nodes)) - np.eye(n_nodes)
     process = IndependentEdges(base=0.4 * base, prob=0.7, perturb=0.6)
-    model = CommNoiseModel(sigma=0.3, b=0.2, noise_dim=dim)
+    model = CommNoiseModel(sigma=0.3, b=0.2)
     x_star, f_star = global_optimum(objective)
     out = _run_batch(objective, process, model, StepSchedule(), 1100, 4,
                      list(range(REPS)), x_star, f_star, InitialStates.uniform(-2.0, 2.0),
@@ -129,7 +129,7 @@ class _MidChunkDivergence:
     objective = _cubic_objective(N_NODES, 5e-5)
     # Negative weights make node disagreement grow until the cubic term takes over.
     process = DeterministicCycle([-0.4 * (np.ones((N_NODES, N_NODES)) - np.eye(N_NODES))])
-    model = CommNoiseModel(sigma=0.0, b=0.0, noise_dim=1)
+    model = CommNoiseModel(sigma=0.0, b=0.0)
     schedule, init = StepSchedule(), InitialStates.uniform(-1.0, 1.0)
 
     @classmethod
@@ -235,7 +235,7 @@ def test_run_that_does_not_diverge_keeps_its_warnings():
         dim=1, sigma_d_values=[1.0] * 3, c_d_values=list(np.abs(targets[:, 0])))
     plain = QuadraticObjective(targets)
     process = IndependentEdges(base=np.ones((3, 3)) - np.eye(3), prob=0.8)
-    model = CommNoiseModel(sigma=0.1, b=0.1, noise_dim=1)
+    model = CommNoiseModel(sigma=0.1, b=0.1)
     args = (process, model, StepSchedule(), 40, 2, [0, 1], np.ones(1), 1.0,
             InitialStates(), default_record_ks(40), 0)
     with warnings.catch_warnings(record=True) as caught:

@@ -116,6 +116,10 @@ class TestUsageAndErrors:
         # Gains of 1e-300 are normal, but their squares are 0.
         ("schedule", {"alpha1": 1e-320}), ("schedule", {"alpha2": 1e-320}),
         ("schedule", {"alpha1": 1e-300}), ("schedule", {"alpha2": 1e-300}),
+        # Gains whose squares overflow, and a c(0) that is infinite because
+        # ln(3) ** tau3 underflows to 0.
+        ("schedule", {"alpha1": 1e200}), ("schedule", {"alpha2": 1e200}),
+        ("schedule", {"tau3": -100000.0}),
         ("graph", {"weight": float("inf")}), ("graph", {"weight": "abc"}),
         ("thresholds", {"v_ratio_max": float("nan")}),
         ("thresholds", {"final_dist_max": float("nan")}),
@@ -244,6 +248,27 @@ class TestVerifySchedule:
         assert all(line.endswith("holds-numerically") for line in lines)
         assert [line.split(":")[0] for line in lines] == ["C1", "C2", "C3", "C4", "C5"]
 
+    def test_horizon_defaults_to_the_configs(self, tmp_path, monkeypatch):
+        from subgradnet import cli
+        horizons = []
+        original = cli.verify_conditions
+        monkeypatch.setattr(cli, "verify_conditions", lambda alpha, c, C, horizon: (
+            horizons.append(horizon) or original(alpha, c, C, horizon)))
+        path = write_cfg(tmp_path, dict(SMALL, verify={"horizon": 2000}))
+        assert main(["verify-schedule", "--config", path]) == 0
+        assert main(["verify-schedule", "--config", path, "--horizon", "3000"]) == 0
+        assert horizons == [2000, 3000]
+
+    def test_infinite_gain_exits_one_with_one_line(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, dict(SMALL, schedule={"tau3": -100000.0}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify-schedule", "--config", path]) == 1
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: schedule.") and "tau3" in err
+        assert len(err.splitlines()) == 1
+
 
 class TestGraphReport:
     def test_prints_estimates(self, tmp_path, capsys):
@@ -339,6 +364,22 @@ class TestRun:
         assert main(["run", "--config", path, "--out", str(flag_dir)]) == 0
         assert (flag_dir / "trace.csv").exists()
         assert not (tmp_path / "env_out2").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "graph-report", "verify-schedule", "optimum"])
+def test_each_command_builds_each_object_once(tmp_path, monkeypatch, command):
+    from subgradnet import config
+    calls = {}
+
+    def counted(name, build):
+        return lambda cfg: calls.update({name: calls.get(name, 0) + 1}) or build(cfg)
+
+    for name in ("objective", "process", "noise", "schedule", "init"):
+        monkeypatch.setattr(config, f"build_{name}",
+                            counted(name, getattr(config, f"build_{name}")))
+    out = ["--out", str(tmp_path / "o")] if command == "run" else []
+    assert main([command, "--config", write_cfg(tmp_path)] + out) == 0
+    assert calls and max(calls.values()) == 1, calls
 
 
 class TestModuleEntryPoint:

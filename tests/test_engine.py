@@ -66,13 +66,13 @@ class TestStepEquivalence:
     def test_no_coupling_no_descent_leaves_state(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(3, 2))
-        model = CommNoiseModel(sigma=0.0, b=0.0, noise_dim=2)
+        model = CommNoiseModel(sigma=0.0, b=0.0)
         out = step_per_node(x, np.zeros((3, 3)), StepSchedule(), model,
                             zero_objective(3, 2), rng, k=0)
         assert np.array_equal(out, x)
 
     def test_exact_averaging_step(self):
-        model = CommNoiseModel(sigma=0.0, b=0.0, noise_dim=1)
+        model = CommNoiseModel(sigma=0.0, b=0.0)
         sched = schedule_with(c0=0.5)
         x = np.array([[4.0], [-2.0]])
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -87,8 +87,7 @@ class TestStepEquivalence:
         for trial in range(1000):
             n = int(rng.integers(2, 6))
             dim = int(rng.integers(1, 4))
-            model = CommNoiseModel(sigma=float(rng.random()), b=float(rng.random()),
-                                   noise_dim=dim)
+            model = CommNoiseModel(sigma=float(rng.random()), b=float(rng.random()))
             objective = QuadraticObjective(rng.normal(size=(n, dim)))
             x = rng.normal(size=(n, dim)) * 3.0
             a = random_adjacency(rng, n)
@@ -97,7 +96,7 @@ class TestStepEquivalence:
             via_node = step_per_node(x, a, sched, model, objective,
                                      np.random.default_rng(seed), k)
             rng2 = np.random.default_rng(seed)
-            xi = draw_channel_noise(model, a, rng2)
+            xi = draw_channel_noise(x, a, rng2)
             d_mat, psi_big, xi_stacked = stacked_noise_matrices(model, x, a, rng2, xi=xi)
             zeta = np.zeros((n, dim))
             via_compact = step_compact(x, a, sched, objective, k,
@@ -110,7 +109,7 @@ class TestStepEquivalence:
         sched = StepSchedule()
         for _ in range(200):
             n, dim = 4, 2
-            model = CommNoiseModel(sigma=0.4, b=0.2, noise_dim=dim)
+            model = CommNoiseModel(sigma=0.4, b=0.2)
             objective = QuadraticObjective(rng.normal(size=(n, dim)))
             x = rng.normal(size=(n, dim))
             a = random_adjacency(rng, n)
@@ -118,7 +117,7 @@ class TestStepEquivalence:
             k = int(rng.integers(0, 50))
             via_node = step_per_node(x, a, sched, model, objective,
                                      np.random.default_rng(seed), k)
-            xi = draw_channel_noise(model, a, np.random.default_rng(seed))
+            xi = draw_channel_noise(x, a, np.random.default_rng(seed))
             d = objective.subgradient_stack(x)
             via_apply = apply_step(x, a, sched.alpha(k), sched.c(k), model, xi, d)
             assert np.max(np.abs(via_node - via_apply)) < 1e-12
@@ -127,7 +126,7 @@ class TestStepEquivalence:
         rng = np.random.default_rng(9)
         sched = StepSchedule()
         n, dim = 4, 3
-        model = CommNoiseModel(sigma=0.0, b=0.0, noise_dim=dim)
+        model = CommNoiseModel(sigma=0.0, b=0.0)
         x = rng.normal(size=(n, dim))
         a = random_adjacency(rng, n)
         k = 5
@@ -140,7 +139,7 @@ class TestStepEquivalence:
         rng = np.random.default_rng(10)
         sched = StepSchedule()
         n, dim = 5, 2
-        model = CommNoiseModel(sigma=0.0, b=0.0, noise_dim=dim)
+        model = CommNoiseModel(sigma=0.0, b=0.0)
         a = rng.random((n, n))
         a = a + a.T  # symmetric, hence balanced
         np.fill_diagonal(a, 0.0)
@@ -158,8 +157,7 @@ def kernel_operands(rng, reps, n, dim, cap=None):
     x = rng.normal(size=(reps, n, dim)) * 3.0
     a = rng.normal(size=(reps, n, n)) * (rng.random((reps, n, n)) < 0.7)
     a[:, np.arange(n), np.arange(n)] = 0.0
-    model = CommNoiseModel(sigma=float(rng.random()), b=float(rng.random()),
-                           noise_dim=dim, cap=cap)
+    model = CommNoiseModel(sigma=float(rng.random()), b=float(rng.random()), cap=cap)
     z = rng.standard_normal((reps, n, dim)) / np.sqrt(dim)
     return (x, a, a.sum(axis=-1)[..., None], 0.3, 0.7, model, z,
             rng.normal(size=(reps, n, dim)))
@@ -205,7 +203,7 @@ class TestKernelWorkspace:
         n = 5
         x = rng.normal(size=lead + (n, dim)) * 3.0
         a = rng.normal(size=lead + (n, n)) * (rng.random(lead + (n, n)) < 0.7)
-        model = CommNoiseModel(sigma=0.4, b=0.2, noise_dim=dim)
+        model = CommNoiseModel(sigma=0.4, b=0.2)
         z = rng.standard_normal(x.shape) / np.sqrt(dim)
         d = rng.normal(size=x.shape)
         row_sums = a.sum(axis=-1)[..., None]
@@ -260,7 +258,7 @@ class TestCenter:
 class TestDeltaRecursion:
     def test_noise_and_gradient_free_identity(self):
         rng = np.random.default_rng(11)
-        model = CommNoiseModel(sigma=0.0, b=0.0, noise_dim=2)
+        model = CommNoiseModel(sigma=0.0, b=0.0)
         sched = StepSchedule()
         x = rng.normal(size=(4, 2))
         a = random_adjacency(rng, 4)
@@ -275,12 +273,11 @@ class TestDeltaRecursion:
         for _ in range(300):
             n = int(rng.integers(2, 6))
             dim = int(rng.integers(1, 4))
-            model = CommNoiseModel(sigma=float(rng.random()), b=float(rng.random()),
-                                   noise_dim=dim)
+            model = CommNoiseModel(sigma=float(rng.random()), b=float(rng.random()))
             objective = QuadraticObjective(rng.normal(size=(n, dim)))
             x = rng.normal(size=(n, dim)) * 2.0
             a = random_adjacency(rng, n)
-            xi = draw_channel_noise(model, a, rng)
+            xi = draw_channel_noise(x, a, rng)
             zeta = rng.normal(size=(n, dim))
             disc = delta_recursion_check(x, a, sched, model, objective,
                                          int(rng.integers(0, 100)), xi, zeta)
@@ -289,11 +286,11 @@ class TestDeltaRecursion:
 
     def test_consensus_start_leaves_only_noise_term(self):
         rng = np.random.default_rng(13)
-        model = CommNoiseModel(sigma=0.3, b=0.1, noise_dim=2)
+        model = CommNoiseModel(sigma=0.3, b=0.1)
         sched = StepSchedule()
         x = np.tile(rng.normal(size=2), (4, 1))
         a = random_adjacency(rng, 4, allow_negative=False)
-        xi = draw_channel_noise(model, a, rng)
+        xi = draw_channel_noise(x, a, rng)
         disc = delta_recursion_check(x, a, sched, model, zero_objective(4, 2),
                                      0, xi, np.zeros((4, 2)))
         assert disc < 1e-12
@@ -306,7 +303,7 @@ class TestRunTrajectory:
     def test_zero_horizon_single_record_of_initial_state(self):
         obj = QuadraticObjective(np.zeros((3, 2)))
         proc = DeterministicCycle([np.ones((3, 3)) - np.eye(3)])
-        model = CommNoiseModel(sigma=0.1, b=0.1, noise_dim=2)
+        model = CommNoiseModel(sigma=0.1, b=0.1)
         mc = monte_carlo(obj, proc, model, StepSchedule(), 0, 7, 1,
                          x_star=np.zeros(2), f_star=0.0)
         assert mc.per_rep["V"].shape == (1, 1)
@@ -315,7 +312,7 @@ class TestRunTrajectory:
     def test_same_seed_bit_identical_records(self):
         obj = QuadraticObjective(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
         proc = IndependentEdges(base=np.ones((3, 3)) - np.eye(3), prob=0.7)
-        model = CommNoiseModel(sigma=0.2, b=0.1, noise_dim=2)
+        model = CommNoiseModel(sigma=0.2, b=0.1)
         x_star, f_star = obj.optimum()
         args = (obj, proc, model, StepSchedule(), 500, 99, 1)
         mc1 = monte_carlo(*args, x_star=x_star, f_star=f_star)
@@ -335,7 +332,7 @@ class TestRunTrajectory:
         obj = QuadraticObjective(np.tile(target, (3, 1)))
         path = np.array([[0.0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float)
         proc = DeterministicCycle([path])
-        model = CommNoiseModel(sigma=0.0, b=0.0, noise_dim=2)
+        model = CommNoiseModel(sigma=0.0, b=0.0)
         x_star, f_star = obj.optimum()
         mc = monte_carlo(obj, proc, model, schedule_with(alpha1=5.0), 10_000, 42, 1,
                          x_star=x_star, f_star=f_star,
@@ -347,7 +344,7 @@ class TestRunTrajectory:
     def test_average_invariance_on_balanced_graph_without_noise(self):
         a = np.array([[0.0, 1, 0], [0, 0, 1], [1, 0, 0]])  # directed cycle
         proc = DeterministicCycle([a])
-        model = CommNoiseModel(sigma=0.0, b=0.0, noise_dim=2)
+        model = CommNoiseModel(sigma=0.0, b=0.0)
         obj = zero_objective(3, 2)
         mc = monte_carlo(obj, proc, model, StepSchedule(), 200, 5, 1,
                          x_star=np.zeros(2), f_star=0.0,
@@ -360,7 +357,7 @@ class TestRunTrajectory:
     def test_lyapunov_below_state_norm(self):
         obj = QuadraticObjective(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
         proc = IndependentEdges(base=np.ones((3, 3)) - np.eye(3), prob=0.8)
-        model = CommNoiseModel(sigma=0.2, b=0.1, noise_dim=2)
+        model = CommNoiseModel(sigma=0.2, b=0.1)
         x_star, f_star = obj.optimum()
         mc = monte_carlo(obj, proc, model, StepSchedule(), 300, 11, 1,
                          x_star=x_star, f_star=f_star)
@@ -369,7 +366,7 @@ class TestRunTrajectory:
     def test_divergence_detected_with_runaway_gain(self):
         obj = QuadraticObjective(np.zeros((2, 1)))
         proc = DeterministicCycle([np.array([[0.0, 1.0], [1.0, 0.0]])])
-        model = CommNoiseModel(sigma=0.0, b=0.0, noise_dim=1)
+        model = CommNoiseModel(sigma=0.0, b=0.0)
         sched = StepSchedule(alpha1=1e9)
         with pytest.raises(DivergenceDetected) as info:
             monte_carlo(obj, proc, model, sched, 200, 3, 1,
@@ -383,7 +380,7 @@ class TestRunTrajectory:
         obj = QuadraticObjective(np.arange(8.0).reshape(n, dim))
         a = np.ones((n, n)) - np.eye(n)
         proc = DeterministicCycle([a])
-        model = CommNoiseModel(sigma=0.3, b=0.2, noise_dim=dim)
+        model = CommNoiseModel(sigma=0.3, b=0.2)
         sched = StepSchedule()
         x_star, f_star = obj.optimum()
         seed, rep = 1234, 0
@@ -407,14 +404,14 @@ class TestMonteCarlo:
     def _setup(self):
         obj = QuadraticObjective(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
         proc = IndependentEdges(base=np.ones((3, 3)) - np.eye(3), prob=0.8)
-        model = CommNoiseModel(sigma=0.1, b=0.1, noise_dim=2)
+        model = CommNoiseModel(sigma=0.1, b=0.1)
         x_star, f_star = obj.optimum()
         return obj, proc, model, x_star, f_star
 
     def test_deterministic_noise_free_runs_have_zero_variance(self):
         obj = QuadraticObjective(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
         proc = DeterministicCycle([np.ones((3, 3)) - np.eye(3)])
-        model = CommNoiseModel(sigma=0.0, b=0.0, noise_dim=2)
+        model = CommNoiseModel(sigma=0.0, b=0.0)
         x_star, f_star = obj.optimum()
         init = InitialStates.explicit([[2.0, 0.0], [0.0, 2.0], [-1.0, 1.0]])
         mc = monte_carlo(obj, proc, model, StepSchedule(), 200, 23, 5,
@@ -466,15 +463,13 @@ class TestMonteCarlo:
         raw["run"].update(horizon=2000, reps=8)
         raw["thresholds"]["min_pass_reps"] = 8
         cfg = config.config_from_dict(raw)
-        obj = config.build_objective(cfg)
+        obj, process, model, schedule, init = config.validate_config(cfg)
         x_star, f_star = obj.optimum()
         found = []
         for workers in (1, 3, 8):
             with pytest.raises(DivergenceDetected) as info:
-                monte_carlo(obj, config.build_process(cfg), config.build_noise(cfg, obj.dim),
-                            config.build_schedule(cfg), cfg.run.horizon, cfg.run.seed,
-                            cfg.run.reps, x_star, f_star, init=config.build_init(cfg),
-                            workers=workers)
+                monte_carlo(obj, process, model, schedule, cfg.run.horizon, cfg.run.seed,
+                            cfg.run.reps, x_star, f_star, init=init, workers=workers)
             found.append((info.value.replication, info.value.step))
         assert found == [(6, 40)] * 3
 
@@ -503,7 +498,7 @@ class TestCappedIntensity:
     def test_capped_model_keeps_bound_monitors(self):
         obj = QuadraticObjective(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]))
         proc = IndependentEdges(base=np.ones((3, 3)) - np.eye(3), prob=0.8)
-        model = CommNoiseModel(sigma=0.3, b=0.2, noise_dim=2, cap=0.25)
+        model = CommNoiseModel(sigma=0.3, b=0.2, cap=0.25)
         x_star, f_star = obj.optimum()
         mc = monte_carlo(obj, proc, model, StepSchedule(), 1000, 13, 3,
                          x_star, f_star, check_stride=100)
@@ -511,7 +506,7 @@ class TestCappedIntensity:
         assert mc.recursion_max < 1e-10
 
     def test_cap_limits_intensity(self):
-        model = CommNoiseModel(sigma=1.0, b=0.5, noise_dim=2, cap=0.75)
+        model = CommNoiseModel(sigma=1.0, b=0.5, cap=0.75)
         assert psi(model, np.array([100.0, 0.0])) == 0.75
         assert psi(model, np.zeros(2)) == 0.5
 
@@ -534,7 +529,7 @@ class TestLostWorker:
 
     def test_monte_carlo_raises_instead_of_hanging(self):
         proc = IndependentEdges(base=np.ones((2, 2)) - np.eye(2), prob=0.9)
-        model = CommNoiseModel(sigma=0.1, b=0.1, noise_dim=2)
+        model = CommNoiseModel(sigma=0.1, b=0.1)
         x_star, f_star = self.OBJECTIVE.optimum()
         # In this process the objective measures, so only the pool's workers die.
         monte_carlo(self.OBJECTIVE, proc, model, StepSchedule(), 20, 0, 2, x_star, f_star)

@@ -152,7 +152,8 @@ class TestRunExperiment:
         rows = [line.split(",") for line in open(res.trace_path).read().splitlines()[1:]]
         ks = np.array([int(row[0]) for row in rows])
         state_sq, beta_log = (np.array([float(row[col]) for row in rows]) for col in (5, 6))
-        expected = cfgmod.build_schedule(cfg).log_beta(res.mc.record_ks, res.constants.C0)
+        schedule = cfgmod.validate_config(cfg).schedule
+        expected = schedule.log_beta(res.mc.record_ks, res.constants.C0)
         assert np.array_equal(ks, res.mc.record_ks)
         assert np.array_equal(beta_log, expected)
         assert np.array_equal(res.beta_log, expected)
@@ -181,9 +182,7 @@ class TestRunExperiment:
 class TestConstants:
     def test_c0_formula_assembled_from_estimates(self):
         cfg = small_cfg()
-        objective = cfgmod.build_objective(cfg)
-        process = cfgmod.build_process(cfg)
-        model = cfgmod.build_noise(cfg, objective.dim)
+        objective, process, model, _, _ = cfgmod.validate_config(cfg)
         report, constants = estimate_constants(cfg, objective, process, model)
         expected = (1.0 + 2.0 * constants.rho0_hat ** 2
                     + 16.0 * 0.01 * constants.c_xi * constants.rho1_hat

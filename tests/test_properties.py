@@ -90,7 +90,7 @@ def test_per_rep_outputs_do_not_depend_on_batch_grouping(case):
     n_nodes, dim, horizon = case["n_nodes"], case["dim"], case["horizon"]
     objective = _objective(case["objective"], n_nodes, dim, rng)
     process = _process(case["process"], n_nodes, rng)
-    model = CommNoiseModel(sigma=0.3, b=0.2, noise_dim=dim, cap=case["cap"])
+    model = CommNoiseModel(sigma=0.3, b=0.2, cap=case["cap"])
     args = (objective, process, model, StepSchedule(), horizon, case["seed"])
     tail = (np.zeros(dim), 0.0, InitialStates.uniform(-2.0, 2.0),
             default_record_ks(horizon, dense_until=50, stride=25), 7)
@@ -135,7 +135,7 @@ def test_each_replication_of_a_batch_equals_its_run_alone(n_nodes, dim, reps, sp
     # replication of a buffer can stand in for another.
     rng = np.random.default_rng(seed)
     objective = _objective(objective, n_nodes, dim, rng)
-    model = CommNoiseModel(sigma=0.3, b=0.2, noise_dim=dim)
+    model = CommNoiseModel(sigma=0.3, b=0.2)
     args = (objective, _process(process, n_nodes, rng), model, StepSchedule(), horizon, seed)
     tail = (np.zeros(dim), 0.0, InitialStates.uniform(-2.0, 2.0),
             default_record_ks(horizon, dense_until=50, stride=25), 13)
@@ -166,8 +166,7 @@ def test_kernel_matches_per_node_oracle_and_is_stack_independent(case):
     rng = np.random.default_rng(case["seed"])
     n, dim, k = case["n_nodes"], case["dim"], case["k"]
     sched = StepSchedule()
-    model = CommNoiseModel(sigma=float(rng.random()), b=float(rng.random()),
-                           noise_dim=dim, cap=case["cap"])
+    model = CommNoiseModel(sigma=float(rng.random()), b=float(rng.random()), cap=case["cap"])
     objective = QuadraticObjective(rng.normal(size=(n, dim)))
     xs, adjs, xis, singles = [], [], [], []
     for _ in range(case["stack"]):
@@ -178,7 +177,7 @@ def test_kernel_matches_per_node_oracle_and_is_stack_independent(case):
         seed = int(rng.integers(2 ** 32))
         via_node = step_per_node(x, a, sched, model, objective,
                                  np.random.default_rng(seed), k)
-        xi = draw_channel_noise(model, a, np.random.default_rng(seed))
+        xi = draw_channel_noise(x, a, np.random.default_rng(seed))
         single = apply_step(x, a, sched.alpha(k), sched.c(k), model, xi,
                             objective.subgradient_stack(x))
         assert np.max(np.abs(single - via_node)) < 1e-12 * max(1.0, np.max(np.abs(via_node)))
@@ -202,8 +201,7 @@ def test_kernel_on_mapped_receiver_draws_matches_per_node_oracle(n_nodes, dim, c
     step on the same noises; receivers with no in-neighbours get zero."""
     rng = np.random.default_rng(seed)
     sched, k = StepSchedule(), int(rng.integers(0, 10_000))
-    model = CommNoiseModel(sigma=float(rng.random()), b=float(rng.random()),
-                           noise_dim=dim, cap=cap)
+    model = CommNoiseModel(sigma=float(rng.random()), b=float(rng.random()), cap=cap)
     objective = QuadraticObjective(rng.normal(size=(n_nodes, dim)))
     x = rng.normal(size=(n_nodes, dim)) * 3.0
     a = rng.normal(size=(n_nodes, n_nodes)) * (rng.random((n_nodes, n_nodes)) < 0.7)
@@ -212,7 +210,7 @@ def test_kernel_on_mapped_receiver_draws_matches_per_node_oracle(n_nodes, dim, c
     draw_seed = int(rng.integers(2 ** 32))
     via_node = step_per_node(x, a, sched, model, objective,
                              np.random.default_rng(draw_seed), k)
-    xi = draw_channel_noise(model, a, np.random.default_rng(draw_seed))
+    xi = draw_channel_noise(x, a, np.random.default_rng(draw_seed))
     z = receiver_draws(model, x, a, xi)
     assert np.all(z[~a.any(axis=1)] == 0.0)
     got = kernel(x, a, a.sum(axis=1)[:, None], sched.alpha(k), sched.c(k), model, z,

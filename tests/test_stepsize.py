@@ -362,7 +362,7 @@ class TestStreamedVerifier:
                 "print('numpy.ma' in sys.modules)\n"
                 "obj = QuadraticObjective(np.eye(3)[:, :2])\n"
                 "monte_carlo(obj, IndependentEdges(k3, 0.8),\n"
-                "            CommNoiseModel(sigma=0.1, b=0.1, noise_dim=2), s, 50, 1, 2,\n"
+                "            CommNoiseModel(sigma=0.1, b=0.1), s, 50, 1, 2,\n"
                 "            *obj.optimum(), workers=1)\n"
                 "print('multiprocessing' in sys.modules)\n")
         done = subprocess.run([sys.executable, "-c", code], env=_src_env(),

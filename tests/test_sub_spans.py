@@ -57,7 +57,7 @@ def _lasso_diagonal(rng):
                          ids=("quadratic", "lasso", "lasso-diagonal"))
 def test_outputs_do_not_depend_on_the_sub_span(build, horizon, monkeypatch):
     objective, process = build(np.random.default_rng(horizon))
-    model = CommNoiseModel(sigma=0.3, b=0.2, noise_dim=objective.dim, cap=0.3)
+    model = CommNoiseModel(sigma=0.3, b=0.2, cap=0.3)
 
     def run():
         return _run_batch(objective, process, model, StepSchedule(), horizon, 5,
@@ -79,7 +79,7 @@ def test_psi_maxima_of_kept_intensities_equal_the_per_step_ones(build, monkeypat
     # intensities for one maximum; from there on it takes each step's
     # maximum in the step loop.  Both give the same outputs.
     objective, process = build(np.random.default_rng(8))
-    model = CommNoiseModel(sigma=0.3, b=0.2, noise_dim=objective.dim)
+    model = CommNoiseModel(sigma=0.3, b=0.2)
     outs = []
     for kept_below in (objective.n_nodes + 1, objective.n_nodes):
         monkeypatch.setattr(engine, "_PSI_KEPT_BELOW", kept_below)
@@ -106,7 +106,7 @@ class _CountingProcess:
 def test_one_graph_draw_per_sub_span_for_all_replications(build, monkeypatch):
     objective, process = build(np.random.default_rng(3))
     counting = _CountingProcess(process)
-    model = CommNoiseModel(sigma=0.3, b=0.2, noise_dim=objective.dim)
+    model = CommNoiseModel(sigma=0.3, b=0.2)
     horizon, span = 2100, 300
     force_span(monkeypatch, span, objective)
     outs = [_run_batch(objective, p, model, StepSchedule(), horizon, 5, list(range(REPS)),
@@ -142,7 +142,7 @@ def test_one_measurement_per_step_and_one_graph_draw_per_sub_span(build, monkeyp
     counted(CommNoiseModel, "psi_values")
     horizon, span = 700, 300
     force_span(monkeypatch, span, objective)
-    _run_batch(objective, process, CommNoiseModel(sigma=0.3, b=0.2, noise_dim=objective.dim),
+    _run_batch(objective, process, CommNoiseModel(sigma=0.3, b=0.2),
                StepSchedule(), horizon, 5, list(range(REPS)), np.zeros(objective.dim), 0.0,
                InitialStates.uniform(-2.0, 2.0), default_record_ks(horizon), 97)
     assert calls["subgradient_stack"] == calls["psi_values"] == horizon
@@ -179,7 +179,7 @@ def test_peak_memory_does_not_grow_with_node_count():
              "objective = QuadraticObjective(4.0 * np.random.default_rng(0).random((n, 2)))\n"
              "process = IndependentEdges(0.1 * (np.ones((n, n)) - np.eye(n)), prob=0.8)\n"
              "x_star, f_star = objective.optimum()\n"
-             "monte_carlo(objective, process, CommNoiseModel(sigma=0.1, b=0.1, noise_dim=2),\n"
+             "monte_carlo(objective, process, CommNoiseModel(sigma=0.1, b=0.1),\n"
              "            StepSchedule(), 1024, 42, 8, x_star, f_star, check_stride=512)\n"
              "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
     # A process takes over the peak RSS of the one that started it at exec,

@@ -121,11 +121,10 @@ def main(argv):
                 if cli.main(["run", "--config", path, "--out", tmp]) != 0:
                     return 1
     else:
-        objective = cfgmod.build_objective(cfg)
+        objective, process, model, schedule, init = cfgmod.validate_config(cfg)
         x_star, f_star = global_optimum(objective)
-        probed(objective, cfgmod.build_process(cfg), cfgmod.build_noise(cfg, objective.dim),
-               cfgmod.build_schedule(cfg), cfg.run.horizon, cfg.run.seed, cfg.run.reps,
-               x_star, f_star, init=cfgmod.build_init(cfg),
+        probed(objective, process, model, schedule, cfg.run.horizon, cfg.run.seed,
+               cfg.run.reps, x_star, f_star, init=init,
                record_ks=default_record_ks(cfg.run.horizon, cfg.run.dense_until,
                                            cfg.run.record_stride),
                check_stride=cfg.run.check_stride, workers=1)
