@@ -32,13 +32,24 @@ the replications, because numpy takes three to six times longer on a
 strided or broadcast operand of a few hundred values than on a contiguous
 one.  Per step the loop makes only the measurement, the kernel call, from 8
 nodes the psi maximum and, on check steps, the recursion check.  Once per
-sub-span it evaluates the gains, draws all replications' graphs in one call
-and each replication's channel and gradient noise in one call per stream,
-sums the graphs' rows, scales the channel draws, forms the noise factors,
-below 8 nodes takes each step's psi maximum from the kernel's kept
-intensities, checks the states for divergence, records them and evaluates
-the psi and d monitors.  No reduction over an axis of a few values runs per
-step: numpy pays such a reduction per output row, not per value.
+sub-span it takes a slot of the sub-span's draws, below 8 nodes takes each
+step's psi maximum from the kernel's kept intensities, checks the states for
+divergence, records them and evaluates the psi and d monitors.  No reduction
+over an axis of a few values runs per step: numpy pays such a reduction per
+output row, not per value.
+
+The draws do not depend on the states: per sub-span the gains, all
+replications' graphs in one call, each replication's channel and gradient
+noise in one call per stream, the graphs' row sums, the scaled channel draws
+and the noise factors.  One routine fills a slot with them.  When the process
+runs one thread, the horizon spans two sub-spans or more, no pool runs and a
+CPU is free, a forked producer fills two slots in shared memory in turn, one
+sub-span ahead of the parent, which steps from the other; one-byte tokens on
+two pipes hand the slots over, and end of file means the other side is gone.
+Otherwise, or once a producer is lost, the parent fills one slot in line.  A
+producer that dies or gives no slot in time is killed and reaped, and the
+parent replays the sub-spans it has used to bring its own streams level, so
+the outputs do not change.
 
 Randomness is organized as one stream per replication, split into disjoint
 sub-streams for initial states, graph draws, channel noise and gradient noise,
@@ -47,6 +58,18 @@ every replication is reproducible in isolation, regardless of batching or
 worker count.
 """
 
+import contextlib
+import math
+import mmap
+import os
+import pickle
+import select
+import signal
+import struct
+import sys
+import threading
+import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,12 +81,12 @@ from .graphs import _stream_key
 # do not depend on it.
 _CHUNK = 1024
 
-# Bytes one batch holds for a sub-span: its step buffers, the draws of every
-# stream included, and the temporaries of ``observe``; sets the sub-span the
-# horizon is walked in.  Outputs do not depend on it.  Each sub-span pays a
-# fixed cost per replication for its graph and noise draws: at 2 MiB that
-# cost took 5-7% of the shipped configs' Monte Carlo time, at 4 MiB about
-# half that.
+# Bytes one batch holds for a sub-span: both slots of draws, its step
+# buffers, the scratch of the draws and the temporaries of ``observe``; sets
+# the sub-span the horizon is walked in.  Outputs do not depend on it.  Each
+# sub-span pays a fixed cost per replication for its graph and noise draws:
+# at 2 MiB that cost took 5-7% of the shipped configs' Monte Carlo time, at
+# 4 MiB about half that.
 _BUDGET_BYTES = 4 << 20
 
 _DIVERGENCE_NORM_SQ = 1e24
@@ -76,6 +99,14 @@ _DIVERGENCE_NORM_SQ = 1e24
 # against 131 us per step); at 8 nodes the two cost about the same.
 _PSI_KEPT_BELOW = 8
 
+# Whether a forked producer may draw the sub-spans while the parent steps
+# (os.fork, pipes and shared memory; multiprocessing would add about 1.6 MB
+# to the run's RSS); elsewhere they are drawn in line.
+_FORK_DRAWS = sys.platform.startswith("linux")
+# The least time a parent waits for a forked process that has not answered
+# before it kills it and does the work itself.
+_MIN_WAIT_S = 1.0
+
 # The C routine behind ``np.einsum``, which calls it unchanged when it does
 # not optimize; called directly it saves half of a small einsum's 4 us.
 try:
@@ -84,16 +115,46 @@ except ImportError:  # pragma: no cover - numpy without this private module
     _einsum = np.einsum
 
 
+def _spare_cpu(workers):
+    """Whether a forked process may gain time: a child copies no thread but
+    the caller's, so a lock another thread holds would stay held in it for
+    good, and it only gains time on a CPU that ``workers`` processes leave
+    idle."""
+    return threading.active_count() == 1 and len(os.sched_getaffinity(0)) > workers
+
+
+def _reissue(shown):
+    """Warn with each of a child's recorded warnings, under the module and
+    registry of the code that raised it, as if it had been raised here.  A
+    file that no loaded module has gets warn_explicit's defaults."""
+    for message, category, filename, lineno in shown:
+        mod = next((mod for mod in list(sys.modules.values())
+                    if getattr(mod, "__file__", None) == filename), None)
+        where = {} if mod is None else {
+            "module": mod.__name__,
+            "registry": vars(mod).setdefault("__warningregistry__", {})}
+        warnings.warn_explicit(message, category, filename, lineno, **where)
+
+
 def _step_bytes(reps, n_nodes, dim, has_zeta):
-    """Bytes one batch holds per step of a sub-span: the buffers of
-    ``_StepBuffers`` and the copy of the recorded states that ``observe``
-    makes with up to two temporaries of its size."""
-    per_rep = n_nodes * n_nodes + n_nodes + 9 * n_nodes * dim + dim + 1
+    """Bytes one batch holds per step of a sub-span: both slots of
+    ``_DrawSlot``, the buffers of ``_StepBuffers``, and the copy of the
+    recorded states that ``observe`` makes with up to two temporaries of its
+    size."""
+    # Per replication: a slot's graphs, broadcast row sums and channel draws
+    # (and noise factors); the scratch's row sums and normals (and gradient
+    # draws); the states, centred states, subgradients, observe's three,
+    # node means, psi maximum and kept intensities.
+    slot = n_nodes * n_nodes + 2 * n_nodes * dim
+    scratch = n_nodes + n_nodes * dim
+    own = 6 * n_nodes * dim + dim + 1
     if n_nodes < _PSI_KEPT_BELOW:
-        per_rep += n_nodes * n_nodes
+        own += n_nodes * n_nodes
     if has_zeta:
-        per_rep += 3 * n_nodes * dim + n_nodes
-    return 8 * reps * per_rep
+        slot += 2 * n_nodes * dim
+        scratch += n_nodes * dim + n_nodes
+    # and the two gains of each slot.
+    return 8 * (reps * (2 * slot + scratch + own) + 4)
 
 
 def _sub_span(reps, n_nodes, dim, has_zeta):
@@ -292,20 +353,40 @@ def replication_stream(seed, rep_index):
     return np.random.SeedSequence(entropy=seed, spawn_key=(int(rep_index),))
 
 
-class _StepBuffers:
-    """The step buffers of one batch, ``span`` steps long and step-major:
-    every operand of step t is the contiguous ``(reps, ...)`` block at
-    index t.  ``hist`` holds a sub-span's states and the state after it."""
+class _DrawSlot:
+    """One sub-span's draws, step-major like the step buffers, in memory that
+    a forked producer shares: the gains alpha(k) and c(k), the graphs, their
+    row sums broadcast to the states' shape, so that the kernel's multiply
+    takes same-shape operands, receiver i's channel draw of step t,
+    ``z_chan[t, r, i]``, N(0, I/dim), and with gradient noise the noise
+    factors ``u`` and ``uv``."""
 
     def __init__(self, span, reps, n_nodes, dim, has_zeta):
         node_steps = (span, reps, n_nodes, dim)
-        self.graphs = np.empty((span, reps, n_nodes, n_nodes))
+        shapes = {"gains": (2, span), "graphs": (span, reps, n_nodes, n_nodes),
+                  "row_sums_x": node_steps, "z_chan": node_steps}
+        if has_zeta:
+            shapes.update(u=node_steps, uv=node_steps)
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        self.mem = mmap.mmap(-1, 8 * sum(sizes))
+        offset = 0
+        for (name, shape), size in zip(shapes.items(), sizes):
+            setattr(self, name, np.frombuffer(self.mem, np.float64, size, offset)
+                    .reshape(shape))
+            offset += 8 * size
+
+
+class _StepBuffers:
+    """The buffers of one batch, ``span`` steps long and step-major: every
+    operand of step t is the contiguous ``(reps, ...)`` block at index t.
+    ``slots`` are the two slots of draws; ``row_sums``, ``z_rep`` and
+    ``zv_draws`` are the scratch of the process that fills them.  ``hist``
+    holds a sub-span's states and the state after it."""
+
+    def __init__(self, span, reps, n_nodes, dim, has_zeta):
+        node_steps = (span, reps, n_nodes, dim)
+        self.slots = tuple(_DrawSlot(span, reps, n_nodes, dim, has_zeta) for _ in range(2))
         self.row_sums = np.empty((span, reps, n_nodes))
-        # The row sums broadcast to the states' shape once per sub-span, so
-        # that the kernel's multiply takes same-shape operands.
-        self.row_sums_x = np.empty(node_steps)
-        # Receiver i's channel draw of step t: z_chan[t, r, i], N(0, I/dim).
-        self.z_chan = np.empty(node_steps)
         # The standard normals, rep-major: standard_normal fills only a
         # contiguous ``out``, and a replication's leading steps are one.
         self.z_rep = np.empty((reps, span, n_nodes, dim))
@@ -319,16 +400,179 @@ class _StepBuffers:
         if n_nodes < _PSI_KEPT_BELOW:
             self.psi = np.empty((span, reps, n_nodes, n_nodes))
         if has_zeta:
-            # Raw gradient-noise draws, rep-major, each step's z_t then v_t,
-            # and the step-major noise factors formed from them.
+            # Raw gradient-noise draws, rep-major, each step's z_t then v_t.
             self.zv_draws = np.empty((reps, span, n_nodes * dim + n_nodes))
-            self.u, self.uv = np.empty(node_steps), np.empty(node_steps)
+
+
+class _Drawer:
+    """Fills a slot with a sub-span's draws.  Every stream is read in step
+    order, so the sub-spans are filled in order, each once per drawer."""
+
+    def __init__(self, objective, process, schedule, graph_keys, comm_gen, grad_gen, bufs):
+        self.objective, self.process, self.schedule = objective, process, schedule
+        self.graph_keys, self.comm_gen, self.grad_gen = graph_keys, comm_gen, grad_gen
+        self.graph_state, self.bufs = None, bufs
+        reps, span, n_nodes, dim = bufs.z_rep.shape
+        self.z_scale = 1.0 / np.sqrt(dim)
+        if objective.has_gradient_noise:
+            # Step-major views of the draws, which noise_factors reads in place.
+            self.z_draws = bufs.zv_draws[..., :n_nodes * dim].reshape(
+                reps, span, n_nodes, dim).swapaxes(0, 1)
+            self.v_draws = bufs.zv_draws[..., n_nodes * dim:].swapaxes(0, 1)
+
+    def fill(self, slot, k0, s):
+        """Slot ``slot`` with the draws of steps k0 to k0 + s - 1."""
+        bufs, schedule, step_ks = self.bufs, self.schedule, np.arange(k0, k0 + s)
+        slot.gains[0, :s], slot.gains[1, :s] = schedule.alpha(step_ks), schedule.c(step_ks)
+        _, self.graph_state = self.process.sample_block(
+            self.graph_keys, k0, s, state=self.graph_state, out=slot.graphs[:s].swapaxes(0, 1))
+        _row_sums(slot.graphs[:s], bufs.row_sums[:s])
+        np.copyto(slot.row_sums_x[:s], bufs.row_sums[:s, ..., None])
+        for r, g in enumerate(self.comm_gen):
+            g.standard_normal(out=bufs.z_rep[r, :s])
+        np.multiply(bufs.z_rep[:, :s].swapaxes(0, 1), self.z_scale, out=slot.z_chan[:s])
+        if self.objective.has_gradient_noise:
+            for r, g in enumerate(self.grad_gen):
+                g.standard_normal(out=bufs.zv_draws[r, :s])
+            self.objective.noise_factors(self.z_draws[:s], self.v_draws[:s],
+                                         out=(slot.u[:s], slot.uv[:s]))
+
+
+def _read_exact(poller, fd, size, deadline):
+    """``size`` bytes from ``fd``, or None at end of file or past ``deadline``."""
+    data = b""
+    while len(data) < size:
+        left = deadline - time.monotonic()
+        if left <= 0 or not poller.poll(left * 1000):
+            return None
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            return None
+        data += chunk
+    return data
+
+
+def _write_all(fd, data):
+    while data:
+        data = data[os.write(fd, data):]
+
+
+class _DrawSource:
+    """The slots of a batch's sub-spans ``spans``, ``(k0, s)`` pairs, filled
+    by ``drawer``: in a forked producer when ``fork`` and a process can be
+    had, else in line.
+
+    The producer fills slot j % 2 with sub-span j, then sends a token on one
+    pipe: one byte, or with the warnings it recorded, a byte, their length and
+    their pickle.  From sub-span 2 on it first waits for the parent's token
+    on the other pipe that slot j % 2 is free.  The ends a process does not
+    use are closed at once, so end of file on a pipe means the other side is
+    gone; the producer then exits.  It never returns into the caller's code.
+    In line the drawer fills slot 0 each time."""
+
+    def __init__(self, drawer, slots, spans, fork):
+        self._drawer, self._slots, self._spans = drawer, slots, spans
+        self._pid = None
+        if fork:
+            with contextlib.suppress(OSError):  # no process to be had
+                self._fork()
+
+    def _fork(self):
+        free_r, free_w = os.pipe()
+        filled_r, filled_w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (free_r, free_w, filled_r, filled_w):
+                os.close(fd)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                os.close(free_w)
+                os.close(filled_r)
+                self._produce(free_r, filled_w)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(free_r)
+        os.close(filled_w)
+        self._pid, self._free_w, self._filled_r = pid, free_w, filled_r
+        self._poller = select.poll()
+        self._poller.register(filled_r, select.POLLIN)
+        # When each slot was last handed to the producer.
+        self._asked = [time.monotonic()] * 2
+
+    def _produce(self, free_r, filled_w):
+        for j, (k0, s) in enumerate(self._spans):
+            if j >= 2 and not os.read(free_r, 1):
+                return  # the parent is gone
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                self._drawer.fill(self._slots[j % 2], k0, s)
+            token = b"\0"
+            if caught:
+                shown = pickle.dumps([(w.message, w.category, w.filename, w.lineno)
+                                      for w in caught], pickle.HIGHEST_PROTOCOL)
+                token = b"\1" + struct.pack("=I", len(shown)) + shown
+            _write_all(filled_w, token)
+
+    def _receive(self, j):
+        """Whether the producer hands over sub-span j's slot, the warnings it
+        recorded issued here.  The wait lasts at most as long as the
+        producer has already had for the slot, or ``_MIN_WAIT_S`` if that is
+        longer."""
+        now = time.monotonic()
+        deadline = now + max(now - self._asked[j % 2], _MIN_WAIT_S)
+        token = _read_exact(self._poller, self._filled_r, 1, deadline)
+        if token == b"\1":
+            size = _read_exact(self._poller, self._filled_r, 4, deadline)
+            shown = size and _read_exact(self._poller, self._filled_r,
+                                         struct.unpack("=I", size)[0], deadline)
+            if not shown:
+                return False
+            _reissue(pickle.loads(shown))
+        return token is not None
+
+    def take(self, j):
+        """The index of the slot that holds sub-span j's draws.  A producer
+        lost on the way is killed and reaped; the drawer then replays
+        sub-spans 0 to j - 1 into slot 1, their warnings ignored, since they
+        were issued, and the draws go on in line."""
+        if self._pid is not None:
+            if self._receive(j):
+                return j % 2
+            self.close()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                for k0, s in self._spans[:j]:
+                    self._drawer.fill(self._slots[1], k0, s)
+        self._drawer.fill(self._slots[0], *self._spans[j])
+        return 0
+
+    def release(self, j):
+        """Hands sub-span j's slot back to the producer for sub-span j + 2."""
+        if self._pid is not None and j + 2 < len(self._spans):
+            self._asked[j % 2] = time.monotonic()
+            # A lost producer shows at the next take.
+            with contextlib.suppress(BrokenPipeError):
+                os.write(self._free_w, b"\0")
+
+    def close(self):
+        """Kills and reaps the producer, if one runs, and closes the pipes."""
+        if self._pid is not None:
+            pid, self._pid = self._pid, None
+            os.close(self._free_w)
+            os.close(self._filled_r)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
-               x_star, f_star, init, record_ks, check_stride):
+               x_star, f_star, init, record_ks, check_stride, pooled=False):
     """Simulate a batch of replications; per-replication results do not
-    depend on how replications are grouped into batches."""
+    depend on how replications are grouped into batches.  ``pooled`` says
+    that the batch runs in a pool's worker."""
     n_nodes, dim = objective.n_nodes, objective.dim
     if process.n_nodes != n_nodes:
         raise ValueError("objective and graph process disagree on node count")
@@ -348,7 +592,6 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
         comm_gen.append(np.random.default_rng(c_ss))
         grad_gen.append(np.random.default_rng(z_ss))
         states.append(init.draw(np.random.default_rng(init_ss), n_nodes, dim))
-    graph_keys, graph_state = np.stack(graph_keys), None
 
     out = {
         "ks": record_ks,
@@ -370,34 +613,32 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
     # The horizon is walked in sub-spans of at most ``span`` steps; the
     # kernel writes each next state into ``hist``.
     span = min(_sub_span(reps, n_nodes, dim, has_zeta), max(horizon, 1))
+    spans = [(k0, min(span, horizon - k0)) for k0 in range(0, horizon, span)]
     bufs = _StepBuffers(span, reps, n_nodes, dim, has_zeta)
-    graphs, row_sums, row_sums_x = bufs.graphs, bufs.row_sums, bufs.row_sums_x
-    z_chan, z_rep, hist, d_hist = bufs.z_chan, bufs.z_rep, bufs.hist, bufs.d_hist
+    hist, d_hist = bufs.hist, bufs.d_hist
     centred, means, psi_max = bufs.centred, bufs.means, bufs.psi_max
     keep_psi = n_nodes < _PSI_KEPT_BELOW
     hist[0] = np.stack(states)
     step = _kernel((reps,), n_nodes, dim, model)
     measure, obj_ws = objective.subgradient_stack, objective.workspace((reps,))
-    z_scale = 1.0 / np.sqrt(dim)
     # Each step's slot of every step buffer, as a view made once: indexing
     # the buffer would make a new view per step.
-    hist_t, graphs_t, rows_t = list(hist), list(graphs), list(row_sums_x)
-    z_t, d_t, psi_max_t = list(z_chan), list(d_hist), list(psi_max)
-    # The gains alpha(k) and c(k) of each step go to the kernel as 0-d views
-    # of a buffer refilled once per sub-span: numpy converts a Python float
-    # operand anew on every call.  Iterating a row would make copies.
-    gains = np.empty((2, span))
-    alpha_t = [gains[0, t, ...] for t in range(span)]
-    c_t = [gains[1, t, ...] for t in range(span)]
+    hist_t, d_t, psi_max_t = list(hist), list(d_hist), list(psi_max)
     psi_t = list(bufs.psi) if keep_psi else [None] * span
     pairs_t = [_pair_operands(x) for x in hist_t[:span]]
     if has_zeta:
-        factors_t = list(zip(bufs.u, bufs.uv))
-        # Step-major views of the draws, which noise_factors reads in place.
-        z_draws = bufs.zv_draws[..., :n_nodes * dim].reshape(
-            reps, span, n_nodes, dim).swapaxes(0, 1)
-        v_draws = bufs.zv_draws[..., n_nodes * dim:].swapaxes(0, 1)
         d_plus_zeta = np.empty((reps, n_nodes, dim))
+
+    def slot_views(slot):
+        """Each step's views of ``slot``.  The gains alpha(k) and c(k) go to
+        the kernel as 0-d views: numpy converts a Python float operand anew
+        on every call, and iterating a row would make copies."""
+        return (list(slot.graphs), list(slot.row_sums_x), list(slot.z_chan),
+                [slot.gains[0, t, ...] for t in range(span)],
+                [slot.gains[1, t, ...] for t in range(span)],
+                list(zip(slot.u, slot.uv)) if has_zeta else None)
+
+    views = [slot_views(slot) for slot in bufs.slots]
 
     def observe(k0, hist, d_hist=None, psi_max=None):
         """Check and record the states ``hist`` before steps k0, k0+1, ...
@@ -447,36 +688,31 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
                                   noise, zeta, d_stack, x_new)
             np.maximum(out["recursion_max"], disc, out=out["recursion_max"])
 
+    drawer = _Drawer(objective, process, schedule, np.stack(graph_keys), comm_gen,
+                     grad_gen, bufs)
+    draws = _DrawSource(drawer, bufs.slots, spans,
+                        _FORK_DRAWS and not pooled and len(spans) > 1 and _spare_cpu(1))
     # A floating-point error interrupts a step; unless a state has diverged by
     # then, the step is redone under the caller's error handling and warns.
     fp_modes = np.geterr()
-    for k0 in range(0, horizon, span):
-        s = min(span, horizon - k0)
-        step_ks = np.arange(k0, k0 + s)
-        gains[0, :s], gains[1, :s] = schedule.alpha(step_ks), schedule.c(step_ks)
-        _, graph_state = process.sample_block(graph_keys, k0, s, state=graph_state,
-                                              out=graphs[:s].swapaxes(0, 1))
-        _row_sums(graphs[:s], row_sums[:s])
-        np.copyto(row_sums_x[:s], row_sums[:s, ..., None])
-        for r, g in enumerate(comm_gen):
-            g.standard_normal(out=z_rep[r, :s])
-        np.multiply(z_rep[:, :s].swapaxes(0, 1), z_scale, out=z_chan[:s])
-        if has_zeta:
-            for r, g in enumerate(grad_gen):
-                g.standard_normal(out=bufs.zv_draws[r, :s])
-            objective.noise_factors(z_draws[:s], v_draws[:s], out=(bufs.u[:s], bufs.uv[:s]))
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            for t in range(s):
-                try:
-                    advance(t, k0 + t, alpha_t[t], c_t[t])
-                except FloatingPointError:
-                    _check_divergence(hist[:t + 1], k0, rep_indices)
-                    with np.errstate(**fp_modes):
+    try:
+        for j, (k0, s) in enumerate(spans):
+            graphs_t, rows_t, z_t, alpha_t, c_t, factors_t = views[draws.take(j)]
+            with np.errstate(divide="raise", over="raise", invalid="raise"):
+                for t in range(s):
+                    try:
                         advance(t, k0 + t, alpha_t[t], c_t[t])
-        if keep_psi:
-            _row_max(bufs.psi[:s].reshape(s * reps, -1), psi_max[:s].reshape(-1))
-        observe(k0, hist[:s], d_hist[:s], psi_max[:s])
-        hist[0] = hist[s]
+                    except FloatingPointError:
+                        _check_divergence(hist[:t + 1], k0, rep_indices)
+                        with np.errstate(**fp_modes):
+                            advance(t, k0 + t, alpha_t[t], c_t[t])
+            draws.release(j)
+            if keep_psi:
+                _row_max(bufs.psi[:s].reshape(s * reps, -1), psi_max[:s].reshape(-1))
+            observe(k0, hist[:s], d_hist[:s], psi_max[:s])
+            hist[0] = hist[s]
+    finally:
+        draws.close()
 
     observe(horizon, hist[:1])
     return out
@@ -543,7 +779,7 @@ def monte_carlo(objective, process, model, schedule, horizon, seed, reps,
         try:
             with ProcessPoolExecutor(len(jobs),
                                      mp_context=multiprocessing.get_context()) as pool:
-                futures = [pool.submit(_run_batch, *job) for job in jobs]
+                futures = [pool.submit(_run_batch, *job, pooled=True) for job in jobs]
                 parts, diverged = [], []
                 for f in futures:
                     try:

@@ -30,7 +30,6 @@ import pickle
 import select
 import signal
 import sys
-import threading
 import time
 import warnings
 from dataclasses import dataclass
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config as cfgmod
-from .engine import default_record_ks, monte_carlo
+from .engine import _MIN_WAIT_S, _reissue, _spare_cpu, default_record_ks, monte_carlo
 from .errors import SubgradNetError
 from .graphs import joint_connectivity_report
 from .objectives import global_optimum
@@ -218,21 +217,15 @@ def _staged_outputs(paths):
 
 
 # Whether the connectivity report and the condition checks may run in a
-# forked child while the Monte Carlo runs (os.fork and a pipe;
-# multiprocessing would add about 1.6 MB to the run's RSS); elsewhere they
-# run in line before it.
+# forked child while the Monte Carlo runs (os.fork and a pipe); elsewhere
+# they run in line before it.
 _FORK_SETUP = sys.platform.startswith("linux")
-# The least time the parent waits, after the Monte Carlo, for a child that
-# has not answered before it kills it and runs the stages itself.
-_MIN_WAIT_S = 1.0
 
 
 def _fork_pays(workers):
-    """Whether to fork the stages: a child copies no thread but the caller's,
-    so a lock another thread holds would stay held in it for good, and it
-    only gains time on a CPU that the Monte Carlo's ``workers`` leave idle."""
-    return (_FORK_SETUP and threading.active_count() == 1
-            and len(os.sched_getaffinity(0)) > workers)
+    """Whether to fork the stages: when the process runs one thread and the
+    Monte Carlo's ``workers`` leave a CPU idle."""
+    return _FORK_SETUP and _spare_cpu(workers)
 
 
 def _setup_stages(cfg, objective, process, model, schedule):
@@ -244,19 +237,6 @@ def _setup_stages(cfg, objective, process, model, schedule):
     conditions = verify_conditions(schedule.alpha, schedule.c, constants.C0,
                                    cfg.verify.horizon)
     return report, constants, conditions
-
-
-def _reissue(shown):
-    """Warn with each of a child's recorded warnings, under the module and
-    registry of the code that raised it, as if it had been raised here.  A
-    file that no loaded module has gets warn_explicit's defaults."""
-    for message, category, filename, lineno in shown:
-        mod = next((mod for mod in list(sys.modules.values())
-                    if getattr(mod, "__file__", None) == filename), None)
-        where = {} if mod is None else {
-            "module": mod.__name__,
-            "registry": vars(mod).setdefault("__warningregistry__", {})}
-        warnings.warn_explicit(message, category, filename, lineno, **where)
 
 
 class _ForkedStages:

@@ -250,14 +250,6 @@ class LassoProblem:
         fro = (self.covariances ** 2).sum(axis=(1, 2))
         return float(np.max(2.0 * (tr ** 2 + fro)))
 
-    @property
-    def c_zeta(self):
-        tr = np.trace(self.covariances, axis1=1, axis2=2)
-        fro = (self.covariances ** 2).sum(axis=(1, 2))
-        x0_sq = float(self.x0 @ self.x0)
-        per_node = 2.0 * (tr ** 2 + fro) * x0_sq + self.sigma_v ** 2 * np.abs(tr)
-        return float(self.n_nodes * np.max(per_node))
-
     def total_cost(self, x):
         x = np.asarray(x, dtype=float)
         diff = x[..., None, :] - self.x0

@@ -565,6 +565,16 @@ def node_zeta_samples(problem, i, x, rng, count):
     return one_node(problem, i).zeta_from_draws(x, z[:, None, :], v[:, None])[:, 0]
 
 
+def lasso_c_zeta(problem):
+    """The constant of the lasso's gradient-noise growth bound
+    sum_i E||zeta_i||^2 <= sigma_zeta ||X||^2 + C_zeta."""
+    tr = np.trace(problem.covariances, axis1=1, axis2=2)
+    fro = (problem.covariances ** 2).sum(axis=(1, 2))
+    x0_sq = float(problem.x0 @ problem.x0)
+    per_node = 2.0 * (tr ** 2 + fro) * x0_sq + problem.sigma_v ** 2 * np.abs(tr)
+    return float(problem.n_nodes * np.max(per_node))
+
+
 def lasso_measurement_loop(problem, states, z, v):
     """Lasso subgradient and gradient noise, one node of one state at a time.
 

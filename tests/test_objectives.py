@@ -6,8 +6,8 @@ problem, as the engine's stacked call measures them."""
 import numpy as np
 import pytest
 
-from oracles import (CustomObjective, central_difference, node_subgradient, node_zeta_samples,
-                     one_node)
+from oracles import (CustomObjective, central_difference, lasso_c_zeta, node_subgradient,
+                     node_zeta_samples, one_node)
 from subgradnet import (FactorizationError, LassoProblem, NonConvergenceError,
                         QuadraticObjective, global_optimum, soft_threshold)
 
@@ -151,7 +151,7 @@ class TestNoisySubgradient:
         for i in range(2):
             zetas = node_zeta_samples(p, i, states[i], rng, draws)
             total += float((zetas ** 2).sum(axis=1).mean())
-        bound = p.sigma_zeta * float((states ** 2).sum()) + p.c_zeta
+        bound = p.sigma_zeta * float((states ** 2).sum()) + lasso_c_zeta(p)
         assert total <= bound
 
     def test_non_psd_covariance_rejected(self):

@@ -2,6 +2,7 @@
 gives the same per-replication outputs, and the Monte Carlo working set stays
 bounded as N grows."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -91,21 +92,38 @@ def test_psi_maxima_of_kept_intensities_equal_the_per_step_ones(build, monkeypat
         assert np.array_equal(outs[0][key], outs[1][key]), key
 
 
+def _appender(path):
+    """Appends a line to ``path`` per call; the draws may run in a forked
+    producer, whose memory the test does not see, so counts go to a file."""
+    def append(line):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{line}\n")
+    return append
+
+
+def _lines(path):
+    return path.read_text(encoding="utf-8").splitlines() if path.exists() else []
+
+
 class _CountingProcess:
     """A graph process that records the (k_start, count) of every draw."""
 
-    def __init__(self, inner):
-        self.inner, self.n_nodes, self.calls = inner, inner.n_nodes, []
+    def __init__(self, inner, log):
+        self.inner, self.n_nodes, self.log = inner, inner.n_nodes, log
+
+    @property
+    def calls(self):
+        return [tuple(int(v) for v in line.split()) for line in _lines(self.log)]
 
     def sample_block(self, stream, k_start, count, state=None, out=None):
-        self.calls.append((k_start, count))
+        _appender(self.log)(f"{k_start} {count}")
         return self.inner.sample_block(stream, k_start, count, state=state, out=out)
 
 
 @pytest.mark.parametrize("build", (_quadratic, _lasso), ids=("quadratic", "lasso"))
-def test_one_graph_draw_per_sub_span_for_all_replications(build, monkeypatch):
+def test_one_graph_draw_per_sub_span_for_all_replications(build, monkeypatch, tmp_path):
     objective, process = build(np.random.default_rng(3))
-    counting = _CountingProcess(process)
+    counting = _CountingProcess(process, tmp_path / "draws")
     model = CommNoiseModel(sigma=0.3, b=0.2)
     horizon, span = 2100, 300
     force_span(monkeypatch, span, objective)
@@ -119,21 +137,23 @@ def test_one_graph_draw_per_sub_span_for_all_replications(build, monkeypatch):
 
 
 @pytest.mark.parametrize("build", (_quadratic, _lasso), ids=("quadratic", "lasso"))
-def test_one_measurement_per_step_and_one_graph_draw_per_sub_span(build, monkeypatch):
+def test_one_measurement_per_step_and_one_graph_draw_per_sub_span(build, monkeypatch,
+                                                                   tmp_path):
     # The benchmark's per-layer metrics wrap these methods by name on the
     # classes and read the draw's start step and length as positional
     # arguments 2 and 3.
     objective, process = build(np.random.default_rng(4))
-    calls = {"subgradient_stack": 0, "psi_values": 0, "sample_block": []}
+    log = tmp_path / "calls"
+    append = _appender(log)
 
     def counted(cls, name):
         original = getattr(cls, name)
 
         def wrapper(*args, **kwargs):
             if name == "sample_block":
-                calls[name].append((int(args[2]), int(args[3])))
+                append(f"{name} {int(args[2])} {int(args[3])}")
             else:
-                calls[name] += 1
+                append(name)
             return original(*args, **kwargs)
         monkeypatch.setattr(cls, name, wrapper)
 
@@ -145,8 +165,10 @@ def test_one_measurement_per_step_and_one_graph_draw_per_sub_span(build, monkeyp
     _run_batch(objective, process, CommNoiseModel(sigma=0.3, b=0.2),
                StepSchedule(), horizon, 5, list(range(REPS)), np.zeros(objective.dim), 0.0,
                InitialStates.uniform(-2.0, 2.0), default_record_ks(horizon), 97)
-    assert calls["subgradient_stack"] == calls["psi_values"] == horizon
-    assert calls["sample_block"] == [(0, 300), (300, 300), (600, 100)]
+    calls = _lines(log)
+    assert calls.count("subgradient_stack") == calls.count("psi_values") == horizon
+    assert [c for c in calls if c.startswith("sample_block")] == [
+        "sample_block 0 300", "sample_block 300 300", "sample_block 600 100"]
 
 
 @pytest.mark.parametrize("reps,n_nodes,dim", ((1, 2, 1), (20, 5, 2), (3, 9, 4)))
@@ -156,7 +178,16 @@ def test_step_bytes_counts_every_per_step_buffer(reps, n_nodes, dim, has_zeta):
         bufs = engine._StepBuffers(span, reps, n_nodes, dim, has_zeta)
         arrays = [a for a in vars(bufs).values() if isinstance(a, np.ndarray)]
         assert all(a.base is None for a in arrays)  # no view counted twice
-        return sum(a.nbytes for a in arrays)
+        shared = 0
+        for slot in bufs.slots:
+            # The arrays of a slot are views of its shared memory, which they
+            # cover without overlap.
+            views = [a for a in vars(slot).values() if isinstance(a, np.ndarray)]
+            assert sum(a.nbytes for a in views) == len(slot.mem)
+            assert all(np.shares_memory(a, np.frombuffer(slot.mem)) for a in views)
+            assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(views, 2))
+            shared += len(slot.mem)
+        return sum(a.nbytes for a in arrays) + shared
 
     # observe's copy of the recorded states and up to two temporaries of it.
     observe_bytes = 3 * 8 * reps * n_nodes * dim

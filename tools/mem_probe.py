@@ -15,8 +15,10 @@ objects the call needs are built: no connectivity report, condition check or
 output file.  Run this script as its own process, started from a small one
 such as a shell, since a process takes over the peak RSS of the one that
 starts it.  Prints one JSON line: the process's peak RSS (`ru_maxrss`, in
-10^6 bytes), the minor page faults and seconds inside the call, and the
-sizes used.  With --run the whole `subgradnet run` of the config is made
+10^6 bytes), the peak RSS of its largest forked child (`ru_maxrss` of
+`RUSAGE_CHILDREN`: the Monte Carlo's draw producer and, with --run, the
+setup child; 0 when none was forked), the minor page faults and seconds
+inside the call, and the sizes used.  With --run the whole `subgradnet run` of the config is made
 into a temporary directory instead (its report goes to stderr), and the
 faults and seconds are those of its Monte Carlo call; its peak RSS is then
 the one perfbench reports.  The line then also holds the minor faults and
@@ -128,10 +130,12 @@ def main(argv):
                record_ks=default_record_ks(cfg.run.horizon, cfg.run.dense_until,
                                            cfg.run.record_stride),
                check_stride=cfg.run.check_stride, workers=1)
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6  # KiB
+    peak, children = (resource.getrusage(who).ru_maxrss * 1024 / 1e6  # KiB
+                      for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
     print(json.dumps({"workload": args.workload, "nodes": args.nodes, "lasso": args.lasso,
                       "reps": cfg.run.reps, "horizon": cfg.run.horizon, "run": args.run,
-                      "peak_rss_mb": round(peak, 2), **measured}))
+                      "peak_rss_mb": round(peak, 2),
+                      "children_peak_rss_mb": round(children, 2), **measured}))
     return 0
 
 
