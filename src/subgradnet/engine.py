@@ -41,15 +41,13 @@ output row, not per value.
 The draws do not depend on the states: per sub-span the gains, all
 replications' graphs in one call, each replication's channel and gradient
 noise in one call per stream, the graphs' row sums, the scaled channel draws
-and the noise factors.  One routine fills a slot with them.  When the process
-runs one thread, the horizon spans two sub-spans or more, no pool runs and a
-CPU is free, a forked producer fills two slots in shared memory in turn, one
-sub-span ahead of the parent, which steps from the other; one-byte tokens on
-two pipes hand the slots over, and end of file means the other side is gone.
-Otherwise, or once a producer is lost, the parent fills one slot in line.  A
-producer that dies or gives no slot in time is killed and reaped, and the
-parent replays the sub-spans it has used to bring its own streams level, so
-the outputs do not change.
+and the noise factors.  One routine fills a slot with them.  When the horizon
+spans two sub-spans or more and no pool runs, a producer forked under the
+protocol of ``forked`` fills two slots in shared memory in turn, one sub-span
+ahead of the parent, which steps from the other.  Otherwise, or once a
+producer is lost, the parent fills one slot in line, after replaying the
+sub-spans it has used to bring its own streams level, so the outputs do not
+change.
 
 Randomness is organized as one stream per replication, split into disjoint
 sub-streams for initial states, graph draws, channel noise and gradient noise,
@@ -58,22 +56,15 @@ every replication is reproducible in isolation, regardless of batching or
 worker count.
 """
 
-import contextlib
 import math
 import mmap
-import os
-import pickle
-import select
-import signal
-import struct
-import sys
-import threading
 import time
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import forked
 from .errors import DivergenceDetected, WorkerLost
 from .graphs import _stream_key
 
@@ -99,41 +90,12 @@ _DIVERGENCE_NORM_SQ = 1e24
 # against 131 us per step); at 8 nodes the two cost about the same.
 _PSI_KEPT_BELOW = 8
 
-# Whether a forked producer may draw the sub-spans while the parent steps
-# (os.fork, pipes and shared memory; multiprocessing would add about 1.6 MB
-# to the run's RSS); elsewhere they are drawn in line.
-_FORK_DRAWS = sys.platform.startswith("linux")
-# The least time a parent waits for a forked process that has not answered
-# before it kills it and does the work itself.
-_MIN_WAIT_S = 1.0
-
 # The C routine behind ``np.einsum``, which calls it unchanged when it does
 # not optimize; called directly it saves half of a small einsum's 4 us.
 try:
     from numpy._core.multiarray import c_einsum as _einsum
 except ImportError:  # pragma: no cover - numpy without this private module
     _einsum = np.einsum
-
-
-def _spare_cpu(workers):
-    """Whether a forked process may gain time: a child copies no thread but
-    the caller's, so a lock another thread holds would stay held in it for
-    good, and it only gains time on a CPU that ``workers`` processes leave
-    idle."""
-    return threading.active_count() == 1 and len(os.sched_getaffinity(0)) > workers
-
-
-def _reissue(shown):
-    """Warn with each of a child's recorded warnings, under the module and
-    registry of the code that raised it, as if it had been raised here.  A
-    file that no loaded module has gets warn_explicit's defaults."""
-    for message, category, filename, lineno in shown:
-        mod = next((mod for mod in list(sys.modules.values())
-                    if getattr(mod, "__file__", None) == filename), None)
-        where = {} if mod is None else {
-            "module": mod.__name__,
-            "registry": vars(mod).setdefault("__warningregistry__", {})}
-        warnings.warn_explicit(message, category, filename, lineno, **where)
 
 
 def _step_bytes(reps, n_nodes, dim, has_zeta):
@@ -438,109 +400,35 @@ class _Drawer:
                                          out=(slot.u[:s], slot.uv[:s]))
 
 
-def _read_exact(poller, fd, size, deadline):
-    """``size`` bytes from ``fd``, or None at end of file or past ``deadline``."""
-    data = b""
-    while len(data) < size:
-        left = deadline - time.monotonic()
-        if left <= 0 or not poller.poll(left * 1000):
-            return None
-        chunk = os.read(fd, size - len(data))
-        if not chunk:
-            return None
-        data += chunk
-    return data
-
-
-def _write_all(fd, data):
-    while data:
-        data = data[os.write(fd, data):]
-
-
 class _DrawSource:
     """The slots of a batch's sub-spans ``spans``, ``(k0, s)`` pairs, filled
-    by ``drawer``: in a forked producer when ``fork`` and a process can be
-    had, else in line.
+    by ``drawer``: in a forked producer (see ``forked``) when ``fork`` and a
+    process can be had, else in line.
 
-    The producer fills slot j % 2 with sub-span j, then sends a token on one
-    pipe: one byte, or with the warnings it recorded, a byte, their length and
-    their pickle.  From sub-span 2 on it first waits for the parent's token
-    on the other pipe that slot j % 2 is free.  The ends a process does not
-    use are closed at once, so end of file on a pipe means the other side is
-    gone; the producer then exits.  It never returns into the caller's code.
-    In line the drawer fills slot 0 each time."""
+    The producer fills slot j % 2 with sub-span j and sends a message with
+    the warnings it recorded.  From sub-span 2 on it first waits for the
+    parent's token that slot j % 2 is free.  In line the drawer fills slot 0
+    each time."""
 
     def __init__(self, drawer, slots, spans, fork):
         self._drawer, self._slots, self._spans = drawer, slots, spans
-        self._pid = None
-        if fork:
-            with contextlib.suppress(OSError):  # no process to be had
-                self._fork()
-
-    def _fork(self):
-        free_r, free_w = os.pipe()
-        filled_r, filled_w = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            for fd in (free_r, free_w, filled_r, filled_w):
-                os.close(fd)
-            raise
-        if pid == 0:
-            code = 1
-            try:
-                os.close(free_w)
-                os.close(filled_r)
-                self._produce(free_r, filled_w)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(free_r)
-        os.close(filled_w)
-        self._pid, self._free_w, self._filled_r = pid, free_w, filled_r
-        self._poller = select.poll()
-        self._poller.register(filled_r, select.POLLIN)
+        self._child = forked.start(self._produce, 1) if fork else None
         # When each slot was last handed to the producer.
         self._asked = [time.monotonic()] * 2
 
-    def _produce(self, free_r, filled_w):
+    def _produce(self, child):
         for j, (k0, s) in enumerate(self._spans):
-            if j >= 2 and not os.read(free_r, 1):
+            if j >= 2 and not child.wait():
                 return  # the parent is gone
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                self._drawer.fill(self._slots[j % 2], k0, s)
-            token = b"\0"
-            if caught:
-                shown = pickle.dumps([(w.message, w.category, w.filename, w.lineno)
-                                      for w in caught], pickle.HIGHEST_PROTOCOL)
-                token = b"\1" + struct.pack("=I", len(shown)) + shown
-            _write_all(filled_w, token)
-
-    def _receive(self, j):
-        """Whether the producer hands over sub-span j's slot, the warnings it
-        recorded issued here.  The wait lasts at most as long as the
-        producer has already had for the slot, or ``_MIN_WAIT_S`` if that is
-        longer."""
-        now = time.monotonic()
-        deadline = now + max(now - self._asked[j % 2], _MIN_WAIT_S)
-        token = _read_exact(self._poller, self._filled_r, 1, deadline)
-        if token == b"\1":
-            size = _read_exact(self._poller, self._filled_r, 4, deadline)
-            shown = size and _read_exact(self._poller, self._filled_r,
-                                         struct.unpack("=I", size)[0], deadline)
-            if not shown:
-                return False
-            _reissue(pickle.loads(shown))
-        return token is not None
+            child.reply(self._drawer.fill, self._slots[j % 2], k0, s)
 
     def take(self, j):
         """The index of the slot that holds sub-span j's draws.  A producer
         lost on the way is killed and reaped; the drawer then replays
         sub-spans 0 to j - 1 into slot 1, their warnings ignored, since they
         were issued, and the draws go on in line."""
-        if self._pid is not None:
-            if self._receive(j):
+        if self._child is not None:
+            if self._child.receive(self._asked[j % 2])[0]:
                 return j % 2
             self.close()
             with warnings.catch_warnings():
@@ -552,20 +440,15 @@ class _DrawSource:
 
     def release(self, j):
         """Hands sub-span j's slot back to the producer for sub-span j + 2."""
-        if self._pid is not None and j + 2 < len(self._spans):
+        if self._child is not None and j + 2 < len(self._spans):
             self._asked[j % 2] = time.monotonic()
-            # A lost producer shows at the next take.
-            with contextlib.suppress(BrokenPipeError):
-                os.write(self._free_w, b"\0")
+            self._child.token()
 
     def close(self):
-        """Kills and reaps the producer, if one runs, and closes the pipes."""
-        if self._pid is not None:
-            pid, self._pid = self._pid, None
-            os.close(self._free_w)
-            os.close(self._filled_r)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        """Kills and reaps the producer, if one runs."""
+        if self._child is not None:
+            child, self._child = self._child, None
+            child.close()
 
 
 def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
@@ -690,8 +573,7 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
 
     drawer = _Drawer(objective, process, schedule, np.stack(graph_keys), comm_gen,
                      grad_gen, bufs)
-    draws = _DrawSource(drawer, bufs.slots, spans,
-                        _FORK_DRAWS and not pooled and len(spans) > 1 and _spare_cpu(1))
+    draws = _DrawSource(drawer, bufs.slots, spans, not pooled and len(spans) > 1)
     # A floating-point error interrupts a step; unless a state has diverged by
     # then, the step is redone under the caller's error handling and warns.
     fp_modes = np.geterr()

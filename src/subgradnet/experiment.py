@@ -14,30 +14,24 @@ Monte Carlo statistics (``v_ratio``, ``final_dist``) and the envelope check
 (``c1_sup_early``).
 
 The Monte Carlo reads neither the connectivity report nor the condition
-verdicts, so on Linux, when the process has one thread and a CPU beyond the
-Monte Carlo's workers, both run in a forked child while it runs, and the
-parent collects them afterwards.  A child that gives no result in time,
-having raised, died or hung, costs only its head start and a bounded wait:
-the parent then runs the stages itself.  An error of the stages takes
-precedence over a package error of the Monte Carlo, as when they ran first;
-any other exception kills the child.
+verdicts, so both run in a child forked under the protocol of ``forked``
+while it runs, and the parent collects them afterwards.  A child that gives
+no result in time costs only its head start and a bounded wait: the parent
+then runs the stages itself.  An error of the stages takes precedence over a
+package error of the Monte Carlo, as when they ran first; any other
+exception kills the child.
 """
 
 import contextlib
 import functools
 import os
-import pickle
-import select
-import signal
-import sys
-import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import config as cfgmod
-from .engine import _MIN_WAIT_S, _reissue, _spare_cpu, default_record_ks, monte_carlo
+from . import forked
+from .engine import default_record_ks, monte_carlo
 from .errors import SubgradNetError
 from .graphs import joint_connectivity_report
 from .objectives import global_optimum
@@ -216,18 +210,6 @@ def _staged_outputs(paths):
                 os.remove(temp)
 
 
-# Whether the connectivity report and the condition checks may run in a
-# forked child while the Monte Carlo runs (os.fork and a pipe); elsewhere
-# they run in line before it.
-_FORK_SETUP = sys.platform.startswith("linux")
-
-
-def _fork_pays(workers):
-    """Whether to fork the stages: when the process runs one thread and the
-    Monte Carlo's ``workers`` leave a CPU idle."""
-    return _FORK_SETUP and _spare_cpu(workers)
-
-
 def _setup_stages(cfg, objective, process, model, schedule):
     """The stages the summary needs and the Monte Carlo does not: the
     connectivity report, the constants and the C1-C5 verdicts at C0."""
@@ -239,83 +221,14 @@ def _setup_stages(cfg, objective, process, model, schedule):
     return report, constants, conditions
 
 
-class _ForkedStages:
-    """``stages()`` run in a forked child; :meth:`result` waits for it.
-
-    The child sends its result and the warnings it recorded, pickled, through
-    a pipe and exits 0, or exits 1 if anything fails; it never returns into
-    the caller's code.  The parent's write end is closed at once, so no
-    process started later holds it, and end of file means the child is done.
-    """
-
-    def __init__(self, stages):
-        self._stages = stages
-        read_fd, write_fd = os.pipe()
-        try:
-            self._pid = os.fork()
-        except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
-            raise
-        if self._pid == 0:
-            code = 1
-            try:
-                os.close(read_fd)
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    result = stages()
-                shown = [(w.message, w.category, w.filename, w.lineno) for w in caught]
-                with os.fdopen(write_fd, "wb") as pipe:
-                    pipe.write(pickle.dumps((result, shown), pickle.HIGHEST_PROTOCOL))
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(write_fd)
-        self._read_fd = read_fd
-        self._started = time.monotonic()
-
-    def result(self):
-        """The child's result, its warnings issued here.  The wait lasts at
-        most as long as the child has already had, or ``_MIN_WAIT_S`` if that
-        is longer; a child that gave no result by then, having raised, died or
-        hung, is killed and the stages run in line."""
-        now = time.monotonic()
-        deadline = now + max(now - self._started, _MIN_WAIT_S)
-        poller = select.poll()
-        poller.register(self._read_fd, select.POLLIN)
-        chunks, done = [], False
-        try:
-            while not done:
-                left = deadline - time.monotonic()
-                if left <= 0 or not poller.poll(left * 1000):
-                    break
-                chunk = os.read(self._read_fd, 1 << 16)
-                chunks.append(chunk)
-                done = not chunk
-        finally:
-            os.close(self._read_fd)
-            if not done:
-                os.kill(self._pid, signal.SIGKILL)
-            status = os.waitpid(self._pid, 0)[1]
-        if os.waitstatus_to_exitcode(status) != 0:
-            return self._stages()
-        result, shown = pickle.loads(b"".join(chunks))
-        _reissue(shown)
-        return result
-
-    def kill(self):
-        os.close(self._read_fd)
-        os.kill(self._pid, signal.SIGKILL)
-        os.waitpid(self._pid, 0)
-
-
-def _start_stages(stages, workers):
-    """``stages()`` started in a forked child, or None where forking does not
-    pay or no process can be had."""
-    if _fork_pays(workers):
-        with contextlib.suppress(OSError):  # no process to be had
-            return _ForkedStages(stages)
-    return None
+def _collected(child, stages):
+    """The stages' results from ``child``, which is then killed and reaped,
+    or from ``stages()`` run here if it gave none in time."""
+    try:
+        done, result = child.receive(child.started)
+    finally:
+        child.close()
+    return result if done else stages()
 
 
 def run_experiment(cfg, out_dir=None):
@@ -340,7 +253,7 @@ def run_experiment(cfg, out_dir=None):
         report_stream(cfg.run.seed)
         stages = functools.partial(_setup_stages, cfg, objective, process, model,
                                    schedule)
-        child = _start_stages(stages, cfg.run.workers)
+        child = forked.start(lambda c: c.reply(stages), cfg.run.workers)
         setup = stages() if child is None else None
         record_ks = default_record_ks(cfg.run.horizon, cfg.run.dense_until,
                                       cfg.run.record_stride)
@@ -352,13 +265,13 @@ def run_experiment(cfg, out_dir=None):
         except SubgradNetError:
             # A setup error comes first, as if the stages had run before.
             if child is not None:
-                child.result()
+                _collected(child, stages)
             raise
         except BaseException:
             if child is not None:
-                child.kill()
+                child.close()
             raise
-        report, constants, conditions = setup if child is None else child.result()
+        report, constants, conditions = setup if child is None else _collected(child, stages)
 
         # The growth envelope beta = exp(C0 * sum alpha) judges the run's
         # mean squared state norm; C1_hat is their largest ratio.

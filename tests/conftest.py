@@ -1,3 +1,4 @@
+import os
 import pathlib
 
 import pytest
@@ -10,6 +11,9 @@ settings.register_profile("reproducible", print_blob=True, derandomize=True)
 settings.load_profile("reproducible")
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
+
+# The test process, to tell it from a forked child.
+PARENT = os.getpid()
 
 _acceptance_lines = []
 
@@ -28,3 +32,15 @@ def pytest_terminal_summary(terminalreporter):
 @pytest.fixture(scope="session")
 def config_dir():
     return CONFIG_DIR
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two CPUs for the one-worker runs of a test, so a fork pays on any
+    host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})

@@ -12,16 +12,15 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import PARENT, assert_no_child
 from subgradnet import (CommNoiseModel, DivergenceDetected, InitialStates, QuadraticObjective,
-                        StepSchedule, engine)
+                        StepSchedule, forked)
 from subgradnet.engine import _run_batch, default_record_ks
 from test_sub_spans import (FORCED_SPANS, PER_REP_KEYS, REPS, _lasso, _lasso_diagonal,
                             _quadratic, force_span)
 
-pytestmark = pytest.mark.skipif(not engine._FORK_DRAWS,
-                                reason="the draws are forked on Linux only")
-
-PARENT = os.getpid()
+pytestmark = [pytest.mark.skipif(not forked._FORKS, reason="the draws are forked on Linux only"),
+              pytest.mark.usefixtures("two_cpus")]
 HORIZON = 601  # a multiple of none of the forced sub-spans but 1
 MODEL = CommNoiseModel(sigma=0.3, b=0.2, cap=0.3)
 
@@ -69,23 +68,12 @@ def assert_same(out, reference):
         assert out[key].tobytes() == reference[key].tobytes(), key
 
 
-def assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture(autouse=True)
-def spare_cpu(monkeypatch):
-    """Two CPUs, so the producer pays on any host."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-
-
 @pytest.fixture
 def in_line(monkeypatch):
     """Runs ``fn()`` with the draws made in line."""
     def call(fn):
         with monkeypatch.context() as m:
-            m.setattr(engine, "_FORK_DRAWS", False)
+            m.setattr(forked, "_FORKS", False)
             return fn()
     return call
 
@@ -146,7 +134,7 @@ def _hang_child_at(k):
 def test_a_lost_producer_gives_the_same_outputs(quadratic, tmp_path, monkeypatch, lose):
     objective, process = quadratic
     reference = run(objective, process)
-    monkeypatch.setattr(engine, "_MIN_WAIT_S", 0.2)
+    monkeypatch.setattr(forked, "_MIN_WAIT_S", 0.2)
     logged = _Logged(process, tmp_path / "pids", hook=lose(21))
     start = time.monotonic()
     out = run(objective, logged)

@@ -15,14 +15,14 @@ import warnings
 
 import pytest
 
-from subgradnet import DivergenceDetected, experiment, run_experiment
+from conftest import PARENT, assert_no_child
+from subgradnet import DivergenceDetected, engine, experiment, forked, run_experiment
 from subgradnet.config import config_from_dict
 from subgradnet.errors import NonConvergenceError
 
-pytestmark = pytest.mark.skipif(not experiment._FORK_SETUP,
-                                reason="the setup stages are forked on Linux only")
-
-PARENT = os.getpid()
+pytestmark = [pytest.mark.skipif(not forked._FORKS,
+                                 reason="the setup stages are forked on Linux only"),
+              pytest.mark.usefixtures("two_cpus")]
 
 
 def small_cfg(extra=None):
@@ -54,17 +54,6 @@ def setup_results(res):
     return pickle.dumps((res.report, res.constants, res.conditions))
 
 
-def assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture(autouse=True)
-def spare_cpu(monkeypatch):
-    """Two CPUs for the one-worker runs here, so the fork pays on any host."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-
-
 @pytest.fixture
 def stage_pids(monkeypatch, tmp_path):
     """Wraps ``verify_conditions`` so that each call appends its process id
@@ -82,14 +71,14 @@ def stage_pids(monkeypatch, tmp_path):
 
 
 def test_forked_and_inline_stages_agree(tmp_path, monkeypatch, stage_pids):
-    forked = run_experiment(small_cfg(), out_dir=str(tmp_path / "forked"))
+    in_child = run_experiment(small_cfg(), out_dir=str(tmp_path / "forked"))
     [pid] = stage_pids()
     assert pid != PARENT
-    monkeypatch.setattr(experiment, "_FORK_SETUP", False)
+    monkeypatch.setattr(forked, "_FORKS", False)
     inline = run_experiment(small_cfg(), out_dir=str(tmp_path / "inline"))
     assert stage_pids() == [pid, PARENT]
-    assert setup_results(forked) == setup_results(inline)
-    assert outputs(forked) == outputs(inline)
+    assert setup_results(in_child) == setup_results(inline)
+    assert outputs(in_child) == outputs(inline)
 
 
 def test_child_killed_mid_stage_gives_the_same_outputs(tmp_path, monkeypatch):
@@ -119,7 +108,7 @@ def test_a_hung_child_is_killed_and_the_stages_run_in_line(tmp_path, monkeypatch
         return original(*args, **kwargs)
 
     monkeypatch.setattr(experiment, "verify_conditions", hangs_in_child)
-    monkeypatch.setattr(experiment, "_MIN_WAIT_S", 0.2)
+    monkeypatch.setattr(forked, "_MIN_WAIT_S", 0.2)
     start = time.monotonic()
     res = run_experiment(small_cfg(), out_dir=str(tmp_path / "hung"))
     assert time.monotonic() - start < 10.0
@@ -204,6 +193,62 @@ def test_no_child_or_pipe_is_left_behind(tmp_path, monkeypatch, case):
     assert len(os.listdir("/proc/self/fd")) == fds
 
 
+@pytest.mark.parametrize("case", ["both answer", "producer killed", "setup child hung"])
+def test_both_children_at_once_give_the_in_line_outputs(tmp_path, monkeypatch, stage_pids,
+                                                        case):
+    # small_cfg's batch, 2 replications of 3 nodes in dimension 2, walks its
+    # 200 steps in sub-spans of 70, so the Monte Carlo forks a draw producer
+    # beside the setup child.
+    monkeypatch.setattr(engine, "_BUDGET_BYTES", 70 * engine._step_bytes(2, 3, 2, False))
+    with monkeypatch.context() as m:
+        m.setattr(forked, "_FORKS", False)
+        inline = run_experiment(small_cfg(), out_dir=str(tmp_path / "inline"))
+    assert stage_pids() == [PARENT]
+    log, fill = tmp_path / "fill_pids", engine._Drawer.fill
+
+    def logged_fill(self, slot, k0, s):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        if case == "producer killed" and os.getpid() != PARENT and k0 == 140:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fill(self, slot, k0, s)
+
+    monkeypatch.setattr(engine._Drawer, "fill", logged_fill)
+    if case == "setup child hung":
+        original = experiment.verify_conditions
+
+        def hangs_in_child(*args, **kwargs):
+            if os.getpid() != PARENT:
+                time.sleep(60.0)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "verify_conditions", hangs_in_child)
+        monkeypatch.setattr(forked, "_MIN_WAIT_S", 0.2)
+    fds = len(os.listdir("/proc/self/fd"))
+    start = time.monotonic()
+    res = run_experiment(small_cfg(), out_dir=str(tmp_path / "both"))
+    assert time.monotonic() - start < 10.0
+    assert setup_results(res) == setup_results(inline)
+    assert outputs(res) == outputs(inline)
+    fill_pids = [int(v) for v in log.read_text().split()]
+    [setup_pid] = stage_pids()[1:]
+    producer = fill_pids[0]
+    assert producer != PARENT
+    if case == "both answer":
+        assert setup_pid != PARENT and setup_pid != producer
+        assert fill_pids == [producer] * 3
+    elif case == "producer killed":
+        # The producer drew sub-spans 0 to 2; the parent replayed 0 and 1
+        # and drew 2.
+        assert setup_pid != PARENT and setup_pid != producer
+        assert fill_pids == [producer] * 3 + [PARENT] * 3
+    else:
+        assert setup_pid == PARENT
+    assert_no_child()
+    # Nor is an end of a pipe left open.
+    assert len(os.listdir("/proc/self/fd")) == fds
+
+
 def test_a_stage_warning_reaches_the_parent(tmp_path, monkeypatch, stage_pids):
     original = experiment.estimate_constants
 
@@ -222,10 +267,10 @@ def test_a_stage_warning_reaches_the_parent(tmp_path, monkeypatch, stage_pids):
 
 _WARN_TWICE = """
 import sys, warnings
-from subgradnet import experiment, run_experiment
+from subgradnet import experiment, forked, run_experiment
 from test_setup_fork import small_cfg
 
-experiment._FORK_SETUP = sys.argv[1] == "1"
+forked._FORKS = sys.argv[1] == "1"
 original = experiment.estimate_constants
 
 def warns(*args, **kwargs):
