@@ -41,13 +41,15 @@ output row, not per value.
 The draws do not depend on the states: per sub-span the gains, all
 replications' graphs in one call, each replication's channel and gradient
 noise in one call per stream, the graphs' row sums, the scaled channel draws
-and the noise factors.  One routine fills a slot with them.  When the horizon
-spans two sub-spans or more and no pool runs, a producer forked under the
-protocol of ``forked`` fills two slots in shared memory in turn, one sub-span
-ahead of the parent, which steps from the other.  Otherwise, or once a
-producer is lost, the parent fills one slot in line, after replaying the
-sub-spans it has used to bring its own streams level, so the outputs do not
-change.
+and the noise factors.  One object owns a batch's draws: their streams, the
+scratch they are made in and the slots that hold them.  When no pool runs, a
+CPU is left idle and the horizon spans two sub-spans or more, a producer
+forked under the protocol of ``forked`` fills two slots in shared memory in
+turn, one sub-span ahead of the parent, which steps from the other.
+Otherwise the batch holds one slot, which the parent fills in line, and its
+sub-spans are sized for that one slot.  Once a producer is lost, the parent
+replays the sub-spans it has used into the one slot it fills from then on,
+to bring its own streams level, so the outputs do not change.
 
 Randomness is organized as one stream per replication, split into disjoint
 sub-streams for initial states, graph draws, channel noise and gradient noise,
@@ -72,12 +74,12 @@ from .graphs import _stream_key
 # do not depend on it.
 _CHUNK = 1024
 
-# Bytes one batch holds for a sub-span: both slots of draws, its step
-# buffers, the scratch of the draws and the temporaries of ``observe``; sets
-# the sub-span the horizon is walked in.  Outputs do not depend on it.  Each
-# sub-span pays a fixed cost per replication for its graph and noise draws:
-# at 2 MiB that cost took 5-7% of the shipped configs' Monte Carlo time, at
-# 4 MiB about half that.
+# Bytes one batch holds for a sub-span: its slots of draws (two while a
+# producer runs, else one), the scratch of the draws, its step buffers and
+# the temporaries of ``observe``; sets the sub-span the horizon is walked in.
+# Outputs do not depend on it.  Each sub-span pays a fixed cost per
+# replication for its graph and noise draws: at 2 MiB that cost took 5-7% of
+# the shipped configs' Monte Carlo time, at 4 MiB about half that.
 _BUDGET_BYTES = 4 << 20
 
 _DIVERGENCE_NORM_SQ = 1e24
@@ -98,11 +100,11 @@ except ImportError:  # pragma: no cover - numpy without this private module
     _einsum = np.einsum
 
 
-def _step_bytes(reps, n_nodes, dim, has_zeta):
-    """Bytes one batch holds per step of a sub-span: both slots of
-    ``_DrawSlot``, the buffers of ``_StepBuffers``, and the copy of the
-    recorded states that ``observe`` makes with up to two temporaries of its
-    size."""
+def _step_bytes(reps, n_nodes, dim, has_zeta, slots):
+    """Bytes one batch holds per step of a sub-span: ``slots`` slots of
+    ``_DrawSlot`` and the scratch of ``_Draws``, the buffers of
+    ``_StepBuffers``, and the copy of the recorded states that ``observe``
+    makes with up to two temporaries of its size."""
     # Per replication: a slot's graphs, broadcast row sums and channel draws
     # (and noise factors); the scratch's row sums and normals (and gradient
     # draws); the states, centred states, subgradients, observe's three,
@@ -116,13 +118,14 @@ def _step_bytes(reps, n_nodes, dim, has_zeta):
         slot += 2 * n_nodes * dim
         scratch += n_nodes * dim + n_nodes
     # and the two gains of each slot.
-    return 8 * (reps * (2 * slot + scratch + own) + 4)
+    return 8 * (reps * (slots * slot + scratch + own) + 2 * slots)
 
 
-def _sub_span(reps, n_nodes, dim, has_zeta):
-    """Steps per sub-span: as many as the byte budget holds, 1 to _CHUNK."""
+def _sub_span(reps, n_nodes, dim, has_zeta, slots):
+    """Steps per sub-span of a batch that holds ``slots`` slots of draws: as
+    many as the byte budget holds, 1 to _CHUNK."""
     return max(1, min(_CHUNK, _BUDGET_BYTES // _step_bytes(reps, n_nodes, dim,
-                                                           has_zeta)))
+                                                           has_zeta, slots)))
 
 
 def _center(states, out=None, mean=None):
@@ -321,7 +324,10 @@ class _DrawSlot:
     row sums broadcast to the states' shape, so that the kernel's multiply
     takes same-shape operands, receiver i's channel draw of step t,
     ``z_chan[t, r, i]``, N(0, I/dim), and with gradient noise the noise
-    factors ``u`` and ``uv``."""
+    factors ``u`` and ``uv``.  ``steps`` holds each step's views of them, made
+    once: indexing an array would make a new view per step.  The gains go to
+    the kernel as 0-d views: numpy converts a Python float operand anew on
+    every call, and iterating a row would make copies."""
 
     def __init__(self, span, reps, n_nodes, dim, has_zeta):
         node_steps = (span, reps, n_nodes, dim)
@@ -336,22 +342,19 @@ class _DrawSlot:
             setattr(self, name, np.frombuffer(self.mem, np.float64, size, offset)
                     .reshape(shape))
             offset += 8 * size
+        self.steps = (list(self.graphs), list(self.row_sums_x), list(self.z_chan),
+                      [self.gains[0, t, ...] for t in range(span)],
+                      [self.gains[1, t, ...] for t in range(span)],
+                      list(zip(self.u, self.uv)) if has_zeta else None)
 
 
 class _StepBuffers:
-    """The buffers of one batch, ``span`` steps long and step-major: every
-    operand of step t is the contiguous ``(reps, ...)`` block at index t.
-    ``slots`` are the two slots of draws; ``row_sums``, ``z_rep`` and
-    ``zv_draws`` are the scratch of the process that fills them.  ``hist``
-    holds a sub-span's states and the state after it."""
+    """The buffers of one batch's steps, ``span`` steps long and step-major:
+    every operand of step t is the contiguous ``(reps, ...)`` block at index
+    t.  ``hist`` holds a sub-span's states and the state after it."""
 
-    def __init__(self, span, reps, n_nodes, dim, has_zeta):
+    def __init__(self, span, reps, n_nodes, dim):
         node_steps = (span, reps, n_nodes, dim)
-        self.slots = tuple(_DrawSlot(span, reps, n_nodes, dim, has_zeta) for _ in range(2))
-        self.row_sums = np.empty((span, reps, n_nodes))
-        # The standard normals, rep-major: standard_normal fills only a
-        # contiguous ``out``, and a replication's leading steps are one.
-        self.z_rep = np.empty((reps, span, n_nodes, dim))
         self.hist = np.empty((span + 1, reps, n_nodes, dim))
         self.centred = np.empty(node_steps)
         self.means = np.empty((span, reps, 1, dim))
@@ -361,86 +364,88 @@ class _StepBuffers:
         self.psi_max = np.empty((span, reps))
         if n_nodes < _PSI_KEPT_BELOW:
             self.psi = np.empty((span, reps, n_nodes, n_nodes))
-        if has_zeta:
-            # Raw gradient-noise draws, rep-major, each step's z_t then v_t.
-            self.zv_draws = np.empty((reps, span, n_nodes * dim + n_nodes))
 
 
-class _Drawer:
-    """Fills a slot with a sub-span's draws.  Every stream is read in step
-    order, so the sub-spans are filled in order, each once per drawer."""
+class _Draws:
+    """The draws of a batch's sub-spans ``spans``, ``(k0, s)`` pairs of at
+    most ``span`` steps, and all they need: the streams, graph keys, Markov
+    state and the channel and gradient generators, each read in step order,
+    so a process fills the sub-spans in order, each once; the scratch the
+    draws are made in; and the slots that hold them.
 
-    def __init__(self, objective, process, schedule, graph_keys, comm_gen, grad_gen, bufs):
+    With ``fork`` the batch holds two slots, and a producer forked under the
+    protocol of ``forked`` fills sub-span j into slot j % 2, then sends a
+    message with the warnings it recorded; from sub-span 2 on it first waits
+    for the parent's token that slot j % 2 is free.  Without ``fork`` the
+    batch holds one slot; the parent fills slot 0 in line then, and also
+    where no process can be had."""
+
+    def __init__(self, objective, process, schedule, streams, span, spans, fork):
         self.objective, self.process, self.schedule = objective, process, schedule
-        self.graph_keys, self.comm_gen, self.grad_gen = graph_keys, comm_gen, grad_gen
-        self.graph_state, self.bufs = None, bufs
-        reps, span, n_nodes, dim = bufs.z_rep.shape
+        self.graph_keys, self.comm_gen, self.grad_gen = streams
+        self.graph_state, self.spans = None, spans
+        reps, n_nodes, dim = len(self.comm_gen), process.n_nodes, objective.dim
+        self.slots = [_DrawSlot(span, reps, n_nodes, dim, objective.has_gradient_noise)
+                      for _ in range(1 + fork)]
+        self.row_sums = np.empty((span, reps, n_nodes))
+        # The standard normals, rep-major: standard_normal fills only a
+        # contiguous ``out``, and a replication's leading steps are one.
+        self.z_rep = np.empty((reps, span, n_nodes, dim))
         self.z_scale = 1.0 / np.sqrt(dim)
         if objective.has_gradient_noise:
-            # Step-major views of the draws, which noise_factors reads in place.
-            self.z_draws = bufs.zv_draws[..., :n_nodes * dim].reshape(
+            # Raw gradient-noise draws, rep-major, each step's z_t then v_t,
+            # and their step-major views, which noise_factors reads in place.
+            self.zv_draws = np.empty((reps, span, n_nodes * dim + n_nodes))
+            self.z_draws = self.zv_draws[..., :n_nodes * dim].reshape(
                 reps, span, n_nodes, dim).swapaxes(0, 1)
-            self.v_draws = bufs.zv_draws[..., n_nodes * dim:].swapaxes(0, 1)
-
-    def fill(self, slot, k0, s):
-        """Slot ``slot`` with the draws of steps k0 to k0 + s - 1."""
-        bufs, schedule, step_ks = self.bufs, self.schedule, np.arange(k0, k0 + s)
-        slot.gains[0, :s], slot.gains[1, :s] = schedule.alpha(step_ks), schedule.c(step_ks)
-        _, self.graph_state = self.process.sample_block(
-            self.graph_keys, k0, s, state=self.graph_state, out=slot.graphs[:s].swapaxes(0, 1))
-        _row_sums(slot.graphs[:s], bufs.row_sums[:s])
-        np.copyto(slot.row_sums_x[:s], bufs.row_sums[:s, ..., None])
-        for r, g in enumerate(self.comm_gen):
-            g.standard_normal(out=bufs.z_rep[r, :s])
-        np.multiply(bufs.z_rep[:, :s].swapaxes(0, 1), self.z_scale, out=slot.z_chan[:s])
-        if self.objective.has_gradient_noise:
-            for r, g in enumerate(self.grad_gen):
-                g.standard_normal(out=bufs.zv_draws[r, :s])
-            self.objective.noise_factors(self.z_draws[:s], self.v_draws[:s],
-                                         out=(slot.u[:s], slot.uv[:s]))
-
-
-class _DrawSource:
-    """The slots of a batch's sub-spans ``spans``, ``(k0, s)`` pairs, filled
-    by ``drawer``: in a forked producer (see ``forked``) when ``fork`` and a
-    process can be had, else in line.
-
-    The producer fills slot j % 2 with sub-span j and sends a message with
-    the warnings it recorded.  From sub-span 2 on it first waits for the
-    parent's token that slot j % 2 is free.  In line the drawer fills slot 0
-    each time."""
-
-    def __init__(self, drawer, slots, spans, fork):
-        self._drawer, self._slots, self._spans = drawer, slots, spans
+            self.v_draws = self.zv_draws[..., n_nodes * dim:].swapaxes(0, 1)
         self._child = forked.start(self._produce, 1) if fork else None
         # When each slot was last handed to the producer.
         self._asked = [time.monotonic()] * 2
 
+    def fill(self, slot, k0, s):
+        """Slot ``slot`` with the draws of steps k0 to k0 + s - 1."""
+        schedule, step_ks = self.schedule, np.arange(k0, k0 + s)
+        slot.gains[0, :s], slot.gains[1, :s] = schedule.alpha(step_ks), schedule.c(step_ks)
+        _, self.graph_state = self.process.sample_block(
+            self.graph_keys, k0, s, state=self.graph_state, out=slot.graphs[:s].swapaxes(0, 1))
+        _row_sums(slot.graphs[:s], self.row_sums[:s])
+        np.copyto(slot.row_sums_x[:s], self.row_sums[:s, ..., None])
+        for r, g in enumerate(self.comm_gen):
+            g.standard_normal(out=self.z_rep[r, :s])
+        np.multiply(self.z_rep[:, :s].swapaxes(0, 1), self.z_scale, out=slot.z_chan[:s])
+        if self.objective.has_gradient_noise:
+            for r, g in enumerate(self.grad_gen):
+                g.standard_normal(out=self.zv_draws[r, :s])
+            self.objective.noise_factors(self.z_draws[:s], self.v_draws[:s],
+                                         out=(slot.u[:s], slot.uv[:s]))
+
     def _produce(self, child):
-        for j, (k0, s) in enumerate(self._spans):
+        for j, (k0, s) in enumerate(self.spans):
             if j >= 2 and not child.wait():
                 return  # the parent is gone
-            child.reply(self._drawer.fill, self._slots[j % 2], k0, s)
+            child.reply(self.fill, self.slots[j % 2], k0, s)
 
     def take(self, j):
-        """The index of the slot that holds sub-span j's draws.  A producer
-        lost on the way is killed and reaped; the drawer then replays
-        sub-spans 0 to j - 1 into slot 1, their warnings ignored, since they
-        were issued, and the draws go on in line."""
+        """Each step's views of the slot that holds sub-span j's draws.  A
+        producer lost on the way is killed and reaped; sub-spans 0 to j - 1
+        are then replayed into slot 0, which the parent has released by then,
+        their warnings ignored, since they were issued, and the draws go on
+        in line."""
         if self._child is not None:
             if self._child.receive(self._asked[j % 2])[0]:
-                return j % 2
+                return self.slots[j % 2].steps
             self.close()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                for k0, s in self._spans[:j]:
-                    self._drawer.fill(self._slots[1], k0, s)
-        self._drawer.fill(self._slots[0], *self._spans[j])
-        return 0
+                for k0, s in self.spans[:j]:
+                    self.fill(self.slots[0], k0, s)
+        self.fill(self.slots[0], *self.spans[j])
+        return self.slots[0].steps
 
     def release(self, j):
         """Hands sub-span j's slot back to the producer for sub-span j + 2."""
-        if self._child is not None and j + 2 < len(self._spans):
+        if self._child is not None and j + 2 < len(self.spans):
             self._asked[j % 2] = time.monotonic()
             self._child.token()
 
@@ -493,11 +498,15 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
     cd_sq = float(np.max(objective.c_d)) ** 2
     has_zeta = objective.has_gradient_noise
 
-    # The horizon is walked in sub-spans of at most ``span`` steps; the
-    # kernel writes each next state into ``hist``.
-    span = min(_sub_span(reps, n_nodes, dim, has_zeta), max(horizon, 1))
+    # The draws are forked when no pool runs, a CPU is left idle and the
+    # horizon is longer than one sub-span of a batch with two slots.  The
+    # horizon is walked in sub-spans of at most ``span`` steps, sized for the
+    # slots the batch holds; the kernel writes each next state into ``hist``.
+    shape = (reps, n_nodes, dim, has_zeta)
+    fork = not pooled and forked.may_fork(1) and horizon > _sub_span(*shape, 2)
+    span = min(_sub_span(*shape, 1 + fork), max(horizon, 1))
     spans = [(k0, min(span, horizon - k0)) for k0 in range(0, horizon, span)]
-    bufs = _StepBuffers(span, reps, n_nodes, dim, has_zeta)
+    bufs = _StepBuffers(span, reps, n_nodes, dim)
     hist, d_hist = bufs.hist, bufs.d_hist
     centred, means, psi_max = bufs.centred, bufs.means, bufs.psi_max
     keep_psi = n_nodes < _PSI_KEPT_BELOW
@@ -511,17 +520,6 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
     pairs_t = [_pair_operands(x) for x in hist_t[:span]]
     if has_zeta:
         d_plus_zeta = np.empty((reps, n_nodes, dim))
-
-    def slot_views(slot):
-        """Each step's views of ``slot``.  The gains alpha(k) and c(k) go to
-        the kernel as 0-d views: numpy converts a Python float operand anew
-        on every call, and iterating a row would make copies."""
-        return (list(slot.graphs), list(slot.row_sums_x), list(slot.z_chan),
-                [slot.gains[0, t, ...] for t in range(span)],
-                [slot.gains[1, t, ...] for t in range(span)],
-                list(zip(slot.u, slot.uv)) if has_zeta else None)
-
-    views = [slot_views(slot) for slot in bufs.slots]
 
     def observe(k0, hist, d_hist=None, psi_max=None):
         """Check and record the states ``hist`` before steps k0, k0+1, ...
@@ -571,15 +569,14 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
                                   noise, zeta, d_stack, x_new)
             np.maximum(out["recursion_max"], disc, out=out["recursion_max"])
 
-    drawer = _Drawer(objective, process, schedule, np.stack(graph_keys), comm_gen,
-                     grad_gen, bufs)
-    draws = _DrawSource(drawer, bufs.slots, spans, not pooled and len(spans) > 1)
+    draws = _Draws(objective, process, schedule, (np.stack(graph_keys), comm_gen, grad_gen),
+                   span, spans, fork)
     # A floating-point error interrupts a step; unless a state has diverged by
     # then, the step is redone under the caller's error handling and warns.
     fp_modes = np.geterr()
     try:
         for j, (k0, s) in enumerate(spans):
-            graphs_t, rows_t, z_t, alpha_t, c_t, factors_t = views[draws.take(j)]
+            graphs_t, rows_t, z_t, alpha_t, c_t, factors_t = draws.take(j)
             with np.errstate(divide="raise", over="raise", invalid="raise"):
                 for t in range(s):
                     try:

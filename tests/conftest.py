@@ -1,8 +1,11 @@
 import os
 import pathlib
+from unittest import mock
 
 import pytest
 from hypothesis import settings
+
+from subgradnet import engine, forked
 
 # Fixed example generation, and a reproduction blob printed on failure, so a
 # failing property fails the same way on every rerun.  Tests keep their own
@@ -44,3 +47,17 @@ def two_cpus(monkeypatch):
     """Two CPUs for the one-worker runs of a test, so a fork pays on any
     host."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def span_budget(span, shape):
+    """The byte budget at which a batch of ``shape``, ``(reps, n_nodes, dim,
+    has_zeta)``, walks its horizon in sub-spans of ``span`` steps on
+    whichever path runs outside a pool: a batch whose draws are forked holds
+    two slots of them and one in line.  Draws that may be forked are forked
+    unless the horizon is one two-slot sub-span or less, which is one
+    sub-span on either path."""
+    slots = 2 if forked.may_fork(1) else 1
+    budget = span * engine._step_bytes(*shape, slots)
+    with mock.patch.object(engine, "_BUDGET_BYTES", budget):
+        assert engine._sub_span(*shape, slots) == span
+    return budget

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+from conftest import span_budget
 from oracles import CustomObjective, apply_step, quadratic_record_loop
 from subgradnet import (CommNoiseModel, DeterministicCycle,
                         DivergenceDetected, IndependentEdges, InitialStates,
@@ -165,8 +166,7 @@ def test_mid_chunk_divergence_reports_first_crossing_without_warnings():
 @pytest.mark.parametrize("span", (1, 7, 300))
 def test_mid_chunk_divergence_report_does_not_depend_on_the_sub_span(span, monkeypatch):
     shape = (REPS, _MidChunkDivergence.N_NODES, 1, False)
-    monkeypatch.setattr(engine, "_BUDGET_BYTES", span * engine._step_bytes(*shape))
-    assert engine._sub_span(*shape) == span
+    monkeypatch.setattr(engine, "_BUDGET_BYTES", span_budget(span, shape))
     assert _MidChunkDivergence.run() == (_MidChunkDivergence.first_crossing(), [])
 
 

@@ -14,10 +14,11 @@ import pytest
 
 from conftest import PARENT, assert_no_child
 from subgradnet import (CommNoiseModel, DivergenceDetected, InitialStates, QuadraticObjective,
-                        StepSchedule, forked)
+                        StepSchedule, engine, forked)
 from subgradnet.engine import _run_batch, default_record_ks
-from test_sub_spans import (FORCED_SPANS, PER_REP_KEYS, REPS, _lasso, _lasso_diagonal,
-                            _quadratic, force_span)
+from test_sub_spans import (FORCED_SPANS, PER_REP_KEYS, REPS, SHIPPED, SHIPPED_HORIZON,
+                            _CountingProcess, _lasso, _lasso_diagonal, _quadratic,
+                            counted_slots, force_span, run_shipped)
 
 pytestmark = [pytest.mark.skipif(not forked._FORKS, reason="the draws are forked on Linux only"),
               pytest.mark.usefixtures("two_cpus")]
@@ -148,6 +149,43 @@ def test_a_lost_producer_gives_the_same_outputs(quadratic, tmp_path, monkeypatch
     assert_no_child()
 
 
+@SHIPPED
+def test_a_forked_batch_holds_two_slots_at_its_sub_spans(build, in_line_span, forked_span,
+                                                         monkeypatch, tmp_path):
+    objective, process = build(np.random.default_rng(6))
+    counting = _CountingProcess(process, tmp_path / "draws")
+    slots = counted_slots(monkeypatch)
+    run_shipped(objective, counting)
+    assert counting.calls == [(k, min(forked_span, SHIPPED_HORIZON - k))
+                              for k in range(0, SHIPPED_HORIZON, forked_span)]
+    assert slots() == 2
+    assert_no_child()
+
+
+def test_a_lost_producer_is_replayed_into_slot_0(quadratic, tmp_path, monkeypatch):
+    # The parent has released every sub-span before the one it waits for, so
+    # the draws go on in line in the one slot.
+    objective, process = quadratic
+    log, fill = tmp_path / "fills", engine._Draws.fill
+
+    def logged_fill(self, slot, k0, s):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {self.slots.index(slot)}\n")
+        if os.getpid() != PARENT and k0 == 21:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fill(self, slot, k0, s)
+
+    monkeypatch.setattr(engine._Draws, "fill", logged_fill)
+    run(objective, process)
+    fills = [tuple(int(v) for v in line.split()) for line in log.read_text().splitlines()]
+    producer = fills[0][0]
+    assert producer != PARENT
+    assert fills[:4] == [(producer, 0), (producer, 1), (producer, 0), (producer, 1)]
+    # The parent replays sub-spans 0 to 2 and draws 3 to the last.
+    assert fills[4:] == [(PARENT, 0)] * -(-HORIZON // 7)
+    assert_no_child()
+
+
 @pytest.mark.parametrize("slow", ("producer", "parent"))
 def test_slow_producer_or_parent_gives_the_same_outputs(quadratic, tmp_path, monkeypatch,
                                                         in_line, slow):
@@ -248,13 +286,19 @@ class _WarningSchedule(StepSchedule):
         return super().alpha(k)
 
 
-def test_a_draw_warning_reaches_the_caller_as_in_line(quadratic, in_line):
+def test_a_draw_warning_reaches_the_caller_as_in_line(quadratic, in_line, monkeypatch):
     objective, process = quadratic
+
+    def warned():
+        # Each path at 7-step sub-spans, so that both warn on the same ones.
+        force_span(monkeypatch, 7, objective)
+        return run(objective, process, schedule=_WarningSchedule())
+
     shown = []
     for call in (lambda fn: fn(), in_line):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            call(lambda: run(objective, process, schedule=_WarningSchedule()))
+            call(warned)
         shown.append([(str(w.message), w.category, w.filename, w.lineno) for w in caught])
     forked, inline = shown
     assert forked == inline

@@ -165,6 +165,19 @@ class TestSampleSequence:
         mats, _ = proc.sample_block(42, 0, 5)
         assert np.all(mats == 0.0)
 
+    @pytest.mark.parametrize("perturb", [0.0, 0.5])
+    def test_a_channel_fires_when_its_uniform_is_below_its_probability(self, perturb):
+        # The uniforms are multiples of 2**-53 in [0, 1), so u < p fires with
+        # probability p, to the grid, from p = 0 (never) to p = 1 (always).  A
+        # channel whose uniform equals its probability stays inactive, and one
+        # ulp more fires it.
+        key = _stream_key(np.random.SeedSequence(5))
+        u = _counter_uniforms(key, 7, 1, (3, 3))[0, 0]
+        for prob, active in ((u, False), (np.nextafter(u, 2.0), True)):
+            proc = IndependentEdges(base=K3, prob=prob, perturb=perturb)
+            got, _ = proc.sample_block(key, 7, 1)
+            assert np.array_equal(got[0] != 0.0, active & (K3 != 0.0))
+
     def test_markov_absorbing_identity_chain(self):
         a, b = edge(2, 0, 1), edge(2, 1, 0)
         proc = MarkovSwitching([a, b], np.eye(2), initial=[1.0, 0.0])

@@ -13,6 +13,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import span_budget
 from oracles import (apply_step, connectivity_report_loop, draw_channel_noise, kernel,
                      lasso_measurement_loop, lasso_measurement_matmul,
                      lasso_noise_factors_matmul, one_node, receiver_draws,
@@ -115,11 +116,8 @@ def test_batch_grouping_invariance_holds_across_chunk_edges(case, horizon):
 def _budget(span, reps, objective):
     """A byte budget that walks a batch of ``reps`` replications of
     ``objective`` in sub-spans of ``span`` steps."""
-    shape = (reps, objective.n_nodes, objective.dim, objective.has_gradient_noise)
-    budget = span * engine._step_bytes(*shape)
-    with mock.patch.object(engine, "_BUDGET_BYTES", budget):
-        assert engine._sub_span(*shape) == span
-    return budget
+    return span_budget(span, (reps, objective.n_nodes, objective.dim,
+                              objective.has_gradient_noise))
 
 
 @settings(max_examples=25, deadline=None)

@@ -15,7 +15,7 @@ import warnings
 
 import pytest
 
-from conftest import PARENT, assert_no_child
+from conftest import PARENT, assert_no_child, span_budget
 from subgradnet import DivergenceDetected, engine, experiment, forked, run_experiment
 from subgradnet.config import config_from_dict
 from subgradnet.errors import NonConvergenceError
@@ -199,12 +199,12 @@ def test_both_children_at_once_give_the_in_line_outputs(tmp_path, monkeypatch, s
     # small_cfg's batch, 2 replications of 3 nodes in dimension 2, walks its
     # 200 steps in sub-spans of 70, so the Monte Carlo forks a draw producer
     # beside the setup child.
-    monkeypatch.setattr(engine, "_BUDGET_BYTES", 70 * engine._step_bytes(2, 3, 2, False))
+    monkeypatch.setattr(engine, "_BUDGET_BYTES", span_budget(70, (2, 3, 2, False)))
     with monkeypatch.context() as m:
         m.setattr(forked, "_FORKS", False)
         inline = run_experiment(small_cfg(), out_dir=str(tmp_path / "inline"))
     assert stage_pids() == [PARENT]
-    log, fill = tmp_path / "fill_pids", engine._Drawer.fill
+    log, fill = tmp_path / "fill_pids", engine._Draws.fill
 
     def logged_fill(self, slot, k0, s):
         with open(log, "a", encoding="utf-8") as fh:
@@ -213,7 +213,7 @@ def test_both_children_at_once_give_the_in_line_outputs(tmp_path, monkeypatch, s
             os.kill(os.getpid(), signal.SIGKILL)
         return fill(self, slot, k0, s)
 
-    monkeypatch.setattr(engine._Drawer, "fill", logged_fill)
+    monkeypatch.setattr(engine._Draws, "fill", logged_fill)
     if case == "setup child hung":
         original = experiment.verify_conditions
 

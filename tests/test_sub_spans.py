@@ -6,13 +6,15 @@ import itertools
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from conftest import span_budget
 from subgradnet import (CommNoiseModel, IndependentEdges, InitialStates,
                         LassoProblem, MarkovSwitching, QuadraticObjective,
-                        StepSchedule, engine)
+                        StepSchedule, engine, forked)
 from subgradnet.engine import _run_batch, default_record_ks
 
 PER_REP_KEYS = ("V", "opt_gap", "state_sq", "dist", "stack_dsq", "mean_state",
@@ -23,10 +25,10 @@ REPS, N_NODES = 3, 4
 
 def force_span(monkeypatch, span, objective):
     """Sets the budget so that a batch of REPS replications of ``objective``
-    walks its horizon in sub-spans of ``span`` steps."""
+    walks its horizon in sub-spans of ``span`` steps, on whichever path
+    runs."""
     shape = (REPS, objective.n_nodes, objective.dim, objective.has_gradient_noise)
-    monkeypatch.setattr(engine, "_BUDGET_BYTES", span * engine._step_bytes(*shape))
-    assert engine._sub_span(*shape) == span
+    monkeypatch.setattr(engine, "_BUDGET_BYTES", span_budget(span, shape))
 
 
 def _quadratic(rng):
@@ -51,6 +53,43 @@ def _lasso(rng, diagonal=False):
 
 def _lasso_diagonal(rng):
     return _lasso(rng, diagonal=True)
+
+
+def _a1_shaped(rng):
+    """Quadratic costs on 5 nodes in dimension 2 with independent edges, as
+    in shipped A1; ``_lasso`` has A2's 4 nodes in dimension 3."""
+    base = np.ones((5, 5)) - np.eye(5)
+    return (QuadraticObjective(rng.normal(size=(5, 2))),
+            IndependentEdges(base=0.4 * base, prob=0.7, perturb=0.6))
+
+
+# Batches of shipped A1 and A2's 20 replications and the sub-spans they walk
+# at the shipped byte budget: in line, where they hold one slot of draws,
+# and with a forked producer, where they hold two.
+SHIPPED = pytest.mark.parametrize("build,in_line_span,forked_span",
+                                  ((_a1_shaped, 177, 135), (_lasso, 139, 103)),
+                                  ids=("a1", "a2"))
+SHIPPED_REPS, SHIPPED_HORIZON = 20, 400
+
+
+def run_shipped(objective, process, pooled=False):
+    horizon = SHIPPED_HORIZON
+    return _run_batch(objective, process, CommNoiseModel(sigma=0.3, b=0.2), StepSchedule(),
+                      horizon, 5, list(range(SHIPPED_REPS)), np.zeros(objective.dim), 0.0,
+                      InitialStates.uniform(-2.0, 2.0), default_record_ks(horizon), 97,
+                      pooled=pooled)
+
+
+def counted_slots(monkeypatch):
+    """Counts the slots of draws the engine maps; returns a reader."""
+    made = []
+
+    class Counted(engine._DrawSlot):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+    monkeypatch.setattr(engine, "_DrawSlot", Counted)
+    return lambda: len(made)
 
 
 @pytest.mark.parametrize("horizon", (1023, 1025, 2049))
@@ -171,15 +210,44 @@ def test_one_measurement_per_step_and_one_graph_draw_per_sub_span(build, monkeyp
         "sample_block 0 300", "sample_block 300 300", "sample_block 600 100"]
 
 
+@SHIPPED
+@pytest.mark.parametrize("how", ("no fork", "pooled"))
+def test_an_in_line_batch_is_sized_for_its_one_slot(build, in_line_span, forked_span, how,
+                                                   monkeypatch, tmp_path):
+    objective, process = build(np.random.default_rng(6))
+    counting = _CountingProcess(process, tmp_path / "draws")
+    slots = counted_slots(monkeypatch)
+    if how == "no fork":
+        monkeypatch.setattr(forked, "_FORKS", False)
+    run_shipped(objective, counting, pooled=how == "pooled")
+    assert counting.calls == [(k, min(in_line_span, SHIPPED_HORIZON - k))
+                              for k in range(0, SHIPPED_HORIZON, in_line_span)]
+    assert slots() == 1
+
+
 @pytest.mark.parametrize("reps,n_nodes,dim", ((1, 2, 1), (20, 5, 2), (3, 9, 4)))
 @pytest.mark.parametrize("has_zeta", (False, True))
-def test_step_bytes_counts_every_per_step_buffer(reps, n_nodes, dim, has_zeta):
-    def held(span):
-        bufs = engine._StepBuffers(span, reps, n_nodes, dim, has_zeta)
+def test_step_bytes_counts_every_per_step_buffer(reps, n_nodes, dim, has_zeta, monkeypatch):
+    # A batch holds two slots of draws when it forks a producer and one in
+    # line.  No producer is forked here: the draws' owner allocates the slots
+    # it is asked for before it forks.
+    monkeypatch.setattr(forked, "_FORKS", False)
+    objective = SimpleNamespace(dim=dim, has_gradient_noise=has_zeta)
+    process = SimpleNamespace(n_nodes=n_nodes)
+
+    def held(span, slots):
+        bufs = engine._StepBuffers(span, reps, n_nodes, dim)
+        draws = engine._Draws(objective, process, None, (None, [None] * reps, None), span, [],
+                              slots == 2)
+        assert len(draws.slots) == slots
         arrays = [a for a in vars(bufs).values() if isinstance(a, np.ndarray)]
         assert all(a.base is None for a in arrays)  # no view counted twice
+        # The draws' scratch, and its views, each into one array counted.
+        scratch = [a for a in vars(draws).values() if isinstance(a, np.ndarray)]
+        arrays += [a for a in scratch if a.base is None]
+        assert all(sum(np.shares_memory(a, b) for b in arrays) == 1 for a in scratch)
         shared = 0
-        for slot in bufs.slots:
+        for slot in draws.slots:
             # The arrays of a slot are views of its shared memory, which they
             # cover without overlap.
             views = [a for a in vars(slot).values() if isinstance(a, np.ndarray)]
@@ -191,8 +259,9 @@ def test_step_bytes_counts_every_per_step_buffer(reps, n_nodes, dim, has_zeta):
 
     # observe's copy of the recorded states and up to two temporaries of it.
     observe_bytes = 3 * 8 * reps * n_nodes * dim
-    assert held(8) - held(7) + observe_bytes == engine._step_bytes(reps, n_nodes, dim,
-                                                                   has_zeta)
+    for slots in (1, 2):
+        assert held(8, slots) - held(7, slots) + observe_bytes == engine._step_bytes(
+            reps, n_nodes, dim, has_zeta, slots)
 
 
 def test_peak_memory_does_not_grow_with_node_count():

@@ -80,18 +80,33 @@ MUTANTS = [
            [SETUP, DRAWS, "-k", "cpu"]),
     # The draw producer's slots (engine.py).
     Mutant("no-replay", "engine.py",
-           [("                for k0, s in self._spans[:j]:\n"
-             "                    self._drawer.fill(self._slots[1], k0, s)\n",
+           [("                for k0, s in self.spans[:j]:\n"
+             "                    self.fill(self.slots[0], k0, s)\n",
              "                pass\n")],
            [SETUP, DRAWS, "-k", "lost_producer or both_children"]),
     Mutant("slot-freed-before-stepped", "engine.py",
-           [("views[draws.take(j)]\n", "views[draws.take(j)]\n            draws.release(j)\n"),
+           [("= draws.take(j)\n", "= draws.take(j)\n            draws.release(j)\n"),
             ("            draws.release(j)\n            if keep_psi:\n",
              "            if keep_psi:\n")],
            [DRAWS, "-k", "slow"]),
-    # The channel noise's law.
+    Mutant("in-line-sized-for-two-slots", "engine.py",
+           [("_sub_span(*shape, 1 + fork)", "_sub_span(*shape, 2)")],
+           ["tests/test_sub_spans.py", "-k", "in_line_batch"]),
+    # The laws of the draws.
     Mutant("z-scale-one", "engine.py",
            [("self.z_scale = 1.0 / np.sqrt(dim)", "self.z_scale = 1.0")],
+           ["tests/test_engine.py"]),
+    Mutant("first-graph-key-for-all", "engine.py",
+           [("(np.stack(graph_keys), comm_gen, grad_gen)",
+             "(np.stack(graph_keys[:1] * reps), comm_gen, grad_gen)")],
+           ["tests/test_engine.py"]),
+    Mutant("less-equal-activation", "graphs.py",
+           [("np.less(out, self.prob, out=out)", "np.less_equal(out, self.prob, out=out)"),
+            ("active = np.less(out, self.prob)", "active = np.less_equal(out, self.prob)")],
+           ["tests/test_graphs.py"]),
+    Mutant("gains-one-step-late", "engine.py",
+           [("schedule.alpha(step_ks), schedule.c(step_ks)",
+             "schedule.alpha(step_ks + 1), schedule.c(step_ks + 1)")],
            ["tests/test_engine.py"]),
 ]
 
