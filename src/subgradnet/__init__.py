@@ -13,7 +13,7 @@ from .engine import (InitialStates, MonteCarloResult, default_record_ks,
 from .errors import (ConfigError, DivergenceDetected, FactorizationError,
                      NoStationaryDistributionError, NonConvergenceError,
                      NonSymmetricError, ParseError, SubgradNetError,
-                     ValidationError, WorkerLost)
+                     ValidationError)
 from .experiment import (ExperimentConstants, ExperimentResult,
                          estimate_constants, run_experiment)
 from .graphs import (DeterministicCycle, IndependentEdges, LaplacianStats,

@@ -42,14 +42,14 @@ The draws do not depend on the states: per sub-span the gains, all
 replications' graphs in one call, each replication's channel and gradient
 noise in one call per stream, the graphs' row sums, the scaled channel draws
 and the noise factors.  One object owns a batch's draws: their streams, the
-scratch they are made in and the slots that hold them.  When no pool runs, a
-CPU is left idle and the horizon spans two sub-spans or more, a producer
-forked under the protocol of ``forked`` fills two slots in shared memory in
-turn, one sub-span ahead of the parent, which steps from the other.
-Otherwise the batch holds one slot, which the parent fills in line, and its
-sub-spans are sized for that one slot.  Once a producer is lost, the parent
-replays the sub-spans it has used into the one slot it fills from then on,
-to bring its own streams level, so the outputs do not change.
+scratch they are made in and the slots that hold them.  When the batch is the
+run's only one, a CPU is left idle and the horizon spans two sub-spans or
+more, a producer forked under the protocol of ``forked`` fills two slots in
+shared memory in turn, one sub-span ahead of the parent, which steps from the
+other.  Otherwise the batch holds one slot, which the parent fills in line,
+and its sub-spans are sized for that one slot.  Once a producer is lost, the
+parent replays the sub-spans it has used into the one slot it fills from then
+on, to bring its own streams level, so the outputs do not change.
 
 Randomness is organized as one stream per replication, split into disjoint
 sub-streams for initial states, graph draws, channel noise and gradient noise,
@@ -58,6 +58,7 @@ every replication is reproducible in isolation, regardless of batching or
 worker count.
 """
 
+import functools
 import math
 import mmap
 import time
@@ -67,7 +68,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import forked
-from .errors import DivergenceDetected, WorkerLost
+from .errors import DivergenceDetected
 from .graphs import _stream_key
 
 # Most steps per sub-span.  Every stream is read in step order, so outputs
@@ -460,7 +461,8 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
                x_star, f_star, init, record_ks, check_stride, pooled=False):
     """Simulate a batch of replications; per-replication results do not
     depend on how replications are grouped into batches.  ``pooled`` says
-    that the batch runs in a pool's worker."""
+    that the batch is one of several, each run by its own process, so it
+    forks no draw producer."""
     n_nodes, dim = objective.n_nodes, objective.dim
     if process.n_nodes != n_nodes:
         raise ValueError("objective and graph process disagree on node count")
@@ -498,10 +500,10 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
     cd_sq = float(np.max(objective.c_d)) ** 2
     has_zeta = objective.has_gradient_noise
 
-    # The draws are forked when no pool runs, a CPU is left idle and the
-    # horizon is longer than one sub-span of a batch with two slots.  The
-    # horizon is walked in sub-spans of at most ``span`` steps, sized for the
-    # slots the batch holds; the kernel writes each next state into ``hist``.
+    # The draws are forked when the batch is not pooled, a CPU is left idle
+    # and the horizon is longer than one sub-span of a batch with two slots.
+    # The horizon is walked in sub-spans of at most ``span`` steps, sized for
+    # the slots the batch holds; the kernel writes each next state into ``hist``.
     shape = (reps, n_nodes, dim, has_zeta)
     fork = not pooled and forked.may_fork(1) and horizon > _sub_span(*shape, 2)
     span = min(_sub_span(*shape, 1 + fork), max(horizon, 1))
@@ -632,10 +634,13 @@ def monte_carlo(objective, process, model, schedule, horizon, seed, reps,
                 workers=1):
     """Aggregate recorded metrics over independent replications.
 
-    Replications are deterministic per (seed, index) and may be fanned out to
-    a process pool; per-replication trajectories are identical for any worker
-    count, and the reduction runs over the replication axis in index order, so
-    aggregates match across worker counts.
+    Replications are deterministic per (seed, index).  With ``workers`` > 1
+    the parent runs the first of that many parts and forks a child under
+    ``forked``'s protocol for each other part, whatever the CPU count; it
+    runs in line, with the same bytes, any part whose child gave no result.
+    Per-replication trajectories are identical for any worker count, and the
+    reduction runs over the replication axis in index order, so aggregates
+    and the divergence reported match across worker counts.
     """
     if reps < 1:
         raise ValueError("reps must be at least 1")
@@ -645,33 +650,28 @@ def monte_carlo(objective, process, model, schedule, horizon, seed, reps,
         record_ks = default_record_ks(horizon)
     record_ks = np.asarray(record_ks, dtype=np.int64)
 
-    jobs = [(objective, process, model, schedule, horizon, seed, part.tolist(),
-             x_star, f_star, init, record_ks, check_stride)
-            for part in np.array_split(np.arange(reps), max(1, min(workers, reps)))]
-    if len(jobs) == 1:
-        parts = [_run_batch(*jobs[0])]
-    else:
-        # Imported here: at module level they add about 1.6 MB to every run's RSS.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-        try:
-            with ProcessPoolExecutor(len(jobs),
-                                     mp_context=multiprocessing.get_context()) as pool:
-                futures = [pool.submit(_run_batch, *job, pooled=True) for job in jobs]
-                parts, diverged = [], []
-                for f in futures:
-                    try:
-                        parts.append(f.result())
-                    except DivergenceDetected as exc:
-                        diverged.append(exc)
-        except BrokenProcessPool as exc:
-            raise WorkerLost("a Monte Carlo worker process ended abruptly") from exc
-        if diverged:
-            raise _first_divergence(diverged)
+    parts = np.array_split(np.arange(reps), max(1, min(workers, reps)))
+    batch = functools.partial(_run_batch, objective, process, model, schedule, horizon, seed,
+                              x_star=x_star, f_star=f_star, init=init, record_ks=record_ks,
+                              check_stride=check_stride, pooled=len(parts) > 1)
+    results, diverged, children = [], [], [None]
+    try:
+        for part in parts[1:]:  # forked whatever the CPU count
+            children.append(forked.start(lambda c, part=part: c.reply(batch, part), 0))
+        for part, child in zip(parts, children):
+            done, result = child.receive(child.started) if child else (False, None)
+            try:
+                results.append(result if done else batch(part))
+            except DivergenceDetected as exc:
+                diverged.append(exc)
+    finally:
+        for child in filter(None, children):
+            child.close()
+    if diverged:
+        raise _first_divergence(diverged)
 
-    per_rep = {key: np.concatenate([p[key] for p in parts], axis=0)
-               for key in parts[0] if key != "ks"}
+    per_rep = {key: np.concatenate([p[key] for p in results], axis=0)
+               for key in results[0] if key != "ks"}
 
     std_v = (per_rep["V"].std(axis=0, ddof=1) if reps > 1
              else np.zeros(record_ks.shape[0]))

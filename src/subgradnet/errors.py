@@ -34,10 +34,6 @@ class DivergenceDetected(SubgradNetError):
         self.norm_sq = norm_sq
 
 
-class WorkerLost(SubgradNetError):
-    """A worker process ended before returning its share of the replications."""
-
-
 class ConfigError(SubgradNetError):
     """Base class for configuration problems."""
 

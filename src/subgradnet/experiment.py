@@ -18,8 +18,8 @@ verdicts, so both run in a child forked under the protocol of ``forked``
 while it runs, and the parent collects them afterwards.  A child that gives
 no result in time costs only its head start and a bounded wait: the parent
 then runs the stages itself.  An error of the stages takes precedence over a
-package error of the Monte Carlo, as when they ran first; any other
-exception kills the child.
+package error of the Monte Carlo, a divergence in any worker's part
+included, as when they ran first; any other exception kills the child.
 """
 
 import contextlib

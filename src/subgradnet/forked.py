@@ -1,23 +1,24 @@
-"""Work that does not depend on the states, run in a forked child while the
-parent goes on: the setup child of ``experiment`` and the draw producer of
-``engine`` follow this one protocol.
+"""Work run in a forked child while the parent goes on.  Every child of a
+run follows this one protocol: the setup child of ``experiment``, and in
+``engine`` the draw producer and the Monte Carlo workers, each of which runs
+one part of the replications.
 
-A child is forked (``os.fork`` and two pipes, not ``multiprocessing``) on
-Linux only, and only when the process runs one thread and its affinity mask
-has more CPUs than the ``workers`` it runs itself; elsewhere, or where no
-process can be had, the caller does the work in line.  The child runs
-``work(child)`` and exits, with status 1 if anything failed, never returning
-into the caller's code.  Each process closes at once the pipe ends it does not
-use, so end of file means the other side is gone.  The child sends each
-result as one message, a length and a pickle of ``(result, warnings)``,
-which counts only once all its bytes have arrived; the parent re-issues the
-warnings under the file and line that raised them, and sends one-byte
-tokens the other way.  The parent waits for a message at most as long as
-the child has already had for it, or ``_MIN_WAIT_S`` if that is longer; a
-child that has not answered by then, having raised, died or hung, counts as
-lost, and the caller does its work in line.  :meth:`Child.close` kills the
-child, reaps it and closes the parent's pipe ends; each caller calls it on
-every path, an exception included.
+A child is forked (``os.fork`` and two pipes) on Linux only, and only when the
+process runs one thread and its affinity mask has more CPUs than the
+``workers`` it runs itself (a Monte Carlo worker passes 0, so it is forked
+whatever the CPU count); elsewhere, or where no process can be had, the caller
+does the work in line.  The child runs ``work(child)`` and exits, with status
+1 if anything failed, never returning into the caller's code.  Each process
+closes at once the pipe ends it does not use, so end of file means the other
+side is gone.  The child sends each result as one message, a length and a
+pickle of ``(result, warnings)``, which counts only once all its bytes have
+arrived; the parent re-issues the warnings under the file and line that raised
+them, and sends one-byte tokens the other way.  The parent waits for a message
+at most as long as the child has already had for it, or ``_MIN_WAIT_S`` if
+that is longer; a child that has not answered by then, having raised, died or
+hung, counts as lost, and the caller does its work in line.
+:meth:`Child.close` kills the child, reaps it and closes the parent's pipe
+ends; each caller calls it on every path, an exception included.
 """
 
 import contextlib
@@ -31,9 +32,8 @@ import threading
 import time
 import warnings
 
-# Whether work may be forked (os.fork, pipes and shared memory;
-# multiprocessing would add about 1.6 MB to the run's RSS); elsewhere it runs
-# in line.
+# Whether work may be forked (os.fork, pipes and shared memory); elsewhere it
+# runs in line.
 _FORKS = sys.platform.startswith("linux")
 # The least time a parent waits for a child that has not answered before it
 # kills it and does the work itself.

@@ -29,9 +29,9 @@ def write_cfg(tmp_path, data=None, name="cfg.yaml"):
 
 
 def test_single_worker_run_imports_no_process_pool(tmp_path):
-    # multiprocessing and concurrent.futures add about 1.6 MB to a run's RSS;
-    # only a process pool needs them.  A fresh interpreter, so no earlier
-    # test has imported them.
+    # multiprocessing and concurrent.futures add about 1.6 MB to a run's RSS,
+    # and every child of a run is forked by subgradnet.forked without them.
+    # A fresh interpreter, so no earlier test has imported them.
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -183,16 +183,16 @@ class TestUsageAndErrors:
 
     def test_package_error_exits_one_with_one_error_line(self, tmp_path, monkeypatch, capsys):
         from subgradnet import cli
-        from subgradnet.errors import WorkerLost
+        from subgradnet.errors import NonConvergenceError
 
-        def lose_a_worker(cfg, out_dir):
-            raise WorkerLost("worker 1 ended before returning its replications")
+        def fail_to_converge(cfg, out_dir):
+            raise NonConvergenceError("the optimum oracle did not converge in 1000 iterations")
 
-        monkeypatch.setattr(cli, "run_experiment", lose_a_worker)
+        monkeypatch.setattr(cli, "run_experiment", fail_to_converge)
         assert main(["run", "--config", write_cfg(tmp_path), "--out", str(tmp_path / "o")]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: worker 1 ended before returning its replications\n"
+        assert captured.err == "error: the optimum oracle did not converge in 1000 iterations\n"
 
     def test_divergence_exits_two(self, tmp_path, capsys):
         diverging = dict(SMALL)

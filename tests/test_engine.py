@@ -2,22 +2,24 @@
 
 import inspect
 import os
+import threading
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import yaml
 
+from conftest import PARENT, assert_no_child
 from oracles import (CustomObjective, apply_step, center_by_sum,
                      consensus_projection, delta_recursion_check,
                      draw_channel_noise, kernel, psi, stacked_noise_matrices,
                      step_compact, step_einsum, step_per_node)
 from subgradnet import (CommNoiseModel, DeterministicCycle,
                         DivergenceDetected, IndependentEdges, InitialStates,
-                        MarkovSwitching, QuadraticObjective, StepSchedule, SubgradNetError,
-                        WorkerLost, cli, config, default_record_ks, laplacian,
-                        monte_carlo)
+                        MarkovSwitching, QuadraticObjective, StepSchedule, cli, config,
+                        default_record_ks, forked, laplacian, monte_carlo)
 from subgradnet.engine import (_center, _first_divergence, _kernel, _pair_operands,
                                replication_stream)
 
@@ -511,53 +513,132 @@ class TestCappedIntensity:
         assert psi(model, np.zeros(2)) == 0.5
 
 
-_TEST_PROCESS = os.getpid()
+TARGETS = np.array([[0.0, 0.0], [2.0, 0.0]])
 
 
-class ExitingObjective(QuadraticObjective):
-    """Ends any process but the test's that measures it, as a killed worker
-    would."""
+@pytest.fixture
+def measured(monkeypatch, tmp_path):
+    """``measured(lose)`` makes every measurement append its process id and
+    the batch's replication count to a log, and then, in any process but the
+    test's, call ``lose()``; it returns a reader of the log's ``(pid, reps)``
+    lines."""
+    log, original = tmp_path / "measured", QuadraticObjective.subgradient_stack
 
-    def subgradient_stack(self, states, out=None, ws=None):
-        if os.getpid() != _TEST_PROCESS:
-            os._exit(1)
-        return super().subgradient_stack(states, out, ws)
+    def install(lose=lambda: None):
+        def logged(self, states, out=None, ws=None):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {states.shape[0]}\n")
+            if os.getpid() != PARENT:
+                lose()
+            return original(self, states, out, ws)
+        monkeypatch.setattr(QuadraticObjective, "subgradient_stack", logged)
+        return lambda: [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    return install
 
 
+def _run_workers(workers, horizon=20, schedule=None):
+    obj = QuadraticObjective(TARGETS)
+    proc = IndependentEdges(base=np.ones((2, 2)) - np.eye(2), prob=0.9)
+    return monte_carlo(obj, proc, CommNoiseModel(sigma=0.1, b=0.1), schedule or StepSchedule(),
+                       horizon, 0, 3, *obj.optimum(), workers=workers)
+
+
+def _assert_same_per_rep(mc, reference):
+    assert mc.per_rep.keys() == reference.per_rep.keys()
+    for key, value in reference.per_rep.items():
+        assert mc.per_rep[key].tobytes() == value.tobytes(), key
+
+
+class _WarningSchedule(StepSchedule):
+    """StepSchedule, warning each time it gives a sub-span's gains."""
+
+    def alpha(self, k):
+        if np.ndim(k):
+            warnings.warn("a warning of the draws", RuntimeWarning)
+        return super().alpha(k)
+
+
+@pytest.mark.skipif(not forked._FORKS, reason="workers are forked on Linux only")
 class TestLostWorker:
-    OBJECTIVE = ExitingObjective(np.array([[0.0, 0.0], [2.0, 0.0]]))
+    """Replications 0-1 run in the test's process and replication 2 in a
+    forked worker; a part whose worker gives no result is rerun in line."""
 
-    def test_monte_carlo_raises_instead_of_hanging(self):
-        proc = IndependentEdges(base=np.ones((2, 2)) - np.eye(2), prob=0.9)
-        model = CommNoiseModel(sigma=0.1, b=0.1)
-        x_star, f_star = self.OBJECTIVE.optimum()
-        # In this process the objective measures, so only the pool's workers die.
-        monte_carlo(self.OBJECTIVE, proc, model, StepSchedule(), 20, 0, 2, x_star, f_star)
-        start = time.perf_counter()
-        with pytest.raises(WorkerLost) as info:
-            monte_carlo(self.OBJECTIVE, proc, model, StepSchedule(), 20, 0, 2,
-                        x_star, f_star, workers=2)
-        assert time.perf_counter() - start < 10.0
-        assert isinstance(info.value, SubgradNetError)
-        # The pool reaped its workers.
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+    @pytest.mark.parametrize("lose", [lambda: os._exit(1), lambda: time.sleep(60.0)],
+                             ids=("exited", "hung"))
+    def test_a_lost_workers_part_is_rerun_in_line(self, measured, monkeypatch, lose):
+        reference = _run_workers(1)
+        monkeypatch.setattr(forked, "_MIN_WAIT_S", 0.2)
+        pids = measured(lose)
+        fds = len(os.listdir("/proc/self/fd"))
+        start = time.monotonic()
+        mc = _run_workers(2)
+        assert time.monotonic() - start < 10.0
+        _assert_same_per_rep(mc, reference)
+        # The worker measured once before it was lost, then the test's
+        # process ran its one replication.
+        log = pids()
+        worker = [pid for pid, _ in log if pid != PARENT]
+        assert len(worker) == 1
+        assert [reps for pid, reps in log if pid == PARENT] == [2] * 20 + [1] * 20
+        assert_no_child()
+        assert len(os.listdir("/proc/self/fd")) == fds
 
-    def test_cli_run_exits_one_with_one_line(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(config, "build_objective", lambda cfg: self.OBJECTIVE)
-        path = tmp_path / "cfg.yaml"
-        path.write_text(yaml.safe_dump({
-            "problem": {"kind": "quadratic",
-                        "targets": self.OBJECTIVE.targets.tolist()},
-            "graph": {"kind": "independent", "base": "complete", "n_nodes": 2,
-                      "activation_prob": 0.9},
-            "noise": {"sigma": 0.1, "b": 0.1},
-            "run": {"horizon": 20, "reps": 2, "seed": 3, "workers": 2},
-            "verify": {"horizon": 1000},
-            "connectivity": {"windows": 2, "reps": 8},
-        }), encoding="utf-8")
-        out_dir = tmp_path / "out"
-        assert cli.main(["run", "--config", str(path), "--out", str(out_dir)]) == 1
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "worker process" in err
-        assert not (out_dir / "trace.csv").exists()
+    def test_cli_run_with_a_dying_worker_gives_the_one_worker_bytes(self, tmp_path, measured,
+                                                                     capsys):
+        measured(lambda: os._exit(1))
+        outputs = []
+        for workers in (1, 2):
+            path = tmp_path / f"cfg{workers}.yaml"
+            path.write_text(yaml.safe_dump({
+                "problem": {"kind": "quadratic", "targets": TARGETS.tolist()},
+                "graph": {"kind": "independent", "base": "complete", "n_nodes": 2,
+                          "activation_prob": 0.9},
+                "noise": {"sigma": 0.1, "b": 0.1},
+                "run": {"horizon": 20, "reps": 2, "seed": 3, "workers": workers},
+                "verify": {"horizon": 1000},
+                "connectivity": {"windows": 2, "reps": 8},
+            }), encoding="utf-8")
+            out_dir = tmp_path / f"out{workers}"
+            assert cli.main(["run", "--config", str(path), "--out", str(out_dir)]) == 0
+            outputs.append([(out_dir / name).read_bytes()
+                            for name in ("trace.csv", "summary.txt")])
+        assert outputs[0] == outputs[1]
+        assert capsys.readouterr().err == ""
+        assert_no_child()
+
+
+@pytest.mark.parametrize("case", ["no fork", "another thread"])
+def test_no_worker_is_forked_where_forked_does_not_fork(measured, monkeypatch, case):
+    reference = _run_workers(1)
+    pids = measured()
+    if case == "no fork":
+        monkeypatch.setattr(forked, "_FORKS", False)
+        mc = _run_workers(2)
+    else:
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            mc = _run_workers(2)
+        finally:
+            release.set()
+            other.join()
+    _assert_same_per_rep(mc, reference)
+    assert {pid for pid, _ in pids()} == {PARENT}
+
+
+@pytest.mark.skipif(not forked._FORKS, reason="workers are forked on Linux only")
+def test_a_workers_warnings_reach_the_caller_as_with_one_worker():
+    shown, counts = [], []
+    for workers in (1, 2):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _run_workers(workers, schedule=_WarningSchedule())
+        shown.append({(str(w.message), w.category, w.filename, w.lineno) for w in caught})
+        counts.append(len(caught))
+    assert shown[1] == shown[0]
+    assert len(shown[0]) == 1
+    # Each part draws one sub-span: the worker's warning comes beside the
+    # one of the part the caller's process ran.
+    assert counts == [1, 2]
+    assert {filename for _, _, filename, _ in shown[0]} == {__file__}

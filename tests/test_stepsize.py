@@ -347,8 +347,8 @@ class TestStreamedVerifier:
         # np.unique imports numpy.ma on first use, about 15 ms of every run's
         # setup.  A fresh interpreter, so no earlier test has imported it; it
         # does not import the test oracles, which still call np.unique.  A
-        # 1-worker Monte Carlo run does not load multiprocessing either: only
-        # the process pool needs it.
+        # Monte Carlo run does not load multiprocessing either, with two
+        # workers included: its children are forked without it.
         code = ("import sys\n"
                 "import numpy as np\n"
                 "from subgradnet import (CommNoiseModel, IndependentEdges,\n"
@@ -363,7 +363,7 @@ class TestStreamedVerifier:
                 "obj = QuadraticObjective(np.eye(3)[:, :2])\n"
                 "monte_carlo(obj, IndependentEdges(k3, 0.8),\n"
                 "            CommNoiseModel(sigma=0.1, b=0.1), s, 50, 1, 2,\n"
-                "            *obj.optimum(), workers=1)\n"
+                "            *obj.optimum(), workers=2)\n"
                 "print('multiprocessing' in sys.modules)\n")
         done = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                               capture_output=True, text=True, timeout=120, check=True)

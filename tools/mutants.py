@@ -108,6 +108,38 @@ MUTANTS = [
            [("schedule.alpha(step_ks), schedule.c(step_ks)",
              "schedule.alpha(step_ks + 1), schedule.c(step_ks + 1)")],
            ["tests/test_engine.py"]),
+    # The Monte Carlo workers (engine.monte_carlo).
+    Mutant("lost-batch-dropped", "engine.py",
+           [("results.append(result if done else batch(part))",
+             "results.extend([result] if done else [])")],
+           ["tests/test_engine.py", "-k", "Lost"]),
+    Mutant("worker-warnings-dropped", "engine.py",
+           [("c.reply(batch, part)", "c.reply(_quiet, batch, part)"),
+            ("def _first_divergence(errors):\n",
+             "def _quiet(fn, *args):\n"
+             "    with warnings.catch_warnings():\n"
+             "        warnings.simplefilter('ignore')\n"
+             "        return fn(*args)\n\n\n"
+             "def _first_divergence(errors):\n")],
+           ["tests/test_engine.py", "-k", "warnings"]),
+    # The step arithmetic and the exact forms that keep numpy's bits.
+    Mutant("kernel-mixes-the-batch-mean", "engine.py",
+           [("        subtract(out, multiply(d_plus_zeta, alpha_k, term), out)\n",
+             "        subtract(out, multiply(d_plus_zeta, alpha_k, term), out)\n"
+             "        out += 1e-12 * out.mean(axis=0)\n")],
+           ["tests/test_properties.py", "-k", "per_rep_outputs_do_not_depend_on_batch_grouping"]),
+    Mutant("row-sums-copy-the-first-column", "engine.py",
+           [("np.add(a[..., 0], 0.0, out=out)", "np.copyto(out, a[..., 0])")],
+           ["tests/test_properties.py", "-k", "row_sums"]),
+    Mutant("psi-maxima-by-fmax", "engine.py",
+           [("np.maximum(out, col, out=out)", "np.fmax(out, col, out=out)")],
+           ["tests/test_properties.py", "-k", "column_maxima"]),
+    Mutant("lasso-minus-zero", "objectives.py",
+           [("_PLUS_ZERO = np.zeros(())", "_PLUS_ZERO = np.array(-0.0)")],
+           ["tests/test_properties.py", "-k", "lasso"]),
+    Mutant("cycle-starts-uniform", "graphs.py",
+           [("initial=np.eye(1, m)[0]", "initial=np.full(m, 1.0 / m)")],
+           ["tests/test_properties.py", "tests/test_engine.py", "-k", "cycle"]),
 ]
 
 
