@@ -41,15 +41,10 @@ output row, not per value.
 The draws do not depend on the states: per sub-span the gains, all
 replications' graphs in one call, each replication's channel and gradient
 noise in one call per stream, the graphs' row sums, the scaled channel draws
-and the noise factors.  One object owns a batch's draws: their streams, the
-scratch they are made in and the slots that hold them.  When the batch is the
-run's only one, a CPU is left idle and the horizon spans two sub-spans or
-more, a producer forked under the protocol of ``forked`` fills two slots in
-shared memory in turn, one sub-span ahead of the parent, which steps from the
-other.  Otherwise the batch holds one slot, which the parent fills in line,
-and its sub-spans are sized for that one slot.  Once a producer is lost, the
-parent replays the sub-spans it has used into the one slot it fills from then
-on, to bring its own streams level, so the outputs do not change.
+and the noise factors.  One object, ``_Draws``, owns a batch's draws: their
+streams, the scratch they are made in and the slots that hold them, which a
+forked producer may fill one sub-span ahead of the parent; the outputs do not
+depend on which process draws them.
 
 Randomness is organized as one stream per replication, split into disjoint
 sub-streams for initial states, graph draws, channel noise and gradient noise,
@@ -58,6 +53,7 @@ every replication is reproducible in isolation, regardless of batching or
 worker count.
 """
 
+import contextlib
 import functools
 import math
 import mmap
@@ -500,10 +496,9 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
     cd_sq = float(np.max(objective.c_d)) ** 2
     has_zeta = objective.has_gradient_noise
 
-    # The draws are forked when the batch is not pooled, a CPU is left idle
-    # and the horizon is longer than one sub-span of a batch with two slots.
-    # The horizon is walked in sub-spans of at most ``span`` steps, sized for
-    # the slots the batch holds; the kernel writes each next state into ``hist``.
+    # The draws are forked when the batch is not pooled, a CPU is left idle and
+    # the horizon is longer than one two-slot sub-span.  Sub-spans of at most
+    # ``span`` steps are sized for the slots held; steps write into ``hist``.
     shape = (reps, n_nodes, dim, has_zeta)
     fork = not pooled and forked.may_fork(1) and horizon > _sub_span(*shape, 2)
     span = min(_sub_span(*shape, 1 + fork), max(horizon, 1))
@@ -635,9 +630,9 @@ def monte_carlo(objective, process, model, schedule, horizon, seed, reps,
     """Aggregate recorded metrics over independent replications.
 
     Replications are deterministic per (seed, index).  With ``workers`` > 1
-    the parent runs the first of that many parts and forks a child under
-    ``forked``'s protocol for each other part, whatever the CPU count; it
-    runs in line, with the same bytes, any part whose child gave no result.
+    the parent runs the first of that many parts and ``forked.call`` runs each
+    other one in a child, whatever the CPU count, which answers with its result
+    or divergence; a part left without an answer runs in line, to the same bytes.
     Per-replication trajectories are identical for any worker count, and the
     reduction runs over the replication axis in index order, so aggregates
     and the divergence reported match across worker counts.
@@ -654,31 +649,24 @@ def monte_carlo(objective, process, model, schedule, horizon, seed, reps,
     batch = functools.partial(_run_batch, objective, process, model, schedule, horizon, seed,
                               x_star=x_star, f_star=f_star, init=init, record_ks=record_ks,
                               check_stride=check_stride, pooled=len(parts) > 1)
-    results, diverged, children = [], [], [None]
-    try:
-        for part in parts[1:]:  # forked whatever the CPU count
-            children.append(forked.start(lambda c, part=part: c.reply(batch, part), 0))
-        for part, child in zip(parts, children):
-            done, result = child.receive(child.started) if child else (False, None)
+    results, diverged = [], []
+    with contextlib.ExitStack() as stack:
+        others = [stack.enter_context(forked.call(batch, p, workers=0)) for p in parts[1:]]
+        for answer in [functools.partial(batch, parts[0])] + [c.result for c in others]:
             try:
-                results.append(result if done else batch(part))
+                results.append(answer())
             except DivergenceDetected as exc:
                 diverged.append(exc)
-    finally:
-        for child in filter(None, children):
-            child.close()
     if diverged:
         raise _first_divergence(diverged)
 
     per_rep = {key: np.concatenate([p[key] for p in results], axis=0)
                for key in results[0] if key != "ks"}
 
-    std_v = (per_rep["V"].std(axis=0, ddof=1) if reps > 1
-             else np.zeros(record_ks.shape[0]))
+    std_v = per_rep["V"].std(axis=0, ddof=1) if reps > 1 else np.zeros(record_ks.shape[0])
 
     return MonteCarloResult(
-        record_ks=record_ks,
-        reps=reps,
+        record_ks=record_ks, reps=reps,
         mean_v=per_rep["V"].mean(axis=0),
         std_v=std_v,
         mean_opt_gap=per_rep["opt_gap"].mean(axis=0),

@@ -14,16 +14,12 @@ Monte Carlo statistics (``v_ratio``, ``final_dist``) and the envelope check
 (``c1_sup_early``).
 
 The Monte Carlo reads neither the connectivity report nor the condition
-verdicts, so both run in a child forked under the protocol of ``forked``
-while it runs, and the parent collects them afterwards.  A child that gives
-no result in time costs only its head start and a bounded wait: the parent
-then runs the stages itself.  An error of the stages takes precedence over a
-package error of the Monte Carlo, a divergence in any worker's part
-included, as when they ran first; any other exception kills the child.
+verdicts, so ``forked.call`` runs both beside it, and their answer is taken
+after it.  Their package error wins over one of the Monte Carlo, a worker's
+divergence included, as if they had run first.
 """
 
 import contextlib
-import functools
 import os
 from dataclasses import dataclass
 
@@ -221,16 +217,6 @@ def _setup_stages(cfg, objective, process, model, schedule):
     return report, constants, conditions
 
 
-def _collected(child, stages):
-    """The stages' results from ``child``, which is then killed and reaped,
-    or from ``stages()`` run here if it gave none in time."""
-    try:
-        done, result = child.receive(child.started)
-    finally:
-        child.close()
-    return result if done else stages()
-
-
 def run_experiment(cfg, out_dir=None):
     """Full pipeline: constants, condition verdicts, Monte Carlo, files.
 
@@ -251,27 +237,20 @@ def run_experiment(cfg, out_dir=None):
         # numpy.random loads on first use; loaded before the fork, it loads
         # once, not in both processes.
         report_stream(cfg.run.seed)
-        stages = functools.partial(_setup_stages, cfg, objective, process, model,
-                                   schedule)
-        child = forked.start(lambda c: c.reply(stages), cfg.run.workers)
-        setup = stages() if child is None else None
         record_ks = default_record_ks(cfg.run.horizon, cfg.run.dense_until,
                                       cfg.run.record_stride)
-        try:
-            mc = monte_carlo(objective, process, model, schedule, cfg.run.horizon,
-                             cfg.run.seed, cfg.run.reps, x_star, f_star, init=init,
-                             record_ks=record_ks, check_stride=cfg.run.check_stride,
-                             workers=cfg.run.workers)
-        except SubgradNetError:
-            # A setup error comes first, as if the stages had run before.
-            if child is not None:
-                _collected(child, stages)
-            raise
-        except BaseException:
-            if child is not None:
-                child.close()
-            raise
-        report, constants, conditions = setup if child is None else _collected(child, stages)
+        with forked.call(_setup_stages, cfg, objective, process, model, schedule,
+                         workers=cfg.run.workers) as setup:
+            try:
+                mc = monte_carlo(objective, process, model, schedule, cfg.run.horizon,
+                                 cfg.run.seed, cfg.run.reps, x_star, f_star, init=init,
+                                 record_ks=record_ks, check_stride=cfg.run.check_stride,
+                                 workers=cfg.run.workers)
+            except SubgradNetError:
+                # A setup error comes first, as if the stages had run before.
+                setup.result()
+                raise
+            report, constants, conditions = setup.result()
 
         # The growth envelope beta = exp(C0 * sum alpha) judges the run's
         # mean squared state norm; C1_hat is their largest ratio.

@@ -5,20 +5,20 @@ one part of the replications.
 
 A child is forked (``os.fork`` and two pipes) on Linux only, and only when the
 process runs one thread and its affinity mask has more CPUs than the
-``workers`` it runs itself (a Monte Carlo worker passes 0, so it is forked
-whatever the CPU count); elsewhere, or where no process can be had, the caller
-does the work in line.  The child runs ``work(child)`` and exits, with status
-1 if anything failed, never returning into the caller's code.  Each process
-closes at once the pipe ends it does not use, so end of file means the other
-side is gone.  The child sends each result as one message, a length and a
-pickle of ``(result, warnings)``, which counts only once all its bytes have
-arrived; the parent re-issues the warnings under the file and line that raised
-them, and sends one-byte tokens the other way.  The parent waits for a message
-at most as long as the child has already had for it, or ``_MIN_WAIT_S`` if
-that is longer; a child that has not answered by then, having raised, died or
-hung, counts as lost, and the caller does its work in line.
-:meth:`Child.close` kills the child, reaps it and closes the parent's pipe
-ends; each caller calls it on every path, an exception included.
+``workers`` it runs itself; elsewhere, or where no process can be had, the
+caller does the work in line.  The child runs ``work(child)`` and exits, with
+status 1 if anything failed, never returning into the caller's code.  Each
+process closes at once the pipe ends it does not use, so end of file means the
+other side is gone.  The child sends each answer, a result or a package error,
+as one message: a length and a pickle of ``(result, error, warnings)``, which
+counts once all its bytes have arrived.  The parent re-issues the warnings
+under the file and line that raised them, raises the error, and sends one-byte
+tokens the other way.  It waits for a message at most as long as the child has
+already had for it, or ``_MIN_WAIT_S`` if longer; a child that has not
+answered by then, having raised another exception, died or hung, counts as
+lost, and the caller does its work in line, as :class:`call` does.
+:meth:`Child.close` kills and reaps the child and closes the parent's pipe
+ends; each caller calls it once on every path, an exception included.
 """
 
 import contextlib
@@ -31,6 +31,8 @@ import sys
 import threading
 import time
 import warnings
+
+from .errors import SubgradNetError
 
 # Whether work may be forked (os.fork, pipes and shared memory); elsewhere it
 # runs in line.
@@ -58,6 +60,29 @@ def start(work, workers):
         with contextlib.suppress(OSError):  # no process to be had
             return Child(work)
     return None
+
+
+class call(contextlib.AbstractContextManager):
+    """``fn(*args)`` in a child forked through :func:`start`; :meth:`result`
+    gives its answer, and the end of a ``with`` block closes the child."""
+
+    def __init__(self, fn, *args, workers):
+        self._fn, self._args = fn, args
+        self._child = start(lambda child: child.reply(fn, *args), workers)
+
+    def __exit__(self, *exc_info):
+        if self._child is not None:
+            child, self._child = self._child, None
+            child.close()
+
+    def result(self):
+        """The child's answer, or ``fn(*args)`` run here where no child answered."""
+        if self._child is not None:
+            with self:
+                done, result = self._child.receive(self._child.started)
+            if done:
+                return result
+        return self._fn(*self._args)
 
 
 def _reissue(shown):
@@ -106,16 +131,22 @@ class Child:
         self.started = time.monotonic()
 
     def reply(self, fn, *args):
-        """Child side: calls ``fn(*args)`` and sends its result and the
-        warnings it raised as one message."""
+        """Child side: sends the result of ``fn(*args)``, or the package error
+        that then ends the child, with the warnings it raised as one message;
+        another exception, or one that does not pickle, sends none."""
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = fn(*args)
+            try:
+                result, error = fn(*args), None
+            except SubgradNetError as exc:
+                result, error = None, exc
         shown = [(w.message, w.category, w.filename, w.lineno) for w in caught]
-        body = pickle.dumps((result, shown), pickle.HIGHEST_PROTOCOL)
+        body = pickle.dumps((result, error, shown), pickle.HIGHEST_PROTOCOL)
         data = memoryview(_LENGTH.pack(len(body)) + body)
         while data:
             data = data[os.write(self._out, data):]
+        if error is not None:
+            raise error
 
     def wait(self):
         """Child side: whether a token came; end of file means the parent is
@@ -124,16 +155,18 @@ class Child:
 
     def receive(self, since):
         """Whether the child's next message arrived, and its result, its
-        warnings issued here.  The wait lasts at most as long as the child has
-        had since ``since``, or ``_MIN_WAIT_S`` if that is longer."""
+        warnings issued here, then its error raised.  The wait lasts at most as
+        long as the child has had since ``since``, or ``_MIN_WAIT_S`` if longer."""
         now = time.monotonic()
         deadline = now + max(now - since, _MIN_WAIT_S)
         head = self._read(_LENGTH.size, deadline)
         body = head and self._read(_LENGTH.unpack(head)[0], deadline)
         if body is None:
             return False, None
-        result, shown = pickle.loads(body)
+        result, error, shown = pickle.loads(body)
         _reissue(shown)
+        if error is not None:
+            raise error
         return True, result
 
     def _read(self, size, deadline):

@@ -8,7 +8,7 @@ of the batched step kernel, an entry point to the kernel that makes its
 workspace, the per-channel entry points to the kernel and to the
 consensus-error recursion check, a node's one-node problem, its
 subgradient and its gradient-noise draws, the
-consensus projection, the sequential loops
+consensus projection, the bound monitors node by node, the sequential loops
 that the library's vectorised routines replaced, the per-key graph draws that
 its stacked ``sample_block`` replaced, the per-sample connectivity report
 that the library's stacked one replaced, the
@@ -640,6 +640,46 @@ def quadratic_record_loop(state, targets, x_star, f_star):
         "mean_state": mean,
         "opt_gap": sum(0.5 * sq_dist(mean, t) for t in targets) - f_star,
     }
+
+
+def quadratic_monitor_excesses_loop(targets, adjacency, model, schedule, x0, comm_rng,
+                                    horizon):
+    """The bound monitors of one replication, ``(psi_violation, d_violation)``,
+    recomputed node by node in plain Python floats: quadratic costs
+    0.5 ||x - target_i||^2 on the fixed graph ``adjacency``, receiver i's
+    channel draw of each step taken from ``comm_rng`` as (N, dim) normals
+    over sqrt(dim).  Over the states before steps 0 to horizon - 1 they are
+    the largest of max_ij psi(x_j - x_i)^2 - (4 sigma^2 V + 2 b^2) and of
+    ||d(x)||^2 - (2 sigma_d^2 ||X||^2 + 2 N c_d^2), where d_i = x_i - target_i,
+    sigma_d = 1 and c_d = max_i ||target_i||."""
+    rows = [[float(e) for e in node] for node in np.asarray(x0)]
+    t = [[float(e) for e in node] for node in np.asarray(targets)]
+    a = [[float(e) for e in row] for row in np.asarray(adjacency)]
+    n, dim = len(rows), len(rows[0])
+    c_d_sq = max(sum(e * e for e in node) for node in t)
+    psi_excess = d_excess = -math.inf
+    for k in range(horizon):
+        mean = [sum(row[j] for row in rows) / n for j in range(dim)]
+        v = sum((row[j] - mean[j]) ** 2 for row in rows for j in range(dim))
+        state_sq = sum(e * e for row in rows for e in row)
+        d = [[rows[i][j] - t[i][j] for j in range(dim)] for i in range(n)]
+        d_sq = sum(e * e for node in d for e in node)
+        intensity = [[psi(model, np.subtract(rows[j], rows[i])) for j in range(n)]
+                     for i in range(n)]
+        psi_max = max(max(row) for row in intensity)
+        psi_excess = max(psi_excess, psi_max ** 2 - (4.0 * model.sigma ** 2 * v
+                                                     + 2.0 * model.b ** 2))
+        d_excess = max(d_excess, d_sq - (2.0 * state_sq + 2.0 * n * c_d_sq))
+        z = comm_rng.standard_normal((n, dim)) / math.sqrt(dim)
+        alpha_k, c_k = float(schedule.alpha(k)), float(schedule.c(k))
+        new = []
+        for i in range(n):
+            w_norm = math.sqrt(sum((a[i][j] * intensity[i][j]) ** 2 for j in range(n)))
+            new.append([rows[i][m] + c_k * (sum(a[i][j] * (rows[j][m] - rows[i][m])
+                                                 for j in range(n)) + w_norm * z[i, m])
+                        - alpha_k * d[i][m] for m in range(dim)])
+        rows = new
+    return psi_excess, d_excess
 
 
 def schedule_alpha_expr(schedule, k):

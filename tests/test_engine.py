@@ -14,14 +14,14 @@ import yaml
 from conftest import PARENT, assert_no_child
 from oracles import (CustomObjective, apply_step, center_by_sum,
                      consensus_projection, delta_recursion_check,
-                     draw_channel_noise, kernel, psi, stacked_noise_matrices,
-                     step_compact, step_einsum, step_per_node)
+                     draw_channel_noise, kernel, psi, quadratic_monitor_excesses_loop,
+                     stacked_noise_matrices, step_compact, step_einsum, step_per_node)
 from subgradnet import (CommNoiseModel, DeterministicCycle,
                         DivergenceDetected, IndependentEdges, InitialStates,
                         MarkovSwitching, QuadraticObjective, StepSchedule, cli, config,
-                        default_record_ks, forked, laplacian, monte_carlo)
+                        default_record_ks, engine, forked, laplacian, monte_carlo)
 from subgradnet.engine import (_center, _first_divergence, _kernel, _pair_operands,
-                               replication_stream)
+                               _recursion_gap, replication_stream)
 
 
 def zero_objective(n_nodes, dim):
@@ -297,6 +297,19 @@ class TestDeltaRecursion:
                                      0, xi, np.zeros((4, 2)))
         assert disc < 1e-12
 
+    def test_a_wrong_next_state_shows_as_its_consensus_error(self):
+        rng = np.random.default_rng(14)
+        model, sched = CommNoiseModel(sigma=0.3, b=0.1), StepSchedule()
+        objective = QuadraticObjective(rng.normal(size=(4, 2)))
+        x, a = rng.normal(size=(4, 2)), random_adjacency(rng, 4)
+        row_sums, d = a.sum(axis=-1)[:, None], objective.subgradient_stack(x)
+        z = rng.normal(size=(4, 2))
+        x_new, noise, _ = kernel(x, a, row_sums, sched.alpha(5), sched.c(5), model, z, d)
+        error = rng.normal(size=(4, 2))
+        gap = _recursion_gap(_center(x), a, row_sums, sched.alpha(5), sched.c(5), noise, None,
+                             d, x_new + error)
+        assert gap == pytest.approx(np.linalg.norm(center_by_sum(error)), rel=1e-9)
+
 
 class TestRunTrajectory:
     """One replication's recorded metrics, read from ``monte_carlo`` at one
@@ -443,6 +456,44 @@ class TestMonteCarlo:
         assert mc.d_violation_max <= 1e-9
         assert mc.recursion_max < 1e-10
 
+    def test_monitors_match_a_node_by_node_recomputation(self):
+        targets = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 2.0], [3.0, 1.0]])
+        obj = QuadraticObjective(targets)
+        a = np.array([[0.0, 1.0, 0.0, 0.5], [1.0, 0.0, 1.0, 0.0],
+                      [0.0, 1.0, 0.0, 1.0], [0.5, 0.0, 1.0, 0.0]])
+        model = CommNoiseModel(sigma=0.3, b=0.2)
+        sched, seed, horizon = StepSchedule(), 7, 60
+        mc = monte_carlo(obj, DeterministicCycle([a]), model, sched, horizon, seed, 2,
+                         *obj.optimum())
+        for rep in range(2):
+            init_ss, _, comm_ss, _ = replication_stream(seed, rep).spawn(4)
+            x0 = InitialStates().draw(np.random.default_rng(init_ss), 4, 2)
+            psi_excess, d_excess = quadratic_monitor_excesses_loop(
+                targets, a, model, sched, x0, np.random.default_rng(comm_ss), horizon)
+            assert mc.per_rep["psi_violation"][rep] == pytest.approx(psi_excess, rel=1e-9)
+            assert mc.per_rep["d_violation"][rep] == pytest.approx(d_excess, rel=1e-9)
+
+    def test_the_run_check_catches_a_step_off_its_recursion(self, monkeypatch):
+        # Each step moves node 0 by 1e-6 per coordinate more than the
+        # recursion allows; centred over 3 nodes in dimension 2, that error
+        # has norm 1e-6 * sqrt(4/3) on every check step.
+        kernel_for = engine._kernel
+
+        def off_kernel(*shape):
+            step = kernel_for(*shape)
+
+            def stepped(*args):
+                x_new, noise, psi_all = step(*args)
+                x_new[..., 0, :] += 1e-6
+                return x_new, noise, psi_all
+            return stepped
+
+        monkeypatch.setattr(engine, "_kernel", off_kernel)
+        obj, proc, model, x_star, f_star = self._setup()
+        mc = monte_carlo(obj, proc, model, StepSchedule(), 200, 31, 2, x_star, f_star,
+                         check_stride=50)
+        assert mc.recursion_max == pytest.approx(1e-6 * np.sqrt(4.0 / 3.0), rel=1e-6)
+
     def test_worker_pool_matches_single_worker(self):
         obj, proc, model, x_star, f_star = self._setup()
         sched = StepSchedule()
@@ -561,7 +612,24 @@ class _WarningSchedule(StepSchedule):
 @pytest.mark.skipif(not forked._FORKS, reason="workers are forked on Linux only")
 class TestLostWorker:
     """Replications 0-1 run in the test's process and replication 2 in a
-    forked worker; a part whose worker gives no result is rerun in line."""
+    forked worker; a part whose worker dies or hangs is rerun in line, and a
+    worker's divergence is its answer, not a lost part."""
+
+    def test_a_workers_divergence_is_raised_from_the_worker(self, measured):
+        # Replication 2, the worker's, diverges first.
+        schedule = StepSchedule(alpha1=1e3)
+        with pytest.raises(DivergenceDetected) as one:
+            _run_workers(1, schedule=schedule)
+        pids = measured()
+        with pytest.raises(DivergenceDetected) as two:
+            _run_workers(2, schedule=schedule)
+        assert (two.value.replication, two.value.step, two.value.norm_sq) == (
+            one.value.replication, one.value.step, one.value.norm_sq)
+        assert two.value.replication == 2
+        log = pids()
+        assert (PARENT, 1) not in log
+        assert {reps for pid, reps in log if pid != PARENT} == {1}
+        assert_no_child()
 
     @pytest.mark.parametrize("lose", [lambda: os._exit(1), lambda: time.sleep(60.0)],
                              ids=("exited", "hung"))

@@ -1,7 +1,8 @@
 """The connectivity report and the C1-C5 checks in a forked child: the same
-results as in line, a fallback when the child fails or hangs, no fork where
-another thread runs or no CPU is idle, the run's error precedence, no
-process left behind, and warnings that reach the parent."""
+results as in line, a fallback when the child dies or hangs, no fork where
+another thread runs or no CPU is idle, a package error of the stages raised
+from the child and taking precedence, no process left behind, and warnings
+that reach the parent."""
 
 import os
 import pathlib
@@ -146,9 +147,24 @@ def test_setup_error_wins_over_a_divergence(tmp_path, monkeypatch):
     monkeypatch.setattr(experiment, "estimate_constants", fails)
     with pytest.raises(NonConvergenceError, match="setup stage failed") as info:
         run_experiment(diverging_cfg(), out_dir=str(tmp_path / "out"))
-    # The Monte Carlo ran and diverged, and the stages failed in the child
-    # and again in line.
+    # The Monte Carlo ran and diverged, and the stages failed in the child,
+    # which sent their error.
     assert isinstance(info.value.__context__, DivergenceDetected)
+    assert_no_child()
+
+
+def test_a_failing_stage_runs_only_in_the_child(tmp_path, monkeypatch, stage_pids):
+    recorded = experiment.verify_conditions
+
+    def fails(*args, **kwargs):
+        recorded(*args, **kwargs)
+        raise NonConvergenceError("setup stage failed")
+
+    monkeypatch.setattr(experiment, "verify_conditions", fails)
+    with pytest.raises(NonConvergenceError, match="setup stage failed"):
+        run_experiment(small_cfg(), out_dir=str(tmp_path / "out"))
+    [child] = stage_pids()
+    assert child != PARENT
     assert_no_child()
 
 

@@ -174,6 +174,20 @@ class TestVerifyConditions:
         assert report.checks["C1"].verdict == FAILS
         assert report.checks["C2"].verdict == FAILS
 
+    def test_a_twentyfold_drop_in_c_fails_only_c1s_ratio_bound(self):
+        sched = StepSchedule()
+
+        def dropping(k):
+            k = np.asarray(k)
+            return sched.c(k) / np.where(k < 500, 1.0, 20.0)
+
+        report = verify_conditions(sched.alpha, dropping, 1.0, 100_000)
+        c1 = report.checks["C1"]
+        assert c1.verdict == FAILS
+        assert c1.details["c_ratio_max"] == pytest.approx(20.0, rel=0.01)
+        assert c1.details["c_decreasing"] and c1.details["alpha_decreasing"]
+        assert verify_conditions(sched.alpha, sched.c, 1.0, 100_000).checks["C1"].verdict == HOLDS
+
     def test_consensus_gain_equal_to_descent_gain_fails_c4(self):
         sched = StepSchedule()
         report = verify_conditions(sched.alpha, sched.alpha, 1.0, 100_000)

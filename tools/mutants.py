@@ -36,23 +36,19 @@ SETUP = "tests/test_setup_fork.py"
 DRAWS = "tests/test_draw_producer.py"
 
 MUTANTS = [
-    # The fork protocol (forked.py) and its two callers.
+    # The fork protocol (forked.py) and its callers.
     Mutant("no-kill", "forked.py",
            [("        os.kill(self._pid, signal.SIGKILL)\n", "")],
            [SETUP, DRAWS, "-k", "hung"]),
     Mutant("no-setup-first", "experiment.py",
-           [("            if child is not None:\n"
-             "                _collected(child, stages)\n"
-             "            raise\n",
-             "            if child is not None:\n"
-             "                child.close()\n"
-             "            raise\n")],
+           [("                setup.result()\n                raise\n",
+             "                raise\n")],
            [SETUP, "-k", "setup_error_wins"]),
     Mutant("no-warning-reissue", "forked.py",
            [("        _reissue(shown)\n", "")],
            [SETUP, DRAWS, "-k", "warning"]),
-    Mutant("no-in-line-fallback", "experiment.py",
-           [("    return result if done else stages()\n", "    return result\n")],
+    Mutant("no-in-line-fallback", "forked.py",
+           [("        return self._fn(*self._args)\n", "        return None\n")],
            [SETUP]),
     Mutant("no-fallback-when-fork-fails", "forked.py",
            [("        with contextlib.suppress(OSError):  # no process to be had\n"
@@ -68,6 +64,17 @@ MUTANTS = [
              "                return None\n",
              "            if left <= 0 or not self._poller.poll(left * 1000):\n"
              "                return data\n")],
+           ["tests/test_forked.py"]),
+    Mutant("package-error-rerun", "forked.py",
+           [("        if error is not None:\n            raise error\n"
+             "        return True, result\n",
+             "        if error is not None:\n            return False, None\n"
+             "        return True, result\n")],
+           [SETUP, "tests/test_engine.py", "tests/test_forked.py",
+            "-k", "only_in_the_child or raised_from_the_worker or package_error"]),
+    Mutant("every-error-travels", "forked.py",
+           [("            except SubgradNetError as exc:\n",
+             "            except Exception as exc:\n")],
            ["tests/test_forked.py"]),
     Mutant("no-thread-check", "forked.py",
            [("    return (_FORKS and threading.active_count() == 1\n",
@@ -108,13 +115,13 @@ MUTANTS = [
            [("schedule.alpha(step_ks), schedule.c(step_ks)",
              "schedule.alpha(step_ks + 1), schedule.c(step_ks + 1)")],
            ["tests/test_engine.py"]),
-    # The Monte Carlo workers (engine.monte_carlo).
-    Mutant("lost-batch-dropped", "engine.py",
-           [("results.append(result if done else batch(part))",
-             "results.extend([result] if done else [])")],
+    # The Monte Carlo workers (engine.monte_carlo and forked.call).
+    Mutant("lost-batch-dropped", "forked.py",
+           [("            if done:\n                return result\n",
+             "            return result\n")],
            ["tests/test_engine.py", "-k", "Lost"]),
     Mutant("worker-warnings-dropped", "engine.py",
-           [("c.reply(batch, part)", "c.reply(_quiet, batch, part)"),
+           [("forked.call(batch, p, workers=0)", "forked.call(_quiet, batch, p, workers=0)"),
             ("def _first_divergence(errors):\n",
              "def _quiet(fn, *args):\n"
              "    with warnings.catch_warnings():\n"
@@ -122,6 +129,49 @@ MUTANTS = [
              "        return fn(*args)\n\n\n"
              "def _first_divergence(errors):\n")],
            ["tests/test_engine.py", "-k", "warnings"]),
+    # The recursion check and the bound monitors (engine.py).
+    Mutant("recursion-gap-drops-noise", "engine.py",
+           [("    noise_in = c_k * noise\n", "    noise_in = 0.0 * noise\n")],
+           ["tests/test_engine.py", "-k", "Recursion or monitors"]),
+    Mutant("recursion-gap-vacuous", "engine.py",
+           [("    return np.sqrt((gap * gap).sum(axis=(-2, -1)))\n",
+             "    return 0.0 * np.sqrt((gap * gap).sum(axis=(-2, -1)))\n")],
+           ["tests/test_engine.py", "-k", "Recursion or monitors"]),
+    Mutant("recursion-check-never-runs", "engine.py",
+           [("        if check_stride and k % check_stride == 0:\n", "        if False:\n")],
+           ["tests/test_engine.py", "tests/test_experiment.py", "-k", "Recursion or monitors"]),
+    Mutant("psi-bound-doubled", "engine.py",
+           [("psi_bound = 4.0 * model.sigma ** 2 * v", "psi_bound = 8.0 * model.sigma ** 2 * v")],
+           ["tests/test_engine.py", "-k", "monitors"]),
+    Mutant("d-bound-doubled", "engine.py",
+           [("d_bound = 2.0 * sd_sq * s_sq", "d_bound = 4.0 * sd_sq * s_sq")],
+           ["tests/test_engine.py", "-k", "monitors"]),
+    Mutant("monitors-skip-a-sub-span-end", "engine.py",
+           [("(psi_max ** 2 - psi_bound).max(axis=0)",
+             "(psi_max ** 2 - psi_bound)[:-1].max(axis=0)")],
+           ["tests/test_engine.py", "-k", "monitors"]),
+    # The connectivity report (graphs.py) and the C1-C5 verifier (stepsize.py).
+    Mutant("norm-moment-of-order-2h", "graphs.py",
+           [("    q = 2 * max(h, 2)\n", "    q = 2 * h\n")],
+           ["tests/test_graphs.py"]),
+    Mutant("lambda2-of-the-unsymmetrized-sum", "graphs.py",
+           [("np.swapaxes(symmetrized_laplacian(laps), 0, 1)", "np.swapaxes(laps, 0, 1)")],
+           ["tests/test_graphs.py"]),
+    Mutant("window-mean-over-steps-too", "graphs.py",
+           [("/ block.shape[0], tol=1e-8)", "/ steps.shape[0], tol=1e-8)")],
+           ["tests/test_graphs.py"]),
+    Mutant("edge-moment-by-mean-weight", "graphs.py",
+           [("np.max(block * block, axis=(-2, -1))", "np.mean(block * block, axis=(-2, -1))")],
+           ["tests/test_graphs.py"]),
+    Mutant("c1-ratio-unbounded", "stepsize.py",
+           [("             and ratio_max <= _C1_RATIO_BOUND)\n", "             )\n")],
+           ["tests/test_stepsize.py"]),
+    Mutant("c2-no-drop-required", "stepsize.py",
+           [("c2_ok = r_drop < _C2_DECAY_FACTOR and", "c2_ok =")],
+           ["tests/test_stepsize.py"]),
+    Mutant("block-edge-not-compared", "stepsize.py",
+           [("            a_decreasing = a_decreasing and bool(a_last > a[0])\n", "")],
+           ["tests/test_stepsize.py"]),
     # The step arithmetic and the exact forms that keep numpy's bits.
     Mutant("kernel-mixes-the-batch-mean", "engine.py",
            [("        subtract(out, multiply(d_plus_zeta, alpha_k, term), out)\n",
