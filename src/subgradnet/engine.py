@@ -492,8 +492,8 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
         "recursion_max": np.zeros(reps),
     }
 
-    sd_sq = float(np.max(objective.sigma_d)) ** 2
-    cd_sq = float(np.max(objective.c_d)) ** 2
+    sd, cd = float(np.max(objective.sigma_d)), float(np.max(objective.c_d))
+    sd_sq, cd_sq = sd * sd, cd * cd
     has_zeta = objective.has_gradient_noise
 
     # The draws are forked when the batch is not pooled, a CPU is left idle and
@@ -538,7 +538,7 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
         out["dist"][:, slots] = np.sqrt(dist_sq.max(axis=2)).T
         out["stack_dsq"][:, slots] = dist_sq.sum(axis=2).T
         if d_hist is not None:
-            psi_bound = 4.0 * model.sigma ** 2 * v + 2.0 * model.b ** 2
+            psi_bound = 4.0 * model.sigma * model.sigma * v + 2.0 * model.b * model.b
             d_bound = 2.0 * sd_sq * s_sq + 2.0 * n_nodes * cd_sq
             d_sq = np.einsum("trnd,trnd->tr", d_hist, d_hist)
             out["psi_violation"] = np.maximum(out["psi_violation"],

@@ -18,10 +18,10 @@ per-block reductions and the values at a few hundred fixed steps, so its
 memory does not depend on the horizon.  The block is sized to the cache: each
 temporary holds 128 KiB.  At 65,536 steps (512 KiB each) the temporaries came
 back from the allocator as fresh pages in every block, and one check at
-horizon 1e6 took about 9,500 minor page faults, a third of its time.  The gains
-are formed in place and the check writes into buffers allocated once per
-call.  A sort replaces ``np.unique``, whose first call imports ``numpy.ma``,
-about 15 ms of a run's setup.
+horizon 1e6 took about 9,500 minor page faults, a third of its time.  At
+16,384 steps, with every temporary a new array, it takes about 400 faults and
+40 ms (a fresh process on a 2-vCPU host).  A sort replaces ``np.unique``,
+whose first call imports ``numpy.ma``, about 15 ms of a run's setup.
 """
 
 import math
@@ -49,38 +49,20 @@ _TREND_INTERVALS = 3
 _PREFIX_BLOCK = 16384
 
 
-def _neumaier_block(v, s, comp, out, work):
+def _neumaier_block(v, s, comp):
     """Compensated running sums of block ``v`` continued from running sum ``s``
-    and compensation ``comp``, written to ``out``; returns the new (s, comp).
+    and compensation ``comp``; returns them and the new (s, comp).
 
     Within the block the running sum is one sequential ``cumsum``, each step's
     TwoSum error is elementwise, and the errors are accumulated by a second
-    sequential ``cumsum`` seeded with ``comp``.  The float temporaries live in
-    ``work``, a ``(3, m + 1)`` buffer with ``m >= len(v)`` that the caller
-    allocates once for all its blocks.
+    sequential ``cumsum`` seeded with ``comp``.
     """
-    n = v.shape[0]
-    run, err, alt = work[0, :n + 1], work[1, :n], work[2, :n]
-    run[0] = s
-    run[1:] = v
-    np.cumsum(run, out=run)
+    run = np.cumsum(np.concatenate(([s], v)))
     prev, t = run[:-1], run[1:]
-    take = np.abs(prev, out=err) >= np.abs(v, out=alt)
-    np.subtract(prev, t, out=err)
-    err += v
-    np.subtract(v, t, out=alt)
-    alt += prev
-    np.copyto(alt, err, where=take)
-    alt[0] += comp
-    np.cumsum(alt, out=alt)
-    np.add(t, alt, out=out)
-    return float(t[-1]), float(alt[-1])
-
-
-def _block_work(n):
-    """The ``work`` buffer of :func:`_neumaier_block` for ``n`` values taken
-    ``_PREFIX_BLOCK`` at a time."""
-    return np.empty((3, min(_PREFIX_BLOCK, n) + 1))
+    err = np.where(np.abs(prev) >= np.abs(v), (prev - t) + v, (v - t) + prev)
+    err[0] += comp
+    err = np.cumsum(err)
+    return t + err, float(t[-1]), float(err[-1])
 
 
 def kahan_cumsum(values):
@@ -92,32 +74,11 @@ def kahan_cumsum(values):
     """
     x = np.asarray(values, dtype=float)
     out = np.empty_like(x)
-    work = _block_work(x.shape[0])
     s = comp = 0.0
     for lo in range(0, x.shape[0], _PREFIX_BLOCK):
         hi = lo + _PREFIX_BLOCK
-        s, comp = _neumaier_block(x[lo:hi], s, comp, out[lo:hi], work)
+        out[lo:hi], s, comp = _neumaier_block(x[lo:hi], s, comp)
     return out
-
-
-def _shifted_log(k):
-    """``k + 3`` and ``ln(k + 3)`` as two new float arrays, or as numpy
-    scalars for scalar ``k``, so that the gains can be formed in place.
-
-    The gains apply their exponents with ``**=``, which keeps numpy's fast
-    scalar-power paths (``tau = 1`` among them), so every value equals the
-    expression ``alpha1 / ((k + 3) * ln(k + 3) ** tau1)`` bit for bit.
-    """
-    t = np.add(k, 3.0, dtype=float)
-    return t, np.log(t)
-
-
-def _divide(num, den):
-    """``num / den`` written into the array ``den``; a Python float for a
-    scalar ``den``."""
-    if np.ndim(den) == 0:
-        return float(num / den)
-    return np.divide(num, den, out=den)
 
 
 @dataclass
@@ -142,18 +103,17 @@ class StepSchedule:
         if not -math.inf < self.tau3 <= 1:
             raise ValueError(f"tau3 must be finite and at most 1, got {self.tau3}")
 
+    # For a scalar step ``t`` is a numpy scalar, not a 0-d array, so the powers
+    # take numpy's scalar power: its array loop can differ in the last bit.
     def alpha(self, k):
-        t, val = _shifted_log(k)
-        val **= self.tau1
-        val *= t
-        return _divide(self.alpha1, val)
+        t = np.add(k, 3.0, dtype=float)
+        val = self.alpha1 / (t * np.log(t) ** self.tau1)
+        return float(val) if np.ndim(val) == 0 else val
 
     def c(self, k):
-        t, val = _shifted_log(k)
-        t **= self.tau2
-        val **= self.tau3
-        val *= t
-        return _divide(self.alpha2, val)
+        t = np.add(k, 3.0, dtype=float)
+        val = self.alpha2 / (t ** self.tau2 * np.log(t) ** self.tau3)
+        return float(val) if np.ndim(val) == 0 else val
 
     def alpha_partial_sums(self, upto):
         """Array of S(0..upto) where S(k) = sum_{t=0}^{k} alpha(t)."""
@@ -164,6 +124,9 @@ class StepSchedule:
         if C0 <= 0:
             raise ValueError("C0 must be positive")
         k = np.asarray(k)
+        bad = k if k.dtype.kind not in "iu" else k[k < 0]
+        if bad.size:
+            raise ValueError(f"log_beta needs non-negative integer steps, got {bad.flat[0]}")
         upto = int(np.max(k))
         prefix = self.alpha_partial_sums(upto)
         val = C0 * prefix[k]
@@ -252,13 +215,10 @@ def verify_conditions(alpha_fn, c_fn, C, horizon):
     # One pass over [0, horizon] in blocks: alpha, c and their partial sums S
     # are kept only at the steps the checks read (idx); the rest of the checks
     # are reductions folded block by block, with each block's last alpha and c
-    # carried across the edge.  S, the squares and C3's terms are written into
-    # buffers allocated once per call.
+    # carried across the edge.
     idx = _sorted_distinct(np.concatenate(
         (decades, last_decade, grid + 1, peak_grid, [10, horizon // 2, horizon])))
     a_at, c_at, S_at = np.empty(idx.size), np.empty(idx.size), np.empty(idx.size)
-    work = _block_work(horizon + 1)
-    S_buf, sq_buf, term_buf = (np.empty(work.shape[1]) for _ in range(3))
     s = comp = 0.0
     a_sq_head = a_sq_tail = c_sq_head = c_sq_tail = partial_sum = 0.0
     a_decreasing = c_decreasing = True
@@ -272,16 +232,14 @@ def verify_conditions(alpha_fn, c_fn, C, horizon):
             raise ValueError("alpha(k) must be positive and finite on [0, horizon]")
         if not (c.min() > 0 and c.max() < np.inf):
             raise ValueError("c(k) must be positive and finite on [0, horizon]")
-        S = S_buf[:n]
-        s, comp = _neumaier_block(a, s, comp, S, work)
+        S, s, comp = _neumaier_block(a, s, comp)
 
         head = max(h10 + 1 - lo, 0)
-        sq = np.multiply(a, a, out=sq_buf[:n])
-        a_sq_head += float(sq[:head].sum())
-        a_sq_tail += float(sq[head:].sum())
-        np.multiply(c, c, out=sq)
-        c_sq_head += float(sq[:head].sum())
-        c_sq_tail += float(sq[head:].sum())
+        a_sq, c_sq = a * a, c * c
+        a_sq_head += float(a_sq[:head].sum())
+        a_sq_tail += float(a_sq[head:].sum())
+        c_sq_head += float(c_sq[:head].sum())
+        c_sq_tail += float(c_sq[head:].sum())
         # For finite values, a[1:] < a[:-1] is the same test as diff(a) < 0;
         # the edge compares against the previous block's last value.
         if lo:
@@ -291,13 +249,9 @@ def verify_conditions(alpha_fn, c_fn, C, horizon):
         a_decreasing = a_decreasing and bool(np.all(a[1:] < a[:-1]))
         c_decreasing = c_decreasing and bool(np.all(c[1:] < c[:-1]))
         if n > 1:
-            ratio_max = max(ratio_max, float(np.divide(c[:-1], c[1:], out=term_buf[:n - 1]).max()))
+            ratio_max = max(ratio_max, float((c[:-1] / c[1:]).max()))
         a_last, c_last = a[-1], c[-1]
-        term = np.multiply(S, -C, out=term_buf[:n])
-        np.clip(term, -745.0, 0.0, out=term)
-        np.exp(term, out=term)
-        term *= a
-        partial_sum += float(term.sum())
+        partial_sum += float((a * np.exp(np.clip(-C * S, -745.0, 0.0))).sum())
 
         i0, i1 = np.searchsorted(idx, [lo, lo + n])
         picked = idx[i0:i1] - lo

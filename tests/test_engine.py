@@ -456,6 +456,18 @@ class TestMonteCarlo:
         assert mc.d_violation_max <= 1e-9
         assert mc.recursion_max < 1e-10
 
+    def test_a_constant_intensity_reads_minus_b_squared_exactly(self):
+        # With sigma = 0 every intensity is b, so the psi monitor reads
+        # b^2 - 2 b^2 = -b^2 exactly when both squares are products.  A Python
+        # float's b ** 2 is the C library's pow, which can miss the rounded
+        # square by one ulp (glibc does at b = 2.759), and with it the exact
+        # scaling of the monitors with the problem.
+        obj, proc, _, x_star, f_star = self._setup()
+        b = 2.759
+        mc = monte_carlo(obj, proc, CommNoiseModel(sigma=0.0, b=b), StepSchedule(), 50, 3, 2,
+                         x_star, f_star)
+        assert np.array_equal(mc.per_rep["psi_violation"], np.full(2, -(b * b)))
+
     def test_monitors_match_a_node_by_node_recomputation(self):
         targets = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 2.0], [3.0, 1.0]])
         obj = QuadraticObjective(targets)

@@ -1,7 +1,7 @@
-"""Property tests of the batched step kernel, the engine around it, the lasso
-measurement, a node's one-node problem, the counter-addressed graph draws, the
-connectivity report and the numpy summation orders the engine's cheaper sums
-repeat.
+"""Property tests of the batched step kernel, the engine around it and its
+exact scaling with the problem, the lasso measurement, a node's one-node
+problem, the counter-addressed graph draws, the connectivity report and the
+numpy summation orders the engine's cheaper sums repeat.
 
 Criterion 8 compares 1-worker and 8-worker aggregates exactly, which holds
 only if a replication's arithmetic is the same in every batch it lands in.
@@ -144,6 +144,48 @@ def test_each_replication_of_a_batch_equals_its_run_alone(n_nodes, dim, reps, sp
             alone = _run_batch(*args, [r], *tail)
             for key in PER_REP_KEYS:
                 assert np.array_equal(batch[key][r], alone[key][0]), (r, key)
+
+
+# The degree in the scale of the problem of each per_rep key.
+_SCALE_DEGREE = dict.fromkeys(PER_REP_KEYS, 2) | dict.fromkeys(
+    ("mean_state", "dist", "recursion_max"), 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(objective=st.sampled_from(["quadratic", "lasso"]),
+       process=st.sampled_from(["independent", "markov", "cycle"]),
+       n_nodes=st.sampled_from([2, 3, engine._PSI_KEPT_BELOW, engine._PSI_KEPT_BELOW + 1]),
+       dim=st.integers(1, 3), cap=st.sampled_from([None, 0.3]),
+       scale=st.sampled_from([2.0 ** -3, 2.0 ** -1, 2.0, 2.0 ** 3]),
+       horizon=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1))
+def test_per_rep_outputs_scale_exactly_with_the_problem(objective, process, n_nodes, dim,
+                                                        cap, scale, horizon, seed):
+    # Every term of the update is homogeneous of degree 1 in the states, the
+    # targets (or x0, kappa and sigma_v), b and cap, and a power of two
+    # commutes with each rounded operation; so scaling the problem, the
+    # initial box and the optimum by s scales each output by s or s^2 bit for
+    # bit.  A state-independent constant in the step breaks the relation.
+    rng = np.random.default_rng(seed)
+    process = _process(process, n_nodes, rng)
+    targets, x0 = rng.normal(size=(n_nodes, dim)), rng.normal(size=dim)
+    covs = _objective("lasso", n_nodes, dim, rng).covariances
+
+    def problem(s):
+        if objective == "quadratic":
+            return QuadraticObjective(s * targets)
+        return LassoProblem(x0=s * x0, covariances=covs, sigma_v=0.3 * s, kappa=0.1 * s)
+
+    x_star, f_star = problem(1.0).optimum()
+    record_ks = default_record_ks(horizon, dense_until=50, stride=25)
+    out = {}
+    for s in (1.0, scale):
+        model = CommNoiseModel(sigma=0.3, b=0.2 * s, cap=None if cap is None else cap * s)
+        out[s] = _run_batch(problem(s), process, model, StepSchedule(), horizon, seed,
+                            [0, 1], s * x_star, s * s * f_star,
+                            InitialStates.uniform(-2.0 * s, 2.0 * s), record_ks, 7)
+    assert set(out[1.0]) - {"ks"} == set(_SCALE_DEGREE)
+    for key, p in _SCALE_DEGREE.items():
+        assert np.array_equal(out[scale][key], scale ** p * out[1.0][key]), key
 
 
 @st.composite

@@ -98,7 +98,7 @@ _GAIN_SCHEDULES = [
 
 
 class TestGainsInPlace:
-    """alpha and c formed in place equal their expression forms bit for bit."""
+    """alpha and c equal their expression forms on new arrays bit for bit."""
 
     @pytest.mark.parametrize("sched", _GAIN_SCHEDULES, ids=range(len(_GAIN_SCHEDULES)))
     def test_arrays_equal_expression(self, sched):
@@ -151,6 +151,15 @@ class TestPartialSumsAndBeta:
         ks = np.array([0, 5, 50, 500])
         prefix = sched.alpha_partial_sums(500)
         assert np.array_equal(sched.log_beta(ks, 7.0), 7.0 * prefix[ks])
+
+    @pytest.mark.parametrize("k, named", [(np.array([-1, 5]), "-1"), (-3, "-3"),
+                                          (2.5, "2.5"), (np.array([0.0, 4.0]), "0.0")],
+                             ids=["negative-in-array", "negative", "float", "float-array"])
+    def test_log_beta_rejects_negative_and_non_integer_steps(self, k, named):
+        # A negative step used to wrap to the end of the prefix sums, and a
+        # float one to raise numpy's bare IndexError.
+        with pytest.raises(ValueError, match=rf"non-negative integer steps, got {named}$"):
+            StepSchedule().log_beta(k, 2.0)
 
     def test_beta_monotone_in_k_and_c0(self):
         sched = StepSchedule()
@@ -337,8 +346,8 @@ class TestStreamedVerifier:
 
     def test_check_at_one_million_takes_few_page_faults(self):
         # With 512 KiB temporaries made anew in every block, the check at 1e6
-        # took about 9,500 minor faults; buffers allocated once per call and
-        # 128 KiB blocks take a few hundred.  A fresh interpreter, so that no
+        # took about 9,500 minor faults; with 128 KiB temporaries, made anew
+        # too, it takes a few hundred.  A fresh interpreter, so that no
         # earlier test has shaped the allocator's heap.
         code = ("import resource\n"
                 "from subgradnet import StepSchedule, verify_conditions\n"

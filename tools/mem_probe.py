@@ -23,8 +23,9 @@ into a temporary directory instead (its report goes to stderr), and the
 faults and seconds are those of its Monte Carlo call; its peak RSS is then
 the one perfbench reports.  The line then also holds the minor faults and
 seconds of setup (from the start of the `subgradnet run` call to Monte Carlo
-entry, as perfbench's `setup_s`) and of the C1-C5 check (`verify_conditions`)
-alone.
+entry, as perfbench's `setup_s`) and, when the setup stages run in line (one
+CPU, as under `taskset -c 0`), of the C1-C5 check (`verify_conditions`)
+alone; a forked setup child's figures stay in the child.
 """
 
 import argparse

@@ -141,8 +141,11 @@ MUTANTS = [
            [("        if check_stride and k % check_stride == 0:\n", "        if False:\n")],
            ["tests/test_engine.py", "tests/test_experiment.py", "-k", "Recursion or monitors"]),
     Mutant("psi-bound-doubled", "engine.py",
-           [("psi_bound = 4.0 * model.sigma ** 2 * v", "psi_bound = 8.0 * model.sigma ** 2 * v")],
+           [("psi_bound = 4.0 * model.sigma", "psi_bound = 8.0 * model.sigma")],
            ["tests/test_engine.py", "-k", "monitors"]),
+    Mutant("psi-bound-squares-b-by-pow", "engine.py",
+           [("2.0 * model.b * model.b", "2.0 * model.b ** 2")],
+           ["tests/test_engine.py", "-k", "minus_b_squared"]),
     Mutant("d-bound-doubled", "engine.py",
            [("d_bound = 2.0 * sd_sq * s_sq", "d_bound = 4.0 * sd_sq * s_sq")],
            ["tests/test_engine.py", "-k", "monitors"]),
@@ -172,6 +175,24 @@ MUTANTS = [
     Mutant("block-edge-not-compared", "stepsize.py",
            [("            a_decreasing = a_decreasing and bool(a_last > a[0])\n", "")],
            ["tests/test_stepsize.py"]),
+    Mutant("c3-tail-bound-without-1/C", "stepsize.py",
+           [("- C * S_at[dec] - math.log(C)", "- C * S_at[dec]")],
+           ["tests/test_stepsize.py"]),
+    # The compensated prefix sum that C1-C5 and log_beta read (stepsize.py).
+    Mutant("prefix-sum-drops-carried-compensation", "stepsize.py",
+           [("    err[0] += comp\n", "")],
+           ["tests/test_stepsize.py"]),
+    Mutant("two-sum-other-branch", "stepsize.py",
+           [("np.abs(prev) >= np.abs(v)", "np.abs(prev) < np.abs(v)")],
+           ["tests/test_stepsize.py"]),
+    # The Markov chain advance (graphs.py) and the lasso oracle (objectives.py).
+    Mutant("chain-stays-at-its-start", "graphs.py",
+           [("        s = path[t] = next_state[which, s]\n",
+             "        path[t] = next_state[which, s]\n")],
+           ["tests/test_graphs.py"]),
+    Mutant("lasso-oracle-one-node-penalty", "objectives.py",
+           [("thresh = step * self.n_nodes * self.kappa", "thresh = step * self.kappa")],
+           ["tests/test_objectives.py"]),
     # The step arithmetic and the exact forms that keep numpy's bits.
     Mutant("kernel-mixes-the-batch-mean", "engine.py",
            [("        subtract(out, multiply(d_plus_zeta, alpha_k, term), out)\n",

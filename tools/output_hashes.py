@@ -8,12 +8,15 @@ Usage (from the repository root):
 The runs are shipped A1, shipped A2, A2 with 8 workers and the three
 perfbench workloads at seed 42 (configs from perfbench/workloads.py).  One
 line is printed per hashed output, ``<run> <output> <sha256>``: each run's
-trace.csv and summary.txt, and each ``per_rep`` array of the Monte Carlo
-result of the three workloads at seed 42 and horizon 5000 (its dtype, shape
-and bytes).  Save the lines at one commit and pass the file as --against at
-another: the script then also prints every saved line whose hash differs or
-that has no counterpart, and exits 1 if there is one.  The runs take about a
-minute on a 2-vCPU host; the 8-worker run starts 8 processes.
+trace.csv and summary.txt, its C1-C5 report (the constant, the horizon, and
+each condition's verdict and every detail value by ``repr``) and its
+``beta_log`` array, and each ``per_rep`` array of the Monte Carlo result of
+the three workloads at seed 42 and horizon 5000.  An array is hashed by its
+dtype, shape and bytes.  Save the lines at one commit and pass the file as
+--against at another: the script then also prints every saved line whose
+hash differs or that has no counterpart, and exits 1 if there is one.  The
+runs take about a minute on a 2-vCPU host; the 8-worker run starts 8
+processes.
 """
 
 import argparse
@@ -63,6 +66,16 @@ def _sha(data):
     return hashlib.sha256(data).hexdigest()
 
 
+def _array_sha(arr):
+    return _sha(f"{arr.dtype.str}{arr.shape}".encode() + arr.tobytes())
+
+
+def _conditions_sha(report):
+    checks = [(name, chk.verdict, sorted(chk.details.items()))
+              for name, chk in sorted(report.checks.items())]
+    return _sha(repr((report.C, report.horizon, checks)).encode())
+
+
 def hashes():
     """Yield one ``(run, output, sha256)`` triple per hashed output."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -73,10 +86,11 @@ def hashes():
             for path in (result.trace_path, result.summary_path):
                 with open(path, "rb") as fh:
                     yield run, os.path.basename(path), _sha(fh.read())
+            yield run, "conditions", _conditions_sha(result.conditions)
+            yield run, "beta_log", _array_sha(result.beta_log)
             if per_rep:
                 for key, arr in sorted(result.mc.per_rep.items()):
-                    head = f"{arr.dtype.str}{arr.shape}".encode()
-                    yield run, f"per_rep.{key}", _sha(head + arr.tobytes())
+                    yield run, f"per_rep.{key}", _array_sha(arr)
 
 
 def main(argv):
