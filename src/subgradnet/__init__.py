@@ -24,7 +24,6 @@ from .noise import CommNoiseModel
 from .objectives import (LassoProblem, QuadraticObjective, global_optimum,
                          soft_threshold)
 from .stepsize import (FAILS, HOLDS, INCONCLUSIVE, ConditionCheck,
-                       ConditionReport, StepSchedule, kahan_cumsum,
-                       verify_conditions)
+                       ConditionReport, StepSchedule, verify_conditions)
 
 __version__ = "0.1.0"

@@ -456,20 +456,16 @@ class _Draws:
 def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
                x_star, f_star, init, record_ks, check_stride, pooled=False):
     """Simulate a batch of replications; per-replication results do not
-    depend on how replications are grouped into batches.  ``pooled`` says
-    that the batch is one of several, each run by its own process, so it
-    forks no draw producer."""
+    depend on how replications are grouped into batches.  ``record_ks`` must
+    be strictly increasing (``monte_carlo`` checks it).  ``pooled`` says that
+    the batch is one of several, each run by its own process, so it forks no
+    draw producer."""
     n_nodes, dim = objective.n_nodes, objective.dim
     if process.n_nodes != n_nodes:
         raise ValueError("objective and graph process disagree on node count")
     reps = len(rep_indices)
     record_ks = np.asarray(record_ks, dtype=np.int64)
-    if record_ks.size and (record_ks.min() < 0 or record_ks.max() > horizon):
-        raise ValueError("record_ks must lie within [0, horizon]")
     n_rec = record_ks.shape[0]
-    record_mask = np.zeros(horizon + 1, dtype=bool)
-    record_mask[record_ks] = True
-    rec_slot = np.cumsum(record_mask) - 1
 
     graph_keys, comm_gen, grad_gen, states = [], [], [], []
     for rep in rep_indices:
@@ -526,8 +522,8 @@ def _run_batch(objective, process, model, schedule, horizon, seed, rep_indices,
         s_sq = _check_divergence(hist, k0, rep_indices)
         xc = _center(hist, out=centred[:count], mean=means[:count])
         v = np.einsum("trnd,trnd->tr", xc, xc)
-        rows = np.flatnonzero(record_mask[k0:k0 + count])
-        slots = rec_slot[k0 + rows]
+        slots = slice(*np.searchsorted(record_ks, (k0, k0 + count)))
+        rows = record_ks[slots] - k0
         x_rec = hist[rows]
         xbar = means[rows][:, :, 0]
         dist_sq = np.square(x_rec - np.asarray(x_star, dtype=float)).sum(axis=3)
@@ -641,9 +637,13 @@ def monte_carlo(objective, process, model, schedule, horizon, seed, reps,
         raise ValueError("reps must be at least 1")
     if init is None:
         init = InitialStates()
-    if record_ks is None:
-        record_ks = default_record_ks(horizon)
-    record_ks = np.asarray(record_ks, dtype=np.int64)
+    record_ks = np.asarray(default_record_ks(horizon) if record_ks is None else record_ks)
+    if not (record_ks.ndim == 1 and record_ks.size and record_ks.dtype.kind in "iu"
+            and record_ks[0] >= 0 and record_ks[-1] <= horizon
+            and np.all(record_ks[1:] > record_ks[:-1])):
+        raise ValueError("record_ks must be a nonempty, strictly increasing array of "
+                         f"integer steps within [0, horizon={horizon}]")
+    record_ks = record_ks.astype(np.int64, copy=False)
 
     parts = np.array_split(np.arange(reps), max(1, min(workers, reps)))
     batch = functools.partial(_run_batch, objective, process, model, schedule, horizon, seed,

@@ -11,11 +11,11 @@ horizon; they are asymptotic statements, so each check is a falsifiable
 finite-horizon rendering with frozen thresholds chosen to separate this family
 (which satisfies all five analytically) from canonical counterexamples such as
 polynomial schedules with divergent squared sums.  Partial sums of ``alpha``
-are computed by one compensated (Neumaier) block step, which both
-:func:`kahan_cumsum` and :func:`verify_conditions` call.  The verifier streams
-``[0, horizon]`` in blocks of ``_PREFIX_BLOCK`` (16,384) steps and keeps only
-per-block reductions and the values at a few hundred fixed steps, so its
-memory does not depend on the horizon.  The block is sized to the cache: each
+come from one walk over ``[0, horizon]`` in blocks of ``_PREFIX_BLOCK``
+(16,384) steps that carries a compensated (Neumaier) sum across blocks; both
+:func:`verify_conditions` and :meth:`StepSchedule.log_beta` read it and keep
+only per-block reductions and values at the steps they need, so their memory
+does not depend on the horizon.  The block is sized to the cache: each
 temporary holds 128 KiB.  At 65,536 steps (512 KiB each) the temporaries came
 back from the allocator as fresh pages in every block, and one check at
 horizon 1e6 took about 9,500 minor page faults, a third of its time.  At
@@ -44,41 +44,28 @@ _C4_MIN_POLY_EXPONENT = 0.02
 _C5_RATIO_BOUND = 1e6
 _TREND_INTERVALS = 3
 
-# Values per block of the vectorised compensated prefix sum and of the
-# streamed check: 128 KiB per float temporary, which stays in cache.
+# Steps per block of the walk over the horizon: 128 KiB per float temporary,
+# which stays in cache.
 _PREFIX_BLOCK = 16384
 
 
-def _neumaier_block(v, s, comp):
-    """Compensated running sums of block ``v`` continued from running sum ``s``
-    and compensation ``comp``; returns them and the new (s, comp).
-
-    Within the block the running sum is one sequential ``cumsum``, each step's
-    TwoSum error is elementwise, and the errors are accumulated by a second
-    sequential ``cumsum`` seeded with ``comp``.
-    """
-    run = np.cumsum(np.concatenate(([s], v)))
-    prev, t = run[:-1], run[1:]
-    err = np.where(np.abs(prev) >= np.abs(v), (prev - t) + v, (v - t) + prev)
-    err[0] += comp
-    err = np.cumsum(err)
-    return t + err, float(t[-1]), float(err[-1])
-
-
-def kahan_cumsum(values):
-    """Compensated (Kahan/Neumaier) running sums of a 1-D array.
-
-    Matches the sequential Neumaier loop bit for bit.  The array goes through
-    :func:`_neumaier_block` in blocks of ``_PREFIX_BLOCK`` values, which bound
-    the temporaries.
-    """
-    x = np.asarray(values, dtype=float)
-    out = np.empty_like(x)
+def _prefix_blocks(fn, horizon):
+    """Walk [0, horizon] in blocks of ``_PREFIX_BLOCK`` steps from step 0 and
+    yield each block's steps ``ks``, its values ``v = fn(ks)`` (a float array)
+    and their compensated (Neumaier) running sums, carried across blocks: the
+    running sum and the elementwise TwoSum errors are each one sequential
+    ``cumsum``, so the sums match the sequential Neumaier loop bit for bit."""
     s = comp = 0.0
-    for lo in range(0, x.shape[0], _PREFIX_BLOCK):
-        hi = lo + _PREFIX_BLOCK
-        out[lo:hi], s, comp = _neumaier_block(x[lo:hi], s, comp)
-    return out
+    for lo in range(0, horizon + 1, _PREFIX_BLOCK):
+        ks = np.arange(lo, min(lo + _PREFIX_BLOCK, horizon + 1))
+        v = fn(ks)
+        run = np.cumsum(np.concatenate(([s], v)))
+        prev, t = run[:-1], run[1:]
+        err = np.where(np.abs(prev) >= np.abs(v), (prev - t) + v, (v - t) + prev)
+        err[0] += comp
+        err = np.cumsum(err)
+        s, comp = float(t[-1]), float(err[-1])
+        yield ks, v, t + err
 
 
 @dataclass
@@ -115,21 +102,21 @@ class StepSchedule:
         val = self.alpha2 / (t ** self.tau2 * np.log(t) ** self.tau3)
         return float(val) if np.ndim(val) == 0 else val
 
-    def alpha_partial_sums(self, upto):
-        """Array of S(0..upto) where S(k) = sum_{t=0}^{k} alpha(t)."""
-        return kahan_cumsum(self.alpha(np.arange(int(upto) + 1)))
-
     def log_beta(self, k, C0):
-        """log of the exponential growth envelope exp(C0 * S(k))."""
-        if C0 <= 0:
-            raise ValueError("C0 must be positive")
+        """log of the growth envelope exp(C0 * S(k)), S(k) = sum_{t<=k} alpha(t),
+        at one step or at an array of steps in any shape, order and repeats."""
+        if not 0 < C0 < math.inf:
+            raise ValueError(f"C0 must be positive and finite, got {C0}")
         k = np.asarray(k)
         bad = k if k.dtype.kind not in "iu" else k[k < 0]
         if bad.size:
             raise ValueError(f"log_beta needs non-negative integer steps, got {bad.flat[0]}")
-        upto = int(np.max(k))
-        prefix = self.alpha_partial_sums(upto)
-        val = C0 * prefix[k]
+        order = np.argsort(k, axis=None)
+        steps, S = k.ravel()[order], np.empty(k.size)
+        for ks, _, block in _prefix_blocks(self.alpha, int(steps[-1]) if steps.size else -1):
+            i0, i1 = np.searchsorted(steps, (ks[0], ks[-1] + 1))
+            S[order[i0:i1]] = block[steps[i0:i1] - ks[0]]
+        val = C0 * S.reshape(k.shape)
         return float(val) if val.ndim == 0 else val
 
 
@@ -187,6 +174,14 @@ def _sorted_distinct(values):
     return v[np.concatenate(([True], v[1:] != v[:-1]))]
 
 
+def _checked(values, name):
+    """``values`` as floats, checked positive and finite before anything sums them."""
+    v = np.asarray(values, dtype=float)
+    if not (v.min() > 0 and v.max() < np.inf):
+        raise ValueError(f"{name}(k) must be positive and finite on [0, horizon]")
+    return v
+
+
 def verify_conditions(alpha_fn, c_fn, C, horizon):
     """Numerically check the five step-size conditions over [0, horizon].
 
@@ -219,20 +214,12 @@ def verify_conditions(alpha_fn, c_fn, C, horizon):
     idx = _sorted_distinct(np.concatenate(
         (decades, last_decade, grid + 1, peak_grid, [10, horizon // 2, horizon])))
     a_at, c_at, S_at = np.empty(idx.size), np.empty(idx.size), np.empty(idx.size)
-    s = comp = 0.0
     a_sq_head = a_sq_tail = c_sq_head = c_sq_tail = partial_sum = 0.0
     a_decreasing = c_decreasing = True
     ratio_max = -np.inf
-    for lo in range(0, horizon + 1, _PREFIX_BLOCK):
-        ks = np.arange(lo, min(lo + _PREFIX_BLOCK, horizon + 1))
-        n = ks.size
-        a = np.asarray(alpha_fn(ks), dtype=float)
-        c = np.asarray(c_fn(ks), dtype=float)
-        if not (a.min() > 0 and a.max() < np.inf):
-            raise ValueError("alpha(k) must be positive and finite on [0, horizon]")
-        if not (c.min() > 0 and c.max() < np.inf):
-            raise ValueError("c(k) must be positive and finite on [0, horizon]")
-        S, s, comp = _neumaier_block(a, s, comp)
+    for ks, a, S in _prefix_blocks(lambda ks: _checked(alpha_fn(ks), "alpha"), horizon):
+        lo, n = int(ks[0]), ks.size
+        c = _checked(c_fn(ks), "c")
 
         head = max(h10 + 1 - lo, 0)
         a_sq, c_sq = a * a, c * c

@@ -130,6 +130,17 @@ def neumaier_cumsum_loop(values):
     return out
 
 
+def neumaier_cumsum_whole(values):
+    """Neumaier running sums of a whole array at once: one sequential cumsum
+    of the values and one of their elementwise TwoSum errors, which gives the
+    loop's sums bit for bit."""
+    v = np.asarray(values, dtype=float)
+    t = np.cumsum(v)
+    prev = np.concatenate(([0.0], t[:-1]))
+    err = np.where(np.abs(prev) >= np.abs(v), (prev - t) + v, (v - t) + prev)
+    return t + np.cumsum(err)
+
+
 def markov_walk_searchsorted(cum_rows, state, uniforms):
     """Markov chain states from ``state``, one ``searchsorted`` per uniform."""
     s = int(state)
@@ -696,6 +707,14 @@ def schedule_c_expr(schedule, k):
     return float(val) if val.ndim == 0 else val
 
 
+def c_first_non_decrease(schedule, horizon):
+    """The first step k < min(horizon, 1e6) with c(k+1) >= c(k), or None: the
+    scan of c(k) over the simulated horizon that configuration validation
+    made before it read c at steps 0 and 1 only."""
+    steps = np.diff(schedule.c(np.arange(min(horizon, 1_000_000) + 1)))
+    return None if np.all(steps < 0) else int(np.argmax(steps >= 0))
+
+
 def center_by_sum(states):
     """Deviation of each node from the node average by numpy's axis -2 sum."""
     return states - states.sum(axis=-2, keepdims=True) / states.shape[-2]
@@ -719,7 +738,7 @@ def verify_conditions_full(alpha_fn, c_fn, C, horizon):
         raise ValueError("alpha(k) must be positive and finite on [0, horizon]")
     if np.any(~np.isfinite(c)) or np.any(c <= 0):
         raise ValueError("c(k) must be positive and finite on [0, horizon]")
-    S = ss.kahan_cumsum(a)
+    S = neumaier_cumsum_whole(a)
 
     h10 = horizon // 10
     last_decade = np.unique(np.geomspace(max(h10, 1), horizon, 65).astype(int))

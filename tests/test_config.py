@@ -1,11 +1,15 @@
 """Configuration loading, validation messages, and round-tripping."""
 
+import math
+
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
+from oracles import c_first_non_decrease
 from subgradnet import (IndependentEdges, MarkovSwitching, ParseError,
-                        QuadraticObjective, ValidationError, load_config,
+                        QuadraticObjective, StepSchedule, ValidationError, load_config,
                         save_config)
 from subgradnet.config import (_Loader, build_init, build_objective, build_process,
                                build_schedule, config_from_dict)
@@ -158,6 +162,13 @@ graph:
         with pytest.raises(ValidationError, match="tau3"):
             config_from_dict(data)
 
+    def test_non_monotone_consensus_gain_is_named_at_step_zero(self):
+        data = dict(MINIMAL_QUADRATIC, schedule={"tau3": -3.0},
+                    run={"horizon": 1000, "reps": 1, "seed": 0})
+        with pytest.raises(ValidationError, match=r"^schedule\.tau3=-3\.0 makes c\(k\) "
+                                                  r"non-decreasing at k=0; "):
+            config_from_dict(data)
+
     def test_explicit_init_shape_checked(self):
         data = dict(MINIMAL_QUADRATIC)
         data["init"] = {"kind": "explicit", "states": [[0.0, 0.0]]}
@@ -214,3 +225,41 @@ class TestBuilders:
         draw = init.draw(rng, 2, 2)
         assert np.all(draw[:, 0] >= -1.0) and np.all(draw[:, 0] <= 1.0)
         assert np.all(draw[:, 1] >= 0.0) and np.all(draw[:, 1] <= 2.0)
+
+
+# r(0) = ln(4/3) / ln(ln 4 / ln 3): c decreases at k=0, and so at every step,
+# iff tau3 >= 0 or -tau3/tau2 < r(0).  r(1), in (ln 4, ln 5), is about 1.50.
+_R0 = math.log(4 / 3) / math.log(math.log(4) / math.log(3))
+
+
+@st.composite
+def _tau3_near_the_bound(draw, tau2):
+    """tau3 within a few ulps of -r(0) tau2, where c(1) and c(0) round
+    closest to each other."""
+    tau3 = -_R0 * tau2
+    for _ in range(draw(st.integers(0, 8))):
+        tau3 = math.nextafter(tau3, draw(st.sampled_from([-math.inf, math.inf])))
+    return tau3
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), tau2=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+       horizon=st.integers(1, 100_000))
+@example(data=None, tau2=0.75, horizon=1000).via("between r(0) and r(1)")
+def test_two_step_decrease_check_agrees_with_the_full_scan(data, tau2, horizon):
+    # Validation reads c at steps 0 and 1 only; the scan of every step of the
+    # run must give the same verdict, also right at the bound.
+    if data is None:
+        tau3 = -1.4 * tau2
+    else:
+        tau3 = data.draw(st.one_of(st.floats(-3.0, 1.0), _tau3_near_the_bound(tau2)))
+    cfg = dict(MINIMAL_QUADRATIC, schedule={"tau2": tau2, "tau3": tau3},
+               run={"horizon": horizon, "reps": 1, "seed": 0})
+    scan = c_first_non_decrease(StepSchedule(tau2=tau2, tau3=tau3), horizon)
+    try:
+        config_from_dict(cfg)
+    except ValidationError as exc:
+        assert "non-decreasing at k=0" in str(exc)
+        assert scan == 0
+    else:
+        assert scan is None

@@ -558,6 +558,36 @@ class TestMonteCarlo:
         assert 100 in ks.tolist() and 10 ** 5 in ks.tolist()
         assert len(ks) == 1001 + 990
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("record_ks", [
+        [10, 0, 5], [0, 5, 5, 10], [], [0, 5, 21], [-1, 5], [0.0, 5.0], [[0, 5]]],
+        ids=["unsorted", "repeated", "empty", "past-the-horizon", "negative", "float", "2-d"])
+    def test_record_steps_must_increase_strictly_within_the_horizon(self, monkeypatch,
+                                                                   record_ks, workers):
+        # Unsorted steps came back mislabelled, a repeated one left the last
+        # slot of every output unwritten, and no step ended in a bare
+        # IndexError.  The rule is checked before any part is forked.
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a part was forked")
+
+        monkeypatch.setattr(forked, "call", no_fork)
+        obj, proc, model, x_star, f_star = self._setup()
+        with pytest.raises(ValueError, match=r"^record_ks must be a nonempty, strictly "
+                                             r"increasing array of integer steps within "
+                                             r"\[0, horizon=20\]$"):
+            monte_carlo(obj, proc, model, StepSchedule(), 20, 3, 2, x_star, f_star,
+                        record_ks=record_ks, workers=workers)
+        assert_no_child()
+
+    def test_record_steps_of_any_integer_type_are_recorded_as_int64(self):
+        obj, proc, model, x_star, f_star = self._setup()
+        runs = [monte_carlo(obj, proc, model, StepSchedule(), 20, 3, 2, x_star, f_star,
+                            record_ks=np.array([0, 5, 20], dtype=dtype))
+                for dtype in (np.int64, np.int32, np.uint16)]
+        for mc in runs:
+            assert mc.record_ks.dtype == np.int64 and mc.record_ks.tolist() == [0, 5, 20]
+            assert np.array_equal(mc.mean_v, runs[0].mean_v)
+
 
 class TestCappedIntensity:
     def test_capped_model_keeps_bound_monitors(self):

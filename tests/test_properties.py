@@ -188,6 +188,48 @@ def test_per_rep_outputs_scale_exactly_with_the_problem(objective, process, n_no
         assert np.array_equal(out[scale][key], scale ** p * out[1.0][key]), key
 
 
+@settings(max_examples=12, deadline=None)
+@given(process=st.sampled_from(["independent", "markov", "cycle"]),
+       n_nodes=st.sampled_from([2, 4, engine._PSI_KEPT_BELOW + 1]), dim=st.integers(1, 3),
+       sigma=st.sampled_from([0.1, 1.0]), shift=st.floats(-4.0, 4.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_quadratic_outputs_translate_with_the_problem(process, n_nodes, dim, sigma, shift,
+                                                      seed):
+    # Quadratic subgradients x - t and the channel noise depend on states
+    # only through x - t and x_j - x_i, so shifting the targets and the
+    # initial box by v shifts every state by v and leaves V unchanged, up
+    # to rounding.  The tolerance is set from rounding, before any run: a
+    # step forms each coordinate with at most m = 4 N + 6 rounded operations
+    # on values of magnitude at most 2 M, M the largest state or target, each off
+    # by at most u = 2^-53 of it, and the mean moves by (1 - alpha) times
+    # itself plus the consensus terms, so to first order the errors add:
+    # at most H m u 2 M on mean_state after H steps.  Each centred
+    # deviation is then off by at most d = 2 that + u M, and V, a sum of
+    # N dim squared deviations, by at most 2 sqrt(N dim V) d + N dim d^2.
+    horizon, u = 1000, 2.0 ** -53
+    rng = np.random.default_rng(seed)
+    process = _process(process, n_nodes, rng)
+    targets = rng.normal(size=(n_nodes, dim))
+    v = shift * np.linspace(1.0, -0.5, dim)
+    model = CommNoiseModel(sigma=sigma, b=0.2)
+    out = []
+    for offset in (np.zeros(dim), v):
+        objective = QuadraticObjective(targets + offset)
+        out.append(_run_batch(objective, process, model, StepSchedule(), horizon, seed, [0, 1],
+                              *objective.optimum(), InitialStates.uniform(offset - 2.0,
+                                                                          offset + 2.0),
+                              np.arange(horizon + 1), 0))
+    base, shifted = out
+    big = max(np.sqrt(np.maximum(base["state_sq"], shifted["state_sq"]).max()),
+              np.abs(targets + v).max(), np.abs(targets).max())
+    tol_state = horizon * (4 * n_nodes + 6) * u * 2.0 * big
+    assert np.max(np.abs(shifted["mean_state"] - base["mean_state"] - v)) <= tol_state
+    d = 2.0 * tol_state + u * big
+    nd = n_nodes * dim
+    assert np.all(np.abs(shifted["V"] - base["V"])
+                  <= 2.0 * np.sqrt(nd * base["V"]) * d + nd * d * d)
+
+
 @st.composite
 def step_cases(draw):
     return dict(

@@ -4,16 +4,16 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 
-from oracles import (neumaier_cumsum_loop, schedule_alpha_expr, schedule_c_expr,
-                     verify_conditions_full)
-from subgradnet import (FAILS, HOLDS, StepSchedule, kahan_cumsum,
-                        verify_conditions)
-from subgradnet.stepsize import _PREFIX_BLOCK, _sorted_distinct
+from oracles import (neumaier_cumsum_loop, neumaier_cumsum_whole, schedule_alpha_expr,
+                     schedule_c_expr, verify_conditions_full)
+from subgradnet import FAILS, HOLDS, StepSchedule, verify_conditions
+from subgradnet.stepsize import _PREFIX_BLOCK, _prefix_blocks, _sorted_distinct
 
 
 def _src_env():
@@ -21,6 +21,14 @@ def _src_env():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def walked(values):
+    """Running sums of ``values`` from the library's block walk over the
+    horizon, which reads them through a lookup."""
+    values = np.asarray(values, dtype=float)
+    sums = [S for _, _, S in _prefix_blocks(lambda ks: values[ks], values.size - 1)]
+    return np.concatenate(sums) if sums else np.empty(0)
 
 
 def mp_alpha(k, alpha1=1.0, tau1=1.0):
@@ -129,7 +137,7 @@ class TestPartialSumsAndBeta:
     def test_kahan_matches_fsum(self):
         rng = np.random.default_rng(0)
         vals = rng.random(20_000) * 1e-3
-        prefix = kahan_cumsum(vals)
+        prefix = walked(vals)
         for idx in (0, 17, 4095, 4096, 19_999):
             exact = math.fsum(vals[: idx + 1])
             assert prefix[idx] == pytest.approx(exact, rel=1e-15)
@@ -146,11 +154,34 @@ class TestPartialSumsAndBeta:
             exact = mpmath.exp(mpmath.fsum(mp_alpha(t) for t in range(101)))
         assert math.exp(sched.log_beta(100, 1.0)) == pytest.approx(float(exact), rel=1e-10)
 
-    def test_log_beta_is_exactly_c0_times_prefix(self):
-        sched = StepSchedule()
-        ks = np.array([0, 5, 50, 500])
-        prefix = sched.alpha_partial_sums(500)
-        assert np.array_equal(sched.log_beta(ks, 7.0), 7.0 * prefix[ks])
+    @pytest.mark.parametrize("k", [
+        np.array([0, 5, 50, 500]),
+        np.array([2 * _PREFIX_BLOCK + 1, 0, _PREFIX_BLOCK, _PREFIX_BLOCK - 1, 7]),
+        np.array([_PREFIX_BLOCK, 3, _PREFIX_BLOCK, 3, 2 * _PREFIX_BLOCK, _PREFIX_BLOCK]),
+        np.array(_PREFIX_BLOCK), np.array(2 * _PREFIX_BLOCK + 1), 0,
+        np.array([[2 * _PREFIX_BLOCK + 1, 5, _PREFIX_BLOCK],
+                  [_PREFIX_BLOCK - 1, 5, 2 * _PREFIX_BLOCK]]),
+        np.arange(2 * _PREFIX_BLOCK + 2)[::-1].reshape(2, -1),
+    ], ids=["sorted", "unsorted", "repeated", "0-d", "0-d-third-block", "int",
+            "2-d", "2-d-reversed"])
+    def test_log_beta_is_exactly_c0_times_prefix(self, k):
+        # log_beta picks S at its steps block by block as the walk passes them;
+        # the sums must be the sequential loop's, in the shape and order of k.
+        sched = StepSchedule(tau1=0.8, tau3=-0.4)
+        prefix = neumaier_cumsum_loop(sched.alpha(np.arange(2 * _PREFIX_BLOCK + 2)))
+        got, want = sched.log_beta(k, 7.0), 7.0 * prefix[np.asarray(k)]
+        assert np.shape(got) == np.shape(want) and np.array_equal(got, want)
+        assert isinstance(got, float) == (np.ndim(k) == 0)
+
+    def test_log_beta_of_no_steps_is_empty(self):
+        assert StepSchedule().log_beta(np.zeros((0, 3), dtype=int), 2.0).shape == (0, 3)
+
+    @pytest.mark.parametrize("C0", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_log_beta_rejects_a_constant_outside_zero_to_infinity(self, C0):
+        # As verify_conditions rejects it: nan and inf used to come back as
+        # nan and inf envelopes.
+        with pytest.raises(ValueError, match=r"^C0 must be positive and finite"):
+            StepSchedule().log_beta(np.array([0, 5]), C0)
 
     @pytest.mark.parametrize("k, named", [(np.array([-1, 5]), "-1"), (-3, "-3"),
                                           (2.5, "2.5"), (np.array([0.0, 4.0]), "0.0")],
@@ -221,12 +252,12 @@ class TestVerifyConditions:
 
 class TestKahanEdgeCases:
     def test_empty_and_singleton(self):
-        assert kahan_cumsum([]).shape == (0,)
-        assert kahan_cumsum([2.5]).tolist() == [2.5]
+        assert walked([]).shape == (0,)
+        assert walked([2.5]).tolist() == [2.5]
 
     def test_pathological_cancellation(self):
         vals = [1e16, 1.0, -1e16, 1.0]
-        prefix = kahan_cumsum(vals)
+        prefix = walked(vals)
         assert prefix[-1] == pytest.approx(math.fsum(vals), abs=0.0)
 
 
@@ -243,17 +274,27 @@ class TestVectorisedNeumaierPrefix:
     def test_matches_loop_across_block_boundaries(self, n):
         rng = np.random.default_rng(n)
         vals = rng.normal(size=n) * 10.0 ** rng.uniform(-10, 10, size=n)
-        assert np.array_equal(kahan_cumsum(vals), neumaier_cumsum_loop(vals))
+        want = neumaier_cumsum_loop(vals)
+        assert np.array_equal(walked(vals), want)
+        # The whole-array reference that verify_conditions_full sums with.
+        assert np.array_equal(neumaier_cumsum_whole(vals), want)
 
     def test_matches_loop_on_alpha_at_one_million(self):
         sched = StepSchedule()
-        expected = neumaier_cumsum_loop(sched.alpha(np.arange(1_000_000)))
-        assert np.array_equal(sched.alpha_partial_sums(999_999), expected)
+        ks = np.arange(1_000_000)
+        expected = neumaier_cumsum_loop(sched.alpha(ks))
+        assert np.array_equal(sched.log_beta(ks, 1.0), expected)
 
     def test_cancellation_matches_loop(self):
         vals = [1e16, 1.0, -1e16, 1.0]
-        assert np.array_equal(kahan_cumsum(vals), neumaier_cumsum_loop(vals))
-        assert kahan_cumsum(vals)[-1] == 2.0
+        assert np.array_equal(walked(vals), neumaier_cumsum_loop(vals))
+        assert walked(vals)[-1] == 2.0
+
+    def test_walk_starts_at_step_zero_and_ends_at_the_horizon(self):
+        blocks = [ks for ks, _, _ in _prefix_blocks(StepSchedule().alpha, 2 * _PREFIX_BLOCK)]
+        assert [(int(ks[0]), int(ks[-1])) for ks in blocks] == [
+            (0, _PREFIX_BLOCK - 1), (_PREFIX_BLOCK, 2 * _PREFIX_BLOCK - 1),
+            (2 * _PREFIX_BLOCK, 2 * _PREFIX_BLOCK)]
 
 
 def _slow(k):
@@ -324,6 +365,18 @@ class TestStreamedVerifier:
         with pytest.raises(ValueError, match=rf"^{message}\(k\) must be positive"):
             verify_conditions(alpha_fn, c_fn, 1.0, 3 * _PREFIX_BLOCK)
 
+    @pytest.mark.parametrize("bad_value", [np.inf, np.nan])
+    def test_non_finite_alpha_in_a_later_block_raises_without_a_warning(self, bad_value):
+        # alpha is checked before it is summed: an infinite value in the
+        # compensated sum would first warn of inf - inf.
+        bad_k = 2 * _PREFIX_BLOCK + 7
+        alpha_fn = lambda k: np.where(np.asarray(k) == bad_k, bad_value, _SHIPPED.alpha(k))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match=r"^alpha\(k\) must be positive and finite"):
+                verify_conditions(alpha_fn, _SHIPPED.c, 1.0, 3 * _PREFIX_BLOCK)
+        assert [str(w.message) for w in caught] == []
+
     def test_peak_memory_does_not_grow_with_horizon(self):
         # Bound from arithmetic: the interpreter with numpy and the package takes
         # about 31 MiB, and one block's temporaries and buffers are about a
@@ -340,6 +393,31 @@ class TestStreamedVerifier:
         outer = ("import subprocess, sys\n"
                  "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)\n")
         done = subprocess.run([sys.executable, "-c", outer, inner], env=_src_env(),
+                              capture_output=True, text=True, timeout=300, check=True)
+        peak_mb = int(done.stdout.split()[-1]) * 1024 / 1e6  # ru_maxrss is in KiB
+        assert peak_mb < bound_mb
+
+    def test_envelope_and_validation_memory_does_not_grow_with_horizon(self):
+        # Bound from arithmetic, before running: the interpreter with numpy,
+        # yaml and the package takes about 35 MB; default_record_ks(1e7)
+        # builds a set of about 101,000 ints (a 4 MiB table and 3 MB of int
+        # objects) and 0.8 MB arrays; log_beta holds its steps, their order
+        # and the picked sums (0.8 MB each) and one block's temporaries
+        # (about 2 MB); validation reads c at four steps.  Well under 60 MB.
+        # Whole-horizon arrays would take 32 bytes per step for log_beta
+        # (320 MB) and 40 bytes per step up to 1e6 for validation (40 MB).
+        bound_mb = 60.0
+        inner = ("import resource, yaml\n"
+                 "from subgradnet import StepSchedule, config_from_dict, default_record_ks\n"
+                 "data = yaml.safe_load(open('configs/a1_quadratic.yaml'))\n"
+                 "data['run']['horizon'] = 10_000_000\n"
+                 "config_from_dict(data)\n"
+                 "StepSchedule().log_beta(default_record_ks(10_000_000), 109.82)\n"
+                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        outer = ("import subprocess, sys\n"
+                 "sys.exit(subprocess.run([sys.executable, '-c', sys.argv[1]]).returncode)\n")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        done = subprocess.run([sys.executable, "-c", outer, inner], env=_src_env(), cwd=root,
                               capture_output=True, text=True, timeout=300, check=True)
         peak_mb = int(done.stdout.split()[-1]) * 1024 / 1e6  # ru_maxrss is in KiB
         assert peak_mb < bound_mb

@@ -13,9 +13,11 @@ one line: ``killed`` with the tests that failed, ``killed (timed out)`` when
 the selection ran past ``TIMEOUT_S``, or ``survived``.  The working tree is
 never edited.  An old text that does not occur exactly once in its file is
 an error, reported before anything runs, so the list stays current as the
-code moves.  The script exits 1 if a mutant survived.  With ``--clean`` it
-runs each selection on the unmutated file instead, where every one must
-survive, in under a minute; the whole list takes a few minutes.
+code moves; so is a mutated file that does not compile, which every test
+would fail for the wrong reason.  The script exits 1 if a mutant survived.
+With ``--clean`` it runs each selection on the unmutated file instead, where
+every one must survive, in under a minute; the whole list takes a few
+minutes.
 """
 
 import argparse
@@ -180,11 +182,25 @@ MUTANTS = [
            ["tests/test_stepsize.py"]),
     # The compensated prefix sum that C1-C5 and log_beta read (stepsize.py).
     Mutant("prefix-sum-drops-carried-compensation", "stepsize.py",
-           [("    err[0] += comp\n", "")],
+           [("        err[0] += comp\n", "")],
            ["tests/test_stepsize.py"]),
     Mutant("two-sum-other-branch", "stepsize.py",
            [("np.abs(prev) >= np.abs(v)", "np.abs(prev) < np.abs(v)")],
            ["tests/test_stepsize.py"]),
+    Mutant("log-beta-pick-off-by-one", "stepsize.py",
+           [("block[steps[i0:i1] - ks[0]]", "block[steps[i0:i1] - ks[0] - 1]")],
+           ["tests/test_stepsize.py"]),
+    # The record search (engine.py) and the checks of what a run is given.
+    Mutant("record-search-misses-sub-span-end", "engine.py",
+           [("np.searchsorted(record_ks, (k0, k0 + count))",
+             "np.searchsorted(record_ks, (k0, k0 + count - 1))")],
+           ["tests/test_chunked_observation.py", "tests/test_sub_spans.py"]),
+    Mutant("record-steps-may-repeat", "engine.py",
+           [("np.all(record_ks[1:] > record_ks[:-1])", "np.all(record_ks[1:] >= record_ks[:-1])")],
+           ["tests/test_engine.py", "-k", "record"]),
+    Mutant("c-decrease-read-at-steps-1-and-2", "config.py",
+           [("schedule.c(np.array([0, 1]))", "schedule.c(np.array([1, 2]))")],
+           ["tests/test_config.py"]),
     # The Markov chain advance (graphs.py) and the lasso oracle (objectives.py).
     Mutant("chain-stays-at-its-start", "graphs.py",
            [("        s = path[t] = next_state[which, s]\n",
@@ -216,7 +232,8 @@ MUTANTS = [
 
 def mutated(mutant):
     """The text of the mutant's file with its replacements applied; raises
-    ValueError when an old text does not occur exactly once."""
+    ValueError when an old text does not occur exactly once or the result
+    does not compile."""
     with open(os.path.join(ROOT, "src", "subgradnet", mutant.path), encoding="utf-8") as fh:
         text = fh.read()
     for old, new in mutant.edits:
@@ -225,6 +242,11 @@ def mutated(mutant):
             raise ValueError(f"{mutant.name}: old text occurs {count} times in "
                              f"{mutant.path}: {old!r}")
         text = text.replace(old, new)
+    try:
+        compile(text, mutant.path, "exec")
+    except SyntaxError as exc:
+        raise ValueError(f"{mutant.name}: the mutated {mutant.path} does not compile: "
+                         f"{exc}") from None
     return text
 
 
